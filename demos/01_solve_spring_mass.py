@@ -29,8 +29,8 @@ for phase, seconds in report.timings.items():
     print(f"  {phase:>14}: {seconds * 1e3:7.2f} ms")
 
 # independent check, recomputed through the structured products
-dual, eq, primal = oracles.kkt_residuals(problem, x, y, lam)
-print(f"independent KKT residuals: {max(dual, eq, primal):.2e}")
+dual, eq, primal, comp = oracles.kkt_residuals(problem, x, y, lam)
+print(f"independent KKT residuals: {max(dual, eq, primal, comp):.2e}")
 
 # how hard does the controller work? count saturated input bounds
 n_x, n_u, N = problem.dims.n_x, problem.dims.n_u, problem.dims.N

@@ -18,11 +18,16 @@ stalls, and move the proximal center.
 
 from __future__ import annotations
 
+import ctypes
 import os
+import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import kkt, model
 from .compact import NonPositivePivot
@@ -122,6 +127,7 @@ class SolveReport:
     timings: dict
     solve_time: float
     inner_log: list = field(default_factory=list)
+    blas_threads: int | None = None  # None: no bundled OpenBLAS was found
 
     @property
     def solved(self):
@@ -242,6 +248,81 @@ def initial_penalty(problem, x):
     gxf = problem.dualineq_to_flat(model.mul_G(problem, x))
     gnorm = 0.5 * _flat_dot(gxf, gxf)
     return float(np.clip(20.0 * max(1.0, cost) / max(1.0, gnorm), 1e-4, 1e4))
+
+
+# -- BLAS thread budget ------------------------------------------------------
+#
+# The stage kernels work on blocks far too small for a threaded BLAS to pay
+# off; stage parallelism comes from the worker pool instead.  Every solve
+# therefore pins the OpenBLAS builds bundled with numpy and scipy to one
+# thread and restores the previous counts when the last running solve ends.
+
+_blas_lock = threading.Lock()
+_blas_libs = None  # [(get, set)] thread-count entry points, found on first use
+_blas_depth = 0
+_blas_saved = []
+
+
+def _find_openblas():
+    """Thread-count entry points of the OpenBLAS libraries bundled in the
+    ``numpy.libs`` and ``scipy.libs`` wheel directories."""
+    found = []
+    for pkg in (np, scipy):
+        libdir = Path(pkg.__file__).resolve().parent.parent / f"{pkg.__name__}.libs"
+        for path in sorted(libdir.glob("*openblas*.so*")):
+            try:
+                lib = ctypes.CDLL(str(path))
+            except OSError:
+                continue
+            for suffix in ("64_", ""):
+                get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}", None)
+                put = getattr(lib, f"scipy_openblas_set_num_threads{suffix}", None)
+                if get is not None and put is not None:
+                    get.restype, get.argtypes = ctypes.c_int, []
+                    put.restype, put.argtypes = None, [ctypes.c_int]
+                    found.append((get, put))
+                    break
+    return found
+
+
+def _openblas():
+    global _blas_libs
+    if _blas_libs is None:
+        _blas_libs = _find_openblas()
+    return _blas_libs
+
+
+def blas_thread_counts():
+    """Current thread counts of the bundled OpenBLAS libraries (empty when
+    none was found)."""
+    with _blas_lock:
+        return [get() for get, _ in _openblas()]
+
+
+@contextmanager
+def single_threaded_blas():
+    """Pin the bundled OpenBLAS libraries to one thread for the block.
+
+    Nested and concurrent blocks share one pin: the first to enter saves
+    the counts, the last to leave restores them.  Yields the largest count
+    in effect inside the block, or None when no library was found.
+    """
+    global _blas_depth, _blas_saved
+    with _blas_lock:
+        libs = _openblas()
+        if _blas_depth == 0:
+            _blas_saved = [get() for get, _ in libs]
+            for _, put in libs:
+                put(1)
+        _blas_depth += 1
+    try:
+        yield max(blas_thread_counts(), default=None)
+    finally:
+        with _blas_lock:
+            _blas_depth -= 1
+            if _blas_depth == 0:
+                for (_, put), count in zip(libs, _blas_saved):
+                    put(count)
 
 
 class Solver:
@@ -461,7 +542,17 @@ class Solver:
         return converged, iterations, prox_scale
 
     def solve(self, warm_start=None):
-        """Run the outer loop; returns (x, y, lam, report) with flat arrays."""
+        """Run the outer loop; returns (x, y, lam, report) with flat arrays.
+
+        BLAS runs single-threaded for the duration of the call (see
+        :func:`single_threaded_blas`); ``report.blas_threads`` records it.
+        """
+        with single_threaded_blas() as threads:
+            x, y, lam, report = self._solve(warm_start)
+        report.blas_threads = threads
+        return x, y, lam, report
+
+    def _solve(self, warm_start):
         p, settings = self.problem, self.settings
         state = self._init_state(warm_start)
         timings = {k: 0.0 for k in PHASES}

@@ -285,8 +285,7 @@ def run_case(case):
                 solver.solve()  # warm-up run, discarded
                 warmed = True
             x, y, lam, report = solver.solve()
-        dual, eq, primal = oracles.kkt_residuals(problem, x, y, lam)
-        resid = max(dual, eq, primal)
+        resid = max(oracles.kkt_residuals(problem, x, y, lam))
         if not report.solved or resid > case.eps_abs:
             result.failures.append((seed, report.status, resid))
             continue

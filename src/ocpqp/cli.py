@@ -133,6 +133,7 @@ def cmd_solve(args):
         "primal_residual": report.primal_res,
         "solve_time_s": report.solve_time,
         "timings_s": report.timings,
+        "blas_threads": report.blas_threads,
     }
     if args.solution:
         doc["x"] = x.tolist()

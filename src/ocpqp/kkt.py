@@ -19,11 +19,14 @@ d-wide lane stacks, optionally distributed over a worker pool in disjoint
 block ranges; the recursion itself is sequential in the stage index.
 
 Per block the pipeline gathers the d lanes once into a contiguous lane
-stack, runs batched Cholesky / triangular-solve / matmul kernels on it, and
-keeps the combined panel J_j = [V_j; W_j] so that all three Psi products
-(V V^T, W W^T, -V W^T) come out of a single J J^T.  The constant operand
-panels ([A B; I 0]^T and [C D]) are mirrored into lane stacks once at
-workspace allocation, which is what keeps wide lanes profitable.
+stack, runs a batched Cholesky on it and inverts each lane's factor once
+with LAPACK trtri, so the stored stage factor is L^{-1} (in place of L).
+The panel J_j = [V_j; W_j] is then one batched matmul L^{-1} [A B; I 0]^T,
+all three Psi products (V V^T, W W^T, -V W^T) come out of a single J J^T,
+and every later solve with H is two batched matmuls over all blocks.  The
+constant operand panels ([A B; I 0]^T and [C D]) are mirrored into lane
+stacks once at workspace allocation, which is what keeps wide lanes
+profitable.
 """
 
 from __future__ import annotations
@@ -36,6 +39,8 @@ import scipy.linalg
 
 from . import model
 from .compact import CompactBatch, NonPositivePivot, _masked_scalar_chol
+
+(_trtri,) = scipy.linalg.get_lapack_funcs(("trtri",), dtype=np.float64)
 
 
 class StructureMismatch(Exception):
@@ -116,17 +121,18 @@ def _lane_stack(batch):
 class StageFactorization:
     """Workspaces and results of one stage-structured factorization.
 
-    ``l_lm``, ``vwt_lm`` and ``p_lm`` are lane stacks (nblocks, d, ...):
-    the per-stage Cholesky factors of H, the solved panels (V_j; W_j)^T,
-    and the products J_j J_j^T that the Psi blocks are sliced from.  The
-    CompactBatch views ``L_H``, ``V`` and ``W`` are materialized on demand.
+    ``linv_lm``, ``vwt_lm`` and ``p_lm`` are lane stacks (nblocks, d, ...):
+    the inverses L_j^{-1} of the per-stage Cholesky factors of H (dense
+    variant only), the panels (V_j; W_j)^T = L_j^{-1} [A B; I 0]^T, and the
+    products J_j J_j^T that the Psi blocks are sliced from.  The
+    CompactBatch views ``V`` and ``W`` are materialized on demand.
     """
 
     problem: object
     variant: str
     H: CompactBatch
     h_diag: CompactBatch | None
-    l_lm: np.ndarray
+    linv_lm: np.ndarray
     vwt_lm: np.ndarray
     p_lm: np.ndarray
     ewt_lm: np.ndarray  # constant [A B; I 0]^T lanes
@@ -151,7 +157,7 @@ class StageFactorization:
             variant=variant,
             H=CompactBatch(n_xu, n_xu, nb, lw),
             h_diag=CompactBatch(n_xu, 1, nb, lw) if variant == "diagonal" else None,
-            l_lm=np.zeros((nb, lw, n_xu, n_xu)),
+            linv_lm=np.zeros((nb, lw, n_xu, n_xu)),
             vwt_lm=np.zeros((nb, lw, n_xu, 2 * n_x)),
             p_lm=np.zeros((nb, lw, 2 * n_x, 2 * n_x)),
             ewt_lm=ew,
@@ -170,17 +176,6 @@ class StageFactorization:
             np.ascontiguousarray(stack).reshape(nb * lw, col1 - col0, n_xu),
             self.problem.dims.d,
         )
-
-    @property
-    def L_H(self):
-        d = self.problem.dims
-        if self.variant == "diagonal":
-            stack = np.zeros((self.H.nstages, d.n_xu, d.n_xu))
-            idx = np.arange(d.n_xu)
-            stack[:, idx, idx] = np.sqrt(self.h_diag.to_stack()[:, :, 0])
-            return CompactBatch.from_stack(stack, d.d)
-        nb, lw, n_xu, _ = self.l_lm.shape
-        return CompactBatch.from_stack(self.l_lm.reshape(nb * lw, n_xu, n_xu), d.d)
 
     @property
     def V(self):
@@ -237,27 +232,28 @@ def _gather_con(problem, bi):
 
 def factor_chunk_dense(f, chunk):
     """Dense per-stage pipeline over one block range: batched Cholesky of
-    the H lanes, one triangular solve for the combined (V; W)^T panel, and
-    one J J^T product holding every Psi contribution of the block."""
+    the H lanes, one trtri per lane replacing L by L^{-1}, one batched
+    matmul for the combined (V; W)^T panel, and one J J^T product
+    holding every Psi contribution of the block."""
     h4 = f.H.view4()
     d = f.H.d
     failures = []
     for bi in chunk:
         lanes = h4[bi].transpose(2, 1, 0)  # (d, m, m); lower triangle is read
+        linv = f.linv_lm[bi]
         try:
-            f.l_lm[bi] = np.linalg.cholesky(lanes)
+            linv[:] = np.linalg.cholesky(lanes)
         except np.linalg.LinAlgError:
             for t in range(d):
                 try:
-                    f.l_lm[bi, t] = np.linalg.cholesky(lanes[t])
+                    linv[t] = np.linalg.cholesky(lanes[t])
                 except np.linalg.LinAlgError:
                     row, lower = _masked_scalar_chol(lanes[t])
-                    f.l_lm[bi, t] = lower
+                    linv[t] = lower
                     failures.append((bi * d + t, row))
         for t in range(d):
-            f.vwt_lm[bi, t] = scipy.linalg.solve_triangular(
-                f.l_lm[bi, t], f.ewt_lm[bi, t], lower=True, check_finite=False
-            )
+            linv[t] = _trtri(linv[t], lower=1)[0]
+        np.matmul(linv, f.ewt_lm[bi], out=f.vwt_lm[bi])
         np.matmul(
             f.vwt_lm[bi].transpose(0, 2, 1), f.vwt_lm[bi], out=f.p_lm[bi]
         )
@@ -355,29 +351,17 @@ def factor_psi(f):
 
 
 def solve_H(f, rhs, out=None):
-    """Per-stage solve H_j z_j = rhs_j using the factored blocks.
-
-    The forward/backward sweeps advance all lanes of a block per row
-    iteration (the vector analog of the panel solves)."""
+    """Per-stage solve H_j z_j = rhs_j with the stored inverse factors:
+    z = L^{-T} (L^{-1} rhs), two batched matmuls over every lane of every
+    block (a row scaling on the diagonal path)."""
     if out is None:
         out = rhs.zeros_like()
-    np.copyto(out.data, rhs.data)
     if f.variant == "diagonal":
-        out.data /= f.h_diag.data
+        np.divide(rhs.data, f.h_diag.data, out=out.data)
         return out
-    v4 = out.view4()
-    m = f.problem.dims.n_xu
-    for bi in range(out.nblocks):
-        L = f.l_lm[bi]  # (d, m, m)
-        bb = v4[bi][0]  # (m, d)
-        for k in range(m):
-            if k:
-                bb[k] -= np.einsum("tj,jt->t", L[:, k, :k], bb[:k])
-            bb[k] /= L[:, k, k]
-        for k in range(m - 1, -1, -1):
-            if k + 1 < m:
-                bb[k] -= np.einsum("tj,jt->t", L[:, k + 1 :, k], bb[k + 1 :])
-            bb[k] /= L[:, k, k]
+    b = rhs.view4()[:, 0].transpose(0, 2, 1)[..., None]  # (nblocks, d, m, 1)
+    z = np.matmul(f.linv_lm.transpose(0, 1, 3, 2), np.matmul(f.linv_lm, b))
+    out.view4()[:, 0] = z[..., 0].transpose(0, 2, 1)
     return out
 
 

@@ -104,10 +104,16 @@ def assemble_dense(problem):
 def kkt_residuals(problem, x, y, lam):
     """Residuals of a candidate solution, recomputed from structured products.
 
-    Returns (dual, eq, primal) max-norms for flat (x, y, lam):
+    Returns (dual, eq, primal, comp) max-norms for flat (x, y, lam):
     dual   = ||Qx + q + M'lam + G'y||_inf
     eq     = ||Mx - b||_inf
     primal = ||dist(Gx, [bl, bu])||_inf
+    comp   = ||Gx - proj_[bl, bu](Gx + y)||_inf
+
+    ``comp`` is the natural complementarity residual: it vanishes exactly
+    when Gx is feasible and y lies in the normal cone of the box at Gx
+    (y >= 0 only on rows at their upper bound, y <= 0 only at the lower,
+    y = 0 in the interior), so the four together certify optimality.
     """
     xb = problem.primal_from_flat(x)
     yb = problem.dualineq_from_flat(y)
@@ -125,7 +131,8 @@ def kkt_residuals(problem, x, y, lam):
     gx = problem.dualineq_to_flat(model.mul_G(problem, xb))
     blf, buf = problem.flat_bounds()
     viol = np.maximum(np.maximum(blf - gx, gx - buf), 0.0)
-    return _norm_inf(dual_vec), _norm_inf(eq_vec), _norm_inf(viol)
+    comp = gx - np.clip(gx + y, blf, buf)
+    return _norm_inf(dual_vec), _norm_inf(eq_vec), _norm_inf(viol), _norm_inf(comp)
 
 
 def riccati_solve(problem):
@@ -296,9 +303,9 @@ def verify_against_oracle(problem, solution, oracle="auto", eps=1e-8, max_candid
         else:
             oracle = "residual"
 
-    dual, eq, primal = kkt_residuals(problem, x, y, lam)
-    details = {"dual": dual, "eq": eq, "primal": primal, "oracle": oracle}
-    residual_ok = max(dual, eq, primal) <= eps
+    dual, eq, primal, comp = kkt_residuals(problem, x, y, lam)
+    details = {"dual": dual, "eq": eq, "primal": primal, "comp": comp, "oracle": oracle}
+    residual_ok = max(dual, eq, primal, comp) <= eps
 
     if oracle == "residual":
         return VerificationReport(residual_ok, "residual", details)

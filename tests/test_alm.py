@@ -252,8 +252,8 @@ class TestSolve:
         assert report.solved
         eps = 1e-8
         assert max(report.dual_res, report.eq_res, report.primal_res) <= eps
-        dual, eq, primal = oracles.kkt_residuals(p, x, y, lam)
-        assert max(dual, eq, primal) <= eps
+        dual, eq, primal, comp = oracles.kkt_residuals(p, x, y, lam)
+        assert max(dual, eq, primal, comp) <= eps
 
     def test_numerical_error_on_indefinite_cost(self):
         # a negative cost curvature the proximal escalation cannot fix

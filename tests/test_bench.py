@@ -73,8 +73,8 @@ class TestRandomOcp:
         assert validate(p).ok
         x_ref, y_ref, lam_ref, obj = oracles.enumerate_active_sets(p)
         assert np.isfinite(obj)
-        dual, eq, primal = oracles.kkt_residuals(p, x_ref, y_ref, lam_ref)
-        assert max(dual, eq, primal) < 1e-8
+        dual, eq, primal, comp = oracles.kkt_residuals(p, x_ref, y_ref, lam_ref)
+        assert max(dual, eq, primal, comp) < 1e-8
 
 
 class TestVerify:
@@ -99,6 +99,25 @@ class TestVerify:
         x_bad = x + 1e-3
         ver = oracles.verify_against_oracle(p, (x_bad, y, lam), oracle="residual")
         assert not ver.ok
+
+    def test_feasible_non_optimal_point_fails_complementarity(self):
+        # the zero-input rollout is feasible, and since every variable has its
+        # own constraint row, least-squares multipliers make it stationary:
+        # only the complementarity residual tells it from the optimum
+        p = gen_spring_mass(SpringMassConfig(masses=10, horizon=15, seed=0))
+        d = p.dims
+        parts, xs = [], p.x_init
+        for j in range(d.N):
+            parts += [xs, np.zeros(d.n_u)]
+            xs = p.A(j) @ xs + p.c(j)
+        x = np.concatenate(parts + [xs])
+        dq = oracles.assemble_dense(p)
+        mult = np.linalg.lstsq(np.hstack([dq.M.T, dq.G.T]), -(dq.Q @ x + dq.q), rcond=None)[0]
+        lam, y = mult[: d.p], mult[d.p :]
+        dual, eq, primal, comp = oracles.kkt_residuals(p, x, y, lam)
+        assert max(dual, eq, primal) < 1e-12
+        assert comp == pytest.approx(1.50, abs=0.01)
+        assert not oracles.verify_against_oracle(p, (x, y, lam), oracle="residual").ok
 
     def test_intractable_enumeration(self):
         p = gen_spring_mass(SpringMassConfig(masses=10, horizon=15, seed=0))

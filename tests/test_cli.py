@@ -35,6 +35,7 @@ class TestSolveCommand:
         doc = json.loads(report.read_text())
         assert doc["status"] == "solved"
         assert doc["dual_residual"] <= 1e-8
+        assert "blas_threads" in doc
         assert len(doc["x"]) == 6 * (6 + 2) + 6
 
     def test_json_problem_is_accepted(self, tmp_path):

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from ocpqp import kkt, model, oracles
+from ocpqp.alm import SIGMA_MAX
+from ocpqp.bench import SpringMassConfig, gen_spring_mass
 from ocpqp.compact import NonPositivePivot
 from ocpqp.kkt import (
     StructureMismatch,
@@ -201,9 +203,8 @@ class TestFactorStages:
             w4 = factor_all(p, w, 1e-3, pool=pool)
         finally:
             pool.shutdown()
-        for name in ("l_lm", "vwt_lm", "p_lm", "psi_diag", "psi_sub"):
+        for name in ("linv_lm", "vwt_lm", "p_lm", "psi_diag", "psi_sub"):
             assert np.array_equal(getattr(w1, name), getattr(w4, name))
-        assert np.array_equal(w1.L_H.data, w4.L_H.data)
 
 
 class TestFactorPsi:
@@ -322,6 +323,54 @@ class TestSolveNewton:
             tol = 1e-10 * (1 + rhs_norm)
             assert np.max(np.abs(res1)) < tol
             assert np.max(np.abs(res2)) < tol
+
+
+class TestExplicitInverse:
+    """The stored L^{-1} against a dense solve of the same Newton system,
+    at the penalty spread the outer loop can reach."""
+
+    def problems(self, rng):
+        sm = gen_spring_mass(SpringMassConfig(masses=5, horizon=11, seed=3))
+        yield model.pad_horizon(sm, 4)
+        for _ in range(3):
+            yield random_problem(rng, N=int(rng.integers(3, 10)), n_x=4, n_u=2,
+                                 n_y=3, n_yN=2, d=4)
+
+    def test_newton_step_backward_error(self):
+        # normwise: ||res|| / max(||K|| ||step||, ||rhs||, 1); componentwise
+        # (Oettli-Prager): max_i |res_i| / (|K| |step| + |rhs|)_i, which the
+        # 1e9 rows cannot dominate.  The recursion itself reaches about 1e-11
+        # componentwise with stage factors L or L^{-1} alike.
+        rng = np.random.default_rng(90)
+        worst = worst_comp = 0.0
+        for p in self.problems(rng):
+            m = p.dims.m
+            active = rng.random(m) < 0.5
+            sig = np.where(active, 10.0 ** rng.uniform(-4, np.log10(SIGMA_MAX), m), 0.0)
+            weights = kkt.ActiveWeights(p.dualineq_from_flat(sig), None)
+            delta = 1e-7
+            work = factor_all(p, weights, delta, variant="dense")
+            factor_psi(work)
+            dq = oracles.assemble_dense(p)
+            Hd = dq.Q + dq.G.T @ np.diag(sig) @ dq.G + delta * np.eye(p.dims.n)
+            g = rng.standard_normal(p.dims.n)
+            lam = rng.standard_normal(p.dims.p)
+            r = rng.standard_normal(p.dims.p)
+            dx, dlam = solve_newton(
+                work, p.primal_from_flat(g), p.dualeq_from_flat(lam), p.dualeq_from_flat(r)
+            )
+            step = np.concatenate([p.primal_to_flat(dx), p.dualeq_to_flat(dlam)])
+            K = np.block([[Hd, dq.M.T], [dq.M, np.zeros((p.dims.p, p.dims.p))]])
+            rhs = -np.concatenate([g + dq.M.T @ lam, r])
+            res = K @ step - rhs
+            scale = max(
+                np.linalg.norm(K, np.inf) * np.max(np.abs(step)), np.max(np.abs(rhs)), 1.0
+            )
+            worst = max(worst, np.max(np.abs(res)) / scale)
+            bound = np.abs(K) @ np.abs(step) + np.abs(rhs)
+            worst_comp = max(worst_comp, np.max(np.abs(res) / bound))
+        assert worst <= 1e-12
+        assert worst_comp <= 1e-10
 
 
 def diagonal_problem(rng, N=4, n_x=3, n_u=2):
