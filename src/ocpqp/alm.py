@@ -385,8 +385,9 @@ class Solver:
             lo[d.N, : d.n_yN, 0] = np.asarray(bl_N, dtype=np.float64)
         if bu_N is not None:
             hi[d.N, : d.n_yN, 0] = np.asarray(bu_N, dtype=np.float64)
-        if np.any(lo > hi):
-            raise ValueError("bound crossing in updated bounds")
+        # NaN fails lo <= hi; -inf below and +inf above are no bound
+        if not (lo <= hi).all() or np.isposinf(lo).any() or np.isneginf(hi).any():
+            raise ValueError("updated bounds NaN, crossing, +inf below or -inf above")
         self.problem.bl.data[:] = model.CompactBatch.from_stack(lo, d.d).data
         self.problem.bu.data[:] = model.CompactBatch.from_stack(hi, d.d).data
 
@@ -400,12 +401,14 @@ class Solver:
         st[: d.N, d.n_x :, 0] = r
         if q_N is not None:
             st[d.N, : d.n_x, 0] = np.asarray(q_N, dtype=np.float64)
+        if not np.isfinite(st).all():
+            raise ValueError("non-finite entries in updated gradient")
         self.problem.lin.data[:] = model.CompactBatch.from_stack(st, d.d).data
 
     def update_initial_state(self, x_init):
         x_init = np.asarray(x_init, dtype=np.float64)
-        if x_init.shape != (self.problem.dims.n_x,):
-            raise ValueError("x_init has the wrong shape")
+        if x_init.shape != (self.problem.dims.n_x,) or not np.isfinite(x_init).all():
+            raise ValueError("x_init must be a finite vector of length n_x")
         self.problem.x_init[:] = x_init
         self.problem._b = None
         self._b = self.problem.b_dualeq()

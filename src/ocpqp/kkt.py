@@ -12,11 +12,11 @@ that never leave the stage-wise representation:
     -(M H^{-1} M^T) dlam   = M v - r
     -H dx                  = g + M^T dlam   (g refreshed with lam + dlam)
 
-The Schur complement Psi = M H^{-1} M^T is block-tridiagonal; its Cholesky
-factor is block-bidiagonal and is built by a stage recursion.  Everything up
-to the Psi recursion is independent across stages and runs block by block on
-d-wide lane stacks, optionally distributed over a worker pool in disjoint
-block ranges; the recursion itself is sequential in the stage index.
+The Schur complement Psi = M H^{-1} M^T is block-tridiagonal, a band matrix
+with a block-bidiagonal Cholesky factor.  Everything up to Psi is independent
+across stages and runs block by block on d-wide lane stacks, optionally
+distributed over a worker pool in disjoint block ranges; the sequential part
+is one banded LAPACK call that factors Psi and one per solve with it.
 
 Per block the pipeline gathers the d lanes once into a contiguous lane
 stack, runs a batched Cholesky on it and inverts each lane's factor once
@@ -25,14 +25,14 @@ The panel J_j = [V_j; W_j] is then one batched matmul L^{-1} [A B; I 0]^T,
 all three Psi products (V V^T, W W^T, -V W^T) come out of a single J J^T,
 and every later solve with H is two batched matmuls over all blocks.  The
 constant operand panels ([A B; I 0]^T and [C D]) are mirrored into lane
-stacks once at workspace allocation, which is what keeps wide lanes
-profitable.
+stacks once at workspace allocation rather than gathered on every
+factorization.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -40,7 +40,7 @@ import scipy.linalg
 from . import model
 from .compact import CompactBatch, NonPositivePivot, _masked_scalar_chol
 
-(_trtri,) = scipy.linalg.get_lapack_funcs(("trtri",), dtype=np.float64)
+_trtri, _pbtrf, _pbtrs = scipy.linalg.get_lapack_funcs(("trtri", "pbtrf", "pbtrs"))
 
 
 class StructureMismatch(Exception):
@@ -52,7 +52,7 @@ class WorkerPool:
 
     With one worker everything is inline; otherwise a thread pool executes
     one chunk per worker and ``run`` returns only after all chunks finish
-    (the barrier between stage-parallel work and the sequential recursion).
+    (the barrier between stage-parallel work and the Psi factorization).
     """
 
     def __init__(self, workers=1):
@@ -126,6 +126,8 @@ class StageFactorization:
     variant only), the panels (V_j; W_j)^T = L_j^{-1} [A B; I 0]^T, and the
     products J_j J_j^T that the Psi blocks are sliced from.  The
     CompactBatch views ``V`` and ``W`` are materialized on demand.
+    ``psi_band`` holds Psi, then its Cholesky factor, in LAPACK band storage;
+    ``band_diag`` and ``band_sub`` are views of its blocks.
     """
 
     problem: object
@@ -140,8 +142,9 @@ class StageFactorization:
     scaled_lm: np.ndarray  # scratch for the weighted constraint panel
     psi_diag: np.ndarray
     psi_sub: np.ndarray
-    l_psi_diag: np.ndarray = field(default=None)
-    l_psi_sub: np.ndarray = field(default=None)
+    psi_band: np.ndarray
+    band_diag: np.ndarray
+    band_sub: np.ndarray
 
     @classmethod
     def allocate(cls, problem, variant="dense"):
@@ -152,6 +155,7 @@ class StageFactorization:
         dyn = _lane_stack(problem.dyn)  # (nb, lw, n_x, n_xu)
         ew[:, :, :, :n_x] = dyn.transpose(0, 1, 3, 2)
         ew[:, :, :n_x, n_x:] = np.eye(n_x)
+        band = np.zeros((2 * n_x, (d.N + 1) * n_x), order="F")
         return cls(
             problem=problem,
             variant=variant,
@@ -165,9 +169,12 @@ class StageFactorization:
             scaled_lm=np.zeros((nb, lw, d.n_y_pad, n_xu)),
             psi_diag=np.zeros((d.N + 1, n_x, n_x)),
             psi_sub=np.zeros((d.N, n_x, n_x)),
+            psi_band=band,
+            band_diag=_band_blocks(band, 0, d.N + 1),
+            band_sub=_band_blocks(band, n_x, d.N),
         )
 
-    # CompactBatch views of the factors, for inspection and tests
+    # views of the factors, for inspection and tests
 
     def _vwt_slice(self, col0, col1):
         nb, lw, n_xu, _ = self.vwt_lm.shape
@@ -185,6 +192,27 @@ class StageFactorization:
     def W(self):
         n_x = self.problem.dims.n_x
         return self._vwt_slice(n_x, 2 * n_x)
+
+    @property
+    def l_psi_diag(self):
+        return np.tril(self.band_diag)
+
+    @property
+    def l_psi_sub(self):
+        return self.band_sub.copy()
+
+
+def _band_blocks(band, row0, nblocks):
+    """Strided view of ``nblocks`` n x n blocks of a matrix in Fortran-ordered
+    LAPACK lower band storage with 2 n rows (entry (i, k), i >= k, at
+    band[i - k, k]): entry (r, c) of block j is band[row0 + r - c, j n + c].
+    row0 = 0 gives the diagonal blocks, whose strictly upper entries alias
+    other slots, and row0 = n the sub-diagonal blocks."""
+    ld, s = band.shape[0], band.itemsize
+    n = ld // 2
+    return np.lib.stride_tricks.as_strided(
+        band[row0:], (nblocks, n, n), (ld * n * s, s, (ld - 1) * s)
+    )
 
 
 def assemble_H(problem, weights, sigma_x_inv, out=None, blocks=None, work=None):
@@ -322,31 +350,16 @@ def factor_stages(H, problem, work=None, pool=None, variant="dense"):
 
 
 def factor_psi(f):
-    """Block-bidiagonal Cholesky of Psi by the stage recursion:
-
-        L_00 L_00^T = Psi_00
-        L_{j+1,j}   = Psi_{j+1,j} L_{j,j}^{-T}
-        L_{j+1,j+1} L_{j+1,j+1}^T = Psi_{j+1,j+1} - L_{j+1,j} L_{j+1,j}^T
-    """
-    N = f.problem.dims.N
-    n_x = f.problem.dims.n_x
-    if f.l_psi_diag is None:
-        f.l_psi_diag = np.zeros((N + 1, n_x, n_x))
-        f.l_psi_sub = np.zeros((N, n_x, n_x))
-    try:
-        f.l_psi_diag[0] = np.linalg.cholesky(f.psi_diag[0])
-    except np.linalg.LinAlgError:
-        raise NonPositivePivot([(0, -1)]) from None
-    for j in range(N):
-        f.l_psi_sub[j] = scipy.linalg.solve_triangular(
-            f.l_psi_diag[j], f.psi_sub[j].T, lower=True, trans="N",
-            check_finite=False,
-        ).T
-        tilde = f.psi_diag[j + 1] - f.l_psi_sub[j] @ f.l_psi_sub[j].T
-        try:
-            f.l_psi_diag[j + 1] = np.linalg.cholesky(tilde)
-        except np.linalg.LinAlgError:
-            raise NonPositivePivot([(j + 1, -1)]) from None
+    """Cholesky factor of Psi, block-bidiagonal, by one banded LAPACK call:
+    copy the lower triangles of ``psi_diag`` and the blocks ``psi_sub`` into
+    ``psi_band`` and factor it in place with dpbtrf.  A failed leading minor
+    names the stage whose block it falls in."""
+    f.psi_band.fill(0.0)  # a NaN in Psi spreads into slots outside the blocks
+    np.copyto(f.band_diag, f.psi_diag, where=np.tri(f.psi_diag.shape[1], dtype=bool))
+    np.copyto(f.band_sub, f.psi_sub)
+    _, info = _pbtrf(f.psi_band, lower=1, overwrite_ab=1)
+    if info > 0:
+        raise NonPositivePivot([((info - 1) // f.problem.dims.n_x, -1)])
     return f
 
 
@@ -366,27 +379,10 @@ def solve_H(f, rhs, out=None):
 
 
 def psi_solve(f, rhs_stack):
-    """Forward/back substitution with the block-bidiagonal factor of Psi."""
-    N = f.problem.dims.N
-    t = np.empty_like(rhs_stack)
-    t[0] = scipy.linalg.solve_triangular(
-        f.l_psi_diag[0], rhs_stack[0], lower=True, check_finite=False
-    )
-    for j in range(N):
-        t[j + 1] = scipy.linalg.solve_triangular(
-            f.l_psi_diag[j + 1], rhs_stack[j + 1] - f.l_psi_sub[j] @ t[j],
-            lower=True, check_finite=False,
-        )
-    out = np.empty_like(t)
-    out[N] = scipy.linalg.solve_triangular(
-        f.l_psi_diag[N], t[N], lower=True, trans="T", check_finite=False
-    )
-    for j in range(N - 1, -1, -1):
-        out[j] = scipy.linalg.solve_triangular(
-            f.l_psi_diag[j], t[j] - f.l_psi_sub[j].T @ out[j + 1],
-            lower=True, trans="T", check_finite=False,
-        )
-    return out
+    """Solve Psi x = rhs for the (N + 1, n_x) stack with the banded factor:
+    forward and back substitution in one dpbtrs call."""
+    x, _ = _pbtrs(f.psi_band, rhs_stack.reshape(-1, 1), lower=1)
+    return x.reshape(rhs_stack.shape)
 
 
 def solve_newton(f, grad_phi, lam, eq_residual):
@@ -404,9 +400,8 @@ def solve_newton(f, grad_phi, lam, eq_residual):
     mv = model.mul_M(problem, v)
     rhs = eq_residual.to_stack()[:, :, 0] - mv.to_stack()[:, :, 0]
     N = problem.dims.N
-    dlam_stack = psi_solve(f, rhs[: N + 1])
     full = np.zeros((problem.cost.nstages, problem.dims.n_x, 1))
-    full[: N + 1, :, 0] = dlam_stack
+    full[: N + 1, :, 0] = psi_solve(f, rhs[: N + 1])
     dlam = CompactBatch.from_stack(full, problem.dims.d, problem.cost.nstages)
 
     lam_new = lam.zeros_like()

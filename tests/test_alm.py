@@ -351,3 +351,61 @@ class TestUpdates:
         x_ref, _, _, rep_ref = solve(p2, SolverSettings())
         assert rep_ref.solved
         assert np.max(np.abs(x - x_ref)) <= 1e-6
+
+
+NON_FINITE_UPDATES = [
+    ("update_bounds", "bl", np.nan),
+    ("update_bounds", "bu", np.nan),
+    ("update_bounds", "bl", np.inf),
+    ("update_bounds", "bu", -np.inf),
+    ("update_bounds", "bl_N", np.nan),
+    ("update_bounds", "bu_N", np.nan),
+    ("update_bounds", "bl_N", np.inf),
+    ("update_bounds", "bu_N", -np.inf),
+    ("update_gradient", "q", np.nan),
+    ("update_gradient", "q", np.inf),
+    ("update_gradient", "r", np.nan),
+    ("update_gradient", "r", -np.inf),
+    ("update_gradient", "q_N", np.nan),
+    ("update_gradient", "q_N", np.inf),
+    ("update_initial_state", "x_init", np.nan),
+    ("update_initial_state", "x_init", -np.inf),
+]
+
+
+class TestUpdatesRejectNonFinite:
+    """Every update_* argument is checked before anything is written: a bad
+    value raises and the next solve is bit-identical to one before it.
+    Bounds may be infinite only on their own side (-inf below, +inf above)."""
+
+    @staticmethod
+    def valid_args(d, method):
+        return {
+            "update_bounds": dict(
+                bl=np.full((d.N, d.n_y), -3.0), bu=np.full((d.N, d.n_y), 3.0),
+                bl_N=np.full(d.n_yN, -3.0), bu_N=np.full(d.n_yN, 3.0),
+            ),
+            "update_gradient": dict(
+                q=np.full((d.N, d.n_x), 0.1), r=np.full((d.N, d.n_u), -0.1),
+                q_N=np.full(d.n_x, 0.1),
+            ),
+            "update_initial_state": dict(x_init=np.full(d.n_x, 0.05)),
+        }[method]
+
+    @pytest.mark.parametrize("method,arg,value", NON_FINITE_UPDATES)
+    def test_raises_and_leaves_solve_unchanged(self, method, arg, value):
+        p = gen_spring_mass(SpringMassConfig(masses=3, horizon=6, seed=2))
+        d = p.dims
+        assert d.n_yN > 0
+        with Solver(p, SolverSettings()) as solver:
+            before = solver.solve()
+            args = self.valid_args(d, method)
+            args[arg].flat[-1] = value
+            with pytest.raises(ValueError):
+                getattr(solver, method)(**args)
+            after = solver.solve()
+            args[arg].flat[-1] = 0.0
+            getattr(solver, method)(**args)  # the same call with finite data
+        assert before[3].solved and after[3].solved
+        for a, b in zip(before[:3], after[:3]):
+            assert np.array_equal(a, b)

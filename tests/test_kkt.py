@@ -268,6 +268,85 @@ class TestFactorPsi:
             factor_psi(work)
 
 
+def dense_from_blocks(diag, sub):
+    """The dense symmetric Psi from its diagonal and sub-diagonal blocks."""
+    n_x = diag.shape[1]
+    D = np.zeros((diag.shape[0] * n_x,) * 2)
+    for j, blk in enumerate(diag):
+        D[j * n_x : (j + 1) * n_x, j * n_x : (j + 1) * n_x] = blk
+    for j, blk in enumerate(sub):
+        D[(j + 1) * n_x : (j + 2) * n_x, j * n_x : (j + 1) * n_x] = blk
+        D[j * n_x : (j + 1) * n_x, (j + 1) * n_x : (j + 2) * n_x] = blk.T
+    return D
+
+
+class TestBandedPsi:
+    """factor_psi and psi_solve against dense factorizations of the same Psi."""
+
+    def setup_workspace(self):
+        rng = np.random.default_rng(55)
+        p = random_problem(rng, N=5, n_x=3, n_u=2, n_y=2, n_yN=1)
+        w = make_weights(p, rng.standard_normal(p.dims.n), sigma=1.2)
+        return p, w, factor_all(p, w, 1e-2)
+
+    def assert_refactors_clean(self, work, p, w):
+        # the same workspace, factored again, holds what a fresh one holds
+        factor_psi(work)
+        fresh = factor_psi(factor_all(p, w, 1e-2))
+        assert np.array_equal(work.psi_band, fresh.psi_band)
+        Ld = np.linalg.cholesky(dense_from_blocks(work.psi_diag, work.psi_sub))
+        got = dense_from_blocks(work.l_psi_diag, work.l_psi_sub)
+        assert np.max(np.abs(np.tril(got) - Ld)) <= 1e-11 * np.max(np.abs(Ld))
+
+    @pytest.mark.parametrize("stage", ("2", "N"))
+    def test_pivot_failure_names_stage(self, stage):
+        p, w, work = self.setup_workspace()
+        k = p.dims.N if stage == "N" else int(stage)
+        good = work.psi_diag[k].copy()
+        # the negative pivot is the block's last row, where an off-by-one
+        # in the row-to-stage mapping would name stage k + 1
+        work.psi_diag[k] = np.diag([1.0, 1.0, -1.0]) * np.max(np.abs(good))
+        with pytest.raises(NonPositivePivot) as exc:
+            factor_psi(work)
+        assert exc.value.stage == k
+        work.psi_diag[k] = good
+        self.assert_refactors_clean(work, p, w)
+
+    def test_nan_leaves_nothing_stale(self):
+        # a NaN in Psi spreads into band slots outside the block profile
+        p, w, work = self.setup_workspace()
+        good = work.psi_sub[2].copy()
+        work.psi_sub[2][1, 0] = np.nan
+        try:
+            factor_psi(work)
+        except NonPositivePivot:
+            pass
+        assert np.isnan(work.psi_band).any()
+        work.psi_sub[2] = good
+        self.assert_refactors_clean(work, p, w)
+
+    def problems(self):
+        rng = np.random.default_rng(56)
+        yield random_problem(rng, N=1, n_x=1, n_u=1, n_y=1, n_yN=1), "dense"
+        yield random_problem(rng, N=9, n_x=4, n_u=2, n_y=2, n_yN=1, d=4), "dense"
+        sm = gen_spring_mass(SpringMassConfig(masses=70, horizon=15, seed=4))
+        yield sm, "diagonal"
+
+    def test_solve_matches_dense(self):
+        rng = np.random.default_rng(57)
+        for p, variant in self.problems():
+            w = make_weights(p, rng.standard_normal(p.dims.n), sigma=1.5)
+            work = factor_psi(factor_all(p, w, 1e-3, variant=variant))
+            dm = p.dims
+            rhs = rng.standard_normal((dm.N + 1, dm.n_x))
+            want = np.linalg.solve(
+                dense_from_blocks(work.psi_diag, work.psi_sub), rhs.ravel()
+            )
+            got = kkt.psi_solve(work, rhs)
+            assert got.shape == rhs.shape
+            assert np.max(np.abs(got.ravel() - want)) <= 1e-11 * np.max(np.abs(want))
+
+
 class TestSolveNewton:
     def test_zero_rhs_gives_zero_step(self):
         rng = np.random.default_rng(60)
