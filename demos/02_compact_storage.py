@@ -1,43 +1,38 @@
-"""The interleaved storage format, element by element.
+"""The stage-major storage format, element by element.
 
-Four 4x4 stage matrices at lane width 2: elements (i, l) of stages 0 and 1
-sit at adjacent addresses so one vector instruction advances both stages;
-stages 2 and 3 form the second block.
+Five 3x4 stage matrices at lane width 2: the batch holds one C-contiguous
+(nstages, rows, cols) array, so stage j's matrix is ``batch.stack[j]`` and
+element (i, l) of stage j sits at flat offset (j * rows + i) * cols + l.
+The stage count is padded to a multiple of the lane width with zero stages,
+and every stage-wise operation is one batched numpy call over the stage axis.
 """
 
 import numpy as np
 
-from ocpqp.compact import CompactBatch, batch_gemm, batch_potrf, identity_batch, pack, unpack
+from ocpqp.compact import CompactBatch
 
 rng = np.random.default_rng(0)
-mats = [rng.integers(10, 100, (4, 4)).astype(float) for _ in range(4)]
-batch = pack(mats, d=2)
+rows, cols, d = 3, 4, 2
+mats = rng.integers(10, 100, (5, rows, cols)).astype(float)
+batch = CompactBatch.from_stack(mats, d)
 
-print("flat buffer, first 8 entries:")
-print(" ", batch.data[:8])
-print("  (A0)_00, (A1)_00 =", mats[0][0, 0], mats[1][0, 0], "-> adjacent")
-print("  (A0)_10, (A1)_10 =", mats[0][1, 0], mats[1][1, 0], "-> next pair")
+print(f"{len(mats)} stages at lane width {d}: stack shape {batch.stack.shape}, "
+      f"{batch.nblocks} blocks of {d} stages")
+print("stage j is batch.stack[j]:",
+      all(np.array_equal(batch.stack[j], mats[j]) for j in range(len(mats))))
+print("ragged tail (stage 5) is zero:", not batch.stack[len(mats):].any())
 
-addr = lambda i, l, j: ((j // 2) * 16 + l * 4 + i) * 2 + (j % 2)
-print("\nflat-index formula ((j//d)*cols*rows + l*rows + i)*d + j%d:")
-for (i, l, j) in ((0, 0, 0), (0, 0, 1), (0, 0, 2), (2, 3, 3)):
-    k = addr(i, l, j)
-    print(f"  element ({i},{l}) of stage {j} -> offset {k}: "
+print("\nflat offset (j*rows + i)*cols + l:")
+for i, l, j in ((0, 0, 0), (0, 1, 0), (1, 0, 0), (0, 0, 1), (2, 3, 4)):
+    k = (j * rows + i) * cols + l
+    print(f"  element ({i},{l}) of stage {j} -> offset {k:2d}: "
           f"{batch.data[k]} == {mats[j][i, l]}")
 
-# round trip is exact
-out = unpack(batch, 4)
-print("\nround-trip bit-exact:", all(np.array_equal(a, b) for a, b in zip(mats, out)))
+# one batched call advances every stage: here M_j^T M_j for all stages
+gram = np.matmul(batch.stack.transpose(0, 2, 1), batch.stack)
+print("\none batched matmul, M_j^T M_j for all stages, matches per-stage products:",
+      all(np.array_equal(gram[j], mats[j].T @ mats[j]) for j in range(len(mats))))
 
-# kernels process all lanes of a block in lock step
-spd = pack([m @ m.T + 40 * np.eye(4) for m in mats], d=2)
-chol = batch_potrf(spd)
-recon_err = max(
-    np.max(np.abs(chol.stage(j) @ chol.stage(j).T - spd.stage(j))) for j in range(4)
-)
-print(f"batched Cholesky reconstruction error: {recon_err:.2e}")
-
-prod = CompactBatch(4, 4, batch.nblocks, 2)
-batch_gemm(1.0, batch, False, identity_batch(4, batch.nblocks, 2), False, 0.0, prod)
-print("gemm with identity reproduces inputs:",
-      all(np.allclose(prod.stage(j), mats[j]) for j in range(4)))
+# the round trip through a plain stack is exact
+back = batch.to_stack()[: len(mats)]
+print("round trip bit-exact:", np.array_equal(back, mats))

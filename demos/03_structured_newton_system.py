@@ -8,7 +8,7 @@ three-step solution with a dense solve of the full saddle-point system.
 
 import numpy as np
 
-from ocpqp import kkt, oracles
+from ocpqp import kkt, model, oracles
 from ocpqp.bench import gen_random_ocp
 from ocpqp.model import OcpDims
 
@@ -22,7 +22,8 @@ print(f"problem: N={dims.N}, n_x={dims.n_x}, n_u={dims.n_u} "
 sigma_y = problem.dualineq_zeros()
 sigma_y.data[:] = 2.0
 x = problem.primal_from_flat(rng.standard_normal(dims.n))
-weights = kkt.compute_active_weights(problem, sigma_y, problem.dualineq_zeros(), x)
+z = model.mul_G(problem, x)  # z = Gx + y / sigma_y with y = 0
+weights = kkt.weights_from_shifted(problem, sigma_y, z)
 sigma_x_inv = problem.primal_zeros()
 sigma_x_inv.data[:] = 1e-6
 

@@ -1,14 +1,16 @@
 """Effect of lane width and worker count on solve time.
 
 Runs the dense solver on one spring-mass instance (30 masses, horizon 60)
-for scalar and vectorized storage and for one and four workers, then shows
-the per-phase split.  A solve runs BLAS single-threaded, and numpy's stacked
-Cholesky and matmul already loop over the lanes inside one call, so a wider
-lane saves only per-block Python overhead while padding the horizon to a
-multiple of the lane width adds stages: expect d=4 and d=8 to run about as
-fast as d=1, or slower.  Workers overlap only the native kernels that
-release the interpreter lock.  The Schur complement is factored as one band
-matrix by a single LAPACK call whatever the lane width.
+for lane widths 1, 4 and 8 and for one and four workers, then shows the
+per-phase split.  All stage data lives in one stage-major layout, and every
+stage-parallel phase is one batched numpy call over a range of stages, so
+the lane width does not change the work per stage: it only pads the horizon
+to a multiple of d and sets the block size in which the worker pool splits
+the stages.  Expect d=4 and d=8 to run about as fast as d=1, or slightly
+slower from the padding stages.  A solve runs BLAS single-threaded, and
+workers overlap only the native kernels that release the interpreter lock.
+The Schur complement is factored as one band matrix by a single LAPACK
+call whatever the lane width.
 """
 
 import time

@@ -2,19 +2,7 @@
 
 from .alm import SolveReport, Solver, SolverSettings, solve
 from .bench import SpringMassConfig, gen_random_ocp, gen_spring_mass
-from .compact import (
-    CompactBatch,
-    KernelConfig,
-    NonPositivePivot,
-    ZeroDiagonal,
-    batch_gemm,
-    batch_potrf,
-    batch_syrk,
-    batch_trsm,
-    batch_trtri,
-    pack,
-    unpack,
-)
+from .compact import CompactBatch, NonPositivePivot, pack, unpack
 from .kkt import StructureMismatch
 from .model import (
     OcpDims,
@@ -34,15 +22,8 @@ from .model import (
 __version__ = "0.1.0"
 __all__ = [
     "CompactBatch",
-    "KernelConfig",
     "NonPositivePivot",
     "StructureMismatch",
-    "ZeroDiagonal",
-    "batch_gemm",
-    "batch_potrf",
-    "batch_syrk",
-    "batch_trsm",
-    "batch_trtri",
     "pack",
     "unpack",
     "OcpDims",

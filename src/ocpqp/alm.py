@@ -377,33 +377,33 @@ class Solver:
         d = self.problem.dims
         bl = np.broadcast_to(np.asarray(bl, dtype=np.float64), (d.N, d.n_y))
         bu = np.broadcast_to(np.asarray(bu, dtype=np.float64), (d.N, d.n_y))
-        lo = self.problem.bl.to_stack()
-        hi = self.problem.bu.to_stack()
-        lo[: d.N, : d.n_y, 0] = bl
-        hi[: d.N, : d.n_y, 0] = bu
+        lo = self.problem.bl.stack[:, :, 0].copy()
+        hi = self.problem.bu.stack[:, :, 0].copy()
+        lo[: d.N, : d.n_y] = bl
+        hi[: d.N, : d.n_y] = bu
         if bl_N is not None:
-            lo[d.N, : d.n_yN, 0] = np.asarray(bl_N, dtype=np.float64)
+            lo[d.N, : d.n_yN] = np.asarray(bl_N, dtype=np.float64)
         if bu_N is not None:
-            hi[d.N, : d.n_yN, 0] = np.asarray(bu_N, dtype=np.float64)
+            hi[d.N, : d.n_yN] = np.asarray(bu_N, dtype=np.float64)
         # NaN fails lo <= hi; -inf below and +inf above are no bound
         if not (lo <= hi).all() or np.isposinf(lo).any() or np.isneginf(hi).any():
             raise ValueError("updated bounds NaN, crossing, +inf below or -inf above")
-        self.problem.bl.data[:] = model.CompactBatch.from_stack(lo, d.d).data
-        self.problem.bu.data[:] = model.CompactBatch.from_stack(hi, d.d).data
+        self.problem.bl.stack[:, :, 0] = lo
+        self.problem.bu.stack[:, :, 0] = hi
 
     def update_gradient(self, q, r, q_N=None):
         """Replace the linear cost vectors (naive (N, n_x), (N, n_u))."""
         d = self.problem.dims
         q = np.broadcast_to(np.asarray(q, dtype=np.float64), (d.N, d.n_x))
         r = np.broadcast_to(np.asarray(r, dtype=np.float64), (d.N, d.n_u))
-        st = self.problem.lin.to_stack()
-        st[: d.N, : d.n_x, 0] = q
-        st[: d.N, d.n_x :, 0] = r
+        st = self.problem.lin.stack[:, :, 0].copy()
+        st[: d.N, : d.n_x] = q
+        st[: d.N, d.n_x :] = r
         if q_N is not None:
-            st[d.N, : d.n_x, 0] = np.asarray(q_N, dtype=np.float64)
+            st[d.N, : d.n_x] = np.asarray(q_N, dtype=np.float64)
         if not np.isfinite(st).all():
             raise ValueError("non-finite entries in updated gradient")
-        self.problem.lin.data[:] = model.CompactBatch.from_stack(st, d.d).data
+        self.problem.lin.stack[:, :, 0] = st
 
     def update_initial_state(self, x_init):
         x_init = np.asarray(x_init, dtype=np.float64)

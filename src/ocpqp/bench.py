@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,7 +18,6 @@ import scipy.linalg
 
 from . import oracles
 from .alm import Solver, SolverSettings
-from .compact import CompactBatch, KernelConfig, batch_gemm, batch_potrf, batch_syrk, batch_trsm
 from .model import OcpDims, OcpProblem
 
 
@@ -351,52 +349,3 @@ def loglog_slope(sizes, times):
     """Least-squares slope of log(time) against log(size)."""
     return float(np.polyfit(np.log(np.asarray(sizes, float)),
                             np.log(np.asarray(times, float)), 1)[0])
-
-
-# ---------------------------------------------------------------------------
-# kernel micro-benchmark (CLI: ocpqp kernels bench)
-
-
-def bench_kernels(shapes, lanes=(1, 4), nstages=64, repeat=5, tiled=False):
-    """Time each batched kernel on random data; returns report rows.
-
-    ``shapes`` is a list of (m, k, n) gemm shapes; syrk, potrf and trsm use
-    the m x m result.  Reported rate is per-stage matrix operations per
-    second (higher is better).
-    """
-    rng = np.random.default_rng(0)
-    rows = []
-    for m, k, n in shapes:
-        for d in lanes:
-            nblocks = -(-nstages // d)
-            a = CompactBatch(m, k, nblocks, d, rng.standard_normal(m * k * nblocks * d))
-            b = CompactBatch(k, n, nblocks, d, rng.standard_normal(k * n * nblocks * d))
-            cmat = CompactBatch(m, n, nblocks, d)
-            spd = CompactBatch(m, m, nblocks, d)
-            v4 = spd.view4()
-            base = rng.standard_normal((m, m))
-            base = base @ base.T + m * np.eye(m)
-            v4[:] = base.T[None, :, :, None]
-            cfg = KernelConfig() if tiled else None
-
-            def timed(fn):
-                fn()  # warm-up
-                t0 = time.perf_counter()
-                for _ in range(repeat):
-                    fn()
-                return (time.perf_counter() - t0) / repeat
-
-            t_gemm = timed(lambda: batch_gemm(1.0, a, False, b, False, 0.0, cmat, config=cfg))
-            t_syrk = timed(lambda: batch_syrk(1.0, a, False, 0.0, spd.copy()))
-            t_potrf = timed(lambda: batch_potrf(spd))
-            l = batch_potrf(spd)
-            t_trsm = timed(lambda: batch_trsm(l, cmat.copy(), side="left", trans=False))
-            for kernel, t in (
-                ("gemm", t_gemm), ("syrk", t_syrk), ("potrf", t_potrf), ("trsm", t_trsm),
-            ):
-                rows.append({
-                    "kernel": kernel, "m": m, "k": k, "n": n, "d": d,
-                    "stages": nstages, "time_us": t * 1e6,
-                    "stages_per_s": nstages / t,
-                })
-    return rows

@@ -3,7 +3,6 @@
     ocpqp bench spring-mass --masses 10..70:10 --horizon 15 --runs 100 ...
     ocpqp bench scaling --masses 30 --horizons 15..240:x2 ...
     ocpqp solve --problem file.ocpq --eps-abs 1e-8 --report report.json
-    ocpqp kernels bench --shapes 8x8x8 --lanes 1,4
     ocpqp verify --problem file.ocpq --oracle riccati|enumerate|residual
 
 Exit codes: 0 success, 2 solver failure, 3 verification failure.
@@ -172,24 +171,6 @@ def cmd_verify(args):
     return 0 if ver.ok else 3
 
 
-def cmd_kernels_bench(args):
-    shapes = []
-    for part in args.shapes.split(","):
-        dims = [int(v) for v in part.lower().split("x")]
-        if len(dims) == 1:
-            dims = dims * 3
-        elif len(dims) == 2:
-            dims = [dims[0], dims[0], dims[1]]
-        shapes.append(tuple(dims[:3]))
-    rows = bench.bench_kernels(shapes, lanes=parse_int_list(args.lanes),
-                               nstages=args.stages, repeat=args.repeat, tiled=args.tiled)
-    print(f"{'kernel':>7} {'shape':>12} {'d':>2} {'time/call':>12} {'stages/s':>12}")
-    for r in rows:
-        shape = f"{r['m']}x{r['k']}x{r['n']}"
-        print(f"{r['kernel']:>7} {shape:>12} {r['d']:>2} {r['time_us']:>10.1f}us {r['stages_per_s']:>12.0f}")
-    return 0
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(prog="ocpqp", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -241,16 +222,6 @@ def main(argv=None):
     p_ver.add_argument("--eps-abs", type=float, default=1e-8)
     p_ver.add_argument("--lanes", type=int, choices=(1, 2, 4, 8), default=4)
     p_ver.set_defaults(func=cmd_verify)
-
-    p_k = sub.add_parser("kernels", help="kernel micro-benchmarks")
-    k_sub = p_k.add_subparsers(dest="kernels_command", required=True)
-    p_kb = k_sub.add_parser("bench")
-    p_kb.add_argument("--shapes", default="4x4x4,8x8x8,16x16x16")
-    p_kb.add_argument("--lanes", default="1,4")
-    p_kb.add_argument("--stages", type=int, default=64)
-    p_kb.add_argument("--repeat", type=int, default=5)
-    p_kb.add_argument("--tiled", action="store_true")
-    p_kb.set_defaults(func=cmd_kernels_bench)
 
     args = parser.parse_args(argv)
     return args.func(args)

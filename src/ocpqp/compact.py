@@ -1,39 +1,31 @@
-"""Interleaved batch storage for stage matrices, and the batched kernels on it.
+"""Stage-major batch storage for stage matrices.
 
-A horizon of per-stage matrices of a common shape is stored "compactly":
-stages are grouped into blocks of ``d`` consecutive stages (the lane width),
-and within a block the d matrices are interleaved element by element so that
-element (i, l) of all d stages occupies adjacent memory addresses.  One
-sequence of vectorized operations on such a block therefore advances all d
-stages in lock-step, which is what makes batched stage-wise linear algebra
-fast.
+A horizon of per-stage matrices of a common shape is stored as one
+C-contiguous ``(nstages, rows, cols)`` array, ``batch.stack``: stage j's
+matrix is ``batch.stack[j]``.  numpy's batched gufuncs (``matmul``,
+``linalg.cholesky``) loop over that leading stage axis inside one call, so
+stage-wise linear algebra is one call over a range of stages.
 
-Element (i, l) of stage j lives at flat offset::
+Element (i, l) of stage j lives at flat offset ``(j * rows + i) * cols + l``
+of ``batch.data``, a flat view of the same buffer.
 
-    ((j // d) * cols * rows + l * rows + i) * d + (j % d)
-
-i.e. the buffer is a ``(nblocks, cols, rows, d)`` C-contiguous tensor:
-column-major matrices within a block, d-tuples innermost.
-
-Every batched kernel in this module has a plain single-stage reference
-implementation (``reference_*``) used as an independent check in the tests.
+The stage count is a multiple of the lane width ``d``: stages are grouped
+into ``nblocks`` blocks of d consecutive stages, the unit in which a worker
+pool splits stage-parallel work.  Stage slots beyond the data are zero.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-import scipy.linalg
 
 
 class NonPositivePivot(Exception):
     """A Cholesky pivot was not strictly positive.
 
-    Attributes ``stage`` and ``row`` identify the first offending lane; the
-    full list of (stage, row) pairs is in ``failures``.  Lanes that fail do
-    not corrupt their siblings: all other lanes of the batch hold their
-    correct factors when this is raised.
+    Attributes ``stage`` and ``row`` identify the first offending stage; the
+    full list of (stage, row) pairs is in ``failures``.  Stages that fail do
+    not corrupt their siblings: all other stages hold their correct factors
+    when this is raised.
     """
 
     def __init__(self, failures):
@@ -41,17 +33,8 @@ class NonPositivePivot(Exception):
         self.stage, self.row = self.failures[0]
         super().__init__(
             f"matrix not positive definite at stage {self.stage}, row {self.row}"
-            + (f" ({len(self.failures)} lanes failed)" if len(self.failures) > 1 else "")
+            + (f" ({len(self.failures)} stages failed)" if len(self.failures) > 1 else "")
         )
-
-
-class ZeroDiagonal(Exception):
-    """A triangular factor has an exactly zero diagonal entry."""
-
-    def __init__(self, stage, row):
-        self.stage = stage
-        self.row = row
-        super().__init__(f"zero diagonal at stage {stage}, row {row}")
 
 
 def _ceil_div(a, b):
@@ -59,7 +42,7 @@ def _ceil_div(a, b):
 
 
 class CompactBatch:
-    """A batch of equally-shaped matrices in interleaved (compact) storage.
+    """A batch of equally-shaped float64 matrices in stage-major storage.
 
     Parameters
     ----------
@@ -71,16 +54,16 @@ class CompactBatch:
     d : int
         Lane width, one of {1, 2, 4, 8}.
     data : ndarray, optional
-        Flat buffer of length ``rows * cols * nblocks * d``; zeros are
-        allocated when omitted.
-    dtype : dtype, optional
-        Element type.  The kernels are generic over element width, but the
-        documented tolerances are validated for float64 only.
+        Buffer of ``rows * cols * nblocks * d`` elements in stage-major
+        order; zeros are allocated when omitted.
+
+    ``stack`` is the ``(nstages, rows, cols)`` array and ``data`` a flat view
+    of it; writes through either are seen by both.
     """
 
-    __slots__ = ("rows", "cols", "nblocks", "d", "data")
+    __slots__ = ("rows", "cols", "nblocks", "d", "stack", "data")
 
-    def __init__(self, rows, cols, nblocks, d, data=None, dtype=np.float64):
+    def __init__(self, rows, cols, nblocks, d, data=None):
         if d not in (1, 2, 4, 8):
             raise ValueError(f"lane width must be one of 1, 2, 4, 8, got {d}")
         if rows < 0 or cols < 0 or nblocks < 1:
@@ -89,74 +72,59 @@ class CompactBatch:
         self.cols = int(cols)
         self.nblocks = int(nblocks)
         self.d = int(d)
-        size = self.rows * self.cols * self.nblocks * self.d
+        shape = (self.nblocks * self.d, self.rows, self.cols)
         if data is None:
-            self.data = np.zeros(size, dtype=dtype)
+            self.stack = np.zeros(shape)
         else:
-            data = np.ascontiguousarray(data, dtype=dtype).ravel()
+            data = np.ascontiguousarray(data, dtype=np.float64)
+            size = shape[0] * self.rows * self.cols
             if data.size != size:
                 raise ValueError(f"buffer has {data.size} elements, expected {size}")
-            self.data = data
-
-    @property
-    def dtype(self):
-        return self.data.dtype
+            self.stack = data.reshape(shape)
+        self.data = self.stack.reshape(-1)
 
     @property
     def nstages(self):
         """Total stage slots covered by the batch (including unused ones)."""
         return self.nblocks * self.d
 
-    def view4(self):
-        """The buffer as a (nblocks, cols, rows, d) view; writes pass through."""
-        return self.data.reshape(self.nblocks, self.cols, self.rows, self.d)
-
     def stage(self, j):
         """Matrix of stage j as a fresh (rows, cols) array."""
         if not 0 <= j < self.nstages:
             raise IndexError(f"stage {j} out of range")
-        return self.view4()[j // self.d, :, :, j % self.d].T.copy()
+        return self.stack[j].copy()
 
     def set_stage(self, j, mat):
         mat = np.asarray(mat, dtype=np.float64)
         if mat.shape != (self.rows, self.cols):
             raise ValueError(f"stage matrix shape {mat.shape} != {(self.rows, self.cols)}")
-        self.view4()[j // self.d, :, :, j % self.d] = mat.T
+        self.stack[j] = mat
 
     def to_stack(self):
-        """All stage slots as a naive (nstages, rows, cols) array (copy).
-
-        Always a fresh buffer: for degenerate shapes the transpose below is
-        already contiguous and would otherwise alias the batch data.
-        """
-        return self.view4().transpose(0, 3, 2, 1).copy().reshape(
-            self.nstages, self.rows, self.cols
-        )
+        """All stage slots as a (nstages, rows, cols) array (copy)."""
+        return self.stack.copy()
 
     @classmethod
-    def from_stack(cls, stack, d, total_stages=None, dtype=np.float64):
-        """Pack a naive (nstages, rows, cols) array; inverse of ``to_stack``."""
-        stack = np.asarray(stack, dtype=dtype)
+    def from_stack(cls, stack, d, total_stages=None):
+        """Copy a (nstages, rows, cols) array into a batch; inverse of
+        ``to_stack``.  Slots up to ``total_stages`` rounded up to a multiple
+        of ``d`` are zero."""
+        stack = np.asarray(stack, dtype=np.float64)
         if stack.ndim != 3:
             raise ValueError("expected a (nstages, rows, cols) array")
         count, rows, cols = stack.shape
         total = count if total_stages is None else int(total_stages)
         if total < count:
             raise ValueError("total_stages smaller than the number of matrices")
-        nblocks = max(1, _ceil_div(total, d))
-        tmp = np.zeros((nblocks * d, rows, cols), dtype=dtype)
-        tmp[:count] = stack
-        tmp = tmp.reshape(nblocks, d, rows, cols).transpose(0, 3, 2, 1)
-        return cls(rows, cols, nblocks, d, np.ascontiguousarray(tmp), dtype=dtype)
+        out = cls(rows, cols, max(1, _ceil_div(total, d)), d)
+        out.stack[:count] = stack
+        return out
 
     def copy(self):
-        return CompactBatch(
-            self.rows, self.cols, self.nblocks, self.d, self.data.copy(),
-            dtype=self.dtype,
-        )
+        return CompactBatch(self.rows, self.cols, self.nblocks, self.d, self.data.copy())
 
     def zeros_like(self):
-        return CompactBatch(self.rows, self.cols, self.nblocks, self.d, dtype=self.dtype)
+        return CompactBatch(self.rows, self.cols, self.nblocks, self.d)
 
     def __repr__(self):
         return (
@@ -165,13 +133,13 @@ class CompactBatch:
         )
 
 
-def pack(matrices, d, total_stages=None, dtype=np.float64):
-    """Interleave a sequence of equally-shaped matrices into a CompactBatch.
+def pack(matrices, d, total_stages=None):
+    """Stack a sequence of equally-shaped matrices into a CompactBatch.
 
-    Unfilled lanes (when the sequence is shorter than ``nblocks * d``) are
+    Unfilled slots (when the sequence is shorter than ``nblocks * d``) are
     zero.  ``total_stages`` forces extra trailing slots beyond the sequence.
     """
-    mats = [np.asarray(m, dtype=dtype) for m in matrices]
+    mats = [np.asarray(m, dtype=np.float64) for m in matrices]
     if not mats:
         raise ValueError("empty matrix sequence")
     shape = mats[0].shape
@@ -179,344 +147,11 @@ def pack(matrices, d, total_stages=None, dtype=np.float64):
         raise ValueError("all matrices in a batch must share one shape")
     if len(shape) != 2:
         raise ValueError("expected 2-D matrices")
-    return CompactBatch.from_stack(np.stack(mats), d, total_stages, dtype=dtype)
+    return CompactBatch.from_stack(np.stack(mats), d, total_stages)
 
 
 def unpack(batch, count=None):
-    """Recover the naive per-stage matrices of a batch (inverse of ``pack``)."""
+    """Recover the per-stage matrices of a batch (inverse of ``pack``)."""
     count = batch.nstages if count is None else int(count)
     stack = batch.to_stack()
     return [stack[j] for j in range(count)]
-
-
-# ---------------------------------------------------------------------------
-# kernel configuration
-
-MICRO_LARGE_THRESHOLD = 64  # result elements per lane at which 5x5 tiles pay off
-
-
-@dataclass
-class KernelConfig:
-    """Blocking parameters for the tiled multiply kernels.
-
-    ``micro_m``/``micro_n`` pick the accumulator tile (3 or 5 per side,
-    auto-selected by result size when None).  ``block_k`` is the reduction
-    panel depth; ``block_m``/``block_n`` bound the tile sweep; ``packing``
-    copies the current operand panels into contiguous scratch first.
-    """
-
-    micro_m: int | None = None
-    micro_n: int | None = None
-    block_k: int = 64
-    block_m: int = 96
-    block_n: int = 96
-    packing: bool = False
-
-    def __post_init__(self):
-        for name in ("micro_m", "micro_n"):
-            v = getattr(self, name)
-            if v is not None and v not in (3, 5):
-                raise ValueError(f"{name} must be 3 or 5, got {v}")
-        if min(self.block_k, self.block_m, self.block_n) < 1:
-            raise ValueError("blocking sizes must be positive")
-
-    def micro_shape(self, result_rows, result_cols):
-        auto = 5 if result_rows * result_cols >= MICRO_LARGE_THRESHOLD else 3
-        return (self.micro_m or auto, self.micro_n or auto)
-
-
-def _blocks_range(batch, blocks):
-    if blocks is None:
-        return range(batch.nblocks)
-    return blocks
-
-
-def _op_dims(batch, trans):
-    return (batch.cols, batch.rows) if trans else (batch.rows, batch.cols)
-
-
-def _op_view(block4, trans):
-    # block4 has axes (col, row, lane); the logical (m, k, d) operand view is
-    # a transpose when not transposed, the raw view otherwise.
-    return block4 if trans else block4.transpose(1, 0, 2)
-
-
-def _check_same_batching(*batches):
-    b0 = batches[0]
-    for b in batches[1:]:
-        if b.d != b0.d or b.nblocks != b0.nblocks:
-            raise ValueError("operand batches must share lane width and block count")
-
-
-# ---------------------------------------------------------------------------
-# batched kernels
-
-
-def _lane_view(block4, trans):
-    # (col, row, lane) -> (lane, m, k) operand stack for the gufunc kernels
-    return block4.transpose(2, 0, 1) if trans else block4.transpose(2, 1, 0)
-
-
-def batch_gemm(alpha, a, trans_a, b, trans_b, beta, c, config=None, blocks=None):
-    """Per-lane C_j <- alpha * op(A_j) op(B_j) + beta * C_j, updating ``c``.
-
-    All lanes of a block are advanced by one call sequence: the default path
-    hands each block's lane stack to the batched matmul gufunc.  With a
-    ``KernelConfig`` the computation runs through the explicit tiled
-    micro-kernel path instead.
-    """
-    _check_same_batching(a, b, c)
-    m, k = _op_dims(a, trans_a)
-    kb, n = _op_dims(b, trans_b)
-    if k != kb or c.rows != m or c.cols != n:
-        raise ValueError(
-            f"gemm shape mismatch: ({m}x{k}) @ ({kb}x{n}) -> ({c.rows}x{c.cols})"
-        )
-    if alpha == 0.0 and beta == 1.0:
-        return c
-    a4, b4, c4 = a.view4(), b.view4(), c.view4()
-    for bi in _blocks_range(c, blocks):
-        if config is None:
-            prod = np.matmul(_lane_view(a4[bi], trans_a), _lane_view(b4[bi], trans_b))
-            oc = c4[bi].transpose(2, 1, 0)  # (lane, m, n)
-        else:
-            oa = _op_view(a4[bi], trans_a)
-            ob = _op_view(b4[bi], trans_b)
-            prod = _tiled_product(oa, ob, m, n, k, a.d, config)
-            oc = c4[bi].transpose(1, 0, 2)
-        if beta == 0.0:
-            np.multiply(alpha, prod, out=oc)
-        elif beta == 1.0:
-            oc += alpha * prod
-        else:
-            oc *= beta
-            oc += alpha * prod
-    return c
-
-
-def _tiled_product(oa, ob, m, n, k, d, config):
-    """Micro-tiled multiply of one block: loops over k panels and m x n tiles,
-    keeping a (micro_m, micro_n, d) accumulator per tile."""
-    mm, mn = config.micro_shape(m, n)
-    tile_m = min(mm, config.block_m)
-    tile_n = min(mn, config.block_n)
-    out = np.zeros((m, n, d))
-    for k0 in range(0, k, config.block_k):
-        k1 = min(k0 + config.block_k, k)
-        pa, pb = oa[:, k0:k1], ob[k0:k1]
-        if config.packing:
-            pa = np.ascontiguousarray(pa)
-            pb = np.ascontiguousarray(pb)
-        for i0 in range(0, m, tile_m):
-            i1 = min(i0 + tile_m, m)
-            for j0 in range(0, n, tile_n):
-                j1 = min(j0 + tile_n, n)
-                out[i0:i1, j0:j1] += np.einsum(
-                    "ikt,kjt->ijt", pa[i0:i1], pb[:, j0:j1]
-                )
-    return out
-
-
-def batch_syrk(alpha, a, trans, beta, c, blocks=None):
-    """Per-lane symmetric rank-k update C_j <- alpha*op(A_j)op(A_j)^T + beta*C_j.
-
-    Only the lower triangle of C is written; the strict upper triangle is
-    left untouched.
-    """
-    _check_same_batching(a, c)
-    m, _ = _op_dims(a, trans)
-    if c.rows != c.cols or c.rows != m:
-        raise ValueError(f"syrk shape mismatch: op(A) is {m} rows, C is {c.rows}x{c.cols}")
-    ii, jj = np.tril_indices(m)
-    a4, c4 = a.view4(), c.view4()
-    for bi in _blocks_range(c, blocks):
-        lanes = _lane_view(a4[bi], trans)  # (lane, m, k)
-        full = np.matmul(lanes, lanes.transpose(0, 2, 1))
-        prod = full[:, ii, jj].T  # lower-triangle entries, (pairs, lane)
-        oc = c4[bi].transpose(1, 0, 2)
-        if beta == 0.0:
-            oc[ii, jj] = alpha * prod
-        else:
-            oc[ii, jj] = alpha * prod + beta * oc[ii, jj]
-    return c
-
-
-def batch_potrf(c, out=None, blocks=None):
-    """Per-lane lower Cholesky factors of symmetric positive definite lanes.
-
-    Reads only the lower triangle of ``c``.  The fast path factors each
-    block's lane stack in one batched call; a block containing a
-    non-positive pivot is redone by a masked right-looking sweep so that a
-    failing lane is recorded without corrupting its siblings.
-    NonPositivePivot lists all failed (stage, row) pairs.
-    """
-    if c.rows != c.cols:
-        raise ValueError("potrf requires square lanes")
-    m, d = c.rows, c.d
-    if out is None:
-        out = c.zeros_like()
-    _check_same_batching(c, out)
-    c4, o4 = c.view4(), out.view4()
-    failures = []
-    for bi in _blocks_range(c, blocks):
-        lanes = c4[bi].transpose(2, 1, 0)  # (lane, row, col); lower is read
-        try:
-            o4[bi].transpose(2, 1, 0)[...] = np.linalg.cholesky(lanes)
-        except np.linalg.LinAlgError:
-            _potrf_block_masked(c4[bi], o4[bi], bi * d, failures)
-    if failures:
-        raise NonPositivePivot(sorted(failures))
-    return out
-
-
-def _potrf_block_masked(c_block, o_block, stage0, failures):
-    """Per-lane retry of one failed block: healthy lanes keep the exact
-    batched-path factors; a failing lane is swept by a masked right-looking
-    recursion to locate its first bad pivot without touching siblings."""
-    d = c_block.shape[2]
-    for t in range(d):
-        mat = c_block[:, :, t].T  # logical (row, col) of lane t
-        try:
-            o_block[:, :, t] = np.linalg.cholesky(mat).T
-        except np.linalg.LinAlgError:
-            row, lower = _masked_scalar_chol(mat)
-            o_block[:, :, t] = lower.T
-            failures.append((stage0 + t, row))
-
-
-def _masked_scalar_chol(mat):
-    """Right-looking sweep of one matrix with non-positive pivots replaced;
-    returns (first bad row, the partial factor)."""
-    m = mat.shape[0]
-    w = np.tril(mat)
-    first_row = -1
-    for k in range(m):
-        if not w[k, k] > 0.0:
-            if first_row < 0:
-                first_row = k
-            w[k, k] = 1.0
-        rt = np.sqrt(w[k, k])
-        w[k, k] = rt
-        if k + 1 < m:
-            w[k + 1 :, k] /= rt
-            w[k + 1 :, k + 1 :] -= np.tril(
-                np.outer(w[k + 1 :, k], w[k + 1 :, k])
-            )
-    return first_row, w
-
-
-def _check_diag_nonzero(l4, bi, m, d):
-    diag = l4[bi][np.arange(m), np.arange(m)]
-    zero = diag == 0.0
-    if zero.any():
-        k, t = np.argwhere(zero)[0]
-        raise ZeroDiagonal(stage=bi * d + int(t), row=int(k))
-
-
-def batch_trsm(l, b, side="right", trans=True, blocks=None):
-    """Per-lane triangular solve with lower-triangular L_j, in place on ``b``.
-
-    side='right', trans=True  : B_j <- B_j L_j^{-T}
-    side='right', trans=False : B_j <- B_j L_j^{-1}
-    side='left',  trans=True  : B_j <- L_j^{-T} B_j
-    side='left',  trans=False : B_j <- L_j^{-1} B_j
-    """
-    if l.rows != l.cols:
-        raise ValueError("trsm requires square triangular lanes")
-    _check_same_batching(l, b)
-    m = l.rows
-    need = b.cols if side == "right" else b.rows
-    if need != m:
-        raise ValueError(f"trsm shape mismatch: L is {m}x{m}, B is {b.rows}x{b.cols}")
-    if side not in ("left", "right"):
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    l4, b4 = l.view4(), b.view4()
-    for bi in _blocks_range(b, blocks):
-        _check_diag_nonzero(l4, bi, m, l.d)
-        lb, bb = l4[bi], b4[bi]
-        if side == "right" and trans:
-            # X L^T = B: columns forward
-            for k in range(m):
-                if k:
-                    bb[k] -= np.einsum("jrt,jt->rt", bb[:k], lb[:k, k])
-                bb[k] /= lb[k, k]
-        elif side == "right":
-            # X L = B: columns backward
-            for k in range(m - 1, -1, -1):
-                if k + 1 < m:
-                    bb[k] -= np.einsum("jrt,jt->rt", bb[k + 1 :], lb[k, k + 1 :])
-                bb[k] /= lb[k, k]
-        elif trans:
-            # L^T X = B: rows backward
-            for k in range(m - 1, -1, -1):
-                if k + 1 < m:
-                    bb[:, k] -= np.einsum("cjt,jt->ct", bb[:, k + 1 :], lb[k, k + 1 :])
-                bb[:, k] /= lb[k, k]
-        else:
-            # L X = B: rows forward
-            for k in range(m):
-                if k:
-                    bb[:, k] -= np.einsum("cjt,jt->ct", bb[:, :k], lb[:k, k])
-                bb[:, k] /= lb[k, k]
-    return b
-
-
-def identity_batch(n, nblocks, d, dtype=np.float64):
-    """A batch whose every lane is the n x n identity."""
-    out = CompactBatch(n, n, nblocks, d, dtype=dtype)
-    out.view4()[:, np.arange(n), np.arange(n), :] = 1.0
-    return out
-
-
-def batch_trtri(l, blocks=None):
-    """Per-lane inverse of lower-triangular lanes (returns a new batch)."""
-    out = identity_batch(l.rows, l.nblocks, l.d)
-    return batch_trsm(l, out, side="left", trans=False, blocks=blocks)
-
-
-# ---------------------------------------------------------------------------
-# single-stage reference implementations (checks for the batched kernels)
-
-
-def reference_gemm(alpha, a, trans_a, b, trans_b, beta, c):
-    """Triple-loop gemm on one stage; returns the updated copy of ``c``."""
-    oa = a.T if trans_a else a
-    ob = b.T if trans_b else b
-    m, k = oa.shape
-    k2, n = ob.shape
-    assert k == k2 and c.shape == (m, n)
-    out = c.astype(float).copy()
-    for i in range(m):
-        for j in range(n):
-            acc = 0.0
-            for kk in range(k):
-                acc += oa[i, kk] * ob[kk, j]
-            out[i, j] = alpha * acc + beta * c[i, j]
-    return out
-
-
-def reference_syrk(alpha, a, trans, beta, c):
-    """Lower-triangle symmetric rank-k update on one stage."""
-    oa = a.T if trans else a
-    full = alpha * (oa @ oa.T)
-    out = c.astype(float).copy()
-    ii, jj = np.tril_indices(out.shape[0])
-    out[ii, jj] = full[ii, jj] + beta * c[ii, jj]
-    return out
-
-
-def reference_potrf(c):
-    return np.linalg.cholesky(np.asarray(c, dtype=float))
-
-
-def reference_trsm(l, b, side="right", trans=True):
-    if side == "right":
-        # X op(L) = B  <=>  op(L)^T X^T = B^T
-        return scipy.linalg.solve_triangular(
-            l, b.T, lower=True, trans="N" if trans else "T"
-        ).T
-    return scipy.linalg.solve_triangular(l, b, lower=True, trans="T" if trans else "N")
-
-
-def reference_trtri(l):
-    return scipy.linalg.solve_triangular(l, np.eye(l.shape[0]), lower=True)

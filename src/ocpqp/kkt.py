@@ -14,19 +14,18 @@ that never leave the stage-wise representation:
 
 The Schur complement Psi = M H^{-1} M^T is block-tridiagonal, a band matrix
 with a block-bidiagonal Cholesky factor.  Everything up to Psi is independent
-across stages and runs block by block on d-wide lane stacks, optionally
-distributed over a worker pool in disjoint block ranges; the sequential part
-is one banded LAPACK call that factors Psi and one per solve with it.
+across stages and runs as batched calls over the stage axis of the
+stage-major stacks (see :mod:`ocpqp.compact`), optionally split over a
+worker pool in disjoint ranges of d-stage blocks; the sequential part is one
+banded LAPACK call that factors Psi and one per solve with it.
 
-Per block the pipeline gathers the d lanes once into a contiguous lane
-stack, runs a batched Cholesky on it and inverts each lane's factor once
-with LAPACK trtri, so the stored stage factor is L^{-1} (in place of L).
-The panel J_j = [V_j; W_j] is then one batched matmul L^{-1} [A B; I 0]^T,
-all three Psi products (V V^T, W W^T, -V W^T) come out of a single J J^T,
-and every later solve with H is two batched matmuls over all blocks.  The
-constant operand panels ([A B; I 0]^T and [C D]) are mirrored into lane
-stacks once at workspace allocation rather than gathered on every
-factorization.
+Over a stage range the pipeline runs one batched Cholesky of the H_j and
+inverts each stage's factor once with LAPACK trtri, so the stored stage
+factor is L^{-1} (in place of L).  The panel J_j = [V_j; W_j] is then one
+batched matmul L^{-1} [A B; I 0]^T, all three Psi products (V V^T, W W^T,
+-V W^T) come out of a single J J^T, and every later solve with H is two
+batched matmuls over all stages.  The constant panel [A B; I 0]^T is built
+once at workspace allocation.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ import numpy as np
 import scipy.linalg
 
 from . import model
-from .compact import CompactBatch, NonPositivePivot, _masked_scalar_chol
+from .compact import CompactBatch, NonPositivePivot
 
 _trtri, _pbtrf, _pbtrs = scipy.linalg.get_lapack_funcs(("trtri", "pbtrf", "pbtrs"))
 
@@ -48,7 +47,7 @@ class StructureMismatch(Exception):
 
 
 class WorkerPool:
-    """Runs a callable over disjoint contiguous block ranges.
+    """Runs a callable over disjoint contiguous ranges of d-stage blocks.
 
     With one worker everything is inline; otherwise a thread pool executes
     one chunk per worker and ``run`` returns only after all chunks finish
@@ -81,6 +80,11 @@ def _inline_run(fn, nblocks):
     fn(range(nblocks))
 
 
+def _stages(blocks, d):
+    """The stage slice covered by a contiguous range of d-stage blocks."""
+    return slice(blocks.start * d, blocks.stop * d)
+
+
 @dataclass
 class ActiveWeights:
     """Active-set penalty weights: entry i holds (Sigma_y)_ii when the
@@ -93,16 +97,9 @@ class ActiveWeights:
         return other is not None and np.array_equal(self.mask, other.mask)
 
 
-def compute_active_weights(problem, sigma_y, y, x):
-    """Evaluate the active weights at z = Gx + Sigma_y^{-1} y."""
-    z = model.mul_G(problem, x)
-    z.data += y.data / sigma_y.data
-    return weights_from_shifted(problem, sigma_y, z)
-
-
 def weights_from_shifted(problem, sigma_y, z):
-    """Active weights from a precomputed shifted value z (shared with the
-    gradient evaluation to avoid recomputing Gx)."""
+    """Active weights at the shifted value z = Gx + Sigma_y^{-1} y (shared
+    with the gradient evaluation, which needs the same z)."""
     inside = (z.data >= problem.bl.data) & (z.data <= problem.bu.data)
     sig = CompactBatch(
         z.rows, 1, z.nblocks, z.d, np.where(inside, 0.0, sigma_y.data)
@@ -110,22 +107,15 @@ def weights_from_shifted(problem, sigma_y, z):
     return ActiveWeights(sig, ~inside)
 
 
-def _lane_stack(batch):
-    """Constant mirror of a CompactBatch as a (nblocks, d, rows, cols) array."""
-    return np.ascontiguousarray(
-        batch.to_stack().reshape(batch.nblocks, batch.d, batch.rows, batch.cols)
-    )
-
-
 @dataclass
 class StageFactorization:
     """Workspaces and results of one stage-structured factorization.
 
-    ``linv_lm``, ``vwt_lm`` and ``p_lm`` are lane stacks (nblocks, d, ...):
+    ``linv_lm``, ``vwt_lm`` and ``p_lm`` are stage stacks (nstages, ...):
     the inverses L_j^{-1} of the per-stage Cholesky factors of H (dense
     variant only), the panels (V_j; W_j)^T = L_j^{-1} [A B; I 0]^T, and the
     products J_j J_j^T that the Psi blocks are sliced from.  The
-    CompactBatch views ``V`` and ``W`` are materialized on demand.
+    CompactBatch copies ``V`` and ``W`` are materialized on demand.
     ``psi_band`` holds Psi, then its Cholesky factor, in LAPACK band storage;
     ``band_diag`` and ``band_sub`` are views of its blocks.
     """
@@ -137,8 +127,7 @@ class StageFactorization:
     linv_lm: np.ndarray
     vwt_lm: np.ndarray
     p_lm: np.ndarray
-    ewt_lm: np.ndarray  # constant [A B; I 0]^T lanes
-    con_lm: np.ndarray  # constant [C D] lanes
+    ewt_lm: np.ndarray  # constant [A B; I 0]^T panels
     scaled_lm: np.ndarray  # scratch for the weighted constraint panel
     psi_diag: np.ndarray
     psi_sub: np.ndarray
@@ -149,24 +138,22 @@ class StageFactorization:
     @classmethod
     def allocate(cls, problem, variant="dense"):
         d = problem.dims
-        nb, lw = problem.cost.nblocks, d.d
+        nb, ns = problem.cost.nblocks, problem.cost.nstages
         n_xu, n_x = d.n_xu, d.n_x
-        ew = np.zeros((nb, lw, n_xu, 2 * n_x))
-        dyn = _lane_stack(problem.dyn)  # (nb, lw, n_x, n_xu)
-        ew[:, :, :, :n_x] = dyn.transpose(0, 1, 3, 2)
-        ew[:, :, :n_x, n_x:] = np.eye(n_x)
+        ew = np.zeros((ns, n_xu, 2 * n_x))
+        ew[:, :, :n_x] = problem.dyn.stack.transpose(0, 2, 1)
+        ew[:, :n_x, n_x:] = np.eye(n_x)
         band = np.zeros((2 * n_x, (d.N + 1) * n_x), order="F")
         return cls(
             problem=problem,
             variant=variant,
-            H=CompactBatch(n_xu, n_xu, nb, lw),
-            h_diag=CompactBatch(n_xu, 1, nb, lw) if variant == "diagonal" else None,
-            linv_lm=np.zeros((nb, lw, n_xu, n_xu)),
-            vwt_lm=np.zeros((nb, lw, n_xu, 2 * n_x)),
-            p_lm=np.zeros((nb, lw, 2 * n_x, 2 * n_x)),
+            H=CompactBatch(n_xu, n_xu, nb, d.d),
+            h_diag=CompactBatch(n_xu, 1, nb, d.d) if variant == "diagonal" else None,
+            linv_lm=np.zeros((ns, n_xu, n_xu)),
+            vwt_lm=np.zeros((ns, n_xu, 2 * n_x)),
+            p_lm=np.zeros((ns, 2 * n_x, 2 * n_x)),
             ewt_lm=ew,
-            con_lm=_lane_stack(problem.con),
-            scaled_lm=np.zeros((nb, lw, d.n_y_pad, n_xu)),
+            scaled_lm=np.zeros((ns, d.n_y_pad, n_xu)),
             psi_diag=np.zeros((d.N + 1, n_x, n_x)),
             psi_sub=np.zeros((d.N, n_x, n_x)),
             psi_band=band,
@@ -177,12 +164,8 @@ class StageFactorization:
     # views of the factors, for inspection and tests
 
     def _vwt_slice(self, col0, col1):
-        nb, lw, n_xu, _ = self.vwt_lm.shape
-        stack = self.vwt_lm[:, :, :, col0:col1].transpose(0, 1, 3, 2)
-        return CompactBatch.from_stack(
-            np.ascontiguousarray(stack).reshape(nb * lw, col1 - col0, n_xu),
-            self.problem.dims.d,
-        )
+        stack = self.vwt_lm[:, :, col0:col1].transpose(0, 2, 1)
+        return CompactBatch.from_stack(stack, self.problem.dims.d)
 
     @property
     def V(self):
@@ -216,99 +199,95 @@ def _band_blocks(band, row0, nblocks):
 
 
 def assemble_H(problem, weights, sigma_x_inv, out=None, blocks=None, work=None):
-    """Per-stage generalized Hessian blocks (lower triangle authoritative):
+    """Per-stage generalized Hessian blocks:
 
-        H_j = [[Q_j, S_j^T], [S_j, R_j]] + [C_j D_j]^T Sigma_j [C_j D_j]
+        H_j = [C_j D_j]^T Sigma_j [C_j D_j] + [[Q_j, S_j^T], [S_j, R_j]]
               + diag(sigma_x_inv)_j
 
-    The proximal diagonal keeps every block positive definite even when the
-    cost block alone is only positive semidefinite.  ``work`` supplies the
-    constant [C_j D_j] lane mirror and scratch; without it they are gathered
-    on the fly.
+    over the stages of the block range ``blocks`` (all when None).  The
+    proximal diagonal keeps every block positive definite even when the cost
+    block alone is only positive semidefinite.  ``work`` supplies scratch
+    for the weighted constraint panel.
     """
     d = problem.dims
     if out is None:
         out = CompactBatch(d.n_xu, d.n_xu, problem.cost.nblocks, d.d)
-    h4, qs4 = out.view4(), problem.cost.view4()
-    sx4, w4 = sigma_x_inv.view4(), weights.sigma_active.view4()
+    s = _stages(range(out.nblocks) if blocks is None else blocks, d.d)
+    H = out.stack[s]
+    con = problem.con.stack[s]
+    scaled = work.scaled_lm[s] if work is not None else np.empty_like(con)
+    np.multiply(con, np.sqrt(weights.sigma_active.stack[s]), out=scaled)
+    np.matmul(scaled.transpose(0, 2, 1), scaled, out=H)
+    H += problem.cost.stack[s]
     idx = np.arange(d.n_xu)
-    ii, jj = np.tril_indices(d.n_xu)
-    rng = range(out.nblocks) if blocks is None else blocks
-    for bi in rng:
-        np.copyto(h4[bi], qs4[bi])
-        h4[bi][idx, idx, :] += sx4[bi, 0]
-        if d.n_y_pad == 0:
-            continue
-        if work is not None:
-            con = work.con_lm[bi]
-            scaled = work.scaled_lm[bi]
-        else:
-            con = _gather_con(problem, bi)
-            scaled = np.empty_like(con)
-        root = np.sqrt(w4[bi, 0].T)[:, :, None]  # (d, n_y, 1)
-        np.multiply(con, root, out=scaled)
-        full = np.matmul(scaled.transpose(0, 2, 1), scaled)  # (d, n_xu, n_xu)
-        oc = h4[bi].transpose(1, 0, 2)
-        oc[ii, jj] += full[:, ii, jj].T
+    H[:, idx, idx] += sigma_x_inv.stack[s, :, 0]
     return out
 
 
-def _gather_con(problem, bi):
-    c4 = problem.con.view4()
-    return np.ascontiguousarray(c4[bi].transpose(2, 1, 0))
+def _masked_scalar_chol(mat):
+    """Right-looking sweep of one matrix with non-positive pivots replaced;
+    returns (first bad row, the partial factor)."""
+    m = mat.shape[0]
+    w = np.tril(mat)
+    first_row = -1
+    for k in range(m):
+        if not w[k, k] > 0.0:
+            if first_row < 0:
+                first_row = k
+            w[k, k] = 1.0
+        rt = np.sqrt(w[k, k])
+        w[k, k] = rt
+        if k + 1 < m:
+            w[k + 1 :, k] /= rt
+            w[k + 1 :, k + 1 :] -= np.tril(
+                np.outer(w[k + 1 :, k], w[k + 1 :, k])
+            )
+    return first_row, w
 
 
 def factor_chunk_dense(f, chunk):
     """Dense per-stage pipeline over one block range: batched Cholesky of
-    the H lanes, one trtri per lane replacing L by L^{-1}, one batched
-    matmul for the combined (V; W)^T panel, and one J J^T product
-    holding every Psi contribution of the block."""
-    h4 = f.H.view4()
-    d = f.H.d
+    the H_j, one trtri per stage replacing L by L^{-1}, one batched matmul
+    for the combined (V; W)^T panels, and one J J^T product holding every
+    Psi contribution of the range.  When the batched Cholesky fails, each
+    stage of the range is factored on its own, so a failing stage is named
+    without touching its siblings' factors."""
+    s = _stages(chunk, f.H.d)
+    H, linv = f.H.stack[s], f.linv_lm[s]
     failures = []
-    for bi in chunk:
-        lanes = h4[bi].transpose(2, 1, 0)  # (d, m, m); lower triangle is read
-        linv = f.linv_lm[bi]
-        try:
-            linv[:] = np.linalg.cholesky(lanes)
-        except np.linalg.LinAlgError:
-            for t in range(d):
-                try:
-                    linv[t] = np.linalg.cholesky(lanes[t])
-                except np.linalg.LinAlgError:
-                    row, lower = _masked_scalar_chol(lanes[t])
-                    linv[t] = lower
-                    failures.append((bi * d + t, row))
-        for t in range(d):
-            linv[t] = _trtri(linv[t], lower=1)[0]
-        np.matmul(linv, f.ewt_lm[bi], out=f.vwt_lm[bi])
-        np.matmul(
-            f.vwt_lm[bi].transpose(0, 2, 1), f.vwt_lm[bi], out=f.p_lm[bi]
-        )
+    try:
+        linv[:] = np.linalg.cholesky(H)  # reads the lower triangle
+    except np.linalg.LinAlgError:
+        for t in range(H.shape[0]):
+            try:
+                linv[t] = np.linalg.cholesky(H[t])
+            except np.linalg.LinAlgError:
+                row, linv[t] = _masked_scalar_chol(H[t])
+                failures.append((s.start + t, row))
+    for t in range(linv.shape[0]):
+        linv[t] = _trtri(linv[t], lower=1)[0]
+    vwt = f.vwt_lm[s]
+    np.matmul(linv, f.ewt_lm[s], out=vwt)
+    np.matmul(vwt.transpose(0, 2, 1), vwt, out=f.p_lm[s])
     if failures:
-        raise NonPositivePivot(sorted(failures))
+        raise NonPositivePivot(failures)
 
 
 def factor_chunk_diagonal(f, chunk):
     """Diagonal fast path: H_j is diagonal, so the Cholesky factor is a
     square root and the panel solve collapses to a row scaling of the
-    constant [A B; I 0]^T lanes."""
-    d = f.problem.dims
-    h4 = f.H.view4()
-    hd4 = f.h_diag.view4()
-    idx = np.arange(d.n_xu)
-    for bi in chunk:
-        diag = h4[bi][idx, idx, :]  # (n_xu, lanes)
-        bad = ~(diag > 0.0)
-        if bad.any():
-            ci, ct = np.argwhere(bad)[0]
-            raise NonPositivePivot([(bi * f.H.d + int(ct), int(ci))])
-        hd4[bi, 0] = diag
-        inv = 1.0 / np.sqrt(diag.T)  # (lanes, n_xu)
-        np.multiply(f.ewt_lm[bi], inv[:, :, None], out=f.vwt_lm[bi])
-        np.matmul(
-            f.vwt_lm[bi].transpose(0, 2, 1), f.vwt_lm[bi], out=f.p_lm[bi]
-        )
+    constant [A B; I 0]^T panels."""
+    s = _stages(chunk, f.H.d)
+    idx = np.arange(f.H.rows)
+    diag = f.H.stack[s][:, idx, idx]  # (stages, n_xu)
+    bad = ~(diag > 0.0)
+    if bad.any():
+        t, row = np.argwhere(bad)[0]
+        raise NonPositivePivot([(s.start + int(t), int(row))])
+    f.h_diag.stack[s, :, 0] = diag
+    vwt = f.vwt_lm[s]
+    np.multiply(f.ewt_lm[s], 1.0 / np.sqrt(diag)[:, :, None], out=vwt)
+    np.matmul(vwt.transpose(0, 2, 1), vwt, out=f.p_lm[s])
 
 
 def assemble_psi(f):
@@ -317,8 +296,7 @@ def assemble_psi(f):
     Psi_{j+1,j} = -Vj Wj^T."""
     dm = f.problem.dims
     N, n_x = dm.N, dm.n_x
-    nb, lw = f.p_lm.shape[:2]
-    P = f.p_lm.reshape(nb * lw, 2 * n_x, 2 * n_x)
+    P = f.p_lm
     f.psi_diag[0] = P[0, n_x:, n_x:]
     f.psi_diag[1:] = P[:N, :n_x, :n_x] + P[1 : N + 1, n_x:, n_x:]
     f.psi_diag += f.psi_diag.transpose(0, 2, 1).copy()
@@ -365,16 +343,14 @@ def factor_psi(f):
 
 def solve_H(f, rhs, out=None):
     """Per-stage solve H_j z_j = rhs_j with the stored inverse factors:
-    z = L^{-T} (L^{-1} rhs), two batched matmuls over every lane of every
-    block (a row scaling on the diagonal path)."""
+    z = L^{-T} (L^{-1} rhs), two batched matmuls over every stage (a row
+    scaling on the diagonal path)."""
     if out is None:
         out = rhs.zeros_like()
     if f.variant == "diagonal":
         np.divide(rhs.data, f.h_diag.data, out=out.data)
         return out
-    b = rhs.view4()[:, 0].transpose(0, 2, 1)[..., None]  # (nblocks, d, m, 1)
-    z = np.matmul(f.linv_lm.transpose(0, 1, 3, 2), np.matmul(f.linv_lm, b))
-    out.view4()[:, 0] = z[..., 0].transpose(0, 2, 1)
+    np.matmul(f.linv_lm.transpose(0, 2, 1), np.matmul(f.linv_lm, rhs.stack), out=out.stack)
     return out
 
 
@@ -398,11 +374,10 @@ def solve_newton(f, grad_phi, lam, eq_residual):
     v = solve_H(f, g1)
 
     mv = model.mul_M(problem, v)
-    rhs = eq_residual.to_stack()[:, :, 0] - mv.to_stack()[:, :, 0]
     N = problem.dims.N
-    full = np.zeros((problem.cost.nstages, problem.dims.n_x, 1))
-    full[: N + 1, :, 0] = psi_solve(f, rhs[: N + 1])
-    dlam = CompactBatch.from_stack(full, problem.dims.d, problem.cost.nstages)
+    rhs = eq_residual.stack[: N + 1, :, 0] - mv.stack[: N + 1, :, 0]
+    dlam = lam.zeros_like()
+    dlam.stack[: N + 1, :, 0] = psi_solve(f, rhs)
 
     lam_new = lam.zeros_like()
     np.add(lam.data, dlam.data, out=lam_new.data)

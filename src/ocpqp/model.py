@@ -9,14 +9,14 @@ gives the standard-form quadratic program
     s.t.      M x = b,   b_l <= G x <= b_u
 
 whose matrices Q (block-diagonal cost), M (dynamics stencil) and G
-(block-diagonal constraints) are never assembled here: every product is
-computed stage-wise on compact batches.
+(block-diagonal constraints) are never assembled here: every product is one
+batched matmul over the stage-major stacks of the data and of the vector.
 
 At load the terminal stage is embedded as a regular stage padded with
 S = 0, R = I, D = 0, and extra all-neutral filler stages round the stage
-count up to a multiple of the lane width, so every stage loop is uniform.
-The logical dimensions (n variables, p equalities, m inequalities) are not
-affected by padding.
+count up to a multiple of the lane width, so every stage operation is
+uniform.  The logical dimensions (n variables, p equalities, m
+inequalities) are not affected by padding.
 """
 
 from __future__ import annotations
@@ -121,10 +121,10 @@ def _per_stage(arr, count, shape, name):
 
 
 class OcpProblem:
-    """All stage data of one problem, held in compact interleaved storage.
+    """All stage data of one problem, held in stage-major batches.
 
     Build instances with :meth:`from_stages` (naive per-stage arrays are
-    converted exactly once).  The combined per-stage matrices are stored:
+    copied exactly once).  The combined per-stage matrices are stored:
 
     - ``cost``   : (n_xu x n_xu) blocks [[Q_j, S_j^T], [S_j, R_j]]
     - ``lin``    : (n_xu x 1) stacked [q_j; r_j]
@@ -224,8 +224,7 @@ class OcpProblem:
         Q_N = 0.5 * (Q_N + Q_N.T)
 
         n_xu, n_y_pad = dims.n_xu, dims.n_y_pad
-        total = dims.n_stages_padded + extra_blocks * d
-        S_cnt = total
+        S_cnt = dims.n_stages_padded + extra_blocks * d
 
         cost_stack = np.zeros((S_cnt, n_xu, n_xu))
         lin_stack = np.zeros((S_cnt, n_xu, 1))
@@ -262,18 +261,18 @@ class OcpProblem:
         # filler stages: neutral cost, no dynamics, no constraints
         cost_stack[N + 1 :, n_x:, n_x:] = np.eye(n_u)
 
-        def _pack(stack):
-            return CompactBatch.from_stack(stack, d)
+        def _wrap(stack):
+            return CompactBatch(*stack.shape[1:], S_cnt // d, d, stack)
 
         return cls(
             dims,
-            _pack(cost_stack),
-            _pack(lin_stack),
-            _pack(dyn_stack),
-            _pack(aff_stack),
-            _pack(con_stack),
-            _pack(bl_stack),
-            _pack(bu_stack),
+            _wrap(cost_stack),
+            _wrap(lin_stack),
+            _wrap(dyn_stack),
+            _wrap(aff_stack),
+            _wrap(con_stack),
+            _wrap(bl_stack),
+            _wrap(bu_stack),
             x_init,
         )
 
@@ -335,7 +334,7 @@ class OcpProblem:
     def primal_to_flat(self, v):
         """Interleaved (x^0, u^0, ..., x^N) of logical length n."""
         d = self.dims
-        st = v.to_stack()[:, :, 0]
+        st = v.stack[:, :, 0]
         return np.concatenate([st[: d.N].ravel(), st[d.N, : d.n_x]])
 
     def primal_from_flat(self, flat):
@@ -343,27 +342,27 @@ class OcpProblem:
         flat = np.asarray(flat, dtype=np.float64).ravel()
         if flat.size != d.n:
             raise ValueError(f"primal vector must have length {d.n}, got {flat.size}")
-        st = np.zeros((self.cost.nstages, d.n_xu, 1))
-        st[: d.N, :, 0] = flat[: d.N * d.n_xu].reshape(d.N, d.n_xu)
-        st[d.N, : d.n_x, 0] = flat[d.N * d.n_xu :]
-        return CompactBatch.from_stack(st, d.d, self.cost.nstages)
+        v = self.primal_zeros()
+        v.stack[: d.N, :, 0] = flat[: d.N * d.n_xu].reshape(d.N, d.n_xu)
+        v.stack[d.N, : d.n_x, 0] = flat[d.N * d.n_xu :]
+        return v
 
     def dualeq_to_flat(self, v):
         d = self.dims
-        return v.to_stack()[: d.N + 1, :, 0].ravel()
+        return v.stack[: d.N + 1, :, 0].ravel()
 
     def dualeq_from_flat(self, flat):
         d = self.dims
         flat = np.asarray(flat, dtype=np.float64).ravel()
         if flat.size != d.p:
             raise ValueError(f"equality dual must have length {d.p}, got {flat.size}")
-        st = np.zeros((self.cost.nstages, d.n_x, 1))
-        st[: d.N + 1, :, 0] = flat.reshape(d.N + 1, d.n_x)
-        return CompactBatch.from_stack(st, d.d, self.cost.nstages)
+        v = self.dualeq_zeros()
+        v.stack[: d.N + 1, :, 0] = flat.reshape(d.N + 1, d.n_x)
+        return v
 
     def dualineq_to_flat(self, v):
         d = self.dims
-        st = v.to_stack()[:, :, 0]
+        st = v.stack[:, :, 0]
         return np.concatenate([st[: d.N, : d.n_y].ravel(), st[d.N, : d.n_yN]])
 
     def dualineq_from_flat(self, flat):
@@ -371,20 +370,18 @@ class OcpProblem:
         flat = np.asarray(flat, dtype=np.float64).ravel()
         if flat.size != d.m:
             raise ValueError(f"inequality dual must have length {d.m}, got {flat.size}")
-        st = np.zeros((self.cost.nstages, d.n_y_pad, 1))
-        if d.n_y:
-            st[: d.N, : d.n_y, 0] = flat[: d.N * d.n_y].reshape(d.N, d.n_y)
-        st[d.N, : d.n_yN, 0] = flat[d.N * d.n_y :]
-        return CompactBatch.from_stack(st, d.d, self.cost.nstages)
+        v = self.dualineq_zeros()
+        v.stack[: d.N, : d.n_y, 0] = flat[: d.N * d.n_y].reshape(d.N, d.n_y)
+        v.stack[d.N, : d.n_yN, 0] = flat[d.N * d.n_y :]
+        return v
 
     def b_dualeq(self):
         """Equality right-hand side (x_init; c^0; ...; c^{N-1}) as a vector batch."""
         if self._b is None:
             d = self.dims
-            st = np.zeros((self.cost.nstages, d.n_x, 1))
-            st[0, :, 0] = self.x_init
-            st[1 : d.N + 1] = self.affine.to_stack()[: d.N]
-            self._b = CompactBatch.from_stack(st, d.d, self.cost.nstages)
+            self._b = self.dualeq_zeros()
+            self._b.stack[0, :, 0] = self.x_init
+            self._b.stack[1 : d.N + 1] = self.affine.stack[: d.N]
         return self._b.copy()
 
     def flat_lin(self):
@@ -402,17 +399,12 @@ class OcpProblem:
         constraint row touches at most one variable (box-like rows)."""
         if self._diag_flag is None:
             d = self.dims
-            ok = True
-            cost = self.cost.to_stack()[: d.N + 1]
-            for blk in cost:
-                if np.any(blk - np.diag(np.diag(blk))):
-                    ok = False
-                    break
-            if ok:
-                con = self.con.to_stack()[: d.N + 1]
-                if con.size and np.any(np.count_nonzero(con, axis=2) > 1):
-                    ok = False
-            self._diag_flag = ok
+            cost = self.cost.stack[: d.N + 1]
+            off_diag = ~np.eye(d.n_xu, dtype=bool)
+            con = self.con.stack[: d.N + 1]
+            self._diag_flag = not (
+                np.any(cost[:, off_diag]) or np.any(np.count_nonzero(con, axis=2) > 1)
+            )
         return self._diag_flag
 
 
@@ -449,67 +441,26 @@ def validate(problem):
 def pad_horizon(problem, d, extra_blocks=0):
     """Repack a problem at lane width ``d``.
 
-    The logical problem is unchanged; only the compact layout (terminal
-    padding slot, filler stages, block count) differs.
+    The logical problem is unchanged; only the stage padding (terminal
+    embedding, filler stages, block count) differs.
     """
-    dm = problem.dims
-    N = dm.N
-    return OcpProblem.from_stages(
-        Q=np.stack([problem.Q(j) for j in range(N)]),
-        S=np.stack([problem.S(j) for j in range(N)]),
-        R=np.stack([problem.R(j) for j in range(N)]),
-        q=np.stack([problem.q(j) for j in range(N)]),
-        r=np.stack([problem.r(j) for j in range(N)]),
-        A=np.stack([problem.A(j) for j in range(N)]),
-        B=np.stack([problem.B(j) for j in range(N)]),
-        c=np.stack([problem.c(j) for j in range(N)]),
-        C=np.stack([problem.C(j) for j in range(N)]).reshape(N, dm.n_y, dm.n_x),
-        D=np.stack([problem.D(j) for j in range(N)]).reshape(N, dm.n_y, dm.n_u),
-        bl=np.stack([problem.bounds(j)[0] for j in range(N)]).reshape(N, dm.n_y),
-        bu=np.stack([problem.bounds(j)[1] for j in range(N)]).reshape(N, dm.n_y),
-        Q_N=problem.Q(N),
-        q_N=problem.q(N),
-        C_N=problem.C(N),
-        bl_N=problem.bounds(N)[0],
-        bu_N=problem.bounds(N)[1],
-        x_init=problem.x_init,
-        d=d,
-        extra_blocks=extra_blocks,
-    )
+    return OcpProblem.from_stages(**_gather_families(problem), d=d, extra_blocks=extra_blocks)
 
 
 # ---------------------------------------------------------------------------
 # structured matrix-vector products (no assembled sparse matrices anywhere)
 
 
-def _stage_gemv(mat, vec, out_rows):
-    """Per-stage products mat_j @ vec_j for all stages, block by block.
-
-    Returns a (nstages, out_rows) naive array.
-    """
-    m4, v4 = mat.view4(), vec.view4()
-    nb, d = mat.nblocks, mat.d
-    out = np.empty((nb, out_rows, d))
-    for bi in range(nb):
-        np.einsum("kit,kt->it", m4[bi], v4[bi][0], out=out[bi])
-    return out.transpose(0, 2, 1).reshape(nb * d, out_rows)
-
-
-def _stage_gemv_t(mat, vec):
-    """Per-stage transposed products mat_j^T @ vec_j, block by block."""
-    m4, v4 = mat.view4(), vec.view4()
-    nb, d = mat.nblocks, mat.d
-    out = np.empty((nb, mat.cols, d))
-    for bi in range(nb):
-        np.einsum("kit,it->kt", m4[bi], v4[bi][0], out=out[bi])
-    return out.transpose(0, 2, 1).reshape(nb * d, mat.cols)
+def _result(problem, out, rows):
+    return problem._vec(rows) if out is None else out
 
 
 def mul_Q(problem, x, out=None):
     """Structured product with the block-diagonal cost matrix."""
     _check_vec(problem, x, problem.dims.n_xu)
-    prod = _stage_gemv(problem.cost, x, problem.dims.n_xu)
-    return _from_naive_vec(problem, prod, out)
+    out = _result(problem, out, problem.dims.n_xu)
+    np.matmul(problem.cost.stack, x.stack, out=out.stack)
+    return out
 
 
 def mul_M(problem, x, out=None):
@@ -519,41 +470,44 @@ def mul_M(problem, x, out=None):
     """
     d = problem.dims
     _check_vec(problem, x, d.n_xu)
-    prod = _stage_gemv(problem.dyn, x, d.n_x)  # E_j (x_j; u_j)
-    xs = x.to_stack()[:, : d.n_x, 0]
-    res = np.zeros_like(xs)
-    res[0] = xs[0]
-    res[1 : d.N + 1] = xs[1 : d.N + 1] - prod[: d.N]
-    return _from_naive_vec(problem, res[:, :, None], out)
+    out = _result(problem, out, d.n_x)
+    nxt = out.stack[1 : d.N + 1]
+    np.matmul(problem.dyn.stack[: d.N], x.stack[: d.N], out=nxt)  # E_j (x_j; u_j)
+    np.subtract(x.stack[1 : d.N + 1, : d.n_x], nxt, out=nxt)
+    out.stack[0] = x.stack[0, : d.n_x]
+    out.stack[d.N + 1 :] = 0.0
+    return out
 
 
 def mul_MT(problem, lam, out=None):
     """Structured product with M^T (adjoint of the dynamics stencil)."""
     d = problem.dims
     _check_vec(problem, lam, d.n_x)
-    lam_stack = lam.to_stack()[:, :, 0]
-    shifted = np.zeros_like(lam_stack)
-    shifted[: d.N] = lam_stack[1 : d.N + 1]
-    lam_next = CompactBatch.from_stack(shifted[:, :, None], d.d, lam.nstages)
-    res = -_stage_gemv_t(problem.dyn, lam_next)  # -E_j^T lam_{j+1}
-    res[: d.N + 1, : d.n_x] += lam_stack[: d.N + 1]
-    return _from_naive_vec(problem, res[:, :, None], out)
+    out = _result(problem, out, d.n_xu)
+    head = out.stack[: d.N]
+    np.matmul(problem.dyn.stack[: d.N].transpose(0, 2, 1), lam.stack[1 : d.N + 1], out=head)
+    np.negative(head, out=head)  # -E_j^T lam_{j+1}
+    out.stack[d.N :] = 0.0
+    out.stack[: d.N + 1, : d.n_x] += lam.stack[: d.N + 1]
+    return out
 
 
 def mul_G(problem, x, out=None):
     """Structured product with the block-diagonal constraint matrix G."""
     d = problem.dims
     _check_vec(problem, x, d.n_xu)
-    prod = _stage_gemv(problem.con, x, d.n_y_pad)
-    return _from_naive_vec(problem, prod[:, :, None], out)
+    out = _result(problem, out, d.n_y_pad)
+    np.matmul(problem.con.stack, x.stack, out=out.stack)
+    return out
 
 
 def mul_GT(problem, z, out=None):
     """Structured product with G^T."""
     d = problem.dims
     _check_vec(problem, z, d.n_y_pad)
-    res = _stage_gemv_t(problem.con, z)
-    return _from_naive_vec(problem, res[:, :, None], out)
+    out = _result(problem, out, d.n_xu)
+    np.matmul(problem.con.stack.transpose(0, 2, 1), z.stack, out=out.stack)
+    return out
 
 
 def _check_vec(problem, v, rows):
@@ -561,16 +515,6 @@ def _check_vec(problem, v, rows):
         raise ValueError(f"vector batch must be {rows}x1 per stage, got {v.rows}x{v.cols}")
     if v.nblocks != problem.cost.nblocks or v.d != problem.dims.d:
         raise ValueError("vector batch does not match the problem layout")
-
-
-def _from_naive_vec(problem, stack, out):
-    if stack.ndim == 2:
-        stack = stack[:, :, None]
-    packed = CompactBatch.from_stack(stack, problem.dims.d, stack.shape[0])
-    if out is None:
-        return packed
-    np.copyto(out.data, packed.data)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -606,29 +550,32 @@ def _family_shapes(N, n_x, n_u, n_y, n_yN):
 
 
 def _gather_families(problem):
+    """The per-stage families and terminal data of a problem, in the argument
+    names of :meth:`OcpProblem.from_stages`, as slices of its stage stacks."""
     d = problem.dims
-    N = d.N
-    data = {
-        "Q": np.stack([problem.Q(j) for j in range(N)]),
-        "S": np.stack([problem.S(j) for j in range(N)]),
-        "R": np.stack([problem.R(j) for j in range(N)]),
-        "q": np.stack([problem.q(j) for j in range(N)]),
-        "r": np.stack([problem.r(j) for j in range(N)]),
-        "A": np.stack([problem.A(j) for j in range(N)]),
-        "B": np.stack([problem.B(j) for j in range(N)]),
-        "c": np.stack([problem.c(j) for j in range(N)]),
-        "C": np.stack([problem.C(j) for j in range(N)]).reshape(N, d.n_y, d.n_x),
-        "D": np.stack([problem.D(j) for j in range(N)]).reshape(N, d.n_y, d.n_u),
-        "bl": np.stack([problem.bounds(j)[0] for j in range(N)]).reshape(N, d.n_y),
-        "bu": np.stack([problem.bounds(j)[1] for j in range(N)]).reshape(N, d.n_y),
-        "Q_N": problem.Q(N),
-        "q_N": problem.q(N),
-        "C_N": problem.C(N),
-        "bl_N": problem.bounds(N)[0],
-        "bu_N": problem.bounds(N)[1],
+    N, n_x, n_y, n_yN = d.N, d.n_x, d.n_y, d.n_yN
+    cost, lin, dyn = problem.cost.stack, problem.lin.stack, problem.dyn.stack
+    con, bl, bu = problem.con.stack, problem.bl.stack, problem.bu.stack
+    return {
+        "Q": cost[:N, :n_x, :n_x],
+        "S": cost[:N, n_x:, :n_x],
+        "R": cost[:N, n_x:, n_x:],
+        "q": lin[:N, :n_x, 0],
+        "r": lin[:N, n_x:, 0],
+        "A": dyn[:N, :, :n_x],
+        "B": dyn[:N, :, n_x:],
+        "c": problem.affine.stack[:N, :, 0],
+        "C": con[:N, :n_y, :n_x],
+        "D": con[:N, :n_y, n_x:],
+        "bl": bl[:N, :n_y, 0],
+        "bu": bu[:N, :n_y, 0],
+        "Q_N": cost[N, :n_x, :n_x],
+        "q_N": lin[N, :n_x, 0],
+        "C_N": con[N, :n_yN, :n_x],
+        "bl_N": bl[N, :n_yN, 0],
+        "bu_N": bu[N, :n_yN, 0],
         "x_init": problem.x_init,
     }
-    return data
 
 
 def save_problem(problem, path, fmt="binary"):

@@ -14,25 +14,18 @@ import pytest
 from ocpqp import kkt, model, oracles
 from ocpqp.alm import Solver, SolverSettings, solve
 from ocpqp.bench import SpringMassConfig, gen_random_ocp, gen_spring_mass, loglog_slope
-from ocpqp.compact import (
-    CompactBatch,
-    pack,
-    unpack,
-    batch_gemm,
-    batch_potrf,
-    batch_syrk,
-    batch_trsm,
-    batch_trtri,
-    reference_gemm,
-    reference_potrf,
-    reference_syrk,
-    reference_trsm,
-    reference_trtri,
-)
+from ocpqp.compact import CompactBatch
 from ocpqp.model import OcpDims
 
 EPS = 1e-8
 LANES = (1, 2, 4, 8)
+
+
+def _active_weights(problem, sigma_y, y, x):
+    """Active weights at z = Gx + y / sigma_y, as the inner loop forms them."""
+    z = model.mul_G(problem, x)
+    z.data += y.data / sigma_y.data
+    return kkt.weights_from_shifted(problem, sigma_y, z)
 
 
 def _line(num, ok, detail, soft=False):
@@ -139,7 +132,7 @@ class TestCriterion3:
             x = rng.standard_normal(problem.dims.n)
             sy = problem.dualineq_zeros()
             sy.data[:] = 1.7
-            weights = kkt.compute_active_weights(
+            weights = _active_weights(
                 problem, sy, problem.dualineq_zeros(), problem.primal_from_flat(x)
             )
             delta = 1e-3
@@ -188,100 +181,99 @@ class TestCriterion3:
         )
 
 
-def _rel(got, want, floor=0.0):
-    # ``floor`` guards the accumulate forms (alpha*AB + beta*C) where the
-    # exact result can cancel to ~0: the error is then measured against the
-    # operand magnitude, the scale roundoff actually propagates from
-    scale = max(np.max(np.abs(want)), floor, 1e-30)
-    return float(np.max(np.abs(got - want)) / scale)
+def _product_err(got, A, v):
+    """Forward error of a product against the dense oracle, relative to the
+    magnitude max(|A| |v|) that roundoff propagates from."""
+    if got.size == 0:
+        return 0.0
+    want = A @ v
+    scale = max(float(np.max(np.abs(A) @ np.abs(v))), 1e-300)
+    return float(np.max(np.abs(got - want))) / scale
 
 
 class TestCriterion4:
+    """The stage kernels the solver calls, against the independent dense
+    assembly: storage round trip, the five structured products, and the
+    stage-wise Hessian assemble + factor + solve."""
+
     def test_kernel_reference_sweep(self):
         rng = np.random.default_rng(4)
-        cases_per_kernel = {k: 0 for k in ("gemm", "syrk", "potrf", "trsm", "trtri", "pack")}
-        worst = 0.0
-        while min(cases_per_kernel.values()) < 1000:
+        cases = 0
+        edges = {"n_y=0": 0, "n_yN=0": 0, "N=1": 0, "N+1<d": 0}
+        worst_roundtrip = worst_product = worst_backward = 0.0
+        roundtrip_exact = True
+        while cases < 1000:
             d = int(rng.choice(LANES))
-            m, k, n = (int(v) for v in rng.integers(1, 13, 3))
-            nstages = int(rng.integers(1, 3 * d + 2))  # ragged tails included
-            nblocks = -(-nstages // d)
+            N = int(rng.integers(1, 7))
+            n_x, n_u = (int(v) for v in rng.integers(1, 5, 2))
+            n_y, n_yN = (int(v) for v in rng.integers(0, 4, 2))
+            edges["n_y=0"] += n_y == 0
+            edges["n_yN=0"] += n_yN == 0
+            edges["N=1"] += N == 1
+            edges["N+1<d"] += N + 1 < d
+            p = gen_random_ocp(OcpDims(N, n_x, n_u, n_y, n_yN), seed=4000 + cases, d=d)
+            dm = p.dims
 
-            # pack / unpack round trip, bit exact
-            mats = [rng.standard_normal((m, k)) for _ in range(nstages)]
-            batch = pack(mats, d)
-            out = unpack(batch, nstages)
-            assert all(np.array_equal(a, b) for a, b in zip(mats, out))
-            cases_per_kernel["pack"] += 1
+            # storage round trip, ragged tail included
+            rows, cols = (int(v) for v in rng.integers(0, 6, 2))
+            count = int(rng.integers(1, 3 * d + 2))
+            stack = rng.standard_normal((count, rows, cols))
+            batch = CompactBatch.from_stack(stack, d)
+            back = batch.to_stack()
+            roundtrip_exact &= (
+                batch.nstages % d == 0
+                and np.array_equal(back[:count], stack)
+                and not back[count:].any()
+            )
 
-            # gemm, all transpose flags
-            ta, tb = bool(rng.integers(2)), bool(rng.integers(2))
-            amats = [rng.standard_normal((k, m) if ta else (m, k)) for _ in range(nstages)]
-            bmats = [rng.standard_normal((n, k) if tb else (k, n)) for _ in range(nstages)]
-            cmats = [rng.standard_normal((m, n)) for _ in range(nstages)]
-            a, b = pack(amats, d), pack(bmats, d)
-            c = pack(cmats, d)
-            alpha, beta = float(rng.normal()), float(rng.normal())
-            batch_gemm(alpha, a, ta, b, tb, beta, c)
-            for j in range(nstages):
-                want = reference_gemm(alpha, amats[j], ta, bmats[j], tb, beta, cmats[j])
-                floor = (
-                    abs(alpha) * np.max(np.abs(amats[j])) * np.max(np.abs(bmats[j])) * k
-                    + abs(beta) * np.max(np.abs(cmats[j]))
-                )
-                worst = max(worst, _rel(c.stage(j), want, floor))
-            cases_per_kernel["gemm"] += 1
+            # structured products against the dense matrices
+            dq = oracles.assemble_dense(p)
+            x = rng.standard_normal(dm.n)
+            lam = rng.standard_normal(dm.p)
+            z = rng.standard_normal(dm.m)
+            xb, lb, zb = p.primal_from_flat(x), p.dualeq_from_flat(lam), p.dualineq_from_flat(z)
+            for got, A, v in (
+                (p.primal_to_flat(model.mul_Q(p, xb)), dq.Q, x),
+                (p.dualeq_to_flat(model.mul_M(p, xb)), dq.M, x),
+                (p.primal_to_flat(model.mul_MT(p, lb)), dq.M.T, lam),
+                (p.dualineq_to_flat(model.mul_G(p, xb)), dq.G, x),
+                (p.primal_to_flat(model.mul_GT(p, zb)), dq.G.T, z),
+            ):
+                worst_product = max(worst_product, _product_err(got, A, v))
 
-            # syrk (lower triangle)
-            csy = pack([rng.standard_normal((m, m)) for _ in range(nstages)], d)
-            before = unpack(csy, nstages)
-            asy = pack(amats, d)
-            batch_syrk(alpha, asy, ta, beta, csy)
-            low = np.tril_indices(m)
-            for j in range(nstages):
-                want = reference_syrk(alpha, amats[j], ta, beta, before[j])
-                floor = (
-                    abs(alpha) * np.max(np.abs(amats[j])) ** 2 * k
-                    + abs(beta) * np.max(np.abs(before[j]))
-                )
-                worst = max(worst, _rel(csy.stage(j)[low], want[low], floor))
-            cases_per_kernel["syrk"] += 1
+            # assemble_H + factor_stages + solve_H: normwise backward error
+            # with penalties log-uniform in [1e-4, 1e9] on about half the rows
+            sig = np.where(
+                rng.random(dm.m) < 0.5, 10.0 ** rng.uniform(-4, 9, dm.m), 0.0
+            )
+            weights = kkt.ActiveWeights(p.dualineq_from_flat(sig), None)
+            delta = 1e-7
+            sxinv = p.primal_zeros()
+            sxinv.data[:] = delta
+            work = kkt.StageFactorization.allocate(p)
+            kkt.assemble_H(p, weights, sxinv, out=work.H, work=work)
+            kkt.factor_stages(work.H, p, work=work)
+            b = rng.standard_normal(dm.n)
+            zf = p.primal_to_flat(kkt.solve_H(work, p.primal_from_flat(b)))
+            Hd = dq.Q + dq.G.T @ np.diag(sig) @ dq.G + delta * np.eye(dm.n)
+            res = np.max(np.abs(Hd @ zf - b))
+            scale = np.linalg.norm(Hd, np.inf) * np.max(np.abs(zf)) + np.max(np.abs(b))
+            worst_backward = max(worst_backward, res / scale)
+            cases += 1
 
-            # potrf, trsm, trtri on SPD/triangular lanes (tails filled)
-            spd = []
-            for _ in range(nblocks * d):
-                z = rng.standard_normal((m, m))
-                spd.append(z @ z.T + m * np.eye(m))
-            cb = pack(spd, d)
-            l = batch_potrf(cb)
-            for j in range(nstages):
-                worst = max(worst, _rel(l.stage(j), reference_potrf(spd[j])))
-            cases_per_kernel["potrf"] += 1
-
-            side = "left" if rng.integers(2) else "right"
-            trans = bool(rng.integers(2))
-            shape = (m, n) if side == "left" else (n, m)
-            bt = [rng.standard_normal(shape) for _ in range(nblocks * d)]
-            btb = pack(bt, d)
-            batch_trsm(l, btb, side=side, trans=trans)
-            for j in range(nstages):
-                lj = l.stage(j)
-                want = reference_trsm(lj, bt[j], side=side, trans=trans)
-                worst = max(worst, _rel(btb.stage(j), want))
-            cases_per_kernel["trsm"] += 1
-
-            inv = batch_trtri(l)
-            for j in range(nstages):
-                worst = max(worst, _rel(inv.stage(j), reference_trtri(l.stage(j))))
-            cases_per_kernel["trtri"] += 1
-
-        total = sum(cases_per_kernel.values())
-        ok = worst <= 1e-13
+        ok = (
+            roundtrip_exact
+            and worst_product <= 1e-13
+            and worst_backward <= 1e-13
+            and min(edges.values()) > 0
+        )
         assert _line(
             4, ok,
-            f"{total} kernel cases ({min(cases_per_kernel.values())}+ per kernel, lanes "
-            f"{LANES}, ragged tails): worst relative error {worst:.2e} <= 1e-13; "
-            f"pack/unpack round-trips bit-exact",
+            f"{cases} cases per kernel (lanes {LANES}, ragged tails, edge shapes "
+            f"{', '.join(f'{k}: {v}' for k, v in edges.items())}): from_stack/to_stack "
+            f"round trip bit-exact: {roundtrip_exact}; mul_Q/M/MT/G/GT vs dense "
+            f"{worst_product:.2e} <= 1e-13; assemble_H + factor_stages + solve_H "
+            f"backward error {worst_backward:.2e} <= 1e-13",
         )
 
 
@@ -305,9 +297,7 @@ class TestCriterion5:
         p4 = model.pad_horizon(problem, 4)
         sy = p4.dualineq_zeros()
         sy.data[:] = 2.0
-        weights = kkt.compute_active_weights(
-            p4, sy, p4.dualineq_zeros(), p4.primal_zeros()
-        )
+        weights = _active_weights(p4, sy, p4.dualineq_zeros(), p4.primal_zeros())
         sxinv = p4.primal_zeros()
         sxinv.data[:] = 1e-7
         outs = []
@@ -382,7 +372,7 @@ class TestCriterion7:
         sy.data[:] = 3.0
         rng = np.random.default_rng(7)
         x = p.primal_from_flat(0.5 * rng.standard_normal(p.dims.n))
-        weights = kkt.compute_active_weights(p, sy, p.dualineq_zeros(), x)
+        weights = _active_weights(p, sy, p.dualineq_zeros(), x)
         sxinv = p.primal_zeros()
         sxinv.data[:] = 1e-7
         works = {}

@@ -6,7 +6,6 @@ from ocpqp.alm import SolverSettings, solve
 from ocpqp.bench import (
     BenchCase,
     SpringMassConfig,
-    bench_kernels,
     discretize_exact,
     gen_random_ocp,
     gen_spring_mass,
@@ -164,12 +163,3 @@ class TestHarness:
         ns = np.array([10, 20, 40, 80])
         assert loglog_slope(ns, 3.0 * ns) == pytest.approx(1.0, abs=1e-12)
         assert loglog_slope(ns, 0.5 * ns**2) == pytest.approx(2.0, abs=1e-12)
-
-
-class TestKernelBench:
-    def test_rows_and_rates(self):
-        rows = bench_kernels([(4, 4, 4)], lanes=(1, 2), nstages=8, repeat=1)
-        kernels = {r["kernel"] for r in rows}
-        assert kernels == {"gemm", "syrk", "potrf", "trsm"}
-        assert all(r["time_us"] > 0 for r in rows)
-        assert all(r["stages_per_s"] > 0 for r in rows)

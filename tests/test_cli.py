@@ -86,14 +86,3 @@ class TestBenchCommands:
         assert rc == 0
         lines = capsys.readouterr().out.splitlines()
         assert len([l for l in lines if "spring" not in l and "M=2" in l]) == 2
-
-
-class TestKernelsCommand:
-    def test_kernels_bench_prints(self, capsys):
-        rc = main([
-            "kernels", "bench", "--shapes", "3x3x3", "--lanes", "1",
-            "--stages", "4", "--repeat", "1",
-        ])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "gemm" in out and "potrf" in out

@@ -1,59 +1,12 @@
 import numpy as np
 import pytest
 
-from ocpqp.compact import (
-    CompactBatch,
-    KernelConfig,
-    NonPositivePivot,
-    ZeroDiagonal,
-    batch_gemm,
-    batch_potrf,
-    batch_syrk,
-    batch_trsm,
-    batch_trtri,
-    identity_batch,
-    pack,
-    reference_gemm,
-    reference_potrf,
-    reference_syrk,
-    reference_trsm,
-    reference_trtri,
-    unpack,
-)
-
-LANES = (1, 2, 4, 8)
+from ocpqp.compact import CompactBatch, pack, unpack
 
 
 def random_batch(rng, rows, cols, nstages, d, total=None):
     mats = [rng.standard_normal((rows, cols)) for _ in range(nstages)]
     return pack(mats, d, total_stages=total), mats
-
-
-def spd_batch(rng, n, nstages, d):
-    # all lane slots filled (tail slots get identity: potrf needs PD lanes)
-    mats = []
-    for _ in range(nstages):
-        a = rng.standard_normal((n, n))
-        mats.append(a @ a.T + n * np.eye(n))
-    nblocks = -(-nstages // d)
-    filled = mats + [np.eye(n)] * (nblocks * d - nstages)
-    return pack(filled, d), mats
-
-
-def tri_batch(rng, n, nstages, d):
-    # lower-triangular lanes with identity-filled tail slots
-    mats = []
-    for _ in range(nstages):
-        a = rng.standard_normal((n, n))
-        mats.append(np.linalg.cholesky(a @ a.T + n * np.eye(n)))
-    nblocks = -(-nstages // d)
-    filled = mats + [np.eye(n)] * (nblocks * d - nstages)
-    return pack(filled, d), mats
-
-
-def rel_err(got, want):
-    scale = max(np.max(np.abs(want)), 1e-30)
-    return np.max(np.abs(got - want)) / scale
 
 
 class TestLayout:
@@ -65,22 +18,27 @@ class TestLayout:
             for j in range(nstages):
                 for i in range(rows):
                     for l in range(cols):
-                        flat = ((j // d) * cols * rows + l * rows + i) * d + (j % d)
+                        flat = (j * rows + i) * cols + l
                         assert batch.data[flat] == mats[j][i, l]
 
     def test_reference_interleaving(self):
-        # N = 4 stages of 4x4 matrices at lane width 2: elements (0,0) of
-        # stages 0 and 1 are adjacent; stage 2 opens the second block.
+        # N = 4 stages of 4x4 matrices at lane width 2: each stage is one
+        # contiguous row-major 16-element run, stage 1 follows stage 0, and
+        # the lane width does not change the order.
         rng = np.random.default_rng(1)
         batch, mats = random_batch(rng, 4, 4, 4, 2)
         assert batch.data[0] == mats[0][0, 0]
-        assert batch.data[1] == mats[1][0, 0]
-        assert batch.data[4 * 4 * 2] == mats[2][0, 0]
+        assert batch.data[1] == mats[0][0, 1]
+        assert batch.data[4] == mats[0][1, 0]
+        assert batch.data[16] == mats[1][0, 0]
+        assert batch.data[2 * 16] == mats[2][0, 0]
+        assert np.shares_memory(batch.stack, batch.data)
+        assert batch.stack.flags.c_contiguous
 
     def test_d1_is_naive_order(self):
         rng = np.random.default_rng(2)
         batch, mats = random_batch(rng, 3, 3, 4, 1)
-        expected = np.concatenate([m.T.ravel() for m in mats])
+        expected = np.concatenate([m.ravel() for m in mats])
         assert np.array_equal(batch.data, expected)
 
     def test_roundtrip_bit_exact_with_zero_tail(self):
@@ -89,9 +47,9 @@ class TestLayout:
         out = unpack(batch, 5)
         for got, want in zip(out, mats):
             assert np.array_equal(got, want)
-        # lanes 5..7 of block 1 hold exact zeros
-        tail = batch.view4()[1, :, :, 1:]
-        assert np.all(tail == 0.0)
+        # slots 5..7 of block 1 hold exact zeros
+        assert batch.stack.shape == (8, 3, 2)
+        assert np.all(batch.stack[5:] == 0.0)
 
     def test_pack_shape_mismatch(self):
         with pytest.raises(ValueError):
@@ -103,22 +61,9 @@ class TestLayout:
         again = CompactBatch.from_stack(batch.to_stack(), 4)
         assert np.array_equal(batch.data, again.data)
 
-    def test_float32_lanes_supported(self):
-        # element width is generic; tolerances are only pinned for float64
-        rng = np.random.default_rng(6)
-        amats = [rng.standard_normal((3, 4)).astype(np.float32) for _ in range(5)]
-        bmats = [rng.standard_normal((4, 2)).astype(np.float32) for _ in range(5)]
-        a = pack(amats, 4, dtype=np.float32)
-        b = pack(bmats, 4, dtype=np.float32)
-        c = CompactBatch(3, 2, a.nblocks, 4, dtype=np.float32)
-        batch_gemm(1.0, a, False, b, False, 0.0, c)
-        assert c.dtype == np.float32
-        for j in range(5):
-            assert np.allclose(c.stage(j), amats[j] @ bmats[j], rtol=1e-5)
-
     def test_to_stack_copies_even_for_scalar_lanes(self):
-        # 1x1 lanes make the internal transpose contiguous; the stack (and
-        # therefore unpack results) must still be detached from the buffer
+        # the stack (and therefore unpack results) must be detached from the
+        # buffer
         batch = pack([np.array([[float(j)]]) for j in range(4)], 2)
         st = batch.to_stack()
         mats = unpack(batch, 4)
@@ -134,213 +79,51 @@ class TestLayout:
         batch.set_stage(2, np.ones((3, 4)))
         assert np.array_equal(batch.stage(2), np.ones((3, 4)))
 
-
-class TestGemm:
-    @pytest.mark.parametrize("d", LANES)
-    def test_identity_multiplicand(self, d):
+    @pytest.mark.parametrize("d", (1, 2, 4, 8))
+    def test_ragged_tail_is_zero_for_every_lane_width(self, d):
+        # 3 stages: fewer than one block for d = 4 and d = 8
         rng = np.random.default_rng(10 + d)
-        a, mats = random_batch(rng, 4, 4, 2 * d + 1, d)
-        b = identity_batch(4, a.nblocks, d)
-        c = CompactBatch(4, 4, a.nblocks, d)
-        batch_gemm(1.0, a, False, b, False, 0.0, c)
+        batch, mats = random_batch(rng, 2, 3, 3, d)
+        assert batch.nstages == max(d, 3 + (-3) % d)
+        assert batch.nstages % d == 0
+        assert batch.stack.shape == (batch.nstages, 2, 3)
         for j, m in enumerate(mats):
-            assert np.allclose(c.stage(j), m, rtol=0, atol=1e-15)
+            assert np.array_equal(batch.stack[j], m)
+        assert np.all(batch.stack[3:] == 0.0)
+        again = CompactBatch.from_stack(batch.to_stack(), d)
+        assert np.array_equal(again.data, batch.data)
 
-    def test_alpha_zero_beta_one_bit_exact(self):
-        rng = np.random.default_rng(11)
-        a, _ = random_batch(rng, 3, 3, 4, 2)
-        b, _ = random_batch(rng, 3, 3, 4, 2)
-        c, _ = random_batch(rng, 3, 3, 4, 2)
-        before = c.data.copy()
-        batch_gemm(0.0, a, False, b, False, 1.0, c)
-        assert np.array_equal(c.data, before)
+    def test_zero_row_batch(self):
+        # an empty constraint family (n_y = 0) still covers its stage slots
+        batch = CompactBatch(0, 5, 3, 2)
+        assert batch.stack.shape == (6, 0, 5)
+        assert batch.data.size == 0
+        assert CompactBatch.from_stack(batch.to_stack(), 2).nstages == 6
 
-    @pytest.mark.parametrize("ta", (False, True))
-    @pytest.mark.parametrize("tb", (False, True))
-    @pytest.mark.parametrize("d", (1, 4))
-    def test_against_reference(self, ta, tb, d):
-        rng = np.random.default_rng(100)
-        m, k, n = 7, 5, 9
-        sa = (k, m) if ta else (m, k)
-        sb = (n, k) if tb else (k, n)
-        nstages = d + 1  # ragged tail
-        a, amats = random_batch(rng, *sa, nstages, d)
-        b, bmats = random_batch(rng, *sb, nstages, d)
-        c, cmats = random_batch(rng, m, n, nstages, d)
-        alpha, beta = 1.3, -0.7
-        batch_gemm(alpha, a, ta, b, tb, beta, c)
-        for j in range(nstages):
-            want = reference_gemm(alpha, amats[j], ta, bmats[j], tb, beta, cmats[j])
-            assert rel_err(c.stage(j), want) < 1e-13
-
-    def test_tiled_config_path(self):
-        rng = np.random.default_rng(101)
-        m, k, n = 11, 9, 12
-        a, amats = random_batch(rng, m, k, 5, 4)
-        b, bmats = random_batch(rng, k, n, 5, 4)
-        for cfg in (
-            KernelConfig(),
-            KernelConfig(micro_m=3, micro_n=5, block_k=4),
-            KernelConfig(packing=True, block_k=3),
-        ):
-            c = CompactBatch(m, n, a.nblocks, 4)
-            batch_gemm(1.0, a, False, b, False, 0.0, c, config=cfg)
-            for j in range(5):
-                assert rel_err(c.stage(j), amats[j] @ bmats[j]) < 1e-13
-
-    def test_micro_tile_selection(self):
-        assert KernelConfig().micro_shape(3, 3) == (3, 3)
-        assert KernelConfig().micro_shape(8, 8) == (5, 5)
-        assert KernelConfig(micro_m=3).micro_shape(10, 10) == (3, 5)
-
-    def test_shape_mismatch(self):
-        a = CompactBatch(3, 4, 1, 2)
-        b = CompactBatch(5, 3, 1, 2)
-        c = CompactBatch(3, 3, 1, 2)
+    def test_invalid_lane_width(self):
         with pytest.raises(ValueError):
-            batch_gemm(1.0, a, False, b, False, 0.0, c)
+            CompactBatch(2, 2, 1, 3)
 
-    def test_lane_independence(self):
-        rng = np.random.default_rng(102)
-        a, _ = random_batch(rng, 4, 4, 8, 4)
-        b, _ = random_batch(rng, 4, 4, 8, 4)
-        c1 = CompactBatch(4, 4, a.nblocks, 4)
-        batch_gemm(1.0, a, False, b, False, 0.0, c1)
-        a2 = a.copy()
-        a2.set_stage(5, np.full((4, 4), 7.0))  # corrupt one lane
-        c2 = CompactBatch(4, 4, a.nblocks, 4)
-        batch_gemm(1.0, a2, False, b, False, 0.0, c2)
-        for j in range(8):
-            same = np.array_equal(c1.stage(j), c2.stage(j))
-            assert same == (j != 5)
+    def test_buffer_size_mismatch(self):
+        with pytest.raises(ValueError):
+            CompactBatch(2, 2, 1, 2, np.zeros(7))
 
-    def test_determinism(self):
-        rng = np.random.default_rng(103)
-        a, _ = random_batch(rng, 6, 6, 9, 4)
-        b, _ = random_batch(rng, 6, 6, 9, 4)
-        outs = []
-        for _ in range(2):
-            c = CompactBatch(6, 6, a.nblocks, 4)
-            batch_gemm(1.0, a, False, b, True, 0.0, c, config=KernelConfig())
-            outs.append(c.data.copy())
-        assert np.array_equal(outs[0], outs[1])
+    def test_storage_is_float64(self):
+        # buffers of another dtype are converted, never stored as given
+        batch = CompactBatch(2, 1, 1, 2, np.arange(4, dtype=np.float32))
+        assert batch.stack.dtype == np.float64
+        assert np.array_equal(batch.data, [0.0, 1.0, 2.0, 3.0])
+        assert pack([np.ones((1, 1), dtype=np.int64)], 1).data.dtype == np.float64
 
+    def test_total_stages_below_count_raises(self):
+        with pytest.raises(ValueError):
+            CompactBatch.from_stack(np.zeros((5, 2, 2)), 2, total_stages=4)
 
-class TestSyrk:
-    def test_identity(self):
-        a = identity_batch(3, 2, 2)
-        c = CompactBatch(3, 3, 2, 2)
-        batch_syrk(1.0, a, False, 0.0, c)
-        for j in range(4):
-            assert np.allclose(c.stage(j), np.eye(3))
-
-    @pytest.mark.parametrize("trans", (False, True))
-    def test_against_reference(self, trans):
-        rng = np.random.default_rng(20)
-        rows, cols = (5, 8) if not trans else (8, 5)
-        m = 5
-        a, amats = random_batch(rng, rows, cols, 6, 4)
-        c, cmats = random_batch(rng, m, m, 6, 4)
-        batch_syrk(1.0, a, trans, 1.0, c)
-        low = np.tril_indices(m)
-        for j in range(6):
-            want = reference_syrk(1.0, amats[j], trans, 1.0, cmats[j])
-            assert rel_err(c.stage(j)[low], want[low]) < 1e-13
-            # strict upper triangle untouched
-            up = np.triu_indices(m, 1)
-            assert np.array_equal(c.stage(j)[up], cmats[j][up])
-
-
-class TestPotrf:
-    def test_identity_and_scaled(self):
-        c = identity_batch(3, 2, 2)
-        l = batch_potrf(c)
-        for j in range(4):
-            assert np.allclose(l.stage(j), np.eye(3))
-        c4 = pack([4.0 * np.eye(3)] * 4, 2)
-        l4 = batch_potrf(c4)
-        for j in range(4):
-            assert np.allclose(l4.stage(j), 2.0 * np.eye(3))
-
-    @pytest.mark.parametrize("d", LANES)
-    def test_reconstruction(self, d):
-        rng = np.random.default_rng(30 + d)
-        c, cmats = spd_batch(rng, 6, 2 * d + 1, d)
-        l = batch_potrf(c)
-        for j, want in enumerate(cmats):
-            lj = l.stage(j)
-            assert np.all(np.diag(lj) > 0)
-            assert np.max(np.abs(lj @ lj.T - want)) <= 1e-12 * np.max(np.abs(want))
-            assert rel_err(lj, reference_potrf(want)) < 1e-12
-
-    def test_failure_reports_stage_and_row(self):
-        rng = np.random.default_rng(31)
-        c, cmats = spd_batch(rng, 3, 6, 2)
-        bad = cmats[3].copy()
-        bad[1, 1] = -50.0  # breaks positive definiteness at row 1
-        c.set_stage(3, bad)
-        with pytest.raises(NonPositivePivot) as exc:
-            batch_potrf(c)
-        assert exc.value.stage == 3
-        assert exc.value.row >= 1
-
-    def test_failed_lane_does_not_poison_siblings(self):
-        rng = np.random.default_rng(32)
-        c, cmats = spd_batch(rng, 4, 8, 4)
-        ref = batch_potrf(c.copy())
-        c.set_stage(5, -np.eye(4))
-        out = c.zeros_like()
-        with pytest.raises(NonPositivePivot):
-            batch_potrf(c, out=out)
-        for j in range(8):
-            if j != 5:
-                assert np.array_equal(out.stage(j), ref.stage(j))
-
-
-class TestTrsm:
-    def test_identity_and_scaled(self):
-        rng = np.random.default_rng(40)
-        l = identity_batch(4, 2, 2)
-        b, bmats = random_batch(rng, 3, 4, 4, 2)
-        before = b.data.copy()
-        batch_trsm(l, b, side="right", trans=True)
-        assert np.array_equal(b.data, before)
-        l2 = pack([2.0 * np.eye(4)] * 4, 2)
-        batch_trsm(l2, b, side="right", trans=True)
-        assert np.allclose(b.data, before / 2.0)
-
-    @pytest.mark.parametrize("side", ("left", "right"))
-    @pytest.mark.parametrize("trans", (False, True))
-    def test_against_reference(self, side, trans):
-        rng = np.random.default_rng(41)
-        n = 5
-        l, lm = tri_batch(rng, n, 6, 4)
-        shape = (n, 3) if side == "left" else (3, n)
-        b, bmats = random_batch(rng, *shape, 6, 4)
-        batch_trsm(l, b, side=side, trans=trans)
-        for j in range(6):
-            want = reference_trsm(lm[j], bmats[j], side=side, trans=trans)
-            assert rel_err(b.stage(j), want) < 1e-12
-
-    def test_zero_diagonal(self):
-        l = pack([np.diag([1.0, 0.0])], 1)
-        b = pack([np.ones((2, 2))], 1)
-        with pytest.raises(ZeroDiagonal) as exc:
-            batch_trsm(l, b, side="left", trans=False)
-        assert exc.value.row == 1
-
-
-class TestTrtri:
-    def test_examples(self):
-        l = pack([np.eye(2), np.diag([2.0, 4.0])], 2)
-        inv = batch_trtri(l)
-        assert np.allclose(inv.stage(0), np.eye(2))
-        assert np.allclose(inv.stage(1), np.diag([0.5, 0.25]))
-
-    def test_residual(self):
-        rng = np.random.default_rng(50)
-        l, lm = tri_batch(rng, 4, 5, 4)
-        inv = batch_trtri(l)
-        for j in range(5):
-            assert np.max(np.abs(lm[j] @ inv.stage(j) - np.eye(4))) < 1e-12
-            assert rel_err(inv.stage(j), reference_trtri(lm[j])) < 1e-12
+    def test_copy_is_detached(self):
+        rng = np.random.default_rng(6)
+        batch, mats = random_batch(rng, 2, 2, 4, 2)
+        dup = batch.copy()
+        dup.stack[1] = 7.0
+        assert np.array_equal(batch.stack[1], mats[1])
+        assert not np.shares_memory(dup.data, batch.data)
+        assert np.all(batch.zeros_like().data == 0.0)

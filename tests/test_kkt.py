@@ -9,11 +9,11 @@ from ocpqp.kkt import (
     StructureMismatch,
     WorkerPool,
     assemble_H,
-    compute_active_weights,
     factor_psi,
     factor_stages,
     solve_H,
     solve_newton,
+    weights_from_shifted,
 )
 
 from test_model import random_problem
@@ -30,8 +30,9 @@ def make_weights(problem, x_flat, sigma=1.0, y_flat=None):
     y = problem.dualineq_zeros()
     if y_flat is not None:
         y = problem.dualineq_from_flat(y_flat)
-    x = problem.primal_from_flat(x_flat)
-    return compute_active_weights(problem, sy, y, x)
+    z = model.mul_G(problem, problem.primal_from_flat(x_flat))
+    z.data += y.data / sy.data
+    return weights_from_shifted(problem, sy, z)
 
 
 def dense_H(problem, weights, delta):
@@ -136,6 +137,29 @@ class TestAssembleH:
             lowN = np.tril_indices(dm.n_x)
             assert np.max(np.abs((gotN - wantN)[lowN])) < 1e-13 * (1 + np.max(np.abs(wantN)))
 
+    def test_block_range_touches_only_its_stages(self):
+        # assembling one block range writes exactly the stages of that range
+        rng = np.random.default_rng(12)
+        p = random_problem(rng, N=9, n_x=3, n_u=2, n_y=2, n_yN=1, d=2)
+        w = make_weights(p, rng.standard_normal(p.dims.n), sigma=2.0)
+        sxinv = uniform_vec(p, "primal", 1e-2)
+        full = assemble_H(p, w, sxinv)
+        part = full.zeros_like()
+        part.data[:] = np.nan
+        assemble_H(p, w, sxinv, out=part, blocks=range(1, 3))
+        assert np.array_equal(part.stack[2:6], full.stack[2:6])
+        assert np.all(np.isnan(part.stack[:2]))
+        assert np.all(np.isnan(part.stack[6:]))
+
+    def test_blocks_are_symmetric(self):
+        # the full weighted product is added, so both triangles hold H_j
+        rng = np.random.default_rng(13)
+        p = random_problem(rng, N=5, n_x=4, n_u=2, n_y=3, n_yN=2, d=4)
+        w = make_weights(p, rng.standard_normal(p.dims.n), sigma=1e3)
+        H = assemble_H(p, w, uniform_vec(p, "primal", 1e-4))
+        sym = H.stack.transpose(0, 2, 1)
+        assert np.max(np.abs(H.stack - sym)) <= 1e-14 * np.max(np.abs(H.stack))
+
 
 class TestFactorStages:
     def test_identity_algebra(self):
@@ -205,6 +229,146 @@ class TestFactorStages:
             pool.shutdown()
         for name in ("linv_lm", "vwt_lm", "p_lm", "psi_diag", "psi_sub"):
             assert np.array_equal(getattr(w1, name), getattr(w4, name))
+
+    @pytest.mark.parametrize("workers", (1, 2))
+    def test_failed_stage_does_not_poison_siblings(self, workers):
+        # one non-PD stage inside a d=4 block: the batched Cholesky of the
+        # range fails, the per-stage retry names exactly that stage, and
+        # every sibling still holds its own inverse factor; with 2 workers
+        # the failing stage lies in a range that does not start at stage 0
+        rng = np.random.default_rng(41)
+        p = random_problem(rng, N=9, n_x=3, n_u=2, n_y=2, n_yN=1, d=4)
+        w = make_weights(p, rng.standard_normal(p.dims.n), sigma=1.0)
+        work = kkt.StageFactorization.allocate(p)
+        assemble_H(p, w, uniform_vec(p, "primal", 1e-3), out=work.H, work=work)
+        bad = 5
+        work.H.set_stage(bad, -np.eye(p.dims.n_xu))
+        pool = WorkerPool(workers) if workers > 1 else None
+        try:
+            with pytest.raises(NonPositivePivot) as exc:
+                factor_stages(work.H, p, work=work, pool=pool)
+        finally:
+            if pool is not None:
+                pool.shutdown()
+        assert exc.value.failures == [(bad, 0)]
+        for j in range(work.H.nstages):
+            if j == bad:
+                continue
+            want = np.linalg.inv(np.linalg.cholesky(work.H.stage(j)))
+            err = np.max(np.abs(work.linv_lm[j] - want)) / np.max(np.abs(want))
+            assert err <= 1e-12
+
+    @pytest.mark.parametrize("d", (1, 2, 4, 8))
+    def test_inverse_factor_reconstruction(self, d):
+        # every stage slot, padded ones included, holds a lower-triangular
+        # L^{-1} with L^{-1} H L^{-T} = I
+        rng = np.random.default_rng(42 + d)
+        p = random_problem(rng, N=6, n_x=3, n_u=2, n_y=2, n_yN=1, d=d)
+        w = make_weights(p, rng.standard_normal(p.dims.n), sigma=10.0)
+        work = factor_all(p, w, 1e-3)
+        eye = np.eye(p.dims.n_xu)
+        for j in range(work.H.nstages):
+            linv = work.linv_lm[j]
+            assert np.array_equal(linv, np.tril(linv))
+            rec = linv @ work.H.stage(j) @ linv.T
+            assert np.max(np.abs(rec - eye)) < 1e-11
+
+    def test_identity_and_scaled(self):
+        # H_j = c_j I gives L^{-1} = I / sqrt(c_j) exactly for square c_j
+        rng = np.random.default_rng(43)
+        p = random_problem(rng, N=3, n_x=2, n_u=1, d=2)
+        work = kkt.StageFactorization.allocate(p)
+        scales = (1.0, 4.0, 0.25, 16.0)
+        for j, c in enumerate(scales):
+            work.H.set_stage(j, c * np.eye(p.dims.n_xu))
+        factor_stages(work.H, p, work=work)
+        for j, c in enumerate(scales):
+            assert np.array_equal(work.linv_lm[j], np.eye(p.dims.n_xu) / np.sqrt(c))
+
+    @pytest.mark.parametrize("row", (0, 2, 4))
+    def test_failure_reports_stage_and_row(self, row):
+        # H_j = I with pivot ``row`` negated: the first non-positive pivot
+        # of the masked sweep is that row
+        rng = np.random.default_rng(44)
+        p = random_problem(rng, N=5, n_x=3, n_u=2, d=2)
+        w = make_weights(p, rng.standard_normal(p.dims.n), sigma=1.0)
+        work = kkt.StageFactorization.allocate(p)
+        assemble_H(p, w, uniform_vec(p, "primal", 1e-3), out=work.H, work=work)
+        h = np.eye(p.dims.n_xu)
+        h[row, row] = -1.0
+        work.H.set_stage(3, h)
+        with pytest.raises(NonPositivePivot) as exc:
+            factor_stages(work.H, p, work=work)
+        assert (exc.value.stage, exc.value.row) == (3, row)
+        assert exc.value.failures == [(3, row)]
+
+    def test_diagonal_failure_reports_stage_and_row(self):
+        rng = np.random.default_rng(45)
+        p = diagonal_problem(rng, N=4, n_x=2, n_u=1)
+        work = kkt.StageFactorization.allocate(p, "diagonal")
+        for j in range(work.H.nstages):
+            work.H.set_stage(j, np.eye(p.dims.n_xu))
+        work.H.set_stage(2, np.diag([1.0, 0.0, 1.0]))
+        with pytest.raises(NonPositivePivot) as exc:
+            factor_stages(work.H, p, work=work, variant="diagonal")
+        assert exc.value.failures == [(2, 1)]
+
+
+class TestSolveH:
+    @pytest.mark.parametrize("d", (1, 2, 4, 8))
+    def test_against_dense_solve(self, d):
+        rng = np.random.default_rng(50 + d)
+        p = random_problem(rng, N=5, n_x=3, n_u=2, n_y=2, n_yN=1, d=d)
+        w = make_weights(p, rng.standard_normal(p.dims.n), sigma=5.0)
+        work = factor_all(p, w, 1e-3)
+        rhs = p.primal_from_flat(rng.standard_normal(p.dims.n))
+        z = solve_H(work, rhs)
+        for j in range(work.H.nstages):
+            want = np.linalg.solve(work.H.stage(j), rhs.stage(j))
+            assert np.max(np.abs(z.stage(j) - want)) <= 1e-12 * (1 + np.max(np.abs(want)))
+
+    def test_backward_error_wide_penalties(self):
+        # penalties log-uniform over 13 decades: the stage solves stay
+        # backward stable, ||H z - b|| <= 1e-13 (||H|| ||z|| + ||b||)
+        rng = np.random.default_rng(55)
+        p = random_problem(rng, N=7, n_x=3, n_u=2, n_y=4, n_yN=2, d=4)
+        sy = p.dualineq_zeros()
+        sy.data[:] = 10.0 ** rng.uniform(-4.0, 9.0, sy.data.size)
+        z = p.dualineq_zeros()
+        z.data[:] = np.inf  # every row active
+        w = weights_from_shifted(p, sy, z)
+        work = factor_all(p, w, 1e-3)
+        b = p.primal_from_flat(rng.standard_normal(p.dims.n))
+        x = solve_H(work, b)
+        for j in range(work.H.nstages):
+            Hj, xj, bj = work.H.stage(j), x.stage(j), b.stage(j)
+            res = np.linalg.norm(Hj @ xj - bj)
+            scale = np.linalg.norm(Hj, 2) * np.linalg.norm(xj) + np.linalg.norm(bj)
+            assert res <= 1e-13 * scale
+
+    def test_stage_independence(self):
+        # changing one stage's right-hand side changes only that stage's
+        # solution, bit for bit
+        rng = np.random.default_rng(56)
+        p = random_problem(rng, N=6, n_x=3, n_u=2, d=4)
+        work = factor_all(p, make_weights(p, rng.standard_normal(p.dims.n)), 1e-3)
+        rhs = p.primal_from_flat(rng.standard_normal(p.dims.n))
+        z0 = solve_H(work, rhs)
+        rhs.stack[3] += 1.0
+        z1 = solve_H(work, rhs)
+        changed = [j for j in range(z0.nstages) if not np.array_equal(z0.stack[j], z1.stack[j])]
+        assert changed == [3]
+
+    def test_deterministic_and_out_overwritten(self):
+        rng = np.random.default_rng(57)
+        p = random_problem(rng, N=5, n_x=3, n_u=2, d=2)
+        work = factor_all(p, make_weights(p, rng.standard_normal(p.dims.n)), 1e-3)
+        rhs = p.primal_from_flat(rng.standard_normal(p.dims.n))
+        z0 = solve_H(work, rhs)
+        out = rhs.zeros_like()
+        out.data[:] = np.nan
+        assert solve_H(work, rhs, out=out) is out
+        assert np.array_equal(out.data, z0.data)
 
 
 class TestFactorPsi:

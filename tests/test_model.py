@@ -194,6 +194,31 @@ class TestProducts:
             assert close(p.dualineq_to_flat(model.mul_G(p, xb)), dq.G @ x)
             assert close(p.primal_to_flat(model.mul_GT(p, zb)), dq.G.T @ z)
 
+    @pytest.mark.parametrize(
+        "N, n_y, n_yN, d",
+        ((5, 0, 2, 2), (5, 2, 0, 4), (1, 2, 1, 1), (2, 3, 1, 8)),
+        ids=("no_stage_rows", "no_terminal_rows", "single_stage", "horizon_below_lane"),
+    )
+    def test_edge_dims_against_dense(self, N, n_y, n_yN, d):
+        rng = np.random.default_rng(40 + N + 3 * n_y + 7 * d)
+        p = random_problem(rng, N=N, n_x=3, n_u=2, n_y=n_y, n_yN=n_yN, d=d)
+        assert p.cost.nstages % d == 0 and p.cost.nstages >= N + 1
+        dq = oracles.assemble_dense(p)
+        x = rng.standard_normal(p.dims.n)
+        lam = rng.standard_normal(p.dims.p)
+        z = rng.standard_normal(p.dims.m)
+        xb = p.primal_from_flat(x)
+        for got, want in (
+            (p.primal_to_flat(model.mul_Q(p, xb)), dq.Q @ x),
+            (p.dualeq_to_flat(model.mul_M(p, xb)), dq.M @ x),
+            (p.primal_to_flat(model.mul_MT(p, p.dualeq_from_flat(lam))), dq.M.T @ lam),
+            (p.dualineq_to_flat(model.mul_G(p, xb)), dq.G @ x),
+            (p.primal_to_flat(model.mul_GT(p, p.dualineq_from_flat(z))), dq.G.T @ z),
+        ):
+            assert got.shape == want.shape
+            if want.size:
+                assert np.max(np.abs(got - want)) <= 1e-13 * (1 + np.max(np.abs(want)))
+
     def test_adjoint_identities(self):
         rng = np.random.default_rng(30)
         p = random_problem(rng, N=6, n_x=4, n_u=2, n_y=3, n_yN=2, d=4)
@@ -234,6 +259,24 @@ class TestProducts:
                     else p2.dualeq_from_flat(lam))
             b = getattr(p2, conv)(fn(p2, arg2))
             assert np.array_equal(a, b)
+
+    def test_out_argument_is_overwritten(self):
+        # a reused output batch holding garbage, padded stages included,
+        # gives the same product as a fresh one
+        rng = np.random.default_rng(34)
+        p = random_problem(rng, N=5, n_x=3, n_u=2, n_y=2, n_yN=1, d=4)
+        xb = p.primal_from_flat(rng.standard_normal(p.dims.n))
+        lb = p.dualeq_from_flat(rng.standard_normal(p.dims.p))
+        zb = p.dualineq_from_flat(rng.standard_normal(p.dims.m))
+        for fn, arg in (
+            (model.mul_Q, xb), (model.mul_M, xb), (model.mul_MT, lb),
+            (model.mul_G, xb), (model.mul_GT, zb),
+        ):
+            fresh = fn(p, arg)
+            out = fresh.zeros_like()
+            out.data[:] = np.nan
+            assert fn(p, arg, out=out) is out
+            assert np.array_equal(out.data, fresh.data)
 
     def test_dimension_mismatch_raises(self):
         rng = np.random.default_rng(33)
