@@ -5,9 +5,10 @@ for lane widths 1, 4 and 8 and for one and four workers, then shows the
 per-phase split.  All stage data lives in one stage-major layout, and every
 stage-parallel phase is one batched numpy call over a range of stages, so
 the lane width does not change the work per stage: it only pads the horizon
-to a multiple of d and sets the block size in which the worker pool splits
-the stages.  Expect d=4 and d=8 to run about as fast as d=1, or slightly
-slower from the padding stages.  A solve runs BLAS single-threaded, and
+to a multiple of d.  Expect d=4 and d=8 to run about as fast as d=1, or
+slightly slower from the padding stages.  The worker pool splits the set of
+stages that a Newton step refactors, which after the first factorization
+of a solve is usually a few stages.  A solve runs BLAS single-threaded, and
 workers overlap only the native kernels that release the interpreter lock.
 The Schur complement is factored as one band matrix by a single LAPACK
 call whatever the lane width.
@@ -31,7 +32,8 @@ for lanes, workers in ((1, 1), (4, 1), (8, 1), (4, 4)):
         elapsed = time.perf_counter() - t0
     results[(lanes, workers)] = (elapsed, report)
     print(f"d={lanes} workers={workers}: {elapsed * 1e3:7.1f} ms "
-          f"({report.inner_iters} Newton iterations)")
+          f"({report.inner_iters} Newton iterations, {report.factorizations} "
+          f"factorizations refactoring {report.stages_factored} stages)")
 
 base = results[(1, 1)][0]
 print("\nspeedups over scalar single-worker:")

@@ -128,6 +128,11 @@ class SolveReport:
     solve_time: float
     inner_log: list = field(default_factory=list)
     blas_threads: int | None = None  # None: no bundled OpenBLAS was found
+    # stage factorizations that refactored at least one stage, those of them
+    # that refactored every stage, and the stage slots refactored in all
+    factorizations: int = 0
+    full_factorizations: int = 0
+    stages_factored: int = 0
 
     @property
     def solved(self):
@@ -440,48 +445,64 @@ class Solver:
         center = x.copy()
         return AlmState(x, y, lam, sigma_y, sigma_x_inv, center)
 
-    def _factor(self, state, weights, prox_scale, timings):
-        """Assemble and factor at the current active set, escalating the
-        proximal diagonal on pivot failures (at most the configured count)."""
+    def _factor(self, state, weights, prox_scale, timings, counts):
+        """Bring the factorization up to date with the current active set.
+
+        Only the stages whose H_j changed since the last completed
+        factorization are reassembled and refactored; when none did, the
+        factorization is reused as it stands.  Pivot failures escalate the
+        proximal diagonal (at most the configured count), and every stage
+        is refactored after one.  ``counts`` tallies the work for the
+        report."""
         p, w = self.problem, self.work
+        run = self.pool.run if self.pool is not None else (lambda fn, stages: fn(stages))
         scale = prox_scale
         for attempt in range(self.settings.max_pivot_escalations + 1):
+            stages = w.changed_stages(weights, scale)
+            if not stages.size:
+                return scale
+            w.invalidate()
+            counts["factorizations"] += 1
+            counts["full_factorizations"] += stages.size == w.H.nstages
+            counts["stages_factored"] += stages.size
             sx = state.sigma_x_inv
             if scale != 1.0:
                 sx = sx.copy()
                 sx.data *= scale
             t0 = time.perf_counter()
-            run = self.pool.run if self.pool is not None else (lambda fn, nb: fn(range(nb)))
             run(
                 lambda ch: kkt.assemble_H(
-                    p, weights, sx, out=w.H, blocks=ch, work=w
+                    p, weights, sx, out=w.H, stages=ch, work=w
                 ),
-                w.H.nblocks,
+                stages,
             )
             t1 = time.perf_counter()
             timings["assembly"] += t1 - t0
             try:
-                kkt.factor_stages(w.H, p, work=w, pool=self.pool, variant=self.variant)
+                kkt.factor_stages(
+                    w.H, p, work=w, pool=self.pool, variant=self.variant, stages=stages
+                )
                 t2 = time.perf_counter()
                 timings["stage_factor"] += t2 - t1
                 kkt.factor_psi(w)
                 timings["psi_factor"] += time.perf_counter() - t2
+                w.record(weights, scale)
                 return scale
             except NonPositivePivot:
                 timings["stage_factor"] += time.perf_counter() - t1
                 scale = (scale if scale > 1.0 else 1.0) * 10.0
         raise _PivotEscalationFailed()
 
-    def _inner_solve(self, state, inner_tol, timings, log):
+    def _inner_solve(self, state, inner_tol, timings, log, counts):
         """Newton iterations on the current inner problem.
 
         Returns (converged, iterations, prox_scale).  The first step is a
         unit step; later steps use the exact line search.  The stage
-        factorization is redone only when the active set changes.
+        factorization is redone only for the stages whose active penalties
+        changed (see :meth:`_factor`).
         """
         p, settings = self.problem, self.settings
         prox_scale = 1.0
-        prev_weights = None
         iterations = 0
         converged = False
         for it in range(settings.max_inner):
@@ -507,9 +528,7 @@ class Solver:
                 break
 
             weights = kkt.weights_from_shifted(p, state.sigma_y, z)
-            if prev_weights is None or not weights.same_active_set(prev_weights):
-                prox_scale = self._factor(state, weights, prox_scale, timings)
-                prev_weights = weights
+            prox_scale = self._factor(state, weights, prox_scale, timings, counts)
 
             t0 = time.perf_counter()
             dx, dlam = kkt.solve_newton(self.work, grad, state.lam, eq)
@@ -559,6 +578,8 @@ class Solver:
         p, settings = self.problem, self.settings
         state = self._init_state(warm_start)
         timings = {k: 0.0 for k in PHASES}
+        counts = dict.fromkeys(("factorizations", "full_factorizations", "stages_factored"), 0)
+        self.work.invalidate()  # the first factorization of a solve is full
         log = [] if settings.log_inner else None
         inner_tol = 1.0
         status = MAX_ITER
@@ -572,7 +593,7 @@ class Solver:
             outer_done = k + 1
             np.copyto(state.x_center.data, state.x.data)
             try:
-                _, inner_iters, _ = self._inner_solve(state, inner_tol, timings, log)
+                _, inner_iters, _ = self._inner_solve(state, inner_tol, timings, log, counts)
             except _PivotEscalationFailed:
                 status = NUMERICAL_ERROR
                 break
@@ -666,6 +687,7 @@ class Solver:
             timings=timings,
             solve_time=solve_time,
             inner_log=log or [],
+            **counts,
         )
         return (
             p.primal_to_flat(state.x),

@@ -132,6 +132,9 @@ def cmd_solve(args):
         "primal_residual": report.primal_res,
         "solve_time_s": report.solve_time,
         "timings_s": report.timings,
+        "factorizations": report.factorizations,
+        "full_factorizations": report.full_factorizations,
+        "stages_factored": report.stages_factored,
         "blas_threads": report.blas_threads,
     }
     if args.solution:

@@ -10,8 +10,8 @@ Element (i, l) of stage j lives at flat offset ``(j * rows + i) * cols + l``
 of ``batch.data``, a flat view of the same buffer.
 
 The stage count is a multiple of the lane width ``d``: stages are grouped
-into ``nblocks`` blocks of d consecutive stages, the unit in which a worker
-pool splits stage-parallel work.  Stage slots beyond the data are zero.
+into ``nblocks`` blocks of d consecutive stages.  Stage slots beyond the
+data are zero.
 """
 
 from __future__ import annotations

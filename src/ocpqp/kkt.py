@@ -16,21 +16,28 @@ The Schur complement Psi = M H^{-1} M^T is block-tridiagonal, a band matrix
 with a block-bidiagonal Cholesky factor.  Everything up to Psi is independent
 across stages and runs as batched calls over the stage axis of the
 stage-major stacks (see :mod:`ocpqp.compact`), optionally split over a
-worker pool in disjoint ranges of d-stage blocks; the sequential part is one
-banded LAPACK call that factors Psi and one per solve with it.
+worker pool in disjoint parts of a stage index set; the sequential part is
+one banded LAPACK call that factors Psi and one per solve with it.
 
-Over a stage range the pipeline runs one batched Cholesky of the H_j and
+Over a set of stages the pipeline runs one batched Cholesky of the H_j and
 inverts each stage's factor once with LAPACK trtri, so the stored stage
 factor is L^{-1} (in place of L).  The panel J_j = [V_j; W_j] is then one
 batched matmul L^{-1} [A B; I 0]^T, all three Psi products (V V^T, W W^T,
 -V W^T) come out of a single J J^T, and every later solve with H is two
 batched matmuls over all stages.  The constant panel [A B; I 0]^T is built
 once at workspace allocation.
+
+H_j depends on the iterate only through the active penalties of stage j
+(and the proximal scale), so only the stages whose penalties changed since
+the last successful factorization are reassembled and refactored; the
+others keep their factor bits.  Psi is then re-sliced and refactored in
+full, unless no stage changed, in which case the whole factorization,
+banded Psi factor included, is reused as it stands.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,26 +54,27 @@ class StructureMismatch(Exception):
 
 
 class WorkerPool:
-    """Runs a callable over disjoint contiguous ranges of d-stage blocks.
+    """Runs a callable over disjoint parts of a sorted stage index array.
 
     With one worker everything is inline; otherwise a thread pool executes
-    one chunk per worker and ``run`` returns only after all chunks finish
-    (the barrier between stage-parallel work and the Psi factorization).
+    one part per worker and ``run`` returns only after all parts finish
+    (the barrier between stage-parallel work and the Psi factorization),
+    also when one of them raises; the first part's exception is re-raised.
     """
 
     def __init__(self, workers=1):
         self.workers = max(1, int(workers))
         self._executor = None
 
-    def run(self, fn, nblocks):
-        if self.workers == 1 or nblocks <= 1:
-            fn(range(nblocks))
+    def run(self, fn, stages):
+        if self.workers == 1 or len(stages) <= 1:
+            fn(stages)
             return
-        bounds = np.linspace(0, nblocks, min(self.workers, nblocks) + 1).astype(int)
-        chunks = [range(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
+        chunks = np.array_split(stages, min(self.workers, len(stages)))
         if self._executor is None:
             self._executor = ThreadPoolExecutor(max_workers=self.workers)
         futures = [self._executor.submit(fn, ch) for ch in chunks]
+        wait(futures)
         for fut in futures:
             fut.result()
 
@@ -76,13 +84,29 @@ class WorkerPool:
             self._executor = None
 
 
-def _inline_run(fn, nblocks):
-    fn(range(nblocks))
+def _inline_run(fn, stages):
+    fn(stages)
 
 
-def _stages(blocks, d):
-    """The stage slice covered by a contiguous range of d-stage blocks."""
-    return slice(blocks.start * d, blocks.stop * d)
+def _index(stages):
+    """Index for a sorted stage array: a slice when the stages are one
+    contiguous run (so stacks are read and written through views), the
+    array itself otherwise (gathered copies, scattered back)."""
+    if not len(stages):
+        return slice(0, 0)
+    lo, hi = int(stages[0]), int(stages[-1]) + 1
+    return slice(lo, hi) if hi - lo == len(stages) else stages
+
+
+def _slots(stack, s):
+    """Where results for the stages ``s`` are computed: the stack's view
+    for a slice, fresh scratch for an index array (see :func:`_scatter`)."""
+    return stack[s] if isinstance(s, slice) else np.empty((len(s),) + stack.shape[1:])
+
+
+def _scatter(stack, s, values):
+    if not isinstance(s, slice):
+        stack[s] = values
 
 
 @dataclass
@@ -91,10 +115,6 @@ class ActiveWeights:
     shifted constraint value is outside its interval, 0 inside."""
 
     sigma_active: CompactBatch
-    mask: np.ndarray  # boolean, aligned with sigma_active.data
-
-    def same_active_set(self, other):
-        return other is not None and np.array_equal(self.mask, other.mask)
 
 
 def weights_from_shifted(problem, sigma_y, z):
@@ -104,7 +124,7 @@ def weights_from_shifted(problem, sigma_y, z):
     sig = CompactBatch(
         z.rows, 1, z.nblocks, z.d, np.where(inside, 0.0, sigma_y.data)
     )
-    return ActiveWeights(sig, ~inside)
+    return ActiveWeights(sig)
 
 
 @dataclass
@@ -118,6 +138,13 @@ class StageFactorization:
     CompactBatch copies ``V`` and ``W`` are materialized on demand.
     ``psi_band`` holds Psi, then its Cholesky factor, in LAPACK band storage;
     ``band_diag`` and ``band_sub`` are views of its blocks.
+
+    ``factored_sigma`` and ``factored_scale`` record the active penalties
+    (a copy of ``sigma_active.stack``) and the proximal scale of the last
+    factorization that completed through :func:`factor_psi`, or None when
+    there is none; see :meth:`changed_stages`.  The cache assumes the cost
+    and constraint matrices and the proximal diagonal stay fixed between
+    :meth:`invalidate` calls.
     """
 
     problem: object
@@ -134,6 +161,8 @@ class StageFactorization:
     psi_band: np.ndarray
     band_diag: np.ndarray
     band_sub: np.ndarray
+    factored_sigma: np.ndarray
+    factored_scale: float | None = None
 
     @classmethod
     def allocate(cls, problem, variant="dense"):
@@ -159,7 +188,28 @@ class StageFactorization:
             psi_band=band,
             band_diag=_band_blocks(band, 0, d.N + 1),
             band_sub=_band_blocks(band, n_x, d.N),
+            factored_sigma=np.zeros((ns, d.n_y_pad, 1)),
         )
+
+    def changed_stages(self, weights, scale):
+        """Sorted indices of the stages whose H_j differs from the last
+        completed factorization: those whose active penalties changed, or
+        every stage when there is no such factorization or the proximal
+        scale differs from its."""
+        if self.factored_scale is None or scale != self.factored_scale:
+            return np.arange(self.H.nstages)
+        changed = self.factored_sigma != weights.sigma_active.stack
+        return np.flatnonzero(np.any(changed, axis=(1, 2)))
+
+    def invalidate(self):
+        """Forget the last factorization: the next one refactors every stage."""
+        self.factored_scale = None
+
+    def record(self, weights, scale):
+        """Mark the workspace as the complete factorization at ``weights``
+        and proximal scale ``scale``."""
+        np.copyto(self.factored_sigma, weights.sigma_active.stack)
+        self.factored_scale = scale
 
     # views of the factors, for inspection and tests
 
@@ -198,29 +248,31 @@ def _band_blocks(band, row0, nblocks):
     )
 
 
-def assemble_H(problem, weights, sigma_x_inv, out=None, blocks=None, work=None):
+def assemble_H(problem, weights, sigma_x_inv, out=None, stages=None, work=None):
     """Per-stage generalized Hessian blocks:
 
         H_j = [C_j D_j]^T Sigma_j [C_j D_j] + [[Q_j, S_j^T], [S_j, R_j]]
               + diag(sigma_x_inv)_j
 
-    over the stages of the block range ``blocks`` (all when None).  The
-    proximal diagonal keeps every block positive definite even when the cost
-    block alone is only positive semidefinite.  ``work`` supplies scratch
-    for the weighted constraint panel.
+    over the sorted stage index array ``stages`` (all stages when None);
+    no other stage of ``out`` is written.  The proximal diagonal keeps every
+    block positive definite even when the cost block alone is only positive
+    semidefinite.  ``work`` supplies scratch for the weighted constraint
+    panel.
     """
     d = problem.dims
     if out is None:
         out = CompactBatch(d.n_xu, d.n_xu, problem.cost.nblocks, d.d)
-    s = _stages(range(out.nblocks) if blocks is None else blocks, d.d)
-    H = out.stack[s]
+    s = _index(np.arange(out.nstages) if stages is None else stages)
+    H = _slots(out.stack, s)
     con = problem.con.stack[s]
-    scaled = work.scaled_lm[s] if work is not None else np.empty_like(con)
+    scaled = _slots(work.scaled_lm, s) if work is not None else np.empty_like(con)
     np.multiply(con, np.sqrt(weights.sigma_active.stack[s]), out=scaled)
     np.matmul(scaled.transpose(0, 2, 1), scaled, out=H)
     H += problem.cost.stack[s]
     idx = np.arange(d.n_xu)
     H[:, idx, idx] += sigma_x_inv.stack[s, :, 0]
+    _scatter(out.stack, s, H)
     return out
 
 
@@ -245,15 +297,16 @@ def _masked_scalar_chol(mat):
     return first_row, w
 
 
-def factor_chunk_dense(f, chunk):
-    """Dense per-stage pipeline over one block range: batched Cholesky of
-    the H_j, one trtri per stage replacing L by L^{-1}, one batched matmul
-    for the combined (V; W)^T panels, and one J J^T product holding every
-    Psi contribution of the range.  When the batched Cholesky fails, each
-    stage of the range is factored on its own, so a failing stage is named
-    without touching its siblings' factors."""
-    s = _stages(chunk, f.H.d)
-    H, linv = f.H.stack[s], f.linv_lm[s]
+def factor_chunk_dense(f, stages):
+    """Dense per-stage pipeline over a sorted stage index array: batched
+    Cholesky of the H_j, one trtri per stage replacing L by L^{-1}, one
+    batched matmul for the combined (V; W)^T panels, and one J J^T product
+    holding every Psi contribution of those stages; no other stage is
+    written.  When the batched Cholesky fails, each stage is factored on its
+    own, so a failing stage is named by its index without touching its
+    siblings' factors."""
+    s = _index(stages)
+    H, linv = f.H.stack[s], _slots(f.linv_lm, s)
     failures = []
     try:
         linv[:] = np.linalg.cholesky(H)  # reads the lower triangle
@@ -263,31 +316,34 @@ def factor_chunk_dense(f, chunk):
                 linv[t] = np.linalg.cholesky(H[t])
             except np.linalg.LinAlgError:
                 row, linv[t] = _masked_scalar_chol(H[t])
-                failures.append((s.start + t, row))
+                failures.append((int(stages[t]), row))
     for t in range(linv.shape[0]):
         linv[t] = _trtri(linv[t], lower=1)[0]
-    vwt = f.vwt_lm[s]
+    vwt, p = _slots(f.vwt_lm, s), _slots(f.p_lm, s)
     np.matmul(linv, f.ewt_lm[s], out=vwt)
-    np.matmul(vwt.transpose(0, 2, 1), vwt, out=f.p_lm[s])
+    np.matmul(vwt.transpose(0, 2, 1), vwt, out=p)
+    for stack, values in ((f.linv_lm, linv), (f.vwt_lm, vwt), (f.p_lm, p)):
+        _scatter(stack, s, values)
     if failures:
         raise NonPositivePivot(failures)
 
 
-def factor_chunk_diagonal(f, chunk):
+def factor_chunk_diagonal(f, stages):
     """Diagonal fast path: H_j is diagonal, so the Cholesky factor is a
     square root and the panel solve collapses to a row scaling of the
     constant [A B; I 0]^T panels."""
-    s = _stages(chunk, f.H.d)
-    idx = np.arange(f.H.rows)
-    diag = f.H.stack[s][:, idx, idx]  # (stages, n_xu)
+    s = _index(stages)
+    diag = np.diagonal(f.H.stack, axis1=1, axis2=2)[s]  # (stages, n_xu)
     bad = ~(diag > 0.0)
     if bad.any():
         t, row = np.argwhere(bad)[0]
-        raise NonPositivePivot([(s.start + int(t), int(row))])
+        raise NonPositivePivot([(int(stages[t]), int(row))])
     f.h_diag.stack[s, :, 0] = diag
-    vwt = f.vwt_lm[s]
+    vwt, p = _slots(f.vwt_lm, s), _slots(f.p_lm, s)
     np.multiply(f.ewt_lm[s], 1.0 / np.sqrt(diag)[:, :, None], out=vwt)
-    np.matmul(vwt.transpose(0, 2, 1), vwt, out=f.p_lm[s])
+    np.matmul(vwt.transpose(0, 2, 1), vwt, out=p)
+    _scatter(f.vwt_lm, s, vwt)
+    _scatter(f.p_lm, s, p)
 
 
 def assemble_psi(f):
@@ -305,11 +361,13 @@ def assemble_psi(f):
     return f
 
 
-def factor_stages(H, problem, work=None, pool=None, variant="dense"):
+def factor_stages(H, problem, work=None, pool=None, variant="dense", stages=None):
     """Factor the block-diagonal H and form the Psi blocks, stage-parallel.
 
-    ``H`` is the assembled CompactBatch (see :func:`assemble_H`); the result
-    carries the stage factors and the Psi blocks, ready for
+    ``H`` is the assembled CompactBatch (see :func:`assemble_H`).  Only the
+    stages of the sorted index array ``stages`` (all when None) are
+    refactored; the others keep the factors ``work`` holds.  The Psi blocks
+    are then sliced from every stage, and the result is ready for
     :func:`factor_psi`.
     """
     if work is None:
@@ -322,7 +380,7 @@ def factor_stages(H, problem, work=None, pool=None, variant="dense"):
         )
     chunk_fn = factor_chunk_diagonal if variant == "diagonal" else factor_chunk_dense
     run = pool.run if pool is not None else _inline_run
-    run(lambda ch: chunk_fn(work, ch), H.nblocks)
+    run(lambda ch: chunk_fn(work, ch), np.arange(H.nstages) if stages is None else stages)
     assemble_psi(work)
     return work
 
@@ -331,13 +389,20 @@ def factor_psi(f):
     """Cholesky factor of Psi, block-bidiagonal, by one banded LAPACK call:
     copy the lower triangles of ``psi_diag`` and the blocks ``psi_sub`` into
     ``psi_band`` and factor it in place with dpbtrf.  A failed leading minor
-    names the stage whose block it falls in."""
+    names the stage whose block it falls in.  dpbtrf need not stop at a
+    NaN pivot, but a NaN anywhere in the factor reaches the diagonal of its
+    row, so the first non-finite diagonal entry names a stage the same
+    way."""
     f.psi_band.fill(0.0)  # a NaN in Psi spreads into slots outside the blocks
     np.copyto(f.band_diag, f.psi_diag, where=np.tri(f.psi_diag.shape[1], dtype=bool))
     np.copyto(f.band_sub, f.psi_sub)
     _, info = _pbtrf(f.psi_band, lower=1, overwrite_ab=1)
+    n_x = f.problem.dims.n_x
     if info > 0:
-        raise NonPositivePivot([((info - 1) // f.problem.dims.n_x, -1)])
+        raise NonPositivePivot([((info - 1) // n_x, -1)])
+    bad = ~np.isfinite(f.psi_band[0])
+    if bad.any():
+        raise NonPositivePivot([(int(np.argmax(bad)) // n_x, -1)])
     return f
 
 

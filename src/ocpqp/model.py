@@ -409,27 +409,40 @@ class OcpProblem:
 
 
 def validate(problem):
-    """Check the problem invariants; returns a report, never raises."""
+    """Check the problem invariants; returns a report, never raises.
+
+    The checks run over whole stacks: one symmetry test and one batched
+    Cholesky of the R_j, array tests on the bounds.  Only when the batched
+    Cholesky fails are the R_j factored one by one, to name every stage
+    that fails.  Issues come in stage order.
+    """
     d = problem.dims
-    issues = []
-    for j in range(d.N + 1):
-        if j < d.N:
-            Rj = problem.R(j)
-            if not np.array_equal(Rj, Rj.T):
-                issues.append(f"R_{j} not symmetric")
+    N = d.N
+    found = []  # (stage, check, message)
+    R = problem.cost.stack[:N, d.n_x :, d.n_x :]
+    Rt = R.transpose(0, 2, 1)
+    for j in np.flatnonzero(np.any(R != Rt, axis=(1, 2))):
+        found.append((j, 0, f"R_{j} not symmetric"))
+    sym = 0.5 * (R + Rt)
+    try:
+        np.linalg.cholesky(sym)
+    except np.linalg.LinAlgError:
+        for j in range(N):
             try:
-                np.linalg.cholesky(0.5 * (Rj + Rj.T))
+                np.linalg.cholesky(sym[j])
             except np.linalg.LinAlgError:
-                issues.append(f"R_{j} not positive definite")
-        lo, hi = problem.bounds(j)
-        if np.any(np.isposinf(lo)):
-            issues.append(f"lower bound +inf at stage {j}")
-        if np.any(np.isneginf(hi)):
-            issues.append(f"upper bound -inf at stage {j}")
-        crossing = lo > hi
-        if np.any(crossing):
-            row = int(np.nonzero(crossing)[0][0])
-            issues.append(f"bound crossing at stage {j}, row {row}")
+                found.append((j, 1, f"R_{j} not positive definite"))
+    # logical rows only: n_y per stage, n_yN at stage N
+    rows = np.arange(d.n_y_pad) < np.where(np.arange(N + 1) < N, d.n_y, d.n_yN)[:, None]
+    lo, hi = problem.bl.stack[: N + 1, :, 0], problem.bu.stack[: N + 1, :, 0]
+    for j in np.flatnonzero(np.any(np.isposinf(lo) & rows, axis=1)):
+        found.append((j, 2, f"lower bound +inf at stage {j}"))
+    for j in np.flatnonzero(np.any(np.isneginf(hi) & rows, axis=1)):
+        found.append((j, 3, f"upper bound -inf at stage {j}"))
+    crossing = (lo > hi) & rows
+    for j in np.flatnonzero(np.any(crossing, axis=1)):
+        found.append((j, 4, f"bound crossing at stage {j}, row {int(np.argmax(crossing[j]))}"))
+    issues = [message for _, _, message in sorted(found)]
     for name in ("cost", "lin", "dyn", "affine", "con"):
         if not np.all(np.isfinite(getattr(problem, name).data)):
             issues.append(f"non-finite entries in {name} data")

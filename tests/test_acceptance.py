@@ -246,7 +246,7 @@ class TestCriterion4:
             sig = np.where(
                 rng.random(dm.m) < 0.5, 10.0 ** rng.uniform(-4, 9, dm.m), 0.0
             )
-            weights = kkt.ActiveWeights(p.dualineq_from_flat(sig), None)
+            weights = kkt.ActiveWeights(p.dualineq_from_flat(sig))
             delta = 1e-7
             sxinv = p.primal_zeros()
             sxinv.data[:] = delta
@@ -283,7 +283,7 @@ class TestCriterion5:
         # thread count is an invariance axis: 4 is meaningful on any host
         max_workers = max(4, min(8, os.cpu_count() or 1))
         configs = ((1, 1), (4, 1), (4, max_workers))
-        resids = {}
+        resids, solutions = {}, {}
         for lanes, workers in configs:
             with Solver(problem, SolverSettings(
                 eps_abs=EPS, lane_width=lanes, worker_count=workers, variant="dense"
@@ -291,13 +291,18 @@ class TestCriterion5:
                 x, y, lam, report = solver.solve()
             assert report.solved
             resids[(lanes, workers)] = max(oracles.kkt_residuals(problem, x, y, lam))
+            solutions[(lanes, workers)] = (x, y, lam)
         ok = all(v <= EPS for v in resids.values())
 
-        # bit-identical stage factorization across worker counts at fixed d
+        # bit-identical stage factorization across worker counts at fixed d,
+        # for a full factorization and then a partial one over the stages
+        # whose penalties changed
         p4 = model.pad_horizon(problem, 4)
         sy = p4.dualineq_zeros()
         sy.data[:] = 2.0
         weights = _active_weights(p4, sy, p4.dualineq_zeros(), p4.primal_zeros())
+        changed = kkt.ActiveWeights(weights.sigma_active.copy())
+        changed.sigma_active.stack[[1, 6, 7, 12], 0, 0] = 5.0
         sxinv = p4.primal_zeros()
         sxinv.data[:] = 1e-7
         outs = []
@@ -306,19 +311,28 @@ class TestCriterion5:
             work = kkt.StageFactorization.allocate(p4)
             kkt.assemble_H(p4, weights, sxinv, out=work.H, work=work)
             kkt.factor_stages(work.H, p4, work=work, pool=pool)
+            work.record(weights, 1.0)
+            stages = work.changed_stages(changed, 1.0)
+            assert np.array_equal(stages, [1, 6, 7, 12])
+            kkt.assemble_H(p4, changed, sxinv, out=work.H, stages=stages, work=work)
+            kkt.factor_stages(work.H, p4, work=work, pool=pool, stages=stages)
             if pool:
                 pool.shutdown()
             outs.append(work)
         bit_identical = all(
             np.array_equal(getattr(outs[0], name), getattr(outs[1], name))
             for name in ("linv_lm", "vwt_lm", "p_lm", "psi_diag", "psi_sub")
+        ) and all(
+            np.array_equal(a, b)
+            for a, b in zip(solutions[(4, 1)], solutions[(4, max_workers)])
         )
         ok = ok and bit_identical
         assert _line(
             5, ok,
             f"(d=1,1w), (d=4,1w), (d=4,{max_workers}w) all meet 1e-8 "
             f"(KKT residuals with complementarity {', '.join(f'{v:.1e}' for v in resids.values())}); "
-            f"factorization bit-identical across worker counts: {bit_identical}",
+            f"factorization (full, then partial) and solution bit-identical across "
+            f"worker counts: {bit_identical}",
         )
 
 

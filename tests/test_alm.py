@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ocpqp import alm, model, oracles
+from ocpqp import alm, kkt, model, oracles
 from ocpqp.alm import (
     NonDescentDirection,
     SolverSettings,
@@ -269,6 +269,33 @@ class TestSolve:
         )
         x, y, lam, report = solve(p, SolverSettings(max_outer=3))
         assert report.status == alm.NUMERICAL_ERROR
+
+    def test_nan_in_psi_ends_as_numerical_error(self, monkeypatch):
+        # a Psi that holds a NaN is a failed pivot: the solve escalates,
+        # gives up with numerical_error and returns no NaN iterate
+        p = gen_spring_mass(SpringMassConfig(masses=3, horizon=8, seed=3))
+        original = kkt.assemble_psi
+
+        def poisoned(f):
+            original(f)
+            f.psi_sub[2][1, 0] = np.nan
+
+        monkeypatch.setattr(kkt, "assemble_psi", poisoned)
+        x, y, lam, report = solve(p, SolverSettings())
+        assert report.status == alm.NUMERICAL_ERROR
+        assert all(np.isfinite(v).all() for v in (x, y, lam))
+
+    def test_factorization_counts(self):
+        # later factorizations refactor only the stages that changed, so the
+        # stage slots refactored fall short of a full refactor each time
+        p = gen_spring_mass(SpringMassConfig(masses=30, horizon=30, seed=5))
+        with Solver(p, SolverSettings(variant="dense")) as solver:
+            _, _, _, report = solver.solve()
+            nstages = solver.work.H.nstages
+        assert report.solved
+        assert 1 <= report.full_factorizations < report.factorizations
+        assert report.factorizations <= report.inner_iters
+        assert report.stages_factored < report.factorizations * nstages
 
     @pytest.mark.parametrize("d", (1, 2, 4))
     def test_lane_width_equivalence(self, d):

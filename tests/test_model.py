@@ -76,6 +76,16 @@ class TestValidate:
         assert not rep.ok
         assert any("R_0 not positive definite" in s for s in rep.issues)
 
+    def test_two_bad_stages_both_reported(self):
+        rng = np.random.default_rng(5)
+        p = random_problem(rng, N=5, n_u=2)
+        for j in (1, 3):
+            blk = p.cost.stage(j)
+            blk[p.dims.n_x :, p.dims.n_x :] = -np.eye(2)
+            p.cost.set_stage(j, blk)
+        rep = validate(p)
+        assert rep.issues == ["R_1 not positive definite", "R_3 not positive definite"]
+
     def test_bound_crossing_fails(self):
         rng = np.random.default_rng(2)
         p = random_problem(rng, N=3)
