@@ -17,7 +17,7 @@ problem = gen_spring_mass(config)
 print(f"problem: {problem.dims.n} variables, {problem.dims.p} equalities, "
       f"{problem.dims.m} inequalities")
 
-settings = SolverSettings(eps_abs=1e-8, lane_width=4)
+settings = SolverSettings(eps_abs=1e-8)
 with Solver(problem, settings) as solver:
     x, y, lam, report = solver.solve()
 

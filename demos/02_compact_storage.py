@@ -1,10 +1,10 @@
 """The stage-major storage format, element by element.
 
-Five 3x4 stage matrices at lane width 2: the batch holds one C-contiguous
-(nstages, rows, cols) array, so stage j's matrix is ``batch.stack[j]`` and
-element (i, l) of stage j sits at flat offset (j * rows + i) * cols + l.
-The stage count is padded to a multiple of the lane width with zero stages,
-and every stage-wise operation is one batched numpy call over the stage axis.
+Five 3x4 stage matrices: the batch holds one C-contiguous
+(nstages, rows, cols) array with one slot per stage, so stage j's matrix is
+``batch.stack[j]`` and element (i, l) of stage j sits at flat offset
+(j * rows + i) * cols + l.  Every stage-wise operation is one batched numpy
+call over the stage axis.
 """
 
 import numpy as np
@@ -12,15 +12,13 @@ import numpy as np
 from ocpqp.compact import CompactBatch
 
 rng = np.random.default_rng(0)
-rows, cols, d = 3, 4, 2
+rows, cols = 3, 4
 mats = rng.integers(10, 100, (5, rows, cols)).astype(float)
-batch = CompactBatch.from_stack(mats, d)
+batch = CompactBatch.from_stack(mats)
 
-print(f"{len(mats)} stages at lane width {d}: stack shape {batch.stack.shape}, "
-      f"{batch.nblocks} blocks of {d} stages")
+print(f"{len(mats)} stages: stack shape {batch.stack.shape}")
 print("stage j is batch.stack[j]:",
       all(np.array_equal(batch.stack[j], mats[j]) for j in range(len(mats))))
-print("ragged tail (stage 5) is zero:", not batch.stack[len(mats):].any())
 
 print("\nflat offset (j*rows + i)*cols + l:")
 for i, l, j in ((0, 0, 0), (0, 1, 0), (1, 0, 0), (0, 0, 1), (2, 3, 4)):
@@ -34,5 +32,4 @@ print("\none batched matmul, M_j^T M_j for all stages, matches per-stage product
       all(np.array_equal(gram[j], mats[j].T @ mats[j]) for j in range(len(mats))))
 
 # the round trip through a plain stack is exact
-back = batch.to_stack()[: len(mats)]
-print("round trip bit-exact:", np.array_equal(back, mats))
+print("round trip bit-exact:", np.array_equal(batch.to_stack(), mats))

@@ -13,10 +13,10 @@ from ocpqp.bench import gen_random_ocp
 from ocpqp.model import OcpDims
 
 rng = np.random.default_rng(7)
-problem = gen_random_ocp(OcpDims(5, 3, 2, 2, 1, d=4), seed=7)
+problem = gen_random_ocp(OcpDims(5, 3, 2, 2, 1), seed=7)
 dims = problem.dims
 print(f"problem: N={dims.N}, n_x={dims.n_x}, n_u={dims.n_u} "
-      f"({dims.n} variables, lane width {dims.d})")
+      f"({dims.n} variables in {problem.cost.nstages} stage slots)")
 
 # active weights at a random point, then assemble and factor
 sigma_y = problem.dualineq_zeros()

@@ -22,9 +22,9 @@ tmp = Path(tempfile.mkdtemp())
 problem = gen_random_ocp(OcpDims(3, 2, 1, 2, 1), seed=11, feasibility_margin=0.8)
 binary = tmp / "small.ocpq"
 save_problem(problem, binary)
-again = load_problem(binary, d=4)
+again = load_problem(binary)
 print(f"binary container: {binary.stat().st_size} bytes, "
-      f"dims preserved: {again.dims == problem.dims.with_lane_width(4)}")
+      f"dims preserved: {again.dims == problem.dims}")
 
 # JSON variant for hand-written tests
 jsonfile = tmp / "small.json"

@@ -2,7 +2,7 @@
 
 from .alm import SolveReport, Solver, SolverSettings, solve
 from .bench import SpringMassConfig, gen_random_ocp, gen_spring_mass
-from .compact import CompactBatch, NonPositivePivot, pack, unpack
+from .compact import CompactBatch, NonPositivePivot
 from .kkt import StructureMismatch
 from .model import (
     OcpDims,
@@ -14,7 +14,6 @@ from .model import (
     mul_M,
     mul_MT,
     mul_Q,
-    pad_horizon,
     save_problem,
     validate,
 )
@@ -24,8 +23,6 @@ __all__ = [
     "CompactBatch",
     "NonPositivePivot",
     "StructureMismatch",
-    "pack",
-    "unpack",
     "OcpDims",
     "OcpProblem",
     "ValidationReport",
@@ -36,7 +33,6 @@ __all__ = [
     "mul_G",
     "mul_GT",
     "mul_Q",
-    "pad_horizon",
     "validate",
     "SolveReport",
     "Solver",

@@ -58,7 +58,9 @@ class SolverSettings:
     ``variant`` picks the stage-factorization path: 'dense', 'diagonal', or
     'auto' (diagonal when the problem structure allows it).  ``worker_count``
     workers share the stage-parallel phases; the OCPQP_WORKERS environment
-    variable overrides it when set.
+    variable overrides it when set.  ``lane_width`` is read by nothing: the
+    benchmark still passes it, and it goes with the benchmark change of
+    ROADMAP item 5.
     """
 
     eps_abs: float = 1e-8
@@ -333,11 +335,12 @@ def single_threaded_blas():
 class Solver:
     """One problem, one set of workspaces, repeated solves.
 
-    ``setup`` work (validation, repacking to the configured lane width,
-    workspace allocation) happens in the constructor; :meth:`solve` reuses
-    everything.  ``update_bounds`` / ``update_gradient`` /
-    ``update_initial_state`` support model-predictive-control loops where
-    only vectors change between solves.
+    ``setup`` work (validation, workspace allocation) happens in the
+    constructor; :meth:`solve` reuses everything.  ``update_bounds`` /
+    ``update_gradient`` / ``update_initial_state`` support
+    model-predictive-control loops where only vectors change between solves.
+    The solver shares the caller's matrix stacks and keeps its own copies of
+    the vectors these methods write, so the caller's problem never changes.
     """
 
     def __init__(self, problem, settings=None):
@@ -345,8 +348,11 @@ class Solver:
         report = model.validate(problem)
         if not report.ok:
             raise ValueError("invalid problem: " + "; ".join(report.issues))
-        if problem.dims.d != self.settings.lane_width:
-            problem = model.pad_horizon(problem, self.settings.lane_width)
+        problem = model.OcpProblem(
+            problem.dims, problem.cost, problem.lin.copy(), problem.dyn,
+            problem.affine, problem.con, problem.bl.copy(), problem.bu.copy(),
+            problem.x_init,
+        )
         self.problem = problem
         if self.settings.variant == "auto":
             self.variant = "diagonal" if problem.is_diagonal() else "dense"
@@ -606,14 +612,15 @@ class Solver:
             y_new = state.y.zeros_like()
             y_new.data[:] = state.sigma_y.data * (z.data - proj)
 
-            dual_vec = model.mul_Q(p, state.x)
-            dual_vec.data += p.lin.data
-            dual_vec.data += model.mul_MT(p, state.lam).data
-            dual_vec.data += model.mul_GT(p, y_new).data
-            dual_res = float(np.max(np.abs(dual_vec.data)))
-            eq_vec = model.mul_M(p, state.x)
-            eq_vec.data -= self._b.data
-            eq_res = float(np.max(np.abs(eq_vec.data)))
+            qx = model.mul_Q(p, state.x).data
+            mtl = model.mul_MT(p, state.lam).data
+            gty = model.mul_GT(p, y_new).data
+            dual_vec = qx + p.lin.data
+            dual_vec += mtl
+            dual_vec += gty
+            dual_res = float(np.max(np.abs(dual_vec)))
+            mx = model.mul_M(p, state.x).data
+            eq_res = float(np.max(np.abs(mx - self._b.data)))
             viol = np.maximum(
                 np.maximum(p.bl.data - gx.data, gx.data - p.bu.data), 0.0
             )
@@ -625,43 +632,24 @@ class Solver:
             comp = np.abs(gx.data - proj)
             primal_term = float(np.max(comp)) if comp.size else 0.0
 
+            # eps_rel scales each test by the largest term it is made of
             if settings.eps_rel > 0.0:
+                bl, bu = p.bl.data, p.bu.data
                 dscale = max(
-                    float(np.max(np.abs(model.mul_Q(p, state.x).data))),
-                    float(np.max(np.abs(p.lin.data))),
-                    float(np.max(np.abs(model.mul_MT(p, state.lam).data))),
-                    float(np.max(np.abs(model.mul_GT(p, y_new).data))),
+                    float(np.max(np.abs(v), initial=0.0)) for v in (qx, p.lin.data, mtl, gty)
                 )
-                finite = np.isfinite(p.bl.data) | np.isfinite(p.bu.data)
-                pscale = max(
-                    float(np.max(np.abs(gx.data))) if gx.data.size else 0.0,
-                    float(
-                        np.max(
-                            np.abs(
-                                np.where(
-                                    np.isfinite(p.bl.data), p.bl.data, 0.0
-                                )
-                            )
-                        )
-                    ) if finite.any() else 0.0,
-                    float(
-                        np.max(
-                            np.abs(
-                                np.where(
-                                    np.isfinite(p.bu.data), p.bu.data, 0.0
-                                )
-                            )
-                        )
-                    ) if finite.any() else 0.0,
-                )
+                pscale = float(np.max(np.abs(np.concatenate(
+                    (gx.data, bl[np.isfinite(bl)], bu[np.isfinite(bu)])
+                )), initial=0.0))
+                escale = max(float(np.max(np.abs(mx))), float(np.max(np.abs(self._b.data))))
             else:
-                dscale = pscale = 0.0
+                dscale = pscale = escale = 0.0
 
             state.y = y_new
             if (
                 dual_res <= settings.eps_abs + settings.eps_rel * dscale
                 and primal_term <= settings.eps_abs + settings.eps_rel * pscale
-                and eq_res <= settings.eps_abs
+                and eq_res <= settings.eps_abs + settings.eps_rel * escale
             ):
                 status = SOLVED
                 break

@@ -93,7 +93,7 @@ def discretize_exact(A, B, ts):
     return phi[:n_x, :n_x], phi[:n_x, n_x:]
 
 
-def gen_spring_mass(config, d=1):
+def gen_spring_mass(config):
     """Build the OCP for a spring-mass configuration.
 
     Diagonal unit costs, box constraints |x| <= x_max and |u| <= u_max
@@ -121,11 +121,11 @@ def gen_spring_mass(config, d=1):
         bl=np.broadcast_to(-bound, (N, n_y)), bu=np.broadcast_to(bound, (N, n_y)),
         Q_N=np.eye(n_x), q_N=np.zeros(n_x), C_N=np.eye(n_x),
         bl_N=np.full(n_x, -config.x_max), bu_N=np.full(n_x, config.x_max),
-        x_init=x_init, d=d,
+        x_init=x_init,
     )
 
 
-def gen_random_ocp(dims, seed=0, feasibility_margin=1.0, d=None):
+def gen_random_ocp(dims, seed=0, feasibility_margin=1.0):
     """Random stage-wise problem, feasible by construction.
 
     The dynamics are stable (spectral radius capped at 0.95), the cost
@@ -194,7 +194,7 @@ def gen_random_ocp(dims, seed=0, feasibility_margin=1.0, d=None):
     return OcpProblem.from_stages(
         Q=Q, S=S, R=R, q=q, r=r, A=A, B=B, c=c, C=C, D=D, bl=bl, bu=bu,
         Q_N=Q_N, q_N=0.3 * rng.standard_normal(n_x), C_N=C_N,
-        bl_N=bl_N, bu_N=bu_N, x_init=x_init, d=d or dims.d,
+        bl_N=bl_N, bu_N=bu_N, x_init=x_init,
     )
 
 
@@ -210,7 +210,6 @@ class BenchCase:
     params: dict
     seeds: list
     variant: str = "dense"
-    lanes: int = 4
     workers: int = 1
     eps_abs: float = 1e-8
     label: str = ""
@@ -269,7 +268,6 @@ def run_case(case):
     """
     settings = SolverSettings(
         eps_abs=case.eps_abs,
-        lane_width=case.lanes,
         worker_count=case.workers,
         variant=case.variant,
     )
@@ -304,7 +302,7 @@ def run_benchmark(cases):
 
 
 CSV_COLUMNS = (
-    "family", "label", "size", "variant", "lanes", "workers", "seeds",
+    "family", "label", "size", "variant", "workers", "seeds",
     "solved", "failed", "gmean_us", "min_us", "max_us",
     "assembly_us", "stage_factor_us", "psi_factor_us",
     "substitution_us", "line_search_us",
@@ -322,7 +320,7 @@ def write_csv(results, path):
             us = 1e6
             writer.writerow([
                 case.family, case.label, case.describe(), case.variant,
-                case.lanes, case.workers, len(case.seeds),
+                case.workers, len(case.seeds),
                 len(res.times), len(res.failures),
                 f"{res.gmean * us:.1f}", f"{res.tmin * us:.1f}", f"{res.tmax * us:.1f}",
                 *(f"{res.phase_means.get(k, 0.0) * us:.1f}" for k in (
@@ -341,7 +339,8 @@ def write_gnuplot_script(csv_path, out_path):
             "set key autotitle columnhead\n"
             "set logscale y\n"
             "set ylabel 'geometric mean solve time [us]'\n"
-            f"plot '{csv_path}' using 0:10 with linespoints title 'gmean'\n"
+            f"plot '{csv_path}' using 0:{CSV_COLUMNS.index('gmean_us') + 1} "
+            "with linespoints title 'gmean'\n"
         )
 
 

@@ -1,7 +1,7 @@
 """Command-line entry points.
 
     ocpqp bench spring-mass --masses 10..70:10 --horizon 15 --runs 100 ...
-    ocpqp bench scaling --masses 30 --horizons 15..240:x2 ...
+    ocpqp bench scaling --masses 30 --horizons 15..240:x2 --workers 1,8 ...
     ocpqp solve --problem file.ocpq --eps-abs 1e-8 --report report.json
     ocpqp verify --problem file.ocpq --oracle riccati|enumerate|residual
 
@@ -47,12 +47,12 @@ def parse_int_list(spec):
 
 
 def _print_results(results):
-    header = f"{'size':>16} {'variant':>9} {'d':>2} {'w':>2} {'ok':>4} {'fail':>4} {'gmean':>12} {'min':>12} {'max':>12}"
+    header = f"{'size':>16} {'variant':>9} {'w':>2} {'ok':>4} {'fail':>4} {'gmean':>12} {'min':>12} {'max':>12}"
     print(header)
     for res in results:
         c = res.case
         print(
-            f"{c.describe():>16} {c.variant:>9} {c.lanes:>2} {c.workers:>2} "
+            f"{c.describe():>16} {c.variant:>9} {c.workers:>2} "
             f"{len(res.times):>4} {len(res.failures):>4} "
             f"{res.gmean * 1e3:>10.3f}ms {res.tmin * 1e3:>10.3f}ms {res.tmax * 1e3:>10.3f}ms"
         )
@@ -66,7 +66,6 @@ def cmd_bench_spring_mass(args):
             params={"masses": m, "horizon": args.horizon},
             seeds=list(range(args.seed0, args.seed0 + args.runs)),
             variant=args.variant,
-            lanes=args.lanes,
             workers=args.workers,
             eps_abs=args.eps_abs,
             label=args.label,
@@ -86,22 +85,19 @@ def cmd_bench_spring_mass(args):
 
 def cmd_bench_scaling(args):
     horizons = parse_range(args.horizons)
-    cases = []
-    for workers in parse_int_list(args.workers):
-        for lanes in parse_int_list(args.lanes):
-            for N in horizons:
-                cases.append(
-                    bench.BenchCase(
-                        family="spring-mass",
-                        params={"masses": args.masses, "horizon": N},
-                        seeds=list(range(args.seed0, args.seed0 + args.runs)),
-                        variant=args.variant,
-                        lanes=lanes,
-                        workers=workers,
-                        eps_abs=args.eps_abs,
-                        label=f"d{lanes}w{workers}",
-                    )
-                )
+    cases = [
+        bench.BenchCase(
+            family="spring-mass",
+            params={"masses": args.masses, "horizon": N},
+            seeds=list(range(args.seed0, args.seed0 + args.runs)),
+            variant=args.variant,
+            workers=workers,
+            eps_abs=args.eps_abs,
+            label=f"w{workers}",
+        )
+        for workers in parse_int_list(args.workers)
+        for N in horizons
+    ]
     results = bench.run_benchmark(cases)
     _print_results(results)
     if args.out:
@@ -117,7 +113,6 @@ def cmd_solve(args):
     settings = SolverSettings(
         eps_abs=args.eps_abs,
         eps_rel=args.eps_rel,
-        lane_width=args.lanes,
         worker_count=args.workers,
         variant=args.variant,
     )
@@ -155,7 +150,7 @@ def cmd_solve(args):
 
 def cmd_verify(args):
     problem = load_problem(args.problem)
-    settings = SolverSettings(eps_abs=args.eps_abs, lane_width=args.lanes)
+    settings = SolverSettings(eps_abs=args.eps_abs)
     with Solver(problem, settings) as solver:
         x, y, lam, report = solver.solve()
     if not report.solved:
@@ -186,7 +181,6 @@ def main(argv=None):
     p_sm.add_argument("--horizon", type=int, default=15)
     p_sm.add_argument("--runs", type=int, default=100, help="seeded instances per size")
     p_sm.add_argument("--variant", choices=("dense", "diagonal", "auto"), default="dense")
-    p_sm.add_argument("--lanes", type=int, choices=(1, 2, 4, 8), default=4)
     p_sm.add_argument("--workers", type=int, default=1)
     p_sm.add_argument("--eps-abs", type=float, default=1e-8)
     p_sm.add_argument("--seed0", type=int, default=0)
@@ -195,12 +189,11 @@ def main(argv=None):
     p_sm.add_argument("--gnuplot", action="store_true")
     p_sm.set_defaults(func=cmd_bench_spring_mass)
 
-    p_sc = bench_sub.add_parser("scaling", help="horizon sweep across lane/worker configs")
+    p_sc = bench_sub.add_parser("scaling", help="horizon sweep across worker counts")
     p_sc.add_argument("--masses", type=int, default=30)
     p_sc.add_argument("--horizons", default="15..240:x2")
     p_sc.add_argument("--runs", type=int, default=10)
     p_sc.add_argument("--variant", choices=("dense", "diagonal", "auto"), default="dense")
-    p_sc.add_argument("--lanes", default="1,4")
     p_sc.add_argument("--workers", default="1,8")
     p_sc.add_argument("--eps-abs", type=float, default=1e-8)
     p_sc.add_argument("--seed0", type=int, default=0)
@@ -212,7 +205,6 @@ def main(argv=None):
     p_solve.add_argument("--problem", required=True)
     p_solve.add_argument("--eps-abs", type=float, default=1e-8)
     p_solve.add_argument("--eps-rel", type=float, default=0.0)
-    p_solve.add_argument("--lanes", type=int, choices=(1, 2, 4, 8), default=4)
     p_solve.add_argument("--workers", type=int, default=1)
     p_solve.add_argument("--variant", choices=("dense", "diagonal", "auto"), default="auto")
     p_solve.add_argument("--report", default="")
@@ -223,7 +215,6 @@ def main(argv=None):
     p_ver.add_argument("--problem", required=True)
     p_ver.add_argument("--oracle", choices=("auto", "riccati", "enumerate", "residual"), default="auto")
     p_ver.add_argument("--eps-abs", type=float, default=1e-8)
-    p_ver.add_argument("--lanes", type=int, choices=(1, 2, 4, 8), default=4)
     p_ver.set_defaults(func=cmd_verify)
 
     args = parser.parse_args(argv)

@@ -121,10 +121,7 @@ def weights_from_shifted(problem, sigma_y, z):
     """Active weights at the shifted value z = Gx + Sigma_y^{-1} y (shared
     with the gradient evaluation, which needs the same z)."""
     inside = (z.data >= problem.bl.data) & (z.data <= problem.bu.data)
-    sig = CompactBatch(
-        z.rows, 1, z.nblocks, z.d, np.where(inside, 0.0, sigma_y.data)
-    )
-    return ActiveWeights(sig)
+    return ActiveWeights(CompactBatch(z.rows, 1, z.nstages, np.where(inside, 0.0, sigma_y.data)))
 
 
 @dataclass
@@ -134,8 +131,7 @@ class StageFactorization:
     ``linv_lm``, ``vwt_lm`` and ``p_lm`` are stage stacks (nstages, ...):
     the inverses L_j^{-1} of the per-stage Cholesky factors of H (dense
     variant only), the panels (V_j; W_j)^T = L_j^{-1} [A B; I 0]^T, and the
-    products J_j J_j^T that the Psi blocks are sliced from.  The
-    CompactBatch copies ``V`` and ``W`` are materialized on demand.
+    products J_j J_j^T that the Psi blocks are sliced from.
     ``psi_band`` holds Psi, then its Cholesky factor, in LAPACK band storage;
     ``band_diag`` and ``band_sub`` are views of its blocks.
 
@@ -167,26 +163,25 @@ class StageFactorization:
     @classmethod
     def allocate(cls, problem, variant="dense"):
         d = problem.dims
-        nb, ns = problem.cost.nblocks, problem.cost.nstages
-        n_xu, n_x = d.n_xu, d.n_x
+        ns, n_xu, n_x = d.N + 1, d.n_xu, d.n_x
         ew = np.zeros((ns, n_xu, 2 * n_x))
         ew[:, :, :n_x] = problem.dyn.stack.transpose(0, 2, 1)
         ew[:, :n_x, n_x:] = np.eye(n_x)
-        band = np.zeros((2 * n_x, (d.N + 1) * n_x), order="F")
+        band = np.zeros((2 * n_x, ns * n_x), order="F")
         return cls(
             problem=problem,
             variant=variant,
-            H=CompactBatch(n_xu, n_xu, nb, d.d),
-            h_diag=CompactBatch(n_xu, 1, nb, d.d) if variant == "diagonal" else None,
+            H=CompactBatch(n_xu, n_xu, ns),
+            h_diag=CompactBatch(n_xu, 1, ns) if variant == "diagonal" else None,
             linv_lm=np.zeros((ns, n_xu, n_xu)),
             vwt_lm=np.zeros((ns, n_xu, 2 * n_x)),
             p_lm=np.zeros((ns, 2 * n_x, 2 * n_x)),
             ewt_lm=ew,
             scaled_lm=np.zeros((ns, d.n_y_pad, n_xu)),
-            psi_diag=np.zeros((d.N + 1, n_x, n_x)),
+            psi_diag=np.zeros((ns, n_x, n_x)),
             psi_sub=np.zeros((d.N, n_x, n_x)),
             psi_band=band,
-            band_diag=_band_blocks(band, 0, d.N + 1),
+            band_diag=_band_blocks(band, 0, ns),
             band_sub=_band_blocks(band, n_x, d.N),
             factored_sigma=np.zeros((ns, d.n_y_pad, 1)),
         )
@@ -210,29 +205,6 @@ class StageFactorization:
         and proximal scale ``scale``."""
         np.copyto(self.factored_sigma, weights.sigma_active.stack)
         self.factored_scale = scale
-
-    # views of the factors, for inspection and tests
-
-    def _vwt_slice(self, col0, col1):
-        stack = self.vwt_lm[:, :, col0:col1].transpose(0, 2, 1)
-        return CompactBatch.from_stack(stack, self.problem.dims.d)
-
-    @property
-    def V(self):
-        return self._vwt_slice(0, self.problem.dims.n_x)
-
-    @property
-    def W(self):
-        n_x = self.problem.dims.n_x
-        return self._vwt_slice(n_x, 2 * n_x)
-
-    @property
-    def l_psi_diag(self):
-        return np.tril(self.band_diag)
-
-    @property
-    def l_psi_sub(self):
-        return self.band_sub.copy()
 
 
 def _band_blocks(band, row0, nblocks):
@@ -262,7 +234,7 @@ def assemble_H(problem, weights, sigma_x_inv, out=None, stages=None, work=None):
     """
     d = problem.dims
     if out is None:
-        out = CompactBatch(d.n_xu, d.n_xu, problem.cost.nblocks, d.d)
+        out = CompactBatch(d.n_xu, d.n_xu, problem.cost.nstages)
     s = _index(np.arange(out.nstages) if stages is None else stages)
     H = _slots(out.stack, s)
     con = problem.con.stack[s]
@@ -439,10 +411,8 @@ def solve_newton(f, grad_phi, lam, eq_residual):
     v = solve_H(f, g1)
 
     mv = model.mul_M(problem, v)
-    N = problem.dims.N
-    rhs = eq_residual.stack[: N + 1, :, 0] - mv.stack[: N + 1, :, 0]
     dlam = lam.zeros_like()
-    dlam.stack[: N + 1, :, 0] = psi_solve(f, rhs)
+    dlam.stack[:, :, 0] = psi_solve(f, eq_residual.stack[:, :, 0] - mv.stack[:, :, 0])
 
     lam_new = lam.zeros_like()
     np.add(lam.data, dlam.data, out=lam_new.data)

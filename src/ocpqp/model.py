@@ -13,10 +13,9 @@ whose matrices Q (block-diagonal cost), M (dynamics stencil) and G
 batched matmul over the stage-major stacks of the data and of the vector.
 
 At load the terminal stage is embedded as a regular stage padded with
-S = 0, R = I, D = 0, and extra all-neutral filler stages round the stage
-count up to a multiple of the lane width, so every stage operation is
-uniform.  The logical dimensions (n variables, p equalities, m
-inequalities) are not affected by padding.
+S = 0, R = I, D = 0, so every stage operation is uniform over exactly N + 1
+stage slots.  The logical dimensions (n variables, p equalities, m
+inequalities) are not affected by the embedding.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .compact import CompactBatch, _ceil_div
+from .compact import CompactBatch
 
 _MAGIC = b"OCPQ1"
 
@@ -45,8 +44,7 @@ class OcpDims:
     """Problem dimensions.
 
     N is the number of non-terminal stages; n_y counts inequality rows per
-    stage and n_yN the terminal ones; d is the lane width of the compact
-    storage.
+    stage and n_yN the terminal ones.
     """
 
     N: int
@@ -54,15 +52,12 @@ class OcpDims:
     n_u: int
     n_y: int = 0
     n_yN: int = 0
-    d: int = 1
 
     def __post_init__(self):
         if self.N < 1 or self.n_x < 1 or self.n_u < 1:
             raise ValueError("N, n_x and n_u must all be at least 1")
         if self.n_y < 0 or self.n_yN < 0:
             raise ValueError("inequality counts cannot be negative")
-        if self.d not in (1, 2, 4, 8):
-            raise ValueError(f"lane width must be one of 1, 2, 4, 8, got {self.d}")
 
     @property
     def n(self):
@@ -87,18 +82,6 @@ class OcpDims:
     def n_y_pad(self):
         """Uniform per-stage inequality rows (terminal rows folded in)."""
         return max(self.n_y, self.n_yN)
-
-    @property
-    def n_stages_padded(self):
-        """Stage slots after terminal embedding and filler padding."""
-        return _ceil_div(self.N + 1, self.d) * self.d
-
-    @property
-    def nblocks(self):
-        return self.n_stages_padded // self.d
-
-    def with_lane_width(self, d):
-        return OcpDims(self.N, self.n_x, self.n_u, self.n_y, self.n_yN, d)
 
 
 @dataclass
@@ -133,8 +116,7 @@ class OcpProblem:
     - ``con``    : (n_y_pad x n_xu) blocks [C_j  D_j]
     - ``bl, bu`` : (n_y_pad x 1) bounds, +-inf on padded rows
 
-    Stage N holds the terminal data padded with S = 0, R = I, D = 0; filler
-    stages beyond it are all-neutral.
+    Stage N holds the terminal data padded with S = 0, R = I, D = 0.
     """
 
     def __init__(self, dims, cost, lin, dyn, affine, con, bl, bu, x_init):
@@ -175,15 +157,11 @@ class OcpProblem:
         bl_N,
         bu_N,
         x_init,
-        d=1,
-        extra_blocks=0,
     ):
         """Build a problem from naive per-stage arrays.
 
         Each stage family accepts a stacked (N, rows, cols) array or a single
-        matrix reused for all stages.  Q and Q_N are symmetrized.  ``d`` is
-        the lane width of the compact storage; ``extra_blocks`` appends
-        additional all-filler blocks (the result is mathematically identical).
+        matrix reused for all stages.  Q and Q_N are symmetrized.
         """
         x_init = np.asarray(x_init, dtype=np.float64)
         n_x = x_init.shape[0]
@@ -201,7 +179,7 @@ class OcpProblem:
         n_y = C.shape[-2] if C.ndim >= 2 else 0
         C_N = np.asarray(C_N, dtype=np.float64).reshape(-1, n_x)
         n_yN = C_N.shape[0]
-        dims = OcpDims(N, n_x, n_u, n_y, n_yN, d)
+        dims = OcpDims(N, n_x, n_u, n_y, n_yN)
 
         Q = _per_stage(Q, N, (n_x, n_x), "Q")
         S = _per_stage(S, N, (n_u, n_x), "S")
@@ -224,15 +202,15 @@ class OcpProblem:
         Q_N = 0.5 * (Q_N + Q_N.T)
 
         n_xu, n_y_pad = dims.n_xu, dims.n_y_pad
-        S_cnt = dims.n_stages_padded + extra_blocks * d
+        ns = N + 1
 
-        cost_stack = np.zeros((S_cnt, n_xu, n_xu))
-        lin_stack = np.zeros((S_cnt, n_xu, 1))
-        dyn_stack = np.zeros((S_cnt, n_x, n_xu))
-        aff_stack = np.zeros((S_cnt, n_x, 1))
-        con_stack = np.zeros((S_cnt, n_y_pad, n_xu))
-        bl_stack = np.full((S_cnt, n_y_pad, 1), -np.inf)
-        bu_stack = np.full((S_cnt, n_y_pad, 1), np.inf)
+        cost_stack = np.zeros((ns, n_xu, n_xu))
+        lin_stack = np.zeros((ns, n_xu, 1))
+        dyn_stack = np.zeros((ns, n_x, n_xu))
+        aff_stack = np.zeros((ns, n_x, 1))
+        con_stack = np.zeros((ns, n_y_pad, n_xu))
+        bl_stack = np.full((ns, n_y_pad, 1), -np.inf)
+        bu_stack = np.full((ns, n_y_pad, 1), np.inf)
 
         cost_stack[:N, :n_x, :n_x] = Q
         cost_stack[:N, :n_x, n_x:] = S.transpose(0, 2, 1)
@@ -258,11 +236,8 @@ class OcpProblem:
             bl_stack[N, :n_yN, 0] = bl_N
             bu_stack[N, :n_yN, 0] = bu_N
 
-        # filler stages: neutral cost, no dynamics, no constraints
-        cost_stack[N + 1 :, n_x:, n_x:] = np.eye(n_u)
-
         def _wrap(stack):
-            return CompactBatch(*stack.shape[1:], S_cnt // d, d, stack)
+            return CompactBatch(*stack.shape[1:], ns, stack)
 
         return cls(
             dims,
@@ -320,7 +295,7 @@ class OcpProblem:
     # -- vectors -----------------------------------------------------------
 
     def _vec(self, rows):
-        return CompactBatch(rows, 1, self.cost.nblocks, self.dims.d)
+        return CompactBatch(rows, 1, self.cost.nstages)
 
     def primal_zeros(self):
         return self._vec(self.dims.n_xu)
@@ -348,8 +323,7 @@ class OcpProblem:
         return v
 
     def dualeq_to_flat(self, v):
-        d = self.dims
-        return v.stack[: d.N + 1, :, 0].ravel()
+        return v.stack[:, :, 0].ravel()
 
     def dualeq_from_flat(self, flat):
         d = self.dims
@@ -357,7 +331,7 @@ class OcpProblem:
         if flat.size != d.p:
             raise ValueError(f"equality dual must have length {d.p}, got {flat.size}")
         v = self.dualeq_zeros()
-        v.stack[: d.N + 1, :, 0] = flat.reshape(d.N + 1, d.n_x)
+        v.stack[:, :, 0] = flat.reshape(d.N + 1, d.n_x)
         return v
 
     def dualineq_to_flat(self, v):
@@ -378,10 +352,9 @@ class OcpProblem:
     def b_dualeq(self):
         """Equality right-hand side (x_init; c^0; ...; c^{N-1}) as a vector batch."""
         if self._b is None:
-            d = self.dims
             self._b = self.dualeq_zeros()
             self._b.stack[0, :, 0] = self.x_init
-            self._b.stack[1 : d.N + 1] = self.affine.stack[: d.N]
+            self._b.stack[1:] = self.affine.stack[:-1]
         return self._b.copy()
 
     def flat_lin(self):
@@ -398,10 +371,8 @@ class OcpProblem:
         """True when every stage has diagonal Q and R, S = 0, and each
         constraint row touches at most one variable (box-like rows)."""
         if self._diag_flag is None:
-            d = self.dims
-            cost = self.cost.stack[: d.N + 1]
-            off_diag = ~np.eye(d.n_xu, dtype=bool)
-            con = self.con.stack[: d.N + 1]
+            cost, con = self.cost.stack, self.con.stack
+            off_diag = ~np.eye(self.dims.n_xu, dtype=bool)
             self._diag_flag = not (
                 np.any(cost[:, off_diag]) or np.any(np.count_nonzero(con, axis=2) > 1)
             )
@@ -434,7 +405,7 @@ def validate(problem):
                 found.append((j, 1, f"R_{j} not positive definite"))
     # logical rows only: n_y per stage, n_yN at stage N
     rows = np.arange(d.n_y_pad) < np.where(np.arange(N + 1) < N, d.n_y, d.n_yN)[:, None]
-    lo, hi = problem.bl.stack[: N + 1, :, 0], problem.bu.stack[: N + 1, :, 0]
+    lo, hi = problem.bl.stack[:, :, 0], problem.bu.stack[:, :, 0]
     for j in np.flatnonzero(np.any(np.isposinf(lo) & rows, axis=1)):
         found.append((j, 2, f"lower bound +inf at stage {j}"))
     for j in np.flatnonzero(np.any(np.isneginf(hi) & rows, axis=1)):
@@ -451,13 +422,11 @@ def validate(problem):
     return ValidationReport(not issues, issues)
 
 
-def pad_horizon(problem, d, extra_blocks=0):
-    """Repack a problem at lane width ``d``.
-
-    The logical problem is unchanged; only the stage padding (terminal
-    embedding, filler stages, block count) differs.
-    """
-    return OcpProblem.from_stages(**_gather_families(problem), d=d, extra_blocks=extra_blocks)
+def pad_horizon(problem):
+    """A copy of ``problem`` rebuilt from its stage families.  Nothing in the
+    package calls it: it stays only because the benchmark traces this name,
+    and goes with the benchmark change of ROADMAP item 5."""
+    return OcpProblem.from_stages(**_gather_families(problem))
 
 
 # ---------------------------------------------------------------------------
@@ -484,11 +453,10 @@ def mul_M(problem, x, out=None):
     d = problem.dims
     _check_vec(problem, x, d.n_xu)
     out = _result(problem, out, d.n_x)
-    nxt = out.stack[1 : d.N + 1]
+    nxt = out.stack[1:]
     np.matmul(problem.dyn.stack[: d.N], x.stack[: d.N], out=nxt)  # E_j (x_j; u_j)
-    np.subtract(x.stack[1 : d.N + 1, : d.n_x], nxt, out=nxt)
+    np.subtract(x.stack[1:, : d.n_x], nxt, out=nxt)
     out.stack[0] = x.stack[0, : d.n_x]
-    out.stack[d.N + 1 :] = 0.0
     return out
 
 
@@ -498,10 +466,10 @@ def mul_MT(problem, lam, out=None):
     _check_vec(problem, lam, d.n_x)
     out = _result(problem, out, d.n_xu)
     head = out.stack[: d.N]
-    np.matmul(problem.dyn.stack[: d.N].transpose(0, 2, 1), lam.stack[1 : d.N + 1], out=head)
+    np.matmul(problem.dyn.stack[: d.N].transpose(0, 2, 1), lam.stack[1:], out=head)
     np.negative(head, out=head)  # -E_j^T lam_{j+1}
-    out.stack[d.N :] = 0.0
-    out.stack[: d.N + 1, : d.n_x] += lam.stack[: d.N + 1]
+    out.stack[d.N] = 0.0
+    out.stack[:, : d.n_x] += lam.stack
     return out
 
 
@@ -526,8 +494,8 @@ def mul_GT(problem, z, out=None):
 def _check_vec(problem, v, rows):
     if v.rows != rows or v.cols != 1:
         raise ValueError(f"vector batch must be {rows}x1 per stage, got {v.rows}x{v.cols}")
-    if v.nblocks != problem.cost.nblocks or v.d != problem.dims.d:
-        raise ValueError("vector batch does not match the problem layout")
+    if v.nstages != problem.cost.nstages:
+        raise ValueError("vector batch does not match the problem's stage count")
 
 
 # ---------------------------------------------------------------------------
@@ -616,7 +584,7 @@ def save_problem(problem, path, fmt="binary"):
         raise ValueError(f"unknown format {fmt!r}")
 
 
-def load_problem(path, d=1):
+def load_problem(path):
     """Read a problem file (binary or JSON, detected by the magic bytes)."""
     with open(path, "rb") as fh:
         head = fh.read(len(_MAGIC))
@@ -656,5 +624,5 @@ def load_problem(path, d=1):
         A=data["A"], B=data["B"], c=data["c"], C=data["C"], D=data["D"],
         bl=data["bl"], bu=data["bu"], Q_N=data["Q_N"], q_N=data["q_N"],
         C_N=data["C_N"], bl_N=data["bl_N"], bu_N=data["bu_N"],
-        x_init=data["x_init"], d=d,
+        x_init=data["x_init"],
     )

@@ -18,7 +18,6 @@ from ocpqp.compact import CompactBatch
 from ocpqp.model import OcpDims
 
 EPS = 1e-8
-LANES = (1, 2, 4, 8)
 
 
 def _active_weights(problem, sigma_y, y, x):
@@ -40,7 +39,7 @@ def spring_mass_runs():
     independent residual is the largest of the dual, equality, bound and
     complementarity residuals."""
     runs = []
-    settings = SolverSettings(eps_abs=EPS, log_inner=True, lane_width=4)
+    settings = SolverSettings(eps_abs=EPS, log_inner=True)
     for seed in range(100):
         problem = gen_spring_mass(SpringMassConfig(masses=10, horizon=15, seed=seed))
         with Solver(problem, settings) as solver:
@@ -126,8 +125,7 @@ class TestCriterion3:
             n_x = int(rng.integers(1, 5))
             n_u = int(rng.integers(1, 3))
             problem = gen_random_ocp(
-                OcpDims(N, n_x, n_u, 2, 1), seed=300 + trial, feasibility_margin=1.0,
-                d=int(rng.choice((1, 2, 4))),
+                OcpDims(N, n_x, n_u, 2, 1), seed=300 + trial, feasibility_margin=1.0
             )
             x = rng.standard_normal(problem.dims.n)
             sy = problem.dualineq_zeros()
@@ -199,32 +197,25 @@ class TestCriterion4:
     def test_kernel_reference_sweep(self):
         rng = np.random.default_rng(4)
         cases = 0
-        edges = {"n_y=0": 0, "n_yN=0": 0, "N=1": 0, "N+1<d": 0}
+        edges = {"n_y=0": 0, "n_yN=0": 0, "N=1": 0}
         worst_roundtrip = worst_product = worst_backward = 0.0
         roundtrip_exact = True
         while cases < 1000:
-            d = int(rng.choice(LANES))
             N = int(rng.integers(1, 7))
             n_x, n_u = (int(v) for v in rng.integers(1, 5, 2))
             n_y, n_yN = (int(v) for v in rng.integers(0, 4, 2))
             edges["n_y=0"] += n_y == 0
             edges["n_yN=0"] += n_yN == 0
             edges["N=1"] += N == 1
-            edges["N+1<d"] += N + 1 < d
-            p = gen_random_ocp(OcpDims(N, n_x, n_u, n_y, n_yN), seed=4000 + cases, d=d)
+            p = gen_random_ocp(OcpDims(N, n_x, n_u, n_y, n_yN), seed=4000 + cases)
             dm = p.dims
 
-            # storage round trip, ragged tail included
+            # storage round trip
             rows, cols = (int(v) for v in rng.integers(0, 6, 2))
-            count = int(rng.integers(1, 3 * d + 2))
+            count = int(rng.integers(1, 10))
             stack = rng.standard_normal((count, rows, cols))
-            batch = CompactBatch.from_stack(stack, d)
-            back = batch.to_stack()
-            roundtrip_exact &= (
-                batch.nstages % d == 0
-                and np.array_equal(back[:count], stack)
-                and not back[count:].any()
-            )
+            batch = CompactBatch.from_stack(stack)
+            roundtrip_exact &= batch.nstages == count and np.array_equal(batch.to_stack(), stack)
 
             # structured products against the dense matrices
             dq = oracles.assemble_dense(p)
@@ -269,7 +260,7 @@ class TestCriterion4:
         )
         assert _line(
             4, ok,
-            f"{cases} cases per kernel (lanes {LANES}, ragged tails, edge shapes "
+            f"{cases} cases per kernel (edge shapes "
             f"{', '.join(f'{k}: {v}' for k, v in edges.items())}): from_stack/to_stack "
             f"round trip bit-exact: {roundtrip_exact}; mul_Q/M/MT/G/GT vs dense "
             f"{worst_product:.2e} <= 1e-13; assemble_H + factor_stages + solve_H "
@@ -282,54 +273,56 @@ class TestCriterion5:
         problem = gen_spring_mass(SpringMassConfig(masses=10, horizon=15, seed=5))
         # thread count is an invariance axis: 4 is meaningful on any host
         max_workers = max(4, min(8, os.cpu_count() or 1))
-        configs = ((1, 1), (4, 1), (4, max_workers))
+        worker_counts = (1, 2, max_workers)
         resids, solutions = {}, {}
-        for lanes, workers in configs:
+        for workers in worker_counts:
             with Solver(problem, SolverSettings(
-                eps_abs=EPS, lane_width=lanes, worker_count=workers, variant="dense"
+                eps_abs=EPS, worker_count=workers, variant="dense"
             )) as solver:
                 x, y, lam, report = solver.solve()
             assert report.solved
-            resids[(lanes, workers)] = max(oracles.kkt_residuals(problem, x, y, lam))
-            solutions[(lanes, workers)] = (x, y, lam)
+            resids[workers] = max(oracles.kkt_residuals(problem, x, y, lam))
+            solutions[workers] = (x, y, lam)
         ok = all(v <= EPS for v in resids.values())
 
-        # bit-identical stage factorization across worker counts at fixed d,
-        # for a full factorization and then a partial one over the stages
-        # whose penalties changed
-        p4 = model.pad_horizon(problem, 4)
-        sy = p4.dualineq_zeros()
+        # bit-identical stage factorization across worker counts, for a full
+        # factorization and then a partial one over the stages whose
+        # penalties changed
+        p = problem
+        sy = p.dualineq_zeros()
         sy.data[:] = 2.0
-        weights = _active_weights(p4, sy, p4.dualineq_zeros(), p4.primal_zeros())
+        weights = _active_weights(p, sy, p.dualineq_zeros(), p.primal_zeros())
         changed = kkt.ActiveWeights(weights.sigma_active.copy())
         changed.sigma_active.stack[[1, 6, 7, 12], 0, 0] = 5.0
-        sxinv = p4.primal_zeros()
+        sxinv = p.primal_zeros()
         sxinv.data[:] = 1e-7
         outs = []
-        for workers in (1, max_workers):
+        for workers in worker_counts:
             pool = kkt.WorkerPool(workers) if workers > 1 else None
-            work = kkt.StageFactorization.allocate(p4)
-            kkt.assemble_H(p4, weights, sxinv, out=work.H, work=work)
-            kkt.factor_stages(work.H, p4, work=work, pool=pool)
+            work = kkt.StageFactorization.allocate(p)
+            kkt.assemble_H(p, weights, sxinv, out=work.H, work=work)
+            kkt.factor_stages(work.H, p, work=work, pool=pool)
             work.record(weights, 1.0)
             stages = work.changed_stages(changed, 1.0)
             assert np.array_equal(stages, [1, 6, 7, 12])
-            kkt.assemble_H(p4, changed, sxinv, out=work.H, stages=stages, work=work)
-            kkt.factor_stages(work.H, p4, work=work, pool=pool, stages=stages)
+            kkt.assemble_H(p, changed, sxinv, out=work.H, stages=stages, work=work)
+            kkt.factor_stages(work.H, p, work=work, pool=pool, stages=stages)
             if pool:
                 pool.shutdown()
             outs.append(work)
         bit_identical = all(
-            np.array_equal(getattr(outs[0], name), getattr(outs[1], name))
+            np.array_equal(getattr(outs[0], name), getattr(other, name))
+            for other in outs[1:]
             for name in ("linv_lm", "vwt_lm", "p_lm", "psi_diag", "psi_sub")
         ) and all(
             np.array_equal(a, b)
-            for a, b in zip(solutions[(4, 1)], solutions[(4, max_workers)])
+            for workers in worker_counts[1:]
+            for a, b in zip(solutions[1], solutions[workers])
         )
         ok = ok and bit_identical
         assert _line(
             5, ok,
-            f"(d=1,1w), (d=4,1w), (d=4,{max_workers}w) all meet 1e-8 "
+            f"{', '.join(f'{w}w' for w in worker_counts)} all meet 1e-8 "
             f"(KKT residuals with complementarity {', '.join(f'{v:.1e}' for v in resids.values())}); "
             f"factorization (full, then partial) and solution bit-identical across "
             f"worker counts: {bit_identical}",
@@ -344,22 +337,60 @@ def _timed_solve(problem, **kw):
         return time.perf_counter() - t0, report
 
 
+def _stage_factor_times(problem, repeats=7):
+    """Median times of the dense factorization of every stage: one batched
+    ``factor_stages`` call over the stage axis, and a per-stage Python loop
+    of the same cholesky, trtri and matmul calls.  Also returns the largest
+    difference between the two results, relative to the largest entry."""
+    sy = problem.dualineq_zeros()
+    sy.data[:] = 2.0
+    weights = _active_weights(problem, sy, problem.dualineq_zeros(), problem.primal_zeros())
+    sxinv = problem.primal_zeros()
+    sxinv.data[:] = 1e-7
+    work = kkt.StageFactorization.allocate(problem)
+    kkt.assemble_H(problem, weights, sxinv, out=work.H, work=work)
+    H = work.H.stack
+
+    def batched():
+        kkt.factor_stages(work.H, problem, work=work)
+
+    def looped():
+        for j in range(H.shape[0]):
+            linv = kkt._trtri(np.linalg.cholesky(H[j]), lower=1)[0]
+            vwt = linv @ work.ewt_lm[j]
+            work.linv_lm[j], work.vwt_lm[j], work.p_lm[j] = linv, vwt, vwt.T @ vwt
+        kkt.assemble_psi(work)
+
+    times = {batched: [], looped: []}
+    results = {}
+    for _ in range(repeats):
+        for fn in times:
+            t0 = time.perf_counter()
+            fn()
+            times[fn].append(time.perf_counter() - t0)
+            results[fn] = work.p_lm.copy()
+    diff = np.max(np.abs(results[batched] - results[looped])) / np.max(np.abs(results[batched]))
+    return float(np.median(times[batched])), float(np.median(times[looped])), float(diff)
+
+
 class TestCriterion6:
     def test_performance_trends_soft(self):
-        # (a) vectorization speedup at M=30, N=60
+        # (a) vectorization over stages at M=30, N=60: one batched call
+        # against a per-stage loop of the same kernels
         p60 = gen_spring_mass(SpringMassConfig(masses=30, horizon=60, seed=0))
-        t_d1, _ = _timed_solve(p60, lane_width=1)
-        t_d4, _ = _timed_solve(p60, lane_width=4)
-        speedup = t_d1 / t_d4
-        _line(6, speedup >= 1.3,
-              f"(a) d=4 vs d=1 at M=30, N=60: {speedup:.2f}x (target >= 1.3x)",
+        t_batched, t_looped, diff = _stage_factor_times(p60)
+        speedup = t_looped / t_batched
+        _line(6, speedup >= 1.3 and diff <= 1e-12,
+              f"(a) batched factor_stages vs per-stage loop at M=30, N=60: "
+              f"{speedup:.2f}x ({t_batched * 1e3:.1f}ms vs {t_looped * 1e3:.1f}ms, "
+              f"results differ by {diff:.1e}; target >= 1.3x)",
               soft=True)
 
         # (b) multi-worker overhead at N = 120
         p120 = gen_spring_mass(SpringMassConfig(masses=30, horizon=120, seed=0))
-        t_1w, _ = _timed_solve(p120, lane_width=4, worker_count=1)
+        t_1w, _ = _timed_solve(p120, worker_count=1)
         workers = max(4, min(8, os.cpu_count() or 1))
-        t_mw, _ = _timed_solve(p120, lane_width=4, worker_count=workers)
+        t_mw, _ = _timed_solve(p120, worker_count=workers)
         ratio = t_mw / t_1w
         _line(6, ratio <= 1.10,
               f"(b) {workers} workers vs 1 at N=120: ratio {ratio:.2f} (target <= 1.10)",
@@ -370,7 +401,7 @@ class TestCriterion6:
         times = []
         for N in horizons:
             p = gen_spring_mass(SpringMassConfig(masses=30, horizon=N, seed=0))
-            t, _ = _timed_solve(p, lane_width=4)
+            t, _ = _timed_solve(p)
             times.append(t)
         slope = loglog_slope(horizons, times)
         _line(6, slope <= 1.5,
@@ -380,8 +411,7 @@ class TestCriterion6:
 
 class TestCriterion7:
     def test_diagonal_variant(self):
-        problem = gen_spring_mass(SpringMassConfig(masses=10, horizon=15, seed=7))
-        p = model.pad_horizon(problem, 4)
+        p = gen_spring_mass(SpringMassConfig(masses=10, horizon=15, seed=7))
         sy = p.dualineq_zeros()
         sy.data[:] = 3.0
         rng = np.random.default_rng(7)
@@ -414,8 +444,8 @@ class TestCriterion7:
         )
 
         p30 = gen_spring_mass(SpringMassConfig(masses=30, horizon=30, seed=7))
-        t_dense, _ = _timed_solve(p30, lane_width=4, variant="dense")
-        t_diag, _ = _timed_solve(p30, lane_width=4, variant="diagonal")
+        t_dense, _ = _timed_solve(p30, variant="dense")
+        t_diag, _ = _timed_solve(p30, variant="diagonal")
         _line(7, t_diag < t_dense,
               f"diagonal path speed at M=30: {t_dense / t_diag:.2f}x faster "
               f"({t_diag * 1e3:.0f}ms vs {t_dense * 1e3:.0f}ms)", soft=True)

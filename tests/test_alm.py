@@ -78,7 +78,7 @@ class TestEvalPhi:
 
     def test_matches_dense_oracle(self):
         rng = np.random.default_rng(1)
-        p = random_problem(rng, N=4, n_y=3, n_yN=2, d=2)
+        p = random_problem(rng, N=4, n_y=3, n_yN=2)
         xf = rng.standard_normal(p.dims.n)
         state = make_state(
             p, x_flat=rng.standard_normal(p.dims.n),
@@ -191,7 +191,7 @@ class TestInnerLoop:
     def test_equality_only_single_newton_step(self):
         rng = np.random.default_rng(6)
         p = random_problem(rng, N=4, n_x=2, n_u=1, infinite=True)
-        x, y, lam, report = solve(p, SolverSettings(eps_abs=1e-9, lane_width=1))
+        x, y, lam, report = solve(p, SolverSettings(eps_abs=1e-9))
         assert report.solved
         # smooth quadratic: every inner solve needs at most one Newton step
         assert report.inner_iters <= report.outer_iters
@@ -199,7 +199,7 @@ class TestInnerLoop:
     def test_monotone_phi_and_feasibility(self):
         cfg = SpringMassConfig(masses=4, horizon=10, seed=7)
         p = gen_spring_mass(cfg)
-        settings = SolverSettings(log_inner=True, lane_width=2)
+        settings = SolverSettings(log_inner=True)
         x, y, lam, report = solve(p, settings)
         assert report.solved
         assert report.inner_log
@@ -297,21 +297,46 @@ class TestSolve:
         assert report.factorizations <= report.inner_iters
         assert report.stages_factored < report.factorizations * nstages
 
-    @pytest.mark.parametrize("d", (1, 2, 4))
-    def test_lane_width_equivalence(self, d):
+    def test_lane_width_equivalence(self):
+        # the solver holds one slot per stage whatever lane_width says, and
+        # the setting changes no bit of the solution
         p = gen_spring_mass(SpringMassConfig(masses=3, horizon=9, seed=11))
-        x, y, lam, report = solve(p, SolverSettings(lane_width=d, variant="dense"))
+        results = []
+        for d in (1, 2, 4, 8):
+            with Solver(p, SolverSettings(lane_width=d, variant="dense")) as solver:
+                assert solver.work.H.nstages == p.dims.N + 1
+                results.append(solver.solve())
+        assert results[0][3].solved
+        for result in results[1:]:
+            for a, b in zip(results[0][:3], result[:3]):
+                assert np.array_equal(a, b)
+
+    def test_solver_does_not_rebuild_the_problem(self, monkeypatch):
+        def rebuild(*args, **kwargs):
+            raise AssertionError("the problem was rebuilt")
+
+        monkeypatch.setattr(model, "pad_horizon", rebuild)
+        p = gen_spring_mass(SpringMassConfig(masses=3, horizon=9, seed=11))
+        with Solver(p, SolverSettings()) as solver:
+            assert solver.solve()[3].solved
+        assert solve(p, SolverSettings())[3].solved
+
+    def test_eps_rel_only_termination(self):
+        # with eps_abs = 0 every test, Mx = b included, must be relative:
+        # roundoff leaves ||Mx - b|| near 1e-15, which never meets 0
+        p = gen_spring_mass(SpringMassConfig(masses=6, horizon=15, seed=0))
+        x, y, lam, report = solve(p, SolverSettings(eps_abs=0.0, eps_rel=1e-8))
         assert report.solved
-        x1, y1, lam1, report1 = solve(p, SolverSettings(lane_width=1, variant="dense"))
-        scale = 1 + np.max(np.abs(x1))
-        assert np.max(np.abs(x - x1)) <= 1e-9 * scale
+        # the bound residuals are relative to the bounds themselves
+        scale = max(float(np.max(np.abs(b[np.isfinite(b)]))) for b in p.flat_bounds())
+        assert max(oracles.kkt_residuals(p, x, y, lam)) <= 1e-8 * scale
 
     def test_worker_equivalence(self):
         p = gen_spring_mass(SpringMassConfig(masses=4, horizon=11, seed=12))
         res = {}
         for workers in (1, 4):
             x, y, lam, report = solve(
-                p, SolverSettings(worker_count=workers, lane_width=2)
+                p, SolverSettings(worker_count=workers)
             )
             assert report.solved
             res[workers] = x
@@ -347,10 +372,31 @@ class TestUpdates:
         st = p2.lin.to_stack()
         st[:3, :2, 0] = q_new
         st[:3, 2:, 0] = r_new
-        p2.lin.data[:] = model.CompactBatch.from_stack(st, p2.dims.d).data
+        p2.lin.data[:] = model.CompactBatch.from_stack(st).data
         x_ref, _, _, rep2 = solve(p2, SolverSettings())
         assert rep2.solved
         assert np.max(np.abs(x_upd - x_ref)) <= 1e-6
+
+    @pytest.mark.parametrize("lanes", (1, 2, 4, 8))
+    def test_updates_leave_the_callers_problem_unchanged(self, lanes):
+        p = gen_spring_mass(SpringMassConfig(masses=3, horizon=6, seed=2))
+        d = p.dims
+        names = ("cost", "lin", "dyn", "affine", "con", "bl", "bu")
+        before = {name: getattr(p, name).stack.copy() for name in names}
+        x_init = p.x_init.copy()
+        with Solver(p, SolverSettings(lane_width=lanes)) as solver:
+            solver.update_bounds(
+                np.full((d.N, d.n_y), -3.0), np.full((d.N, d.n_y), 3.0),
+                bl_N=np.full(d.n_yN, -3.0), bu_N=np.full(d.n_yN, 3.0),
+            )
+            solver.update_gradient(np.full((d.N, d.n_x), 0.1), np.full((d.N, d.n_u), -0.1),
+                                   q_N=np.full(d.n_x, 0.1))
+            solver.update_initial_state(0.5 * np.ones(d.n_x))
+            assert solver.solve()[3].solved
+        for name in names:
+            assert np.array_equal(getattr(p, name).stack, before[name])
+        assert np.array_equal(p.x_init, x_init)
+        assert np.array_equal(p.b_dualeq().stack[0, :, 0], x_init)
 
     def test_update_bounds_and_initial_state(self):
         p = gen_spring_mass(SpringMassConfig(masses=3, horizon=6, seed=2))
@@ -372,8 +418,8 @@ class TestUpdates:
         st_hi = p2.bu.to_stack()
         st_lo[: d.N + 1, :, 0] = np.where(np.isneginf(st_lo[: d.N + 1, :, 0]), -np.inf, -3.0)
         st_hi[: d.N + 1, :, 0] = np.where(np.isposinf(st_hi[: d.N + 1, :, 0]), np.inf, 3.0)
-        p2.bl.data[:] = model.CompactBatch.from_stack(st_lo, p2.dims.d).data
-        p2.bu.data[:] = model.CompactBatch.from_stack(st_hi, p2.dims.d).data
+        p2.bl.data[:] = model.CompactBatch.from_stack(st_lo).data
+        p2.bu.data[:] = model.CompactBatch.from_stack(st_hi).data
         p2._b = None
         x_ref, _, _, rep_ref = solve(p2, SolverSettings())
         assert rep_ref.solved

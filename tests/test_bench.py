@@ -131,7 +131,6 @@ class TestHarness:
             params={"masses": 3, "horizon": 6},
             seeds=[0, 1, 2],
             variant="dense",
-            lanes=2,
             workers=1,
         )
         results = run_benchmark([case])
@@ -152,7 +151,6 @@ class TestHarness:
             family="random",
             params={"dims": OcpDims(3, 2, 1, 2, 1), "margin": 1.0},
             seeds=[0, 1],
-            lanes=1,
         )
         r1 = run_benchmark([case])[0]
         r2 = run_benchmark([case])[0]

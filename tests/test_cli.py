@@ -74,7 +74,7 @@ class TestBenchCommands:
         out = tmp_path / "res.csv"
         rc = main([
             "bench", "spring-mass", "--masses", "2,3", "--horizon", "4",
-            "--runs", "2", "--lanes", "2", "--out", str(out), "--gnuplot",
+            "--runs", "2", "--out", str(out), "--gnuplot",
         ])
         assert rc == 0
         lines = out.read_text().splitlines()
@@ -84,7 +84,7 @@ class TestBenchCommands:
     def test_scaling(self, tmp_path, capsys):
         rc = main([
             "bench", "scaling", "--masses", "2", "--horizons", "4..8:x2",
-            "--runs", "1", "--lanes", "1", "--workers", "1",
+            "--runs", "1", "--workers", "1",
         ])
         assert rc == 0
         lines = capsys.readouterr().out.splitlines()

@@ -105,7 +105,7 @@ class TestActiveWeights:
 class TestAssembleH:
     def test_no_active_rows_gives_cost_plus_delta(self):
         rng = np.random.default_rng(10)
-        p = random_problem(rng, N=3, infinite=True, d=2)
+        p = random_problem(rng, N=3, infinite=True)
         w = make_weights(p, rng.standard_normal(p.dims.n))
         sxinv = uniform_vec(p, "primal", 0.125)
         H = assemble_H(p, w, sxinv)
@@ -117,8 +117,8 @@ class TestAssembleH:
 
     def test_matches_dense_blocks(self):
         rng = np.random.default_rng(11)
-        for d in (1, 4):
-            p = random_problem(rng, N=4, n_x=3, n_u=2, n_y=3, n_yN=1, d=d)
+        for _ in range(2):
+            p = random_problem(rng, N=4, n_x=3, n_u=2, n_y=3, n_yN=1)
             x = rng.standard_normal(p.dims.n)
             w = make_weights(p, x, sigma=1.7)
             delta = 1e-3
@@ -141,7 +141,7 @@ class TestAssembleH:
         # assembling a stage set (one run, or scattered) writes exactly those
         # stages, with the bits a full assembly gives them
         rng = np.random.default_rng(12)
-        p = random_problem(rng, N=9, n_x=3, n_u=2, n_y=2, n_yN=1, d=2)
+        p = random_problem(rng, N=9, n_x=3, n_u=2, n_y=2, n_yN=1)
         w = make_weights(p, rng.standard_normal(p.dims.n), sigma=2.0)
         sxinv = uniform_vec(p, "primal", 1e-2)
         full = assemble_H(p, w, sxinv)
@@ -155,7 +155,7 @@ class TestAssembleH:
     def test_blocks_are_symmetric(self):
         # the full weighted product is added, so both triangles hold H_j
         rng = np.random.default_rng(13)
-        p = random_problem(rng, N=5, n_x=4, n_u=2, n_y=3, n_yN=2, d=4)
+        p = random_problem(rng, N=5, n_x=4, n_u=2, n_y=3, n_yN=2)
         w = make_weights(p, rng.standard_normal(p.dims.n), sigma=1e3)
         H = assemble_H(p, w, uniform_vec(p, "primal", 1e-4))
         sym = H.stack.transpose(0, 2, 1)
@@ -173,14 +173,15 @@ class TestFactorStages:
             C=np.zeros((N, 0, n_x)), D=np.zeros((N, 0, n_u)),
             bl=np.zeros((N, 0)), bu=np.zeros((N, 0)), Q_N=np.eye(n_x),
             q_N=np.zeros(n_x), C_N=np.zeros((0, n_x)), bl_N=np.zeros(0),
-            bu_N=np.zeros(0), x_init=np.zeros(n_x), d=1,
+            bu_N=np.zeros(0), x_init=np.zeros(n_x),
         )
         w = make_weights(p, np.zeros(p.dims.n))
         work = factor_all(p, w, 0.0)
-        eye_pad = np.hstack([np.eye(n_x), np.zeros((n_x, n_u))])
+        # vwt_lm[j] holds the panels (V_j; W_j)^T side by side
+        eye_pad = np.vstack([np.eye(n_x), np.zeros((n_u, n_x))])
         for j in range(N):
-            assert np.allclose(work.V.stage(j), eye_pad, atol=1e-14)
-            assert np.allclose(work.W.stage(j), eye_pad, atol=1e-14)
+            assert np.allclose(work.vwt_lm[j, :, :n_x], eye_pad, atol=1e-14)
+            assert np.allclose(work.vwt_lm[j, :, n_x:], eye_pad, atol=1e-14)
         assert np.allclose(work.psi_diag[0], np.eye(n_x), atol=1e-14)
         for j in range(1, N + 1):
             assert np.allclose(work.psi_diag[j], 2 * np.eye(n_x), atol=1e-14)
@@ -194,12 +195,11 @@ class TestFactorStages:
         assert work.psi_diag.shape == (2, 2, 2)
         assert work.psi_sub.shape == (1, 2, 2)
 
-    @pytest.mark.parametrize("d", (1, 2, 4))
-    def test_psi_matches_dense_schur(self, d):
-        rng = np.random.default_rng(30 + d)
-        for _ in range(4):
+    def test_psi_matches_dense_schur(self):
+        rng = np.random.default_rng(30)
+        for _ in range(12):
             p = random_problem(rng, N=int(rng.integers(1, 7)), n_x=int(rng.integers(1, 5)),
-                               n_u=int(rng.integers(1, 3)), n_y=2, n_yN=1, d=d)
+                               n_u=int(rng.integers(1, 3)), n_y=2, n_yN=1)
             x = rng.standard_normal(p.dims.n)
             w = make_weights(p, x, sigma=2.0)
             delta = 1e-2
@@ -219,7 +219,7 @@ class TestFactorStages:
 
     def test_worker_count_bit_identical(self):
         rng = np.random.default_rng(40)
-        p = random_problem(rng, N=13, n_x=3, n_u=2, n_y=2, n_yN=1, d=2)
+        p = random_problem(rng, N=13, n_x=3, n_u=2, n_y=2, n_yN=1)
         x = rng.standard_normal(p.dims.n)
         w = make_weights(p, x, sigma=1.0)
         pool = WorkerPool(4)
@@ -233,12 +233,12 @@ class TestFactorStages:
 
     @pytest.mark.parametrize("workers", (1, 2))
     def test_failed_stage_does_not_poison_siblings(self, workers):
-        # one non-PD stage inside a d=4 block: the batched Cholesky of the
-        # range fails, the per-stage retry names exactly that stage, and
+        # one non-PD stage among ten: the batched Cholesky of the range
+        # fails, the per-stage retry names exactly that stage, and
         # every sibling still holds its own inverse factor; with 2 workers
         # the failing stage lies in a range that does not start at stage 0
         rng = np.random.default_rng(41)
-        p = random_problem(rng, N=9, n_x=3, n_u=2, n_y=2, n_yN=1, d=4)
+        p = random_problem(rng, N=9, n_x=3, n_u=2, n_y=2, n_yN=1)
         w = make_weights(p, rng.standard_normal(p.dims.n), sigma=1.0)
         work = kkt.StageFactorization.allocate(p)
         assemble_H(p, w, uniform_vec(p, "primal", 1e-3), out=work.H, work=work)
@@ -259,25 +259,26 @@ class TestFactorStages:
             err = np.max(np.abs(work.linv_lm[j] - want)) / np.max(np.abs(want))
             assert err <= 1e-12
 
-    @pytest.mark.parametrize("d", (1, 2, 4, 8))
-    def test_inverse_factor_reconstruction(self, d):
-        # every stage slot, padded ones included, holds a lower-triangular
-        # L^{-1} with L^{-1} H L^{-T} = I
-        rng = np.random.default_rng(42 + d)
-        p = random_problem(rng, N=6, n_x=3, n_u=2, n_y=2, n_yN=1, d=d)
-        w = make_weights(p, rng.standard_normal(p.dims.n), sigma=10.0)
-        work = factor_all(p, w, 1e-3)
-        eye = np.eye(p.dims.n_xu)
-        for j in range(work.H.nstages):
-            linv = work.linv_lm[j]
-            assert np.array_equal(linv, np.tril(linv))
-            rec = linv @ work.H.stage(j) @ linv.T
-            assert np.max(np.abs(rec - eye)) < 1e-11
+    def test_inverse_factor_reconstruction(self):
+        # every stage slot holds a lower-triangular L^{-1} with
+        # L^{-1} H L^{-T} = I
+        rng = np.random.default_rng(42)
+        for N in (1, 3, 6, 7):
+            p = random_problem(rng, N=N, n_x=3, n_u=2, n_y=2, n_yN=1)
+            w = make_weights(p, rng.standard_normal(p.dims.n), sigma=10.0)
+            work = factor_all(p, w, 1e-3)
+            eye = np.eye(p.dims.n_xu)
+            assert work.H.nstages == N + 1
+            for j in range(work.H.nstages):
+                linv = work.linv_lm[j]
+                assert np.array_equal(linv, np.tril(linv))
+                rec = linv @ work.H.stage(j) @ linv.T
+                assert np.max(np.abs(rec - eye)) < 1e-11
 
     def test_identity_and_scaled(self):
         # H_j = c_j I gives L^{-1} = I / sqrt(c_j) exactly for square c_j
         rng = np.random.default_rng(43)
-        p = random_problem(rng, N=3, n_x=2, n_u=1, d=2)
+        p = random_problem(rng, N=3, n_x=2, n_u=1)
         work = kkt.StageFactorization.allocate(p)
         scales = (1.0, 4.0, 0.25, 16.0)
         for j, c in enumerate(scales):
@@ -291,7 +292,7 @@ class TestFactorStages:
         # H_j = I with pivot ``row`` negated: the first non-positive pivot
         # of the masked sweep is that row
         rng = np.random.default_rng(44)
-        p = random_problem(rng, N=5, n_x=3, n_u=2, d=2)
+        p = random_problem(rng, N=5, n_x=3, n_u=2)
         w = make_weights(p, rng.standard_normal(p.dims.n), sigma=1.0)
         work = kkt.StageFactorization.allocate(p)
         assemble_H(p, w, uniform_vec(p, "primal", 1e-3), out=work.H, work=work)
@@ -316,23 +317,23 @@ class TestFactorStages:
 
 
 class TestSolveH:
-    @pytest.mark.parametrize("d", (1, 2, 4, 8))
-    def test_against_dense_solve(self, d):
-        rng = np.random.default_rng(50 + d)
-        p = random_problem(rng, N=5, n_x=3, n_u=2, n_y=2, n_yN=1, d=d)
-        w = make_weights(p, rng.standard_normal(p.dims.n), sigma=5.0)
-        work = factor_all(p, w, 1e-3)
-        rhs = p.primal_from_flat(rng.standard_normal(p.dims.n))
-        z = solve_H(work, rhs)
-        for j in range(work.H.nstages):
-            want = np.linalg.solve(work.H.stage(j), rhs.stage(j))
-            assert np.max(np.abs(z.stage(j) - want)) <= 1e-12 * (1 + np.max(np.abs(want)))
+    def test_against_dense_solve(self):
+        rng = np.random.default_rng(50)
+        for _ in range(4):
+            p = random_problem(rng, N=5, n_x=3, n_u=2, n_y=2, n_yN=1)
+            w = make_weights(p, rng.standard_normal(p.dims.n), sigma=5.0)
+            work = factor_all(p, w, 1e-3)
+            rhs = p.primal_from_flat(rng.standard_normal(p.dims.n))
+            z = solve_H(work, rhs)
+            for j in range(work.H.nstages):
+                want = np.linalg.solve(work.H.stage(j), rhs.stage(j))
+                assert np.max(np.abs(z.stage(j) - want)) <= 1e-12 * (1 + np.max(np.abs(want)))
 
     def test_backward_error_wide_penalties(self):
         # penalties log-uniform over 13 decades: the stage solves stay
         # backward stable, ||H z - b|| <= 1e-13 (||H|| ||z|| + ||b||)
         rng = np.random.default_rng(55)
-        p = random_problem(rng, N=7, n_x=3, n_u=2, n_y=4, n_yN=2, d=4)
+        p = random_problem(rng, N=7, n_x=3, n_u=2, n_y=4, n_yN=2)
         sy = p.dualineq_zeros()
         sy.data[:] = 10.0 ** rng.uniform(-4.0, 9.0, sy.data.size)
         z = p.dualineq_zeros()
@@ -351,7 +352,7 @@ class TestSolveH:
         # changing one stage's right-hand side changes only that stage's
         # solution, bit for bit
         rng = np.random.default_rng(56)
-        p = random_problem(rng, N=6, n_x=3, n_u=2, d=4)
+        p = random_problem(rng, N=6, n_x=3, n_u=2)
         work = factor_all(p, make_weights(p, rng.standard_normal(p.dims.n)), 1e-3)
         rhs = p.primal_from_flat(rng.standard_normal(p.dims.n))
         z0 = solve_H(work, rhs)
@@ -362,7 +363,7 @@ class TestSolveH:
 
     def test_deterministic_and_out_overwritten(self):
         rng = np.random.default_rng(57)
-        p = random_problem(rng, N=5, n_x=3, n_u=2, d=2)
+        p = random_problem(rng, N=5, n_x=3, n_u=2)
         work = factor_all(p, make_weights(p, rng.standard_normal(p.dims.n)), 1e-3)
         rhs = p.primal_from_flat(rng.standard_normal(p.dims.n))
         z0 = solve_H(work, rhs)
@@ -381,9 +382,9 @@ class TestFactorPsi:
         work.psi_diag[1] = 9 * np.eye(2)
         work.psi_sub[0] = 0.0
         factor_psi(work)
-        assert np.allclose(work.l_psi_diag[0], 2 * np.eye(2))
-        assert np.allclose(work.l_psi_diag[1], 3 * np.eye(2))
-        assert np.allclose(work.l_psi_sub[0], 0.0)
+        assert np.allclose(np.tril(work.band_diag[0]), 2 * np.eye(2))
+        assert np.allclose(np.tril(work.band_diag[1]), 3 * np.eye(2))
+        assert np.allclose(work.band_sub[0], 0.0)
 
     def test_reconstruction_model_psi(self):
         rng = np.random.default_rng(51)
@@ -399,11 +400,11 @@ class TestFactorPsi:
         for j in range(6):
             r = j * n_x
             dense[r : r + n_x, r : r + n_x] = work.psi_diag[j]
-            Ld[r : r + n_x, r : r + n_x] = work.l_psi_diag[j]
+            Ld[r : r + n_x, r : r + n_x] = np.tril(work.band_diag[j])
             if j < N:
                 dense[r + n_x : r + 2 * n_x, r : r + n_x] = work.psi_sub[j]
                 dense[r : r + n_x, r + n_x : r + 2 * n_x] = work.psi_sub[j].T
-                Ld[r + n_x : r + 2 * n_x, r : r + n_x] = work.l_psi_sub[j]
+                Ld[r + n_x : r + 2 * n_x, r : r + n_x] = work.band_sub[j]
         assert np.max(np.abs(Ld @ Ld.T - dense)) < 1e-13 * np.max(np.abs(dense))
 
     def test_matches_dense_cholesky(self):
@@ -420,9 +421,9 @@ class TestFactorPsi:
         scale = np.max(np.abs(Ld))
         for j in range(dm.N + 1):
             r = j * dm.n_x
-            assert np.max(np.abs(work.l_psi_diag[j] - Ld[r : r + dm.n_x, r : r + dm.n_x])) < 1e-11 * scale
+            assert np.max(np.abs(np.tril(work.band_diag[j]) - Ld[r : r + dm.n_x, r : r + dm.n_x])) < 1e-11 * scale
             if j < dm.N:
-                assert np.max(np.abs(work.l_psi_sub[j] - Ld[r + dm.n_x : r + 2 * dm.n_x, r : r + dm.n_x])) < 1e-11 * scale
+                assert np.max(np.abs(work.band_sub[j] - Ld[r + dm.n_x : r + 2 * dm.n_x, r : r + dm.n_x])) < 1e-11 * scale
 
     def test_nonpd_raises(self):
         rng = np.random.default_rng(53)
@@ -460,7 +461,7 @@ class TestBandedPsi:
         fresh = factor_psi(factor_all(p, w, 1e-2))
         assert np.array_equal(work.psi_band, fresh.psi_band)
         Ld = np.linalg.cholesky(dense_from_blocks(work.psi_diag, work.psi_sub))
-        got = dense_from_blocks(work.l_psi_diag, work.l_psi_sub)
+        got = dense_from_blocks(np.tril(work.band_diag), work.band_sub)
         assert np.max(np.abs(np.tril(got) - Ld)) <= 1e-11 * np.max(np.abs(Ld))
 
     @pytest.mark.parametrize("stage", ("2", "N"))
@@ -506,7 +507,7 @@ class TestBandedPsi:
     def problems(self):
         rng = np.random.default_rng(56)
         yield random_problem(rng, N=1, n_x=1, n_u=1, n_y=1, n_yN=1), "dense"
-        yield random_problem(rng, N=9, n_x=4, n_u=2, n_y=2, n_yN=1, d=4), "dense"
+        yield random_problem(rng, N=9, n_x=4, n_u=2, n_y=2, n_yN=1), "dense"
         sm = gen_spring_mass(SpringMassConfig(masses=70, horizon=15, seed=4))
         yield sm, "diagonal"
 
@@ -555,12 +556,11 @@ class TestSolveNewton:
         assert np.allclose(p.primal_to_flat(dx), dx_d, atol=1e-12)
         assert np.allclose(p.dualeq_to_flat(dlam), dl_d, atol=1e-12)
 
-    @pytest.mark.parametrize("d", (1, 4))
-    def test_kkt_residual_random(self, d):
-        rng = np.random.default_rng(70 + d)
-        for _ in range(5):
+    def test_kkt_residual_random(self):
+        rng = np.random.default_rng(70)
+        for _ in range(10):
             p = random_problem(rng, N=int(rng.integers(1, 7)), n_x=int(rng.integers(1, 5)),
-                               n_u=int(rng.integers(1, 3)), n_y=2, n_yN=1, d=d)
+                               n_u=int(rng.integers(1, 3)), n_y=2, n_yN=1)
             x = rng.standard_normal(p.dims.n)
             w = make_weights(p, x, sigma=1.5)
             delta = 1e-3
@@ -588,10 +588,10 @@ class TestExplicitInverse:
 
     def problems(self, rng):
         sm = gen_spring_mass(SpringMassConfig(masses=5, horizon=11, seed=3))
-        yield model.pad_horizon(sm, 4)
+        yield sm
         for _ in range(3):
             yield random_problem(rng, N=int(rng.integers(3, 10)), n_x=4, n_u=2,
-                                 n_y=3, n_yN=2, d=4)
+                                 n_y=3, n_yN=2)
 
     def test_newton_step_backward_error(self):
         # normwise: ||res|| / max(||K|| ||step||, ||rhs||, 1); componentwise
@@ -647,7 +647,7 @@ def diagonal_problem(rng, N=4, n_x=3, n_u=2):
         C=C, D=D, bl=np.full((N, n_y), -1.5), bu=np.full((N, n_y), 1.5),
         Q_N=np.diag(rng.uniform(0.5, 2.0, n_x)), q_N=rng.standard_normal(n_x),
         C_N=np.eye(n_x), bl_N=np.full(n_x, -1.5), bu_N=np.full(n_x, 1.5),
-        x_init=0.2 * rng.standard_normal(n_x), d=2,
+        x_init=0.2 * rng.standard_normal(n_x),
     )
 
 

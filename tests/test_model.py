@@ -5,7 +5,7 @@ from ocpqp import model, oracles
 from ocpqp.model import OcpDims, OcpProblem, load_problem, pad_horizon, save_problem, validate
 
 
-def random_problem(rng, N=4, n_x=3, n_u=2, n_y=2, n_yN=1, d=1, extra_blocks=0, infinite=False):
+def random_problem(rng, N=4, n_x=3, n_u=2, n_y=2, n_yN=1, infinite=False):
     def spd(n, scale=1.0):
         a = rng.standard_normal((n, n))
         return a @ a.T / n + scale * np.eye(n)
@@ -35,7 +35,7 @@ def random_problem(rng, N=4, n_x=3, n_u=2, n_y=2, n_yN=1, d=1, extra_blocks=0, i
         Q=Q, S=S, R=R, q=q, r=r, A=A, B=B, c=c, C=C, D=D, bl=bl, bu=bu,
         Q_N=spd(n_x, 0.5), q_N=rng.standard_normal(n_x),
         C_N=rng.standard_normal((n_yN, n_x)), bl_N=bl_N, bu_N=bu_N,
-        x_init=rng.standard_normal(n_x), d=d, extra_blocks=extra_blocks,
+        x_init=rng.standard_normal(n_x),
     )
 
 
@@ -50,15 +50,17 @@ class TestDims:
         with pytest.raises(ValueError):
             OcpDims(N=0, n_x=1, n_u=1)
         with pytest.raises(ValueError):
-            OcpDims(N=1, n_x=1, n_u=1, d=3)
+            OcpDims(N=1, n_x=1, n_u=0)
 
-    def test_padding_counts(self):
-        d = OcpDims(N=4, n_x=2, n_u=1, d=4)
-        assert d.n_stages_padded == 8
-        assert d.nblocks == 2
-        d1 = OcpDims(N=4, n_x=2, n_u=1, d=1)
-        assert d1.n_stages_padded == 5
-        assert d1.nblocks == 5
+    def test_one_slot_per_stage(self):
+        # every stage family and every vector holds exactly N + 1 stages
+        rng = np.random.default_rng(8)
+        for N in (1, 4, 6):
+            p = random_problem(rng, N=N)
+            for name in ("cost", "lin", "dyn", "affine", "con", "bl", "bu"):
+                assert getattr(p, name).stack.shape[0] == N + 1
+            for vec in (p.primal_zeros(), p.dualeq_zeros(), p.dualineq_zeros()):
+                assert vec.nstages == N + 1
 
 
 class TestValidate:
@@ -103,20 +105,13 @@ class TestValidate:
 class TestAccessorsAndPadding:
     def test_terminal_padding_layout(self):
         rng = np.random.default_rng(3)
-        p = random_problem(rng, N=4, d=4)
+        p = random_problem(rng, N=4)
         dm = p.dims
         # terminal embedded with S = 0, R = I, D = 0
         blk = p.cost.stage(dm.N)
         assert np.array_equal(blk[dm.n_x :, : dm.n_x], np.zeros((dm.n_u, dm.n_x)))
         assert np.array_equal(blk[dm.n_x :, dm.n_x :], np.eye(dm.n_u))
         assert np.array_equal(p.dyn.stage(dm.N), np.zeros((dm.n_x, dm.n_xu)))
-        # filler stages neutral
-        for s in range(dm.N + 1, dm.n_stages_padded):
-            blk = p.cost.stage(s)
-            assert np.array_equal(blk[: dm.n_x, : dm.n_x], np.zeros((dm.n_x, dm.n_x)))
-            assert np.array_equal(blk[dm.n_x :, dm.n_x :], np.eye(dm.n_u))
-            assert np.all(np.isneginf(p.bl.stage(s)))
-            assert np.all(np.isposinf(p.bu.stage(s)))
 
     def test_symmetrization(self):
         rng = np.random.default_rng(4)
@@ -134,14 +129,16 @@ class TestAccessorsAndPadding:
             assert np.allclose(p.Q(j), 0.5 * (Q[j] + Q[j].T))
 
     def test_pad_horizon_roundtrip(self):
+        # a rebuild from the stage families is a bit-identical, detached copy
         rng = np.random.default_rng(5)
-        p1 = random_problem(rng, N=4, d=1)
-        p4 = pad_horizon(p1, 4)
-        assert p4.dims.nblocks == 2
-        assert p4.cost.nstages == 8
-        for j in range(p1.dims.N + 1):
-            assert np.array_equal(p1.cost.stage(j), p4.cost.stage(j))
-            assert np.array_equal(p1.con.stage(j), p4.con.stage(j))
+        p1 = random_problem(rng, N=4)
+        p2 = pad_horizon(p1)
+        assert p2.dims == p1.dims
+        for name in ("cost", "lin", "dyn", "affine", "con", "bl", "bu"):
+            a, b = getattr(p1, name), getattr(p2, name)
+            assert np.array_equal(a.stack, b.stack)
+            assert not np.shares_memory(a.stack, b.stack)
+        assert np.array_equal(p1.x_init, p2.x_init)
 
 
 class TestProducts:
@@ -171,20 +168,19 @@ class TestProducts:
             C=np.zeros((N, 0, n_x)), D=np.zeros((N, 0, n_u)),
             bl=np.zeros((N, 0)), bu=np.zeros((N, 0)), Q_N=np.eye(n_x),
             q_N=np.zeros(n_x), C_N=np.zeros((0, n_x)), bl_N=np.zeros(0),
-            bu_N=np.zeros(0), x_init=np.ones(n_x), d=2,
+            bu_N=np.zeros(0), x_init=np.ones(n_x),
         )
         xb = p.primal_from_flat(np.ones(p.dims.n))
         mx = p.dualeq_to_flat(model.mul_M(p, xb)).reshape(N + 1, n_x)
         assert np.array_equal(mx[0], np.ones(n_x))
         assert np.array_equal(mx[1:], np.zeros((N, n_x)))
 
-    @pytest.mark.parametrize("d", (1, 2, 4))
-    def test_dense_equivalence(self, d):
-        rng = np.random.default_rng(20 + d)
-        for trial in range(5):
+    def test_dense_equivalence(self):
+        rng = np.random.default_rng(20)
+        for trial in range(15):
             p = random_problem(rng, N=int(rng.integers(1, 8)), n_x=int(rng.integers(1, 6)),
                                n_u=int(rng.integers(1, 4)), n_y=int(rng.integers(0, 4)),
-                               n_yN=int(rng.integers(0, 3)), d=d)
+                               n_yN=int(rng.integers(0, 3)))
             dq = oracles.assemble_dense(p)
             x = rng.standard_normal(p.dims.n)
             lam = rng.standard_normal(p.dims.p)
@@ -205,14 +201,14 @@ class TestProducts:
             assert close(p.primal_to_flat(model.mul_GT(p, zb)), dq.G.T @ z)
 
     @pytest.mark.parametrize(
-        "N, n_y, n_yN, d",
-        ((5, 0, 2, 2), (5, 2, 0, 4), (1, 2, 1, 1), (2, 3, 1, 8)),
-        ids=("no_stage_rows", "no_terminal_rows", "single_stage", "horizon_below_lane"),
+        "N, n_y, n_yN",
+        ((5, 0, 2), (5, 2, 0), (1, 2, 1)),
+        ids=("no_stage_rows", "no_terminal_rows", "single_stage"),
     )
-    def test_edge_dims_against_dense(self, N, n_y, n_yN, d):
-        rng = np.random.default_rng(40 + N + 3 * n_y + 7 * d)
-        p = random_problem(rng, N=N, n_x=3, n_u=2, n_y=n_y, n_yN=n_yN, d=d)
-        assert p.cost.nstages % d == 0 and p.cost.nstages >= N + 1
+    def test_edge_dims_against_dense(self, N, n_y, n_yN):
+        rng = np.random.default_rng(40 + N + 3 * n_y)
+        p = random_problem(rng, N=N, n_x=3, n_u=2, n_y=n_y, n_yN=n_yN)
+        assert p.cost.nstages == N + 1
         dq = oracles.assemble_dense(p)
         x = rng.standard_normal(p.dims.n)
         lam = rng.standard_normal(p.dims.p)
@@ -231,7 +227,7 @@ class TestProducts:
 
     def test_adjoint_identities(self):
         rng = np.random.default_rng(30)
-        p = random_problem(rng, N=6, n_x=4, n_u=2, n_y=3, n_yN=2, d=4)
+        p = random_problem(rng, N=6, n_x=4, n_u=2, n_y=3, n_yN=2)
         for _ in range(10):
             x = rng.standard_normal(p.dims.n)
             lam = rng.standard_normal(p.dims.p)
@@ -248,33 +244,16 @@ class TestProducts:
 
     def test_zero_dual_maps_to_zero(self):
         rng = np.random.default_rng(31)
-        p = random_problem(rng, N=3, d=2)
+        p = random_problem(rng, N=3)
         z = p.dualineq_zeros()
         out = model.mul_GT(p, z)
         assert np.all(out.data == 0.0)
 
-    def test_padding_neutrality_bitwise(self):
-        rng = np.random.default_rng(32)
-        p0 = random_problem(rng, N=5, n_x=3, n_u=2, n_y=2, n_yN=1, d=4)
-        p2 = pad_horizon(p0, 4, extra_blocks=2)
-        x = rng.standard_normal(p0.dims.n)
-        lam = rng.standard_normal(p0.dims.p)
-        for fn, arg, conv in (
-            (model.mul_Q, p0.primal_from_flat(x), "primal_to_flat"),
-            (model.mul_M, p0.primal_from_flat(x), "dualeq_to_flat"),
-            (model.mul_MT, p0.dualeq_from_flat(lam), "primal_to_flat"),
-        ):
-            a = getattr(p0, conv)(fn(p0, arg))
-            arg2 = (p2.primal_from_flat(x) if arg.rows == p0.dims.n_xu
-                    else p2.dualeq_from_flat(lam))
-            b = getattr(p2, conv)(fn(p2, arg2))
-            assert np.array_equal(a, b)
-
     def test_out_argument_is_overwritten(self):
-        # a reused output batch holding garbage, padded stages included,
-        # gives the same product as a fresh one
+        # a reused output batch holding garbage gives the same product as a
+        # fresh one
         rng = np.random.default_rng(34)
-        p = random_problem(rng, N=5, n_x=3, n_u=2, n_y=2, n_yN=1, d=4)
+        p = random_problem(rng, N=5, n_x=3, n_u=2, n_y=2, n_yN=1)
         xb = p.primal_from_flat(rng.standard_normal(p.dims.n))
         lb = p.dualeq_from_flat(rng.standard_normal(p.dims.p))
         zb = p.dualineq_from_flat(rng.standard_normal(p.dims.m))
@@ -303,10 +282,10 @@ class TestFiles:
         p = random_problem(rng, N=3, n_x=2, n_u=1, n_y=2, n_yN=1)
         path = tmp_path / f"prob.{fmt}"
         save_problem(p, path, fmt=fmt)
-        q = load_problem(path, d=2)
-        assert q.dims.N == p.dims.N and q.dims.m == p.dims.m
+        q = load_problem(path)
+        assert q.dims == p.dims
         for j in range(p.dims.N + 1):
-            assert np.allclose(q.cost.stage(j), pad_horizon(p, 2).cost.stage(j), atol=0)
+            assert np.array_equal(q.cost.stage(j), p.cost.stage(j))
             lo_p, hi_p = p.bounds(j)
             lo_q, hi_q = q.bounds(j)
             assert np.array_equal(lo_p, lo_q) and np.array_equal(hi_p, hi_q)

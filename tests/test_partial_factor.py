@@ -86,7 +86,7 @@ class TestPivotFailureInPartialSet:
         # a planted negative pivot inside a scattered stage set is named by
         # its absolute stage index; stages outside the set are not touched
         rng = np.random.default_rng(7)
-        p = random_problem(rng, N=11, n_x=3, n_u=2, n_y=2, n_yN=1, d=4)
+        p = random_problem(rng, N=11, n_x=3, n_u=2, n_y=2, n_yN=1)
         w = make_weights(p, rng.standard_normal(p.dims.n), sigma=1.0)
         work = kkt.StageFactorization.allocate(p)
         kkt.assemble_H(p, w, uniform_vec(p, "primal", 1e-3), out=work.H, work=work)
@@ -172,7 +172,7 @@ class TestStagesOutsideTheSet:
 class TestChangedStages:
     def test_compare_and_invalidate(self):
         rng = np.random.default_rng(9)
-        p = random_problem(rng, N=7, n_x=3, n_u=2, n_y=2, n_yN=1, d=4)
+        p = random_problem(rng, N=7, n_x=3, n_u=2, n_y=2, n_yN=1)
         w = make_weights(p, rng.standard_normal(p.dims.n), sigma=1.0)
         work = kkt.StageFactorization.allocate(p)
         everything = np.arange(work.H.nstages)
