@@ -195,9 +195,10 @@ class TestFactorStages:
         assert work.psi_diag.shape == (2, 2, 2)
         assert work.psi_sub.shape == (1, 2, 2)
 
-    def test_psi_matches_dense_schur(self):
-        rng = np.random.default_rng(30)
-        for _ in range(12):
+    @pytest.mark.parametrize("seed", (30, 31, 32))
+    def test_psi_matches_dense_schur(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(4):
             p = random_problem(rng, N=int(rng.integers(1, 7)), n_x=int(rng.integers(1, 5)),
                                n_u=int(rng.integers(1, 3)), n_y=2, n_yN=1)
             x = rng.standard_normal(p.dims.n)
@@ -259,21 +260,21 @@ class TestFactorStages:
             err = np.max(np.abs(work.linv_lm[j] - want)) / np.max(np.abs(want))
             assert err <= 1e-12
 
-    def test_inverse_factor_reconstruction(self):
+    @pytest.mark.parametrize("N", (1, 3, 6, 7))
+    def test_inverse_factor_reconstruction(self, N):
         # every stage slot holds a lower-triangular L^{-1} with
         # L^{-1} H L^{-T} = I
-        rng = np.random.default_rng(42)
-        for N in (1, 3, 6, 7):
-            p = random_problem(rng, N=N, n_x=3, n_u=2, n_y=2, n_yN=1)
-            w = make_weights(p, rng.standard_normal(p.dims.n), sigma=10.0)
-            work = factor_all(p, w, 1e-3)
-            eye = np.eye(p.dims.n_xu)
-            assert work.H.nstages == N + 1
-            for j in range(work.H.nstages):
-                linv = work.linv_lm[j]
-                assert np.array_equal(linv, np.tril(linv))
-                rec = linv @ work.H.stage(j) @ linv.T
-                assert np.max(np.abs(rec - eye)) < 1e-11
+        rng = np.random.default_rng(42 + N)
+        p = random_problem(rng, N=N, n_x=3, n_u=2, n_y=2, n_yN=1)
+        w = make_weights(p, rng.standard_normal(p.dims.n), sigma=10.0)
+        work = factor_all(p, w, 1e-3)
+        eye = np.eye(p.dims.n_xu)
+        assert work.H.nstages == N + 1
+        for j in range(work.H.nstages):
+            linv = work.linv_lm[j]
+            assert np.array_equal(linv, np.tril(linv))
+            rec = linv @ work.H.stage(j) @ linv.T
+            assert np.max(np.abs(rec - eye)) < 1e-11
 
     def test_identity_and_scaled(self):
         # H_j = c_j I gives L^{-1} = I / sqrt(c_j) exactly for square c_j
@@ -317,17 +318,17 @@ class TestFactorStages:
 
 
 class TestSolveH:
-    def test_against_dense_solve(self):
-        rng = np.random.default_rng(50)
-        for _ in range(4):
-            p = random_problem(rng, N=5, n_x=3, n_u=2, n_y=2, n_yN=1)
-            w = make_weights(p, rng.standard_normal(p.dims.n), sigma=5.0)
-            work = factor_all(p, w, 1e-3)
-            rhs = p.primal_from_flat(rng.standard_normal(p.dims.n))
-            z = solve_H(work, rhs)
-            for j in range(work.H.nstages):
-                want = np.linalg.solve(work.H.stage(j), rhs.stage(j))
-                assert np.max(np.abs(z.stage(j) - want)) <= 1e-12 * (1 + np.max(np.abs(want)))
+    @pytest.mark.parametrize("seed", (50, 51, 52, 53))
+    def test_against_dense_solve(self, seed):
+        rng = np.random.default_rng(seed)
+        p = random_problem(rng, N=5, n_x=3, n_u=2, n_y=2, n_yN=1)
+        w = make_weights(p, rng.standard_normal(p.dims.n), sigma=5.0)
+        work = factor_all(p, w, 1e-3)
+        rhs = p.primal_from_flat(rng.standard_normal(p.dims.n))
+        z = solve_H(work, rhs)
+        for j in range(work.H.nstages):
+            want = np.linalg.solve(work.H.stage(j), rhs.stage(j))
+            assert np.max(np.abs(z.stage(j) - want)) <= 1e-12 * (1 + np.max(np.abs(want)))
 
     def test_backward_error_wide_penalties(self):
         # penalties log-uniform over 13 decades: the stage solves stay
@@ -556,9 +557,10 @@ class TestSolveNewton:
         assert np.allclose(p.primal_to_flat(dx), dx_d, atol=1e-12)
         assert np.allclose(p.dualeq_to_flat(dlam), dl_d, atol=1e-12)
 
-    def test_kkt_residual_random(self):
-        rng = np.random.default_rng(70)
-        for _ in range(10):
+    @pytest.mark.parametrize("seed", (70, 71))
+    def test_kkt_residual_random(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(5):
             p = random_problem(rng, N=int(rng.integers(1, 7)), n_x=int(rng.integers(1, 5)),
                                n_u=int(rng.integers(1, 3)), n_y=2, n_yN=1)
             x = rng.standard_normal(p.dims.n)

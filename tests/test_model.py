@@ -175,9 +175,10 @@ class TestProducts:
         assert np.array_equal(mx[0], np.ones(n_x))
         assert np.array_equal(mx[1:], np.zeros((N, n_x)))
 
-    def test_dense_equivalence(self):
-        rng = np.random.default_rng(20)
-        for trial in range(15):
+    @pytest.mark.parametrize("seed", (20, 21, 22))
+    def test_dense_equivalence(self, seed):
+        rng = np.random.default_rng(seed)
+        for trial in range(5):
             p = random_problem(rng, N=int(rng.integers(1, 8)), n_x=int(rng.integers(1, 6)),
                                n_u=int(rng.integers(1, 4)), n_y=int(rng.integers(0, 4)),
                                n_yN=int(rng.integers(0, 3)))
@@ -202,8 +203,8 @@ class TestProducts:
 
     @pytest.mark.parametrize(
         "N, n_y, n_yN",
-        ((5, 0, 2), (5, 2, 0), (1, 2, 1)),
-        ids=("no_stage_rows", "no_terminal_rows", "single_stage"),
+        ((5, 0, 2), (5, 2, 0), (1, 2, 1), (3, 0, 0), (40, 2, 1)),
+        ids=("no_stage_rows", "no_terminal_rows", "single_stage", "no_rows", "long_horizon"),
     )
     def test_edge_dims_against_dense(self, N, n_y, n_yN):
         rng = np.random.default_rng(40 + N + 3 * n_y)
