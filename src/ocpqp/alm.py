@@ -78,12 +78,24 @@ class SolverSettings:
     max_pivot_escalations: int = 3
 
     def __post_init__(self):
+        # every test is written so that NaN fails it
+        if not (0.0 <= self.eps_abs < np.inf and 0.0 <= self.eps_rel < np.inf):
+            raise ValueError("eps_abs and eps_rel must be finite and nonnegative")
         if not (self.eps_abs > 0.0 or self.eps_rel > 0.0):
             raise ValueError("at least one of eps_abs, eps_rel must be positive")
-        if self.penalty_update_factor <= 1.0:
-            raise ValueError("penalty_update_factor must exceed 1")
+        if self.max_outer < 1 or self.max_inner < 1:
+            raise ValueError("max_outer and max_inner must be at least 1")
+        if self.max_pivot_escalations < 0:
+            raise ValueError("max_pivot_escalations must be nonnegative")
+        if not 1.0 < self.penalty_update_factor < np.inf:
+            raise ValueError("penalty_update_factor must be finite and exceed 1")
         if not 0.0 < self.penalty_trigger < 1.0:
             raise ValueError("penalty_trigger must lie in (0, 1)")
+        # both are clipped to [SIGMA_MIN, SIGMA_MAX] where they are used
+        if self.initial_sigma is not None and not 0.0 <= self.initial_sigma < np.inf:
+            raise ValueError("initial_sigma must be None or finite and nonnegative")
+        if not 0.0 <= self.proximal_weight < np.inf:
+            raise ValueError("proximal_weight must be finite and nonnegative")
         if self.lane_width not in (1, 2, 4, 8):
             raise ValueError("lane_width must be one of 1, 2, 4, 8")
         if self.variant not in ("dense", "diagonal", "auto"):
@@ -131,10 +143,12 @@ class SolveReport:
     inner_log: list = field(default_factory=list)
     blas_threads: int | None = None  # None: no bundled OpenBLAS was found
     # stage factorizations that refactored at least one stage, those of them
-    # that refactored every stage, and the stage slots refactored in all
+    # that refactored every stage, the stage slots refactored in all, and the
+    # Psi block positions refactored in all (N + 1 for a full factorization)
     factorizations: int = 0
     full_factorizations: int = 0
     stages_factored: int = 0
+    psi_blocks_factored: int = 0
 
     @property
     def solved(self):
@@ -455,11 +469,11 @@ class Solver:
         """Bring the factorization up to date with the current active set.
 
         Only the stages whose H_j changed since the last completed
-        factorization are reassembled and refactored; when none did, the
-        factorization is reused as it stands.  Pivot failures escalate the
-        proximal diagonal (at most the configured count), and every stage
-        is refactored after one.  ``counts`` tallies the work for the
-        report."""
+        factorization are reassembled and refactored, and the band factor of
+        Psi restarts at the last of them; when none did, the factorization
+        is reused as it stands.  Pivot failures escalate the proximal
+        diagonal (at most the configured count), and every stage is
+        refactored after one.  ``counts`` tallies the work for the report."""
         p, w = self.problem, self.work
         run = self.pool.run if self.pool is not None else (lambda fn, stages: fn(stages))
         scale = prox_scale
@@ -471,6 +485,7 @@ class Solver:
             counts["factorizations"] += 1
             counts["full_factorizations"] += stages.size == w.H.nstages
             counts["stages_factored"] += stages.size
+            counts["psi_blocks_factored"] += kkt.psi_top(w, stages) + 1
             sx = state.sigma_x_inv
             if scale != 1.0:
                 sx = sx.copy()
@@ -490,7 +505,7 @@ class Solver:
                 )
                 t2 = time.perf_counter()
                 timings["stage_factor"] += t2 - t1
-                kkt.factor_psi(w)
+                kkt.factor_psi(w, stages)
                 timings["psi_factor"] += time.perf_counter() - t2
                 w.record(weights, scale)
                 return scale
@@ -584,7 +599,9 @@ class Solver:
         p, settings = self.problem, self.settings
         state = self._init_state(warm_start)
         timings = {k: 0.0 for k in PHASES}
-        counts = dict.fromkeys(("factorizations", "full_factorizations", "stages_factored"), 0)
+        counts = dict.fromkeys(
+            ("factorizations", "full_factorizations", "stages_factored", "psi_blocks_factored"), 0
+        )
         self.work.invalidate()  # the first factorization of a solve is full
         log = [] if settings.log_inner else None
         inner_tol = 1.0

@@ -130,6 +130,7 @@ def cmd_solve(args):
         "factorizations": report.factorizations,
         "full_factorizations": report.full_factorizations,
         "stages_factored": report.stages_factored,
+        "psi_blocks_factored": report.psi_blocks_factored,
         "blas_threads": report.blas_threads,
     }
     if args.solution:

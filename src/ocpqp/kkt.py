@@ -17,7 +17,9 @@ with a block-bidiagonal Cholesky factor.  Everything up to Psi is independent
 across stages and runs as batched calls over the stage axis of the
 stage-major stacks (see :mod:`ocpqp.compact`), optionally split over a
 worker pool in disjoint parts of a stage index set; the sequential part is
-one banded LAPACK call that factors Psi and one per solve with it.
+one banded LAPACK call that factors Psi and one per solve with it.  The band
+holds Psi in reversed block order (stage N first, as a Riccati recursion
+runs), so the factor of the blocks of stages above a change stays valid.
 
 Over a set of stages the pipeline runs one batched Cholesky of the H_j and
 inverts each stage's factor once with LAPACK trtri, so the stored stage
@@ -30,9 +32,11 @@ once at workspace allocation.
 H_j depends on the iterate only through the active penalties of stage j
 (and the proximal scale), so only the stages whose penalties changed since
 the last successful factorization are reassembled and refactored; the
-others keep their factor bits.  Psi is then re-sliced and refactored in
-full, unless no stage changed, in which case the whole factorization,
-banded Psi factor included, is reused as it stands.
+others keep their factor bits.  Only the Psi blocks those stages touch are
+re-sliced, and the band Cholesky restarts at the block of the last changed
+stage: the leading band columns, which hold the factor of the later stages,
+are kept, and a full factorization is the restart at the first column.  When
+no stage changed, the whole factorization is reused as it stands.
 """
 
 from __future__ import annotations
@@ -131,9 +135,13 @@ class StageFactorization:
     ``linv_lm``, ``vwt_lm`` and ``p_lm`` are stage stacks (nstages, ...):
     the inverses L_j^{-1} of the per-stage Cholesky factors of H (dense
     variant only), the panels (V_j; W_j)^T = L_j^{-1} [A B; I 0]^T, and the
-    products J_j J_j^T that the Psi blocks are sliced from.
-    ``psi_band`` holds Psi, then its Cholesky factor, in LAPACK band storage;
-    ``band_diag`` and ``band_sub`` are views of its blocks.
+    products J_j J_j^T that the Psi blocks are sliced from.  ``psi_diag``
+    and ``psi_sub`` hold the blocks Psi_jj and Psi_{j+1,j} of the unfactored
+    Psi in stage order.  ``psi_band`` holds the Cholesky factor of P Psi P^T,
+    where P reverses the block order (stage j at block position N - j), in
+    LAPACK band storage; ``band_diag[j]`` and ``band_sub[j]`` are reversed
+    views of its blocks, indexed by stage: the diagonal block of stage j and
+    the block L(N - j, N - j - 1) that couples stage j to stage j + 1.
 
     ``factored_sigma`` and ``factored_scale`` record the active penalties
     (a copy of ``sigma_active.stack``) and the proximal scale of the last
@@ -181,8 +189,8 @@ class StageFactorization:
             psi_diag=np.zeros((ns, n_x, n_x)),
             psi_sub=np.zeros((d.N, n_x, n_x)),
             psi_band=band,
-            band_diag=_band_blocks(band, 0, ns),
-            band_sub=_band_blocks(band, n_x, d.N),
+            band_diag=_band_blocks(band, 0, ns)[::-1],
+            band_sub=_band_blocks(band, n_x, d.N)[::-1],
             factored_sigma=np.zeros((ns, d.n_y_pad, 1)),
         )
 
@@ -318,18 +326,29 @@ def factor_chunk_diagonal(f, stages):
     _scatter(f.p_lm, s, p)
 
 
-def assemble_psi(f):
+def assemble_psi(f, stages=None):
     """Slice the per-stage J J^T products into the block-tridiagonal Psi:
     Psi_00 = W0 W0^T, Psi_{j+1,j+1} = Vj Vj^T + W_{j+1} W_{j+1}^T,
-    Psi_{j+1,j} = -Vj Wj^T."""
+    Psi_{j+1,j} = -Vj Wj^T.  Only the blocks that the sorted stage index
+    array ``stages`` (all stages when None) touch are rewritten: Psi_jj,
+    Psi_{j+1,j+1} and Psi_{j+1,j} for each j in it."""
     dm = f.problem.dims
     N, n_x = dm.N, dm.n_x
     P = f.p_lm
-    f.psi_diag[0] = P[0, n_x:, n_x:]
-    f.psi_diag[1:] = P[:N, :n_x, :n_x] + P[1 : N + 1, n_x:, n_x:]
-    f.psi_diag += f.psi_diag.transpose(0, 2, 1).copy()
-    f.psi_diag *= 0.5
-    f.psi_sub[:] = -P[:N, :n_x, n_x:]
+    stages = np.arange(N + 1) if stages is None else np.asarray(stages)
+    touched = np.zeros(N + 2, dtype=bool)
+    touched[stages] = touched[stages + 1] = True
+    rows = np.flatnonzero(touched[: N + 1])
+    d = _index(rows)
+    diag = _slots(f.psi_diag, d)
+    diag[:] = P[d, n_x:, n_x:]
+    first = 1 if rows[0] == 0 else 0
+    diag[first:] += P[_index(rows[first:] - 1), :n_x, :n_x]
+    diag += diag.transpose(0, 2, 1).copy()
+    diag *= 0.5
+    _scatter(f.psi_diag, d, diag)
+    s = _index(stages[stages < N])
+    f.psi_sub[s] = -P[s, :n_x, n_x:]
     return f
 
 
@@ -339,8 +358,8 @@ def factor_stages(H, problem, work=None, pool=None, variant="dense", stages=None
     ``H`` is the assembled CompactBatch (see :func:`assemble_H`).  Only the
     stages of the sorted index array ``stages`` (all when None) are
     refactored; the others keep the factors ``work`` holds.  The Psi blocks
-    are then sliced from every stage, and the result is ready for
-    :func:`factor_psi`.
+    that those stages touch are then re-sliced, and the result is ready for
+    :func:`factor_psi` over the same ``stages``.
     """
     if work is None:
         work = StageFactorization.allocate(problem, variant)
@@ -353,28 +372,51 @@ def factor_stages(H, problem, work=None, pool=None, variant="dense", stages=None
     chunk_fn = factor_chunk_diagonal if variant == "diagonal" else factor_chunk_dense
     run = pool.run if pool is not None else _inline_run
     run(lambda ch: chunk_fn(work, ch), np.arange(H.nstages) if stages is None else stages)
-    assemble_psi(work)
+    assemble_psi(work, stages)
     return work
 
 
-def factor_psi(f):
-    """Cholesky factor of Psi, block-bidiagonal, by one banded LAPACK call:
-    copy the lower triangles of ``psi_diag`` and the blocks ``psi_sub`` into
-    ``psi_band`` and factor it in place with dpbtrf.  A failed leading minor
-    names the stage whose block it falls in.  dpbtrf need not stop at a
-    NaN pivot, but a NaN anywhere in the factor reaches the diagonal of its
-    row, so the first non-finite diagonal entry names a stage the same
-    way."""
-    f.psi_band.fill(0.0)  # a NaN in Psi spreads into slots outside the blocks
-    np.copyto(f.band_diag, f.psi_diag, where=np.tri(f.psi_diag.shape[1], dtype=bool))
-    np.copyto(f.band_sub, f.psi_sub)
-    _, info = _pbtrf(f.psi_band, lower=1, overwrite_ab=1)
-    n_x = f.problem.dims.n_x
+def psi_top(f, stages=None):
+    """Last stage whose Psi blocks a change at the sorted, non-empty stage
+    index array ``stages`` reaches (N when None): :func:`factor_psi`
+    refactors the band positions N - top to N, top + 1 blocks."""
+    N = f.problem.dims.N
+    return N if stages is None else min(int(stages[-1]) + 1, N)
+
+
+def factor_psi(f, stages=None):
+    """Cholesky factor of P Psi P^T, block-bidiagonal, by one banded LAPACK
+    call on the band positions that the sorted stage index array ``stages``
+    (all stages when None) reaches.
+
+    Position k holds stage N - k, so the stages above ``top`` (see
+    :func:`psi_top`) fill the leading k0 = N - top positions, whose columns
+    keep the factor of the last factorization.  The trailing columns are
+    refilled from the lower triangles of ``psi_diag`` and the transposed
+    ``psi_sub`` blocks; for k0 > 0 the kept block L(k0, k0 - 1), stored at
+    ``band_sub[top]``, is subtracted as L L^T from diagonal block k0, and
+    dpbtrf factors the trailing band in place.  A full factorization is the
+    restart at k0 = 0.  A failed leading minor names the stage whose block
+    it falls in.  dpbtrf need not stop at a NaN pivot, but a NaN anywhere in
+    the factor reaches the diagonal of its row, so the first non-finite
+    diagonal entry names a stage the same way."""
+    N, n_x = f.problem.dims.N, f.problem.dims.n_x
+    top = psi_top(f, stages)
+    c0 = (N - top) * n_x
+    trail = f.psi_band[:, c0:]  # F-contiguous, factored in place
+    trail.fill(0.0)  # a NaN in Psi spreads into slots outside the blocks
+    tri = np.tri(n_x, dtype=bool)
+    np.copyto(f.band_diag[: top + 1], f.psi_diag[: top + 1], where=tri)
+    np.copyto(f.band_sub[:top], f.psi_sub[:top].transpose(0, 2, 1))
+    if top < N:
+        L = f.band_sub[top]
+        np.copyto(f.band_diag[top], f.psi_diag[top] - L @ L.T, where=tri)
+    _, info = _pbtrf(trail, lower=1, overwrite_ab=1)
     if info > 0:
-        raise NonPositivePivot([((info - 1) // n_x, -1)])
-    bad = ~np.isfinite(f.psi_band[0])
+        raise NonPositivePivot([(top - (info - 1) // n_x, -1)])
+    bad = ~np.isfinite(trail[0])
     if bad.any():
-        raise NonPositivePivot([(int(np.argmax(bad)) // n_x, -1)])
+        raise NonPositivePivot([(top - int(np.argmax(bad)) // n_x, -1)])
     return f
 
 
@@ -393,9 +435,10 @@ def solve_H(f, rhs, out=None):
 
 def psi_solve(f, rhs_stack):
     """Solve Psi x = rhs for the (N + 1, n_x) stack with the banded factor:
-    forward and back substitution in one dpbtrs call."""
-    x, _ = _pbtrs(f.psi_band, rhs_stack.reshape(-1, 1), lower=1)
-    return x.reshape(rhs_stack.shape)
+    forward and back substitution in one dpbtrs call, on the blocks in the
+    band's reversed order."""
+    x, _ = _pbtrs(f.psi_band, rhs_stack[::-1].reshape(-1, 1), lower=1)
+    return x.reshape(rhs_stack.shape)[::-1]
 
 
 def solve_newton(f, grad_phi, lam, eq_residual):

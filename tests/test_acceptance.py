@@ -285,9 +285,10 @@ class TestCriterion5:
             solutions[workers] = (x, y, lam)
         ok = all(v <= EPS for v in resids.values())
 
-        # bit-identical stage factorization across worker counts, for a full
+        # bit-identical factorization across worker counts, for a full
         # factorization and then a partial one over the stages whose
-        # penalties changed
+        # penalties changed (the Psi factor is sequential, so its band must
+        # match too)
         p = problem
         sy = p.dualineq_zeros()
         sy.data[:] = 2.0
@@ -302,18 +303,20 @@ class TestCriterion5:
             work = kkt.StageFactorization.allocate(p)
             kkt.assemble_H(p, weights, sxinv, out=work.H, work=work)
             kkt.factor_stages(work.H, p, work=work, pool=pool)
+            kkt.factor_psi(work)
             work.record(weights, 1.0)
             stages = work.changed_stages(changed, 1.0)
             assert np.array_equal(stages, [1, 6, 7, 12])
             kkt.assemble_H(p, changed, sxinv, out=work.H, stages=stages, work=work)
             kkt.factor_stages(work.H, p, work=work, pool=pool, stages=stages)
+            kkt.factor_psi(work, stages)
             if pool:
                 pool.shutdown()
             outs.append(work)
         bit_identical = all(
             np.array_equal(getattr(outs[0], name), getattr(other, name))
             for other in outs[1:]
-            for name in ("linv_lm", "vwt_lm", "p_lm", "psi_diag", "psi_sub")
+            for name in ("linv_lm", "vwt_lm", "p_lm", "psi_diag", "psi_sub", "psi_band")
         ) and all(
             np.array_equal(a, b)
             for workers in worker_counts[1:]

@@ -276,8 +276,8 @@ class TestSolve:
         p = gen_spring_mass(SpringMassConfig(masses=3, horizon=8, seed=3))
         original = kkt.assemble_psi
 
-        def poisoned(f):
-            original(f)
+        def poisoned(f, stages=None):
+            original(f, stages)
             f.psi_sub[2][1, 0] = np.nan
 
         monkeypatch.setattr(kkt, "assemble_psi", poisoned)
@@ -296,6 +296,9 @@ class TestSolve:
         assert 1 <= report.full_factorizations < report.factorizations
         assert report.factorizations <= report.inner_iters
         assert report.stages_factored < report.factorizations * nstages
+        # the band factor of Psi restarts at the last changed stage
+        assert report.full_factorizations * nstages < report.psi_blocks_factored
+        assert report.psi_blocks_factored < report.factorizations * nstages
 
     @pytest.mark.parametrize("d", (1, 2, 4, 8))
     def test_lane_width_equivalence(self, d):
@@ -443,6 +446,33 @@ NON_FINITE_UPDATES = [
     ("update_initial_state", "x_init", np.nan),
     ("update_initial_state", "x_init", -np.inf),
 ]
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(proximal_weight=np.nan),
+    dict(proximal_weight=np.inf),
+    dict(proximal_weight=-1.0),
+    dict(initial_sigma=np.nan),
+    dict(initial_sigma=-1.0),
+    dict(max_outer=0),
+    dict(max_inner=0),
+    dict(max_pivot_escalations=-1),
+    dict(eps_abs=-1.0, eps_rel=1e-8),
+    dict(eps_abs=1e-8, eps_rel=np.nan),
+    dict(eps_abs=np.inf),
+    dict(penalty_update_factor=np.inf),
+    dict(penalty_update_factor=np.nan),
+    dict(penalty_trigger=np.nan),
+], ids=lambda kw: ",".join(f"{k}={v}" for k, v in kw.items()))
+def test_settings_reject_non_finite_or_out_of_range(kwargs):
+    with pytest.raises(ValueError):
+        SolverSettings(**kwargs)
+
+
+def test_settings_accept_edge_values():
+    # zero weights are clipped to SIGMA_MIN where they are used
+    SolverSettings(proximal_weight=0.0, initial_sigma=0.0, max_outer=1, max_inner=1,
+                   max_pivot_escalations=0, eps_abs=0.0, eps_rel=1e-8)
 
 
 class TestUpdatesRejectNonFinite:

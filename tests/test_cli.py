@@ -36,7 +36,7 @@ class TestSolveCommand:
         assert doc["status"] == "solved"
         assert doc["dual_residual"] <= 1e-8
         assert "blas_threads" in doc
-        for key in ("factorizations", "full_factorizations", "stages_factored"):
+        for key in ("factorizations", "full_factorizations", "stages_factored", "psi_blocks_factored"):
             assert isinstance(doc[key], int)
         assert 0 < doc["full_factorizations"] <= doc["factorizations"]
         assert len(doc["x"]) == 6 * (6 + 2) + 6

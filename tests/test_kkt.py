@@ -374,6 +374,37 @@ class TestSolveH:
         assert np.array_equal(out.data, z0.data)
 
 
+def dense_from_blocks(diag, sub):
+    """The dense symmetric Psi from its diagonal and sub-diagonal blocks."""
+    n_x = diag.shape[1]
+    D = np.zeros((diag.shape[0] * n_x,) * 2)
+    for j, blk in enumerate(diag):
+        D[j * n_x : (j + 1) * n_x, j * n_x : (j + 1) * n_x] = blk
+    for j, blk in enumerate(sub):
+        D[(j + 1) * n_x : (j + 2) * n_x, j * n_x : (j + 1) * n_x] = blk
+        D[j * n_x : (j + 1) * n_x, (j + 1) * n_x : (j + 2) * n_x] = blk.T
+    return D
+
+
+def reverse_blocks(D, n_x):
+    """P D P^T, where P reverses the order of the n_x x n_x blocks."""
+    nb = D.shape[0] // n_x
+    perm = (np.arange(nb)[::-1, None] * n_x + np.arange(n_x)).ravel()
+    return D[np.ix_(perm, perm)]
+
+
+def band_factor(work):
+    """The dense lower factor held in ``psi_band``, read straight from LAPACK
+    lower band storage (entry (i, k) at band[i - k, k]), in band order."""
+    band = work.psi_band
+    n = band.shape[1]
+    L = np.zeros((n, n))
+    for t in range(band.shape[0]):
+        k = np.arange(n - t)
+        L[k + t, k] = band[t, : n - t]
+    return L
+
+
 class TestFactorPsi:
     def test_decoupled_blocks(self):
         rng = np.random.default_rng(50)
@@ -395,17 +426,8 @@ class TestFactorPsi:
             work.psi_diag[j] = 2 * np.eye(3)
         work.psi_sub[:] = -np.eye(3)
         factor_psi(work)
-        N, n_x = 5, 3
-        dense = np.zeros((6 * n_x, 6 * n_x))
-        Ld = np.zeros_like(dense)
-        for j in range(6):
-            r = j * n_x
-            dense[r : r + n_x, r : r + n_x] = work.psi_diag[j]
-            Ld[r : r + n_x, r : r + n_x] = np.tril(work.band_diag[j])
-            if j < N:
-                dense[r + n_x : r + 2 * n_x, r : r + n_x] = work.psi_sub[j]
-                dense[r : r + n_x, r + n_x : r + 2 * n_x] = work.psi_sub[j].T
-                Ld[r + n_x : r + 2 * n_x, r : r + n_x] = work.band_sub[j]
+        dense = reverse_blocks(dense_from_blocks(work.psi_diag, work.psi_sub), 3)
+        Ld = band_factor(work)
         assert np.max(np.abs(Ld @ Ld.T - dense)) < 1e-13 * np.max(np.abs(dense))
 
     def test_matches_dense_cholesky(self):
@@ -417,14 +439,19 @@ class TestFactorPsi:
         factor_psi(work)
         Hd, dq = dense_H(p, w, 1e-2)
         psi = dense_psi(p, Hd, dq)
-        Ld = np.linalg.cholesky(psi)
         dm = p.dims
+        Ld = np.linalg.cholesky(reverse_blocks(psi, dm.n_x))
         scale = np.max(np.abs(Ld))
+        got = band_factor(work)
+        # stage j sits at block position N - j of the band
         for j in range(dm.N + 1):
-            r = j * dm.n_x
-            assert np.max(np.abs(np.tril(work.band_diag[j]) - Ld[r : r + dm.n_x, r : r + dm.n_x])) < 1e-11 * scale
+            r = (dm.N - j) * dm.n_x
+            blk = slice(r, r + dm.n_x)
+            assert np.max(np.abs(np.tril(work.band_diag[j]) - Ld[blk, blk])) < 1e-11 * scale
             if j < dm.N:
-                assert np.max(np.abs(work.band_sub[j] - Ld[r + dm.n_x : r + 2 * dm.n_x, r : r + dm.n_x])) < 1e-11 * scale
+                up = slice(r - dm.n_x, r)
+                assert np.max(np.abs(work.band_sub[j] - Ld[blk, up])) < 1e-11 * scale
+        assert np.max(np.abs(got - Ld)) < 1e-11 * scale
 
     def test_nonpd_raises(self):
         rng = np.random.default_rng(53)
@@ -433,18 +460,6 @@ class TestFactorPsi:
         work.psi_diag[0] = -np.eye(2)
         with pytest.raises(NonPositivePivot):
             factor_psi(work)
-
-
-def dense_from_blocks(diag, sub):
-    """The dense symmetric Psi from its diagonal and sub-diagonal blocks."""
-    n_x = diag.shape[1]
-    D = np.zeros((diag.shape[0] * n_x,) * 2)
-    for j, blk in enumerate(diag):
-        D[j * n_x : (j + 1) * n_x, j * n_x : (j + 1) * n_x] = blk
-    for j, blk in enumerate(sub):
-        D[(j + 1) * n_x : (j + 2) * n_x, j * n_x : (j + 1) * n_x] = blk
-        D[j * n_x : (j + 1) * n_x, (j + 1) * n_x : (j + 2) * n_x] = blk.T
-    return D
 
 
 class TestBandedPsi:
@@ -461,17 +476,18 @@ class TestBandedPsi:
         factor_psi(work)
         fresh = factor_psi(factor_all(p, w, 1e-2))
         assert np.array_equal(work.psi_band, fresh.psi_band)
-        Ld = np.linalg.cholesky(dense_from_blocks(work.psi_diag, work.psi_sub))
-        got = dense_from_blocks(np.tril(work.band_diag), work.band_sub)
-        assert np.max(np.abs(np.tril(got) - Ld)) <= 1e-11 * np.max(np.abs(Ld))
+        psi = dense_from_blocks(work.psi_diag, work.psi_sub)
+        Ld = np.linalg.cholesky(reverse_blocks(psi, p.dims.n_x))
+        assert np.max(np.abs(band_factor(work) - Ld)) <= 1e-11 * np.max(np.abs(Ld))
 
-    @pytest.mark.parametrize("stage", ("2", "N"))
+    @pytest.mark.parametrize("stage", ("2", "N", "0"))
     def test_pivot_failure_names_stage(self, stage):
+        # stage N is the first block of the band, stage 0 the last
         p, w, work = self.setup_workspace()
         k = p.dims.N if stage == "N" else int(stage)
         good = work.psi_diag[k].copy()
         # the negative pivot is the block's last row, where an off-by-one
-        # in the row-to-stage mapping would name stage k + 1
+        # in the row-to-stage mapping would name stage k - 1
         work.psi_diag[k] = np.diag([1.0, 1.0, -1.0]) * np.max(np.abs(good))
         with pytest.raises(NonPositivePivot) as exc:
             factor_psi(work)
@@ -494,11 +510,13 @@ class TestBandedPsi:
 
     @pytest.mark.parametrize("block,stage", (("sub", 3), ("diag", 4)))
     def test_nan_names_stage(self, block, stage):
-        # a NaN in Psi is a failed pivot of the block row it sits in: a NaN
-        # in psi_sub[2] (block row 3) or in psi_diag[4] names that stage
+        # a NaN in Psi is a failed pivot of the block row it sits in, in the
+        # band's reversed order: Psi_{4,3} = psi_sub[3] enters the band
+        # transposed, in the block row of stage 3, and psi_diag[4] in that of
+        # stage 4
         p, w, work = self.setup_workspace()
         if block == "sub":
-            work.psi_sub[2][1, 0] = np.nan
+            work.psi_sub[3][1, 0] = np.nan
         else:
             work.psi_diag[4][0, 0] = np.nan
         with pytest.raises(NonPositivePivot) as exc:

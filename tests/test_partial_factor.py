@@ -1,8 +1,15 @@
 """Partial refactorization: only the stages whose active penalties changed
-are refactored, and the result must be the full factorization, bit for bit."""
+are refactored, and the result must be the full factorization, bit for bit.
+The band factor of Psi restarts at the last changed stage; it sums the same
+updates in another order, so it is checked by its untouched leading columns
+and by reconstruction instead."""
+
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ocpqp import kkt
 from ocpqp.alm import Solver, SolverSettings
@@ -10,10 +17,17 @@ from ocpqp.bench import SpringMassConfig, gen_random_ocp, gen_spring_mass
 from ocpqp.compact import NonPositivePivot
 from ocpqp.model import OcpDims
 
-from test_kkt import diagonal_problem, make_weights, uniform_vec
+from test_kkt import (
+    band_factor,
+    dense_from_blocks,
+    diagonal_problem,
+    make_weights,
+    reverse_blocks,
+    uniform_vec,
+)
 from test_model import random_problem
 
-FIELDS = ("H", "h_diag", "linv_lm", "vwt_lm", "p_lm", "psi_band")
+FIELDS = ("H", "h_diag", "linv_lm", "vwt_lm", "p_lm", "psi_diag", "psi_sub")
 
 
 def field(work, name):
@@ -28,17 +42,58 @@ def fresh_factorization(solver, state, weights, scale):
     if scale != 1.0:
         sx = sx.copy()
         sx.data *= scale
-    fresh = kkt.StageFactorization.allocate(p, solver.variant)
-    kkt.assemble_H(p, weights, sx, out=fresh.H, work=fresh)
-    kkt.factor_stages(fresh.H, p, work=fresh, variant=solver.variant)
-    return kkt.factor_psi(fresh)
+    return factored(p, weights, sx, solver.variant)
+
+
+def factored(problem, weights, sxinv, variant="dense"):
+    work = kkt.StageFactorization.allocate(problem, variant)
+    kkt.assemble_H(problem, weights, sxinv, out=work.H, work=work)
+    kkt.factor_stages(work.H, problem, work=work, variant=variant)
+    return kkt.factor_psi(work)
+
+
+def band_residual(work):
+    """max |L L^T - P Psi P^T| / max |Psi| over the blocks of the band factor
+    L, where P reverses the block order: ``band_diag[j]`` is the diagonal
+    block of stage j and ``band_sub[j]`` the block that couples it to stage
+    j + 1, so the reconstruction is blockwise."""
+    D = np.tril(work.band_diag)
+    S = work.band_sub
+    diag = D @ D.transpose(0, 2, 1)
+    diag[:-1] += S @ S.transpose(0, 2, 1)
+    off = S @ D[1:].transpose(0, 2, 1)
+    err = max(
+        np.max(np.abs(diag - work.psi_diag)),
+        np.max(np.abs(off - work.psi_sub.transpose(0, 2, 1))),
+    )
+    return err / max(np.max(np.abs(work.psi_diag)), np.max(np.abs(work.psi_sub)))
+
+
+def restart_column(work, stages):
+    """First band column that factor_psi(work, stages) rewrites."""
+    return (work.problem.dims.N - kkt.psi_top(work, stages)) * work.problem.dims.n_x
 
 
 def check_every_iteration(problem, variant, workers):
     """Solve with a hook after every inner iteration's factorization step
-    that compares the workspace with a fresh full factorization."""
+    that compares the workspace with a fresh full factorization: bit for
+    bit up to the Psi blocks, and for the band factor of Psi, untouched
+    columns before the restart and a reconstruction of P Psi P^T."""
     settings = SolverSettings(variant=variant, worker_count=workers)
-    with Solver(problem, settings) as solver:
+    original = kkt.factor_psi
+    restarts = []
+
+    def checked_factor_psi(f, stages=None):
+        before = f.psi_band.copy()
+        original(f, stages)
+        c0 = restart_column(f, stages)
+        assert np.array_equal(f.psi_band[:, :c0], before[:, :c0])
+        restarts.append(c0)
+        return f
+
+    with Solver(problem, settings) as solver, mock.patch.object(
+        kkt, "factor_psi", checked_factor_psi
+    ):
         factor = solver._factor
         checked = []
 
@@ -48,6 +103,7 @@ def check_every_iteration(problem, variant, workers):
             for name in FIELDS:
                 if getattr(fresh, name) is not None:
                     assert np.array_equal(field(solver.work, name), field(fresh, name)), name
+            assert band_residual(solver.work) <= 1e-14
             checked.append(scale)
             return scale
 
@@ -55,6 +111,8 @@ def check_every_iteration(problem, variant, workers):
         _, _, _, report = solver.solve()
     assert report.solved
     assert len(checked) >= report.inner_iters
+    # some factorization restarted past the first block
+    assert max(restarts) > 0
     return report
 
 
@@ -186,3 +244,65 @@ class TestChangedStages:
         assert np.array_equal(work.changed_stages(w2, 1.0), [2, 5])
         work.invalidate()
         assert np.array_equal(work.changed_stages(w, 1.0), everything)
+
+
+class TestPsiRestart:
+    """factor_psi(f, stages) after a full factorization, over random shapes
+    (N = 1, n_y = 0 and n_yN = 0 included) and random changed sets."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_partial_after_full(self, data):
+        N = data.draw(st.integers(1, 8), "N")
+        n_x = data.draw(st.integers(1, 4), "n_x")
+        n_u = data.draw(st.integers(1, 3), "n_u")
+        n_y = data.draw(st.integers(0, 3), "n_y")
+        n_yN = data.draw(st.integers(0, 2), "n_yN")
+        seed = data.draw(st.integers(0, 2**32 - 1), "seed")
+        stages = np.array(sorted(data.draw(
+            st.sets(st.integers(0, N), min_size=1, max_size=N + 1), "stages"
+        )))
+        rng = np.random.default_rng(seed)
+        p = random_problem(rng, N=N, n_x=n_x, n_u=n_u, n_y=n_y, n_yN=n_yN)
+        w1 = make_weights(p, rng.standard_normal(p.dims.n), sigma=1.5)
+        sx1 = uniform_vec(p, "primal", 1e-2)
+        work = factored(p, w1, sx1)
+
+        # new penalties and proximal diagonal on the changed stages only
+        w2 = make_weights(p, rng.standard_normal(p.dims.n), sigma=4.0)
+        others = np.setdiff1d(np.arange(N + 1), stages)
+        w2.sigma_active.stack[others] = w1.sigma_active.stack[others]
+        sx2 = sx1.copy()
+        sx2.stack[stages] *= 3.0
+        before = work.psi_band.copy()
+        kkt.assemble_H(p, w2, sx2, out=work.H, stages=stages, work=work)
+        kkt.factor_stages(work.H, p, work=work, stages=stages)
+        kkt.factor_psi(work, stages)
+
+        fresh = factored(p, w2, sx2)
+        for name in ("p_lm", "psi_diag", "psi_sub"):
+            assert np.array_equal(getattr(work, name), getattr(fresh, name)), name
+        c0 = restart_column(work, stages)
+        assert c0 == (N - min(stages[-1] + 1, N)) * n_x
+        assert np.array_equal(work.psi_band[:, :c0], before[:, :c0])
+        psi = dense_from_blocks(work.psi_diag, work.psi_sub)
+        L = band_factor(work)
+        assert np.max(np.abs(L @ L.T - reverse_blocks(psi, n_x))) <= 1e-14 * np.max(np.abs(psi))
+
+        rhs = rng.standard_normal((N + 1, n_x))
+        want = np.linalg.solve(psi, rhs.ravel())
+        got = kkt.psi_solve(work, rhs)
+        assert got.shape == rhs.shape
+        err = np.max(np.abs(got.ravel() - want)) / np.max(np.abs(want))
+        assert err <= 1e-14 * np.linalg.cond(psi)
+
+        # a negative pivot planted in a block the restart reaches names its
+        # stage; its leading rows stay positive definite, so the failure is
+        # the block's last row
+        bad = data.draw(st.integers(0, kkt.psi_top(work, stages)), "bad")
+        m = np.trace(work.psi_diag[bad])
+        work.psi_diag[bad] = np.diag(np.r_[np.full(n_x - 1, m), -m])
+        with pytest.raises(NonPositivePivot) as exc:
+            kkt.factor_psi(work, stages)
+        assert exc.value.failures == [(bad, -1)]
+        assert np.array_equal(work.psi_band[:, :c0], before[:, :c0])
