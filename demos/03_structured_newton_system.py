@@ -27,14 +27,15 @@ weights = kkt.weights_from_shifted(problem, sigma_y, z)
 sigma_x_inv = problem.primal_zeros()
 sigma_x_inv.data[:] = 1e-6
 
+# every step works in place on one workspace; one worker runs inline
 work = kkt.StageFactorization.allocate(problem)
-kkt.assemble_H(problem, weights, sigma_x_inv, out=work.H, work=work)
-kkt.factor_stages(work.H, problem, work=work)
+kkt.assemble_H(work, weights, sigma_x_inv)
+kkt.factor_stages(work, kkt.WorkerPool(1))
 kkt.factor_psi(work)
 
-# dense mirror of the same quantities
+# dense mirror of the same quantities (weights is a one-column CompactBatch)
 dense = oracles.assemble_dense(problem)
-sig = problem.dualineq_to_flat(weights.sigma_active)
+sig = problem.dualineq_to_flat(weights)
 H_dense = dense.Q + dense.G.T @ np.diag(sig) @ dense.G + 1e-6 * np.eye(dims.n)
 psi_dense = dense.M @ np.linalg.solve(H_dense, dense.M.T)
 

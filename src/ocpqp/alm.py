@@ -19,6 +19,8 @@ stalls, and move the proximal center.
 from __future__ import annotations
 
 import ctypes
+import functools
+import numbers
 import os
 import threading
 import time
@@ -31,7 +33,7 @@ import scipy
 
 from . import kkt, model
 from .compact import NonPositivePivot
-from .kkt import StructureMismatch, WorkerPool
+from .kkt import WorkerPool
 
 SIGMA_MIN = 1e-9
 SIGMA_MAX = 1e9
@@ -57,10 +59,10 @@ class SolverSettings:
 
     ``variant`` picks the stage-factorization path: 'dense', 'diagonal', or
     'auto' (diagonal when the problem structure allows it).  ``worker_count``
-    workers share the stage-parallel phases; the OCPQP_WORKERS environment
-    variable overrides it when set.  ``lane_width`` is read by nothing: the
-    benchmark still passes it, and it goes with the benchmark change of
-    ROADMAP item 5.
+    workers (an integer >= 1) share the stage-parallel phases; the
+    OCPQP_WORKERS environment variable overrides it when set.
+    ``lane_width`` is read by nothing: the benchmark still passes it, and it
+    goes with the benchmark change of ROADMAP item 5.
     """
 
     eps_abs: float = 1e-8
@@ -96,6 +98,8 @@ class SolverSettings:
             raise ValueError("initial_sigma must be None or finite and nonnegative")
         if not 0.0 <= self.proximal_weight < np.inf:
             raise ValueError("proximal_weight must be finite and nonnegative")
+        if not (isinstance(self.worker_count, numbers.Integral) and self.worker_count >= 1):
+            raise ValueError("worker_count must be an integer >= 1")
         if self.lane_width not in (1, 2, 4, 8):
             raise ValueError("lane_width must be one of 1, 2, 4, 8")
         if self.variant not in ("dense", "diagonal", "auto"):
@@ -155,27 +159,24 @@ class SolveReport:
         return self.status == SOLVED
 
 
-def _flat_dot(a, b):
-    return float(a @ b)
+# The functions below work on the stage-major ``.data`` arrays.  Padded
+# inequality rows (zero in G, infinite bounds, zero multiplier) and the
+# terminal input slot (decoupled, zero gradient) hold exact zeros in z, G dx,
+# dx, the gradient and x, so they add nothing to a sum over those arrays.
 
 
 def eval_phi(problem, state, x):
     """Inner objective value at ``x`` for the weights and center in ``state``."""
     z = model.mul_G(problem, x)
     z.data += state.y.data / state.sigma_y.data
-    dist = z.zeros_like()
-    np.clip(z.data, problem.bl.data, problem.bu.data, out=dist.data)
-    np.subtract(z.data, dist.data, out=dist.data)
-    xf = problem.primal_to_flat(x)
-    qxf = problem.primal_to_flat(model.mul_Q(problem, x))
-    val = 0.5 * _flat_dot(xf, qxf) + _flat_dot(xf, problem.flat_lin())
-    distf = problem.dualineq_to_flat(dist)
-    sigf = problem.dualineq_to_flat(state.sigma_y)
-    val += 0.5 * _flat_dot(distf, sigf * distf)
-    dc = xf - problem.primal_to_flat(state.x_center)
-    sxf = problem.primal_to_flat(state.sigma_x_inv)
-    val += 0.5 * _flat_dot(dc, sxf * dc)
-    return val
+    dist = z.data - np.clip(z.data, problem.bl.data, problem.bu.data)
+    xd = x.data
+    dc = xd - state.x_center.data
+    return float(
+        0.5 * (xd @ model.mul_Q(problem, x).data) + xd @ problem.lin.data
+        + 0.5 * (dist @ (state.sigma_y.data * dist))
+        + 0.5 * (dc @ (state.sigma_x_inv.data * dc))
+    )
 
 
 def eval_grad_phi(problem, state, x, out=None, z=None):
@@ -208,18 +209,14 @@ def exact_line_search(problem, state, x, dx, z=None, grad=None):
         z.data += state.y.data / state.sigma_y.data
     if grad is None:
         grad = eval_grad_phi(problem, state, x, z=z)
-    dxf = problem.primal_to_flat(dx)
-    c0 = _flat_dot(dxf, problem.primal_to_flat(grad))
+    dxd = dx.data
+    c0 = float(dxd @ grad.data)
     if c0 >= 0.0:
         raise NonDescentDirection(f"directional derivative {c0:.3e} at step 0")
 
-    qdx = problem.primal_to_flat(model.mul_Q(problem, dx))
-    sxf = problem.primal_to_flat(state.sigma_x_inv)
-    eta = _flat_dot(dxf, qdx) + _flat_dot(dxf, sxf * dxf)
-    delta = problem.dualineq_to_flat(model.mul_G(problem, dx))
-    z0 = problem.dualineq_to_flat(z)
-    blf, buf = problem.flat_bounds()
-    sig = problem.dualineq_to_flat(state.sigma_y)
+    eta = float(dxd @ model.mul_Q(problem, dx).data + dxd @ (state.sigma_x_inv.data * dxd))
+    delta = model.mul_G(problem, dx).data
+    z0, blf, buf, sig = z.data, problem.bl.data, problem.bu.data, state.sigma_y.data
 
     moving = delta != 0.0
     above = (z0 > buf) | ((z0 == buf) & (delta > 0.0))
@@ -263,11 +260,10 @@ def exact_line_search(problem, state, x, dx, z=None, grad=None):
 
 def initial_penalty(problem, x):
     """Scale-matched uniform initial penalty, clamped to [1e-4, 1e4]."""
-    xf = problem.primal_to_flat(x)
-    qxf = problem.primal_to_flat(model.mul_Q(problem, x))
-    cost = abs(0.5 * _flat_dot(xf, qxf) + _flat_dot(xf, problem.flat_lin()))
-    gxf = problem.dualineq_to_flat(model.mul_G(problem, x))
-    gnorm = 0.5 * _flat_dot(gxf, gxf)
+    xd = x.data
+    cost = abs(0.5 * float(xd @ model.mul_Q(problem, x).data) + float(xd @ problem.lin.data))
+    gx = model.mul_G(problem, x).data
+    gnorm = 0.5 * float(gx @ gx)
     return float(np.clip(20.0 * max(1.0, cost) / max(1.0, gnorm), 1e-4, 1e4))
 
 
@@ -368,25 +364,26 @@ class Solver:
             problem.x_init,
         )
         self.problem = problem
-        if self.settings.variant == "auto":
+        self.variant = self.settings.variant
+        if self.variant == "auto":
             self.variant = "diagonal" if problem.is_diagonal() else "dense"
-        else:
-            self.variant = self.settings.variant
-            if self.variant == "diagonal" and not problem.is_diagonal():
-                raise StructureMismatch(
-                    "diagonal variant requested for a non-diagonal problem"
-                )
         env_workers = os.environ.get("OCPQP_WORKERS")
-        workers = int(env_workers) if env_workers else self.settings.worker_count
-        self.worker_count = max(1, workers)
-        self.pool = WorkerPool(self.worker_count) if self.worker_count > 1 else None
+        self.worker_count = self.settings.worker_count
+        if env_workers:
+            try:
+                self.worker_count = int(env_workers)
+            except ValueError:
+                self.worker_count = 0
+            if self.worker_count < 1:
+                raise ValueError(f"OCPQP_WORKERS must be an integer >= 1, got {env_workers!r}")
+        # raises StructureMismatch for the diagonal variant of a non-diagonal problem
         self.work = kkt.StageFactorization.allocate(problem, self.variant)
+        self.pool = WorkerPool(self.worker_count)
         self._grad = problem.primal_zeros()
         self._b = problem.b_dualeq()
 
     def close(self):
-        if self.pool is not None:
-            self.pool.shutdown()
+        self.pool.shutdown()
 
     def __enter__(self):
         return self
@@ -452,12 +449,8 @@ class Solver:
         sigma0 = self.settings.initial_sigma
         if sigma0 is None:
             sigma0 = initial_penalty(p, x)
-        logical = p.dualineq_from_flat(np.ones(p.dims.m)).data > 0.0
         sigma_y = p.dualineq_zeros()
-        # padded rows keep a benign positive weight so z = Gx + y/sigma stays finite
-        sigma_y.data[:] = np.where(
-            logical, float(np.clip(sigma0, SIGMA_MIN, SIGMA_MAX)), 1.0
-        )
+        sigma_y.data[:] = float(np.clip(sigma0, SIGMA_MIN, SIGMA_MAX))
         sigma_x_inv = p.primal_zeros()
         sigma_x_inv.data[:] = float(
             np.clip(self.settings.proximal_weight, SIGMA_MIN, SIGMA_MAX)
@@ -474,8 +467,7 @@ class Solver:
         is reused as it stands.  Pivot failures escalate the proximal
         diagonal (at most the configured count), and every stage is
         refactored after one.  ``counts`` tallies the work for the report."""
-        p, w = self.problem, self.work
-        run = self.pool.run if self.pool is not None else (lambda fn, stages: fn(stages))
+        w = self.work
         scale = prox_scale
         for attempt in range(self.settings.max_pivot_escalations + 1):
             stages = w.changed_stages(weights, scale)
@@ -491,18 +483,11 @@ class Solver:
                 sx = sx.copy()
                 sx.data *= scale
             t0 = time.perf_counter()
-            run(
-                lambda ch: kkt.assemble_H(
-                    p, weights, sx, out=w.H, stages=ch, work=w
-                ),
-                stages,
-            )
+            self.pool.run(functools.partial(kkt.assemble_H, w, weights, sx), stages)
             t1 = time.perf_counter()
             timings["assembly"] += t1 - t0
             try:
-                kkt.factor_stages(
-                    w.H, p, work=w, pool=self.pool, variant=self.variant, stages=stages
-                )
+                kkt.factor_stages(w, self.pool, stages)
                 t2 = time.perf_counter()
                 timings["stage_factor"] += t2 - t1
                 kkt.factor_psi(w, stages)

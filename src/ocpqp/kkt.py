@@ -15,11 +15,19 @@ that never leave the stage-wise representation:
 The Schur complement Psi = M H^{-1} M^T is block-tridiagonal, a band matrix
 with a block-bidiagonal Cholesky factor.  Everything up to Psi is independent
 across stages and runs as batched calls over the stage axis of the
-stage-major stacks (see :mod:`ocpqp.compact`), optionally split over a
-worker pool in disjoint parts of a stage index set; the sequential part is
-one banded LAPACK call that factors Psi and one per solve with it.  The band
-holds Psi in reversed block order (stage N first, as a Riccati recursion
-runs), so the factor of the blocks of stages above a change stays valid.
+stage-major stacks (see :mod:`ocpqp.compact`), split over a :class:`WorkerPool`
+in disjoint parts of a stage index set (inline at one worker); the
+sequential part is one banded LAPACK call that factors Psi and one per solve
+with it.  The band holds Psi in reversed block order (stage N first, as a
+Riccati recursion runs), so the factor of the blocks of stages above a
+change stays valid.
+
+Every step takes the workspace, a :class:`StageFactorization` ``f``, first
+and works in place on it: ``assemble_H(f, weights, sigma_x_inv, stages)``,
+``factor_stages(f, pool, stages)``, ``factor_psi(f, stages)``,
+``solve_H(f, rhs)`` and ``solve_newton(f, grad, lam, eq_residual)``.  The
+active penalties ``weights`` are a one-column CompactBatch, as
+:func:`weights_from_shifted` returns them.
 
 Over a set of stages the pipeline runs one batched Cholesky of the H_j and
 inverts each stage's factor once with LAPACK trtri, so the stored stage
@@ -50,7 +58,9 @@ import scipy.linalg
 from . import model
 from .compact import CompactBatch, NonPositivePivot
 
-_trtri, _pbtrf, _pbtrs = scipy.linalg.get_lapack_funcs(("trtri", "pbtrf", "pbtrs"))
+_trtri, _potrf, _pbtrf, _pbtrs = scipy.linalg.get_lapack_funcs(
+    ("trtri", "potrf", "pbtrf", "pbtrs")
+)
 
 
 class StructureMismatch(Exception):
@@ -88,10 +98,6 @@ class WorkerPool:
             self._executor = None
 
 
-def _inline_run(fn, stages):
-    fn(stages)
-
-
 def _index(stages):
     """Index for a sorted stage array: a slice when the stages are one
     contiguous run (so stacks are read and written through views), the
@@ -113,19 +119,12 @@ def _scatter(stack, s, values):
         stack[s] = values
 
 
-@dataclass
-class ActiveWeights:
-    """Active-set penalty weights: entry i holds (Sigma_y)_ii when the
-    shifted constraint value is outside its interval, 0 inside."""
-
-    sigma_active: CompactBatch
-
-
 def weights_from_shifted(problem, sigma_y, z):
-    """Active weights at the shifted value z = Gx + Sigma_y^{-1} y (shared
-    with the gradient evaluation, which needs the same z)."""
+    """Active-set penalty weights at the shifted value z = Gx + Sigma_y^{-1} y
+    (shared with the gradient evaluation, which needs the same z): entry i
+    holds (Sigma_y)_ii when z_i is outside its interval, 0 inside."""
     inside = (z.data >= problem.bl.data) & (z.data <= problem.bu.data)
-    return ActiveWeights(CompactBatch(z.rows, 1, z.nstages, np.where(inside, 0.0, sigma_y.data)))
+    return CompactBatch(z.rows, 1, z.nstages, np.where(inside, 0.0, sigma_y.data))
 
 
 @dataclass
@@ -144,7 +143,7 @@ class StageFactorization:
     the block L(N - j, N - j - 1) that couples stage j to stage j + 1.
 
     ``factored_sigma`` and ``factored_scale`` record the active penalties
-    (a copy of ``sigma_active.stack``) and the proximal scale of the last
+    (a copy of the weights' stack) and the proximal scale of the last
     factorization that completed through :func:`factor_psi`, or None when
     there is none; see :meth:`changed_stages`.  The cache assumes the cost
     and constraint matrices and the proximal diagonal stay fixed between
@@ -170,6 +169,10 @@ class StageFactorization:
 
     @classmethod
     def allocate(cls, problem, variant="dense"):
+        if variant == "diagonal" and not problem.is_diagonal():
+            raise StructureMismatch(
+                "diagonal variant requires diagonal Q and R, zero S, and box-like rows"
+            )
         d = problem.dims
         ns, n_xu, n_x = d.N + 1, d.n_xu, d.n_x
         ew = np.zeros((ns, n_xu, 2 * n_x))
@@ -201,7 +204,7 @@ class StageFactorization:
         scale differs from its."""
         if self.factored_scale is None or scale != self.factored_scale:
             return np.arange(self.H.nstages)
-        changed = self.factored_sigma != weights.sigma_active.stack
+        changed = self.factored_sigma != weights.stack
         return np.flatnonzero(np.any(changed, axis=(1, 2)))
 
     def invalidate(self):
@@ -211,7 +214,7 @@ class StageFactorization:
     def record(self, weights, scale):
         """Mark the workspace as the complete factorization at ``weights``
         and proximal scale ``scale``."""
-        np.copyto(self.factored_sigma, weights.sigma_active.stack)
+        np.copyto(self.factored_sigma, weights.stack)
         self.factored_scale = scale
 
 
@@ -228,53 +231,29 @@ def _band_blocks(band, row0, nblocks):
     )
 
 
-def assemble_H(problem, weights, sigma_x_inv, out=None, stages=None, work=None):
-    """Per-stage generalized Hessian blocks:
+def assemble_H(f, weights, sigma_x_inv, stages=None):
+    """Per-stage generalized Hessian blocks into ``f.H``:
 
         H_j = [C_j D_j]^T Sigma_j [C_j D_j] + [[Q_j, S_j^T], [S_j, R_j]]
               + diag(sigma_x_inv)_j
 
-    over the sorted stage index array ``stages`` (all stages when None);
-    no other stage of ``out`` is written.  The proximal diagonal keeps every
+    with Sigma_j the active ``weights`` (see :func:`weights_from_shifted`),
+    over the sorted stage index array ``stages`` (all stages when None); no
+    other stage of ``f.H`` is written.  The proximal diagonal keeps every
     block positive definite even when the cost block alone is only positive
-    semidefinite.  ``work`` supplies scratch for the weighted constraint
-    panel.
+    semidefinite.
     """
-    d = problem.dims
-    if out is None:
-        out = CompactBatch(d.n_xu, d.n_xu, problem.cost.nstages)
-    s = _index(np.arange(out.nstages) if stages is None else stages)
-    H = _slots(out.stack, s)
-    con = problem.con.stack[s]
-    scaled = _slots(work.scaled_lm, s) if work is not None else np.empty_like(con)
-    np.multiply(con, np.sqrt(weights.sigma_active.stack[s]), out=scaled)
+    problem = f.problem
+    s = _index(np.arange(f.H.nstages) if stages is None else stages)
+    H = _slots(f.H.stack, s)
+    scaled = _slots(f.scaled_lm, s)
+    np.multiply(problem.con.stack[s], np.sqrt(weights.stack[s]), out=scaled)
     np.matmul(scaled.transpose(0, 2, 1), scaled, out=H)
     H += problem.cost.stack[s]
-    idx = np.arange(d.n_xu)
+    idx = np.arange(problem.dims.n_xu)
     H[:, idx, idx] += sigma_x_inv.stack[s, :, 0]
-    _scatter(out.stack, s, H)
-    return out
-
-
-def _masked_scalar_chol(mat):
-    """Right-looking sweep of one matrix with non-positive pivots replaced;
-    returns (first bad row, the partial factor)."""
-    m = mat.shape[0]
-    w = np.tril(mat)
-    first_row = -1
-    for k in range(m):
-        if not w[k, k] > 0.0:
-            if first_row < 0:
-                first_row = k
-            w[k, k] = 1.0
-        rt = np.sqrt(w[k, k])
-        w[k, k] = rt
-        if k + 1 < m:
-            w[k + 1 :, k] /= rt
-            w[k + 1 :, k + 1 :] -= np.tril(
-                np.outer(w[k + 1 :, k], w[k + 1 :, k])
-            )
-    return first_row, w
+    _scatter(f.H.stack, s, H)
+    return f
 
 
 def factor_chunk_dense(f, stages):
@@ -283,8 +262,9 @@ def factor_chunk_dense(f, stages):
     batched matmul for the combined (V; W)^T panels, and one J J^T product
     holding every Psi contribution of those stages; no other stage is
     written.  When the batched Cholesky fails, each stage is factored on its
-    own, so a failing stage is named by its index without touching its
-    siblings' factors."""
+    own by LAPACK potrf, so a failing stage is named by its index and the
+    row of its first non-positive pivot without touching its siblings'
+    factors."""
     s = _index(stages)
     H, linv = f.H.stack[s], _slots(f.linv_lm, s)
     failures = []
@@ -292,11 +272,9 @@ def factor_chunk_dense(f, stages):
         linv[:] = np.linalg.cholesky(H)  # reads the lower triangle
     except np.linalg.LinAlgError:
         for t in range(H.shape[0]):
-            try:
-                linv[t] = np.linalg.cholesky(H[t])
-            except np.linalg.LinAlgError:
-                row, linv[t] = _masked_scalar_chol(H[t])
-                failures.append((int(stages[t]), row))
+            linv[t], info = _potrf(H[t], lower=1)
+            if info > 0:
+                failures.append((int(stages[t]), info - 1))
     for t in range(linv.shape[0]):
         linv[t] = _trtri(linv[t], lower=1)[0]
     vwt, p = _slots(f.vwt_lm, s), _slots(f.p_lm, s)
@@ -352,28 +330,19 @@ def assemble_psi(f, stages=None):
     return f
 
 
-def factor_stages(H, problem, work=None, pool=None, variant="dense", stages=None):
-    """Factor the block-diagonal H and form the Psi blocks, stage-parallel.
+def factor_stages(f, pool, stages=None):
+    """Factor the block-diagonal ``f.H`` (see :func:`assemble_H`) and form
+    the Psi blocks, split over the WorkerPool ``pool``.
 
-    ``H`` is the assembled CompactBatch (see :func:`assemble_H`).  Only the
-    stages of the sorted index array ``stages`` (all when None) are
-    refactored; the others keep the factors ``work`` holds.  The Psi blocks
+    Only the stages of the sorted index array ``stages`` (all when None) are
+    refactored; the others keep the factors ``f`` holds.  The Psi blocks
     that those stages touch are then re-sliced, and the result is ready for
     :func:`factor_psi` over the same ``stages``.
     """
-    if work is None:
-        work = StageFactorization.allocate(problem, variant)
-    if work.H is not H:
-        np.copyto(work.H.data, H.data)
-    if variant == "diagonal" and not problem.is_diagonal():
-        raise StructureMismatch(
-            "diagonal variant requires diagonal Q and R, zero S, and box-like rows"
-        )
-    chunk_fn = factor_chunk_diagonal if variant == "diagonal" else factor_chunk_dense
-    run = pool.run if pool is not None else _inline_run
-    run(lambda ch: chunk_fn(work, ch), np.arange(H.nstages) if stages is None else stages)
-    assemble_psi(work, stages)
-    return work
+    chunk_fn = factor_chunk_diagonal if f.variant == "diagonal" else factor_chunk_dense
+    pool.run(lambda ch: chunk_fn(f, ch), np.arange(f.H.nstages) if stages is None else stages)
+    assemble_psi(f, stages)
+    return f
 
 
 def psi_top(f, stages=None):

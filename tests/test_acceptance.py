@@ -20,6 +20,10 @@ from ocpqp.model import OcpDims
 EPS = 1e-8
 
 
+# one worker runs every stage inline and holds no threads
+INLINE = kkt.WorkerPool(1)
+
+
 def _active_weights(problem, sigma_y, y, x):
     """Active weights at z = Gx + y / sigma_y, as the inner loop forms them."""
     z = model.mul_G(problem, x)
@@ -137,12 +141,12 @@ class TestCriterion3:
             sxinv = problem.primal_zeros()
             sxinv.data[:] = delta
             work = kkt.StageFactorization.allocate(problem)
-            kkt.assemble_H(problem, weights, sxinv, out=work.H, work=work)
-            kkt.factor_stages(work.H, problem, work=work)
+            kkt.assemble_H(work, weights, sxinv)
+            kkt.factor_stages(work, INLINE)
             kkt.factor_psi(work)
 
             dq = oracles.assemble_dense(problem)
-            sig = problem.dualineq_to_flat(weights.sigma_active)
+            sig = problem.dualineq_to_flat(weights)
             Hd = dq.Q + dq.G.T @ np.diag(sig) @ dq.G + delta * np.eye(problem.dims.n)
             psi_dense = dq.M @ np.linalg.solve(Hd, dq.M.T)
             scale = np.max(np.abs(psi_dense))
@@ -237,13 +241,13 @@ class TestCriterion4:
             sig = np.where(
                 rng.random(dm.m) < 0.5, 10.0 ** rng.uniform(-4, 9, dm.m), 0.0
             )
-            weights = kkt.ActiveWeights(p.dualineq_from_flat(sig))
+            weights = p.dualineq_from_flat(sig)
             delta = 1e-7
             sxinv = p.primal_zeros()
             sxinv.data[:] = delta
             work = kkt.StageFactorization.allocate(p)
-            kkt.assemble_H(p, weights, sxinv, out=work.H, work=work)
-            kkt.factor_stages(work.H, p, work=work)
+            kkt.assemble_H(work, weights, sxinv)
+            kkt.factor_stages(work, INLINE)
             b = rng.standard_normal(dm.n)
             zf = p.primal_to_flat(kkt.solve_H(work, p.primal_from_flat(b)))
             Hd = dq.Q + dq.G.T @ np.diag(sig) @ dq.G + delta * np.eye(dm.n)
@@ -293,25 +297,24 @@ class TestCriterion5:
         sy = p.dualineq_zeros()
         sy.data[:] = 2.0
         weights = _active_weights(p, sy, p.dualineq_zeros(), p.primal_zeros())
-        changed = kkt.ActiveWeights(weights.sigma_active.copy())
-        changed.sigma_active.stack[[1, 6, 7, 12], 0, 0] = 5.0
+        changed = weights.copy()
+        changed.stack[[1, 6, 7, 12], 0, 0] = 5.0
         sxinv = p.primal_zeros()
         sxinv.data[:] = 1e-7
         outs = []
         for workers in worker_counts:
-            pool = kkt.WorkerPool(workers) if workers > 1 else None
+            pool = kkt.WorkerPool(workers)
             work = kkt.StageFactorization.allocate(p)
-            kkt.assemble_H(p, weights, sxinv, out=work.H, work=work)
-            kkt.factor_stages(work.H, p, work=work, pool=pool)
+            kkt.assemble_H(work, weights, sxinv)
+            kkt.factor_stages(work, pool)
             kkt.factor_psi(work)
             work.record(weights, 1.0)
             stages = work.changed_stages(changed, 1.0)
             assert np.array_equal(stages, [1, 6, 7, 12])
-            kkt.assemble_H(p, changed, sxinv, out=work.H, stages=stages, work=work)
-            kkt.factor_stages(work.H, p, work=work, pool=pool, stages=stages)
+            kkt.assemble_H(work, changed, sxinv, stages)
+            kkt.factor_stages(work, pool, stages)
             kkt.factor_psi(work, stages)
-            if pool:
-                pool.shutdown()
+            pool.shutdown()
             outs.append(work)
         bit_identical = all(
             np.array_equal(getattr(outs[0], name), getattr(other, name))
@@ -340,6 +343,29 @@ def _timed_solve(problem, **kw):
         return time.perf_counter() - t0, report
 
 
+def _alternating_medians(problem, worker_counts, repeats=5):
+    """Median solve times of one solver per worker count, after a warm-up
+    solve each: the solvers take turns, so that a drift in host speed
+    reaches every side alike."""
+    solvers = {
+        w: Solver(problem, SolverSettings(variant="dense", worker_count=w))
+        for w in worker_counts
+    }
+    times = {w: [] for w in worker_counts}
+    try:
+        for s in solvers.values():
+            s.solve()
+        for _ in range(repeats):
+            for w, s in solvers.items():
+                t0 = time.perf_counter()
+                s.solve()
+                times[w].append(time.perf_counter() - t0)
+    finally:
+        for s in solvers.values():
+            s.close()
+    return {w: float(np.median(t)) for w, t in times.items()}
+
+
 def _stage_factor_times(problem, repeats=7):
     """Median times of the dense factorization of every stage: one batched
     ``factor_stages`` call over the stage axis, and a per-stage Python loop
@@ -351,11 +377,11 @@ def _stage_factor_times(problem, repeats=7):
     sxinv = problem.primal_zeros()
     sxinv.data[:] = 1e-7
     work = kkt.StageFactorization.allocate(problem)
-    kkt.assemble_H(problem, weights, sxinv, out=work.H, work=work)
+    kkt.assemble_H(work, weights, sxinv)
     H = work.H.stack
 
     def batched():
-        kkt.factor_stages(work.H, problem, work=work)
+        kkt.factor_stages(work, INLINE)
 
     def looped():
         for j in range(H.shape[0]):
@@ -389,14 +415,16 @@ class TestCriterion6:
               f"results differ by {diff:.1e}; target >= 1.3x)",
               soft=True)
 
-        # (b) multi-worker overhead at N = 120
+        # (b) multi-worker overhead at N = 120, medians of 5 alternating
+        # solves per side
         p120 = gen_spring_mass(SpringMassConfig(masses=30, horizon=120, seed=0))
-        t_1w, _ = _timed_solve(p120, worker_count=1)
         workers = max(4, min(8, os.cpu_count() or 1))
-        t_mw, _ = _timed_solve(p120, worker_count=workers)
-        ratio = t_mw / t_1w
+        medians = _alternating_medians(p120, (1, workers))
+        ratio = medians[workers] / medians[1]
         _line(6, ratio <= 1.10,
-              f"(b) {workers} workers vs 1 at N=120: ratio {ratio:.2f} (target <= 1.10)",
+              f"(b) {workers} workers vs 1 at N=120, medians of 5 alternating solves: "
+              f"ratio {ratio:.2f} ({medians[workers] * 1e3:.0f}ms vs "
+              f"{medians[1] * 1e3:.0f}ms; target <= 1.10)",
               soft=True)
 
         # (c) subquadratic growth in N
@@ -425,8 +453,8 @@ class TestCriterion7:
         works = {}
         for variant in ("dense", "diagonal"):
             w = kkt.StageFactorization.allocate(p, variant)
-            kkt.assemble_H(p, weights, sxinv, out=w.H, work=w)
-            kkt.factor_stages(w.H, p, work=w, variant=variant)
+            kkt.assemble_H(w, weights, sxinv)
+            kkt.factor_stages(w, INLINE)
             kkt.factor_psi(w)
             works[variant] = w
         g = p.primal_from_flat(rng.standard_normal(p.dims.n))

@@ -17,14 +17,19 @@ from ocpqp.model import OcpDims, OcpProblem
 from test_model import random_problem
 
 
+# (n_y, n_yN) pairs that pad inequality rows in every stage: the stages
+# before N when n_yN > n_y, and with n_y = 0 they hold padded rows only
+PADDED_EVERY_STAGE = ((2, 5), (0, 3))
+
+
 def make_state(problem, x_flat=None, y_flat=None, sigma=1.0, prox=0.0):
+    """State at flat iterates; as in the solver, every inequality slot,
+    padded rows included, holds the penalty ``sigma``."""
     p = problem
     x = p.primal_from_flat(x_flat) if x_flat is not None else p.primal_zeros()
     y = p.dualineq_from_flat(y_flat) if y_flat is not None else p.dualineq_zeros()
     sigma_y = p.dualineq_zeros()
-    sigma_y.data[:] = np.where(
-        p.dualineq_from_flat(np.ones(p.dims.m)).data > 0.0, sigma, 1.0
-    )
+    sigma_y.data[:] = sigma
     sigma_x_inv = p.primal_zeros()
     sigma_x_inv.data[:] = prox
     return alm.AlmState(x, y, p.dualeq_zeros(), sigma_y, sigma_x_inv, x.copy())
@@ -76,9 +81,10 @@ class TestEvalPhi:
         state = make_state(p, x_flat=xf, sigma=1.0, prox=0.0)
         assert np.isclose(eval_phi(p, state, state.x), 4.0, atol=1e-14)
 
-    def test_matches_dense_oracle(self):
+    @pytest.mark.parametrize("n_y,n_yN", ((3, 2),) + PADDED_EVERY_STAGE)
+    def test_matches_dense_oracle(self, n_y, n_yN):
         rng = np.random.default_rng(1)
-        p = random_problem(rng, N=4, n_y=3, n_yN=2)
+        p = random_problem(rng, N=4, n_y=n_y, n_yN=n_yN)
         xf = rng.standard_normal(p.dims.n)
         state = make_state(
             p, x_flat=rng.standard_normal(p.dims.n),
@@ -105,9 +111,10 @@ class TestEvalGradPhi:
         g = p.primal_to_flat(eval_grad_phi(p, state, state.x))
         assert np.isclose(g[1], 4.0, atol=1e-14)
 
-    def test_finite_differences(self):
+    @pytest.mark.parametrize("n_y,n_yN", ((2, 1),) + PADDED_EVERY_STAGE)
+    def test_finite_differences(self, n_y, n_yN):
         rng = np.random.default_rng(3)
-        p = random_problem(rng, N=3, n_x=2, n_u=1, n_y=2, n_yN=1)
+        p = random_problem(rng, N=3, n_x=2, n_u=1, n_y=n_y, n_yN=n_yN)
         xf = rng.standard_normal(p.dims.n)
         state = make_state(
             p, x_flat=rng.standard_normal(p.dims.n),
@@ -156,10 +163,11 @@ class TestExactLineSearch:
         with pytest.raises(NonDescentDirection):
             exact_line_search(p, state, state.x, dx)
 
-    def test_sign_change_at_minimizer(self):
+    @pytest.mark.parametrize("n_y,n_yN", ((2, 1),) + PADDED_EVERY_STAGE)
+    def test_sign_change_at_minimizer(self, n_y, n_yN):
         rng = np.random.default_rng(5)
         for trial in range(20):
-            p = random_problem(rng, N=3, n_x=2, n_u=2, n_y=2, n_yN=1)
+            p = random_problem(rng, N=3, n_x=2, n_u=2, n_y=n_y, n_yN=n_yN)
             state = make_state(
                 p, x_flat=rng.standard_normal(p.dims.n),
                 y_flat=rng.standard_normal(p.dims.m), sigma=2.0, prox=1e-4,
@@ -323,6 +331,33 @@ class TestSolve:
             assert solver.solve()[3].solved
         assert solve(p, SolverSettings())[3].solved
 
+    def test_flat_vectors_only_at_the_boundary(self, monkeypatch):
+        # inside solve() every vector stays stage-major: a cold solve only
+        # returns its three results as flat arrays, and a warm-started one
+        # also reads the three warm-start arrays
+        calls = []
+        for kind in ("primal", "dualeq", "dualineq"):
+            for way in ("to_flat", "from_flat"):
+                name = f"{kind}_{way}"
+
+                def counted(self, v, _name=name, _original=getattr(OcpProblem, name)):
+                    calls.append(_name)
+                    return _original(self, v)
+
+                monkeypatch.setattr(OcpProblem, name, counted)
+        returned = ["dualeq_to_flat", "dualineq_to_flat", "primal_to_flat"]
+        read = ["dualeq_from_flat", "dualineq_from_flat", "primal_from_flat"]
+        p = gen_spring_mass(SpringMassConfig(masses=3, horizon=9, seed=11))
+        assert p.dims.n_y != p.dims.n_yN  # padded inequality rows
+        with Solver(p, SolverSettings(log_inner=True)) as solver:
+            calls.clear()
+            x, y, lam, report = solver.solve()
+            assert report.solved and report.inner_log
+            assert sorted(calls) == returned
+            calls.clear()
+            assert solver.solve(warm_start=(x, y, lam))[3].solved
+            assert sorted(calls) == sorted(read + returned)
+
     def test_eps_rel_only_termination(self):
         # with eps_abs = 0 every test, Mx = b included, must be relative:
         # roundoff leaves ||Mx - b|| near 1e-15, which never meets 0
@@ -463,10 +498,25 @@ NON_FINITE_UPDATES = [
     dict(penalty_update_factor=np.inf),
     dict(penalty_update_factor=np.nan),
     dict(penalty_trigger=np.nan),
+    dict(worker_count=0),
+    dict(worker_count=-2),
+    dict(worker_count=2.5),
+    dict(worker_count=np.nan),
+    dict(OCPQP_WORKERS="0"),
+    dict(OCPQP_WORKERS="-1"),
+    dict(OCPQP_WORKERS="two"),
+    dict(OCPQP_WORKERS="1.5"),
 ], ids=lambda kw: ",".join(f"{k}={v}" for k, v in kw.items()))
-def test_settings_reject_non_finite_or_out_of_range(kwargs):
-    with pytest.raises(ValueError):
-        SolverSettings(**kwargs)
+def test_settings_reject_non_finite_or_out_of_range(kwargs, monkeypatch):
+    if "OCPQP_WORKERS" in kwargs:
+        # the environment variable overrides worker_count when Solver() starts
+        monkeypatch.setenv("OCPQP_WORKERS", kwargs["OCPQP_WORKERS"])
+        p = gen_spring_mass(SpringMassConfig(masses=3, horizon=5, seed=1))
+        with pytest.raises(ValueError, match="OCPQP_WORKERS"):
+            Solver(p, SolverSettings())
+    else:
+        with pytest.raises(ValueError):
+            SolverSettings(**kwargs)
 
 
 def test_settings_accept_edge_values():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ocpqp import kkt, model, oracles
-from ocpqp.alm import SIGMA_MAX
+from ocpqp.alm import SIGMA_MAX, Solver, SolverSettings
 from ocpqp.bench import SpringMassConfig, gen_spring_mass
 from ocpqp.compact import NonPositivePivot
 from ocpqp.kkt import (
@@ -37,7 +37,7 @@ def make_weights(problem, x_flat, sigma=1.0, y_flat=None):
 
 def dense_H(problem, weights, delta):
     dq = oracles.assemble_dense(problem)
-    sig = problem.dualineq_to_flat(weights.sigma_active)
+    sig = problem.dualineq_to_flat(weights)
     return dq.Q + dq.G.T @ np.diag(sig) @ dq.G + delta * np.eye(problem.dims.n), dq
 
 
@@ -45,11 +45,24 @@ def dense_psi(problem, Hd, dq):
     return dq.M @ np.linalg.solve(Hd, dq.M.T)
 
 
-def factor_all(problem, weights, delta, variant="dense", pool=None):
+# one worker runs every stage inline and holds no threads
+INLINE = WorkerPool(1)
+
+
+def assembled(problem, weights, sxinv):
+    """The H_j of every stage, assembled in a fresh workspace."""
+    return assemble_H(kkt.StageFactorization.allocate(problem), weights, sxinv).H
+
+
+def factor_all(problem, weights, delta, variant="dense", workers=1):
     sxinv = uniform_vec(problem, "primal", delta)
     work = kkt.StageFactorization.allocate(problem, variant)
-    assemble_H(problem, weights, sxinv, out=work.H, work=work)
-    factor_stages(work.H, problem, work=work, pool=pool, variant=variant)
+    assemble_H(work, weights, sxinv)
+    pool = WorkerPool(workers)
+    try:
+        factor_stages(work, pool)
+    finally:
+        pool.shutdown()
     return work
 
 
@@ -58,7 +71,7 @@ class TestActiveWeights:
         rng = np.random.default_rng(0)
         p = random_problem(rng, N=3, infinite=True)
         w = make_weights(p, rng.standard_normal(p.dims.n))
-        assert np.all(w.sigma_active.data == 0.0)
+        assert np.all(w.data == 0.0)
 
     def test_interior_point_zero_weights(self):
         rng = np.random.default_rng(1)
@@ -67,7 +80,7 @@ class TestActiveWeights:
         gx = np.zeros(p.dims.m)
         blf, buf = p.flat_bounds()
         inside = (gx >= blf) & (gx <= buf)
-        sig = p.dualineq_to_flat(w.sigma_active)
+        sig = p.dualineq_to_flat(w)
         assert np.array_equal(sig == 0.0, inside)
 
     def test_matches_elementwise_oracle(self):
@@ -80,7 +93,7 @@ class TestActiveWeights:
         dq = oracles.assemble_dense(p)
         z = dq.G @ x + y / sigma
         expect = np.where((z >= dq.bl) & (z <= dq.bu), 0.0, sigma)
-        assert np.array_equal(p.dualineq_to_flat(w.sigma_active), expect)
+        assert np.array_equal(p.dualineq_to_flat(w), expect)
 
     def test_boundary_counts_as_inactive(self):
         rng = np.random.default_rng(3)
@@ -90,7 +103,7 @@ class TestActiveWeights:
         y = np.zeros(p.dims.m)
         y[0] = dq.bu[0]
         w = make_weights(p, np.zeros(p.dims.n), sigma=1.0, y_flat=y)
-        assert p.dualineq_to_flat(w.sigma_active)[0] == 0.0
+        assert p.dualineq_to_flat(w)[0] == 0.0
 
     def test_idempotent_mask(self):
         rng = np.random.default_rng(4)
@@ -98,8 +111,8 @@ class TestActiveWeights:
         x = rng.standard_normal(p.dims.n)
         w1 = make_weights(p, x, sigma=3.0)
         w2 = make_weights(p, x, sigma=3.0)
-        assert np.array_equal(w1.sigma_active.data != 0.0, w2.sigma_active.data != 0.0)
-        assert np.array_equal(w1.sigma_active.data, w2.sigma_active.data)
+        assert np.array_equal(w1.data != 0.0, w2.data != 0.0)
+        assert np.array_equal(w1.data, w2.data)
 
 
 class TestAssembleH:
@@ -108,7 +121,7 @@ class TestAssembleH:
         p = random_problem(rng, N=3, infinite=True)
         w = make_weights(p, rng.standard_normal(p.dims.n))
         sxinv = uniform_vec(p, "primal", 0.125)
-        H = assemble_H(p, w, sxinv)
+        H = assembled(p, w, sxinv)
         for j in range(p.dims.N + 1):
             want = p.cost.stage(j) + 0.125 * np.eye(p.dims.n_xu)
             got = H.stage(j)
@@ -123,7 +136,7 @@ class TestAssembleH:
             w = make_weights(p, x, sigma=1.7)
             delta = 1e-3
             Hd, dq = dense_H(p, w, delta)
-            H = assemble_H(p, w, uniform_vec(p, "primal", delta))
+            H = assembled(p, w, uniform_vec(p, "primal", delta))
             dm = p.dims
             low = np.tril_indices(dm.n_xu)
             for j in range(dm.N):
@@ -144,10 +157,11 @@ class TestAssembleH:
         p = random_problem(rng, N=9, n_x=3, n_u=2, n_y=2, n_yN=1)
         w = make_weights(p, rng.standard_normal(p.dims.n), sigma=2.0)
         sxinv = uniform_vec(p, "primal", 1e-2)
-        full = assemble_H(p, w, sxinv)
-        part = full.zeros_like()
+        full = assembled(p, w, sxinv)
+        work = kkt.StageFactorization.allocate(p)
+        part = work.H
         part.data[:] = np.nan
-        assemble_H(p, w, sxinv, out=part, stages=np.array(stages))
+        assemble_H(work, w, sxinv, stages=np.array(stages))
         others = np.setdiff1d(np.arange(p.cost.nstages), stages)
         assert np.array_equal(part.stack[stages], full.stack[stages])
         assert np.all(np.isnan(part.stack[others]))
@@ -157,7 +171,7 @@ class TestAssembleH:
         rng = np.random.default_rng(13)
         p = random_problem(rng, N=5, n_x=4, n_u=2, n_y=3, n_yN=2)
         w = make_weights(p, rng.standard_normal(p.dims.n), sigma=1e3)
-        H = assemble_H(p, w, uniform_vec(p, "primal", 1e-4))
+        H = assembled(p, w, uniform_vec(p, "primal", 1e-4))
         sym = H.stack.transpose(0, 2, 1)
         assert np.max(np.abs(H.stack - sym)) <= 1e-14 * np.max(np.abs(H.stack))
 
@@ -223,12 +237,8 @@ class TestFactorStages:
         p = random_problem(rng, N=13, n_x=3, n_u=2, n_y=2, n_yN=1)
         x = rng.standard_normal(p.dims.n)
         w = make_weights(p, x, sigma=1.0)
-        pool = WorkerPool(4)
-        try:
-            w1 = factor_all(p, w, 1e-3, pool=None)
-            w4 = factor_all(p, w, 1e-3, pool=pool)
-        finally:
-            pool.shutdown()
+        w1 = factor_all(p, w, 1e-3, workers=1)
+        w4 = factor_all(p, w, 1e-3, workers=4)
         for name in ("linv_lm", "vwt_lm", "p_lm", "psi_diag", "psi_sub"):
             assert np.array_equal(getattr(w1, name), getattr(w4, name))
 
@@ -242,16 +252,15 @@ class TestFactorStages:
         p = random_problem(rng, N=9, n_x=3, n_u=2, n_y=2, n_yN=1)
         w = make_weights(p, rng.standard_normal(p.dims.n), sigma=1.0)
         work = kkt.StageFactorization.allocate(p)
-        assemble_H(p, w, uniform_vec(p, "primal", 1e-3), out=work.H, work=work)
+        assemble_H(work, w, uniform_vec(p, "primal", 1e-3))
         bad = 5
         work.H.set_stage(bad, -np.eye(p.dims.n_xu))
-        pool = WorkerPool(workers) if workers > 1 else None
+        pool = WorkerPool(workers)
         try:
             with pytest.raises(NonPositivePivot) as exc:
-                factor_stages(work.H, p, work=work, pool=pool)
+                factor_stages(work, pool)
         finally:
-            if pool is not None:
-                pool.shutdown()
+            pool.shutdown()
         assert exc.value.failures == [(bad, 0)]
         for j in range(work.H.nstages):
             if j == bad:
@@ -284,24 +293,24 @@ class TestFactorStages:
         scales = (1.0, 4.0, 0.25, 16.0)
         for j, c in enumerate(scales):
             work.H.set_stage(j, c * np.eye(p.dims.n_xu))
-        factor_stages(work.H, p, work=work)
+        factor_stages(work, INLINE)
         for j, c in enumerate(scales):
             assert np.array_equal(work.linv_lm[j], np.eye(p.dims.n_xu) / np.sqrt(c))
 
     @pytest.mark.parametrize("row", (0, 2, 4))
     def test_failure_reports_stage_and_row(self, row):
         # H_j = I with pivot ``row`` negated: the first non-positive pivot
-        # of the masked sweep is that row
+        # that LAPACK potrf meets is that row
         rng = np.random.default_rng(44)
         p = random_problem(rng, N=5, n_x=3, n_u=2)
         w = make_weights(p, rng.standard_normal(p.dims.n), sigma=1.0)
         work = kkt.StageFactorization.allocate(p)
-        assemble_H(p, w, uniform_vec(p, "primal", 1e-3), out=work.H, work=work)
+        assemble_H(work, w, uniform_vec(p, "primal", 1e-3))
         h = np.eye(p.dims.n_xu)
         h[row, row] = -1.0
         work.H.set_stage(3, h)
         with pytest.raises(NonPositivePivot) as exc:
-            factor_stages(work.H, p, work=work)
+            factor_stages(work, INLINE)
         assert (exc.value.stage, exc.value.row) == (3, row)
         assert exc.value.failures == [(3, row)]
 
@@ -313,7 +322,7 @@ class TestFactorStages:
             work.H.set_stage(j, np.eye(p.dims.n_xu))
         work.H.set_stage(2, np.diag([1.0, 0.0, 1.0]))
         with pytest.raises(NonPositivePivot) as exc:
-            factor_stages(work.H, p, work=work, variant="diagonal")
+            factor_stages(work, INLINE)
         assert exc.value.failures == [(2, 1)]
 
 
@@ -624,7 +633,7 @@ class TestExplicitInverse:
             m = p.dims.m
             active = rng.random(m) < 0.5
             sig = np.where(active, 10.0 ** rng.uniform(-4, np.log10(SIGMA_MAX), m), 0.0)
-            weights = kkt.ActiveWeights(p.dualineq_from_flat(sig))
+            weights = p.dualineq_from_flat(sig)
             delta = 1e-7
             work = factor_all(p, weights, delta, variant="dense")
             factor_psi(work)
@@ -679,7 +688,7 @@ class TestDiagonalVariant:
         work.H.set_stage(0, np.diag([4.0, 9.0]))
         for j in range(1, p.cost.nstages):
             work.H.set_stage(j, np.eye(2))
-        factor_stages(work.H, p, work=work, variant="diagonal")
+        factor_stages(work, INLINE)
         assert np.allclose(np.sqrt(work.h_diag.stage(0)[:, 0]), [2.0, 3.0])
 
     def test_agrees_with_dense_path(self):
@@ -703,14 +712,14 @@ class TestDiagonalVariant:
         assert np.max(np.abs(l1 - l2)) < 1e-12 * (1 + np.max(np.abs(l1)))
 
     def test_structure_mismatch(self):
+        # the one check: no diagonal workspace exists for a non-diagonal
+        # problem, so no later step can take the diagonal path with it
         rng = np.random.default_rng(82)
         p = random_problem(rng, N=3)  # dense S, C, D
-        w = make_weights(p, np.zeros(p.dims.n))
-        sxinv = uniform_vec(p, "primal", 1e-3)
-        work = kkt.StageFactorization.allocate(p, "diagonal")
-        assemble_H(p, w, sxinv, out=work.H, work=work)
         with pytest.raises(StructureMismatch):
-            factor_stages(work.H, p, work=work, variant="diagonal")
+            kkt.StageFactorization.allocate(p, "diagonal")
+        with pytest.raises(StructureMismatch):
+            Solver(p, SolverSettings(variant="diagonal"))
 
     def test_solve_H_matches(self):
         rng = np.random.default_rng(83)

@@ -18,6 +18,7 @@ from ocpqp.compact import NonPositivePivot
 from ocpqp.model import OcpDims
 
 from test_kkt import (
+    INLINE,
     band_factor,
     dense_from_blocks,
     diagonal_problem,
@@ -47,8 +48,8 @@ def fresh_factorization(solver, state, weights, scale):
 
 def factored(problem, weights, sxinv, variant="dense"):
     work = kkt.StageFactorization.allocate(problem, variant)
-    kkt.assemble_H(problem, weights, sxinv, out=work.H, work=work)
-    kkt.factor_stages(work.H, problem, work=work, variant=variant)
+    kkt.assemble_H(work, weights, sxinv)
+    kkt.factor_stages(work, INLINE)
     return kkt.factor_psi(work)
 
 
@@ -147,21 +148,20 @@ class TestPivotFailureInPartialSet:
         p = random_problem(rng, N=11, n_x=3, n_u=2, n_y=2, n_yN=1)
         w = make_weights(p, rng.standard_normal(p.dims.n), sigma=1.0)
         work = kkt.StageFactorization.allocate(p)
-        kkt.assemble_H(p, w, uniform_vec(p, "primal", 1e-3), out=work.H, work=work)
-        kkt.factor_stages(work.H, p, work=work)
+        kkt.assemble_H(work, w, uniform_vec(p, "primal", 1e-3))
+        kkt.factor_stages(work, INLINE)
         before = work.linv_lm.copy()
         stages = np.array([1, 5, 6, 10])
         bad = 6
         h = np.eye(p.dims.n_xu)
         h[2, 2] = -1.0
         work.H.set_stage(bad, h)
-        pool = kkt.WorkerPool(workers) if workers > 1 else None
+        pool = kkt.WorkerPool(workers)
         try:
             with pytest.raises(NonPositivePivot) as exc:
-                kkt.factor_stages(work.H, p, work=work, pool=pool, stages=stages)
+                kkt.factor_stages(work, pool, stages)
         finally:
-            if pool is not None:
-                pool.shutdown()
+            pool.shutdown()
         assert exc.value.failures == [(bad, 2)]
         others = np.setdiff1d(np.arange(work.H.nstages), stages)
         assert np.array_equal(work.linv_lm[others], before[others])
@@ -175,16 +175,16 @@ class TestPivotFailureInPartialSet:
         original = kkt.factor_stages
         calls, failures = [], []
 
-        def planted(H, problem, work=None, pool=None, variant="dense", stages=None):
+        def planted(f, pool, stages=None):
             calls.append(stages.copy())
-            if not failures and len(stages) < H.nstages:
+            if not failures and len(stages) < f.H.nstages:
                 k = int(stages[len(stages) // 2])
-                H.set_stage(k, -np.eye(H.rows))
+                f.H.set_stage(k, -np.eye(f.H.rows))
                 with pytest.raises(NonPositivePivot) as exc:
-                    original(H, problem, work=work, pool=pool, variant=variant, stages=stages)
+                    original(f, pool, stages)
                 failures.append((k, exc.value.failures))
                 raise exc.value
-            return original(H, problem, work=work, pool=pool, variant=variant, stages=stages)
+            return original(f, pool, stages)
 
         monkeypatch.setattr(kkt, "factor_stages", planted)
         with Solver(p, SolverSettings(variant="dense", worker_count=workers)) as solver:
@@ -211,13 +211,12 @@ class TestStagesOutsideTheSet:
         for stack in stacks:
             stack[:] = np.nan
         stages = np.array([0, 3, 4, 8])
-        pool = kkt.WorkerPool(workers) if workers > 1 else None
+        pool = kkt.WorkerPool(workers)
         try:
-            kkt.assemble_H(p, w, uniform_vec(p, "primal", 1e-3), out=work.H, stages=stages)
-            kkt.factor_stages(work.H, p, work=work, pool=pool, variant=variant, stages=stages)
+            kkt.assemble_H(work, w, uniform_vec(p, "primal", 1e-3), stages)
+            kkt.factor_stages(work, pool, stages)
         finally:
-            if pool is not None:
-                pool.shutdown()
+            pool.shutdown()
         others = np.setdiff1d(np.arange(work.H.nstages), stages)
         written = stacks if variant == "dense" else stacks[:1] + stacks[2:]
         for stack in written:
@@ -238,9 +237,9 @@ class TestChangedStages:
         work.record(w, 1.0)
         assert work.changed_stages(w, 1.0).size == 0
         assert np.array_equal(work.changed_stages(w, 10.0), everything)
-        w2 = kkt.ActiveWeights(w.sigma_active.copy())
-        w2.sigma_active.stack[2, 0, 0] += 1.0
-        w2.sigma_active.stack[5, 1, 0] = np.nan
+        w2 = w.copy()
+        w2.stack[2, 0, 0] += 1.0
+        w2.stack[5, 1, 0] = np.nan
         assert np.array_equal(work.changed_stages(w2, 1.0), [2, 5])
         work.invalidate()
         assert np.array_equal(work.changed_stages(w, 1.0), everything)
@@ -271,12 +270,12 @@ class TestPsiRestart:
         # new penalties and proximal diagonal on the changed stages only
         w2 = make_weights(p, rng.standard_normal(p.dims.n), sigma=4.0)
         others = np.setdiff1d(np.arange(N + 1), stages)
-        w2.sigma_active.stack[others] = w1.sigma_active.stack[others]
+        w2.stack[others] = w1.stack[others]
         sx2 = sx1.copy()
         sx2.stack[stages] *= 3.0
         before = work.psi_band.copy()
-        kkt.assemble_H(p, w2, sx2, out=work.H, stages=stages, work=work)
-        kkt.factor_stages(work.H, p, work=work, stages=stages)
+        kkt.assemble_H(work, w2, sx2, stages)
+        kkt.factor_stages(work, INLINE, stages)
         kkt.factor_psi(work, stages)
 
         fresh = factored(p, w2, sx2)
