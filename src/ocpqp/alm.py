@@ -432,7 +432,6 @@ class Solver:
         if x_init.shape != (self.problem.dims.n_x,) or not np.isfinite(x_init).all():
             raise ValueError("x_init must be a finite vector of length n_x")
         self.problem.x_init[:] = x_init
-        self.problem._b = None
         self._b = self.problem.b_dualeq()
 
     # -- solve ---------------------------------------------------------------

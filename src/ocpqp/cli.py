@@ -58,6 +58,20 @@ def _print_results(results):
         )
 
 
+def _run_cases(cases, args):
+    """Run the cases, print the table, write the CSV and gnuplot script if
+    asked; exit code 2 when any instance failed."""
+    results = bench.run_benchmark(cases)
+    _print_results(results)
+    if args.out:
+        bench.write_csv(results, args.out)
+        print(f"wrote {args.out}")
+        if args.gnuplot:
+            bench.write_gnuplot_script(args.out, args.out + ".gp")
+            print(f"wrote {args.out}.gp")
+    return 2 if any(r.failures for r in results) else 0
+
+
 def cmd_bench_spring_mass(args):
     masses = parse_range(args.masses)
     cases = [
@@ -72,15 +86,7 @@ def cmd_bench_spring_mass(args):
         )
         for m in masses
     ]
-    results = bench.run_benchmark(cases)
-    _print_results(results)
-    if args.out:
-        bench.write_csv(results, args.out)
-        print(f"wrote {args.out}")
-        if args.gnuplot:
-            bench.write_gnuplot_script(args.out, args.out + ".gp")
-            print(f"wrote {args.out}.gp")
-    return 2 if any(r.failures for r in results) else 0
+    return _run_cases(cases, args)
 
 
 def cmd_bench_scaling(args):
@@ -98,14 +104,7 @@ def cmd_bench_scaling(args):
         for workers in parse_int_list(args.workers)
         for N in horizons
     ]
-    results = bench.run_benchmark(cases)
-    _print_results(results)
-    if args.out:
-        bench.write_csv(results, args.out)
-        print(f"wrote {args.out}")
-        if args.gnuplot:
-            bench.write_gnuplot_script(args.out, args.out + ".gp")
-    return 2 if any(r.failures for r in results) else 0
+    return _run_cases(cases, args)
 
 
 def cmd_solve(args):

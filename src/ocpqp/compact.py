@@ -70,18 +70,6 @@ class CompactBatch:
             self.stack = data.reshape(shape)
         self.data = self.stack.reshape(-1)
 
-    def stage(self, j):
-        """Matrix of stage j as a fresh (rows, cols) array."""
-        if not 0 <= j < self.nstages:
-            raise IndexError(f"stage {j} out of range")
-        return self.stack[j].copy()
-
-    def set_stage(self, j, mat):
-        mat = np.asarray(mat, dtype=np.float64)
-        if mat.shape != (self.rows, self.cols):
-            raise ValueError(f"stage matrix shape {mat.shape} != {(self.rows, self.cols)}")
-        self.stack[j] = mat
-
     def to_stack(self):
         """All stage slots as a (nstages, rows, cols) array (copy)."""
         return self.stack.copy()

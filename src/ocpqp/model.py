@@ -16,11 +16,16 @@ At load the terminal stage is embedded as a regular stage padded with
 S = 0, R = I, D = 0, so every stage operation is uniform over exactly N + 1
 stage slots.  The logical dimensions (n variables, p equalities, m
 inequalities) are not affected by the embedding.
+
+One table, ``_views``, places each family of :meth:`OcpProblem.from_stages`
+in the stage stacks.  ``from_stages`` writes through it; ``families()``,
+``validate``, the problem files and the oracles read through it.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -29,14 +34,7 @@ import numpy as np
 from .compact import CompactBatch
 
 _MAGIC = b"OCPQ1"
-
-# Vectors are CompactBatch values with a single column:
-#   PrimalVector   - stage rows n_x + n_u (terminal u slot is a zero dummy)
-#   DualEqVector   - stage rows n_x, one block row per stage 0..N
-#   DualIneqVector - stage rows n_y_pad = max(n_y, n_yN)
-PrimalVector = CompactBatch
-DualEqVector = CompactBatch
-DualIneqVector = CompactBatch
+_DIMS = ("N", "n_x", "n_u", "n_y", "n_yN")
 
 
 @dataclass(frozen=True)
@@ -93,14 +91,59 @@ class ValidationReport:
         return self.ok
 
 
-def _per_stage(arr, count, shape, name):
-    """Normalize per-stage input: (count, *shape) or a single (*shape) array."""
-    arr = np.asarray(arr, dtype=np.float64)
-    if arr.shape == shape:
-        arr = np.broadcast_to(arr, (count, *shape)).copy()
-    if arr.shape != (count, *shape):
-        raise ValueError(f"{name}: expected shape {(count, *shape)} or {shape}, got {arr.shape}")
-    return arr
+def _stack_shapes(dims):
+    """Shapes of the seven stage stacks, keyed by their OcpProblem field."""
+    ns, n_x, n_xu, n_y_pad = dims.N + 1, dims.n_x, dims.n_xu, dims.n_y_pad
+    return {
+        "cost": (ns, n_xu, n_xu),
+        "lin": (ns, n_xu, 1),
+        "dyn": (ns, n_x, n_xu),
+        "affine": (ns, n_x, 1),
+        "con": (ns, n_y_pad, n_xu),
+        "bl": (ns, n_y_pad, 1),
+        "bu": (ns, n_y_pad, 1),
+    }
+
+
+def _zero_stacks(dims):
+    """Fresh stage stacks: zeros, and -inf / +inf in ``bl`` / ``bu`` so that
+    padded rows bound nothing."""
+    stacks = {name: np.zeros(shape) for name, shape in _stack_shapes(dims).items()}
+    stacks["bl"].fill(-np.inf)
+    stacks["bu"].fill(np.inf)
+    return stacks
+
+
+def _views(stacks, dims):
+    """Each :meth:`OcpProblem.from_stages` family as a view of ``stacks``.
+
+    This table is the one place that says where a family lives.  The
+    per-stage families come first, then the terminal ones, in the order of
+    the binary problem file.  The two blocks no argument names are the S^T
+    block of ``cost`` and the terminal R = I, which ``from_stages`` writes.
+    """
+    N, n_x, n_y, n_yN = dims.N, dims.n_x, dims.n_y, dims.n_yN
+    cost, lin, dyn, con = stacks["cost"], stacks["lin"], stacks["dyn"], stacks["con"]
+    bl, bu = stacks["bl"], stacks["bu"]
+    return {
+        "Q": cost[:N, :n_x, :n_x],
+        "S": cost[:N, n_x:, :n_x],
+        "R": cost[:N, n_x:, n_x:],
+        "q": lin[:N, :n_x, 0],
+        "r": lin[:N, n_x:, 0],
+        "A": dyn[:N, :, :n_x],
+        "B": dyn[:N, :, n_x:],
+        "c": stacks["affine"][:N, :, 0],
+        "C": con[:N, :n_y, :n_x],
+        "D": con[:N, :n_y, n_x:],
+        "bl": bl[:N, :n_y, 0],
+        "bu": bu[:N, :n_y, 0],
+        "Q_N": cost[N, :n_x, :n_x],
+        "q_N": lin[N, :n_x, 0],
+        "C_N": con[N, :n_yN, :n_x],
+        "bl_N": bl[N, :n_yN, 0],
+        "bu_N": bu[N, :n_yN, 0],
+    }
 
 
 class OcpProblem:
@@ -117,6 +160,11 @@ class OcpProblem:
     - ``bl, bu`` : (n_y_pad x 1) bounds, +-inf on padded rows
 
     Stage N holds the terminal data padded with S = 0, R = I, D = 0.
+
+    Vectors are single-column CompactBatch values over the same N + 1 stage
+    slots: primal vectors have n_x + n_u rows per stage (the terminal u slot
+    is a zero dummy), equality duals n_x (one block row per stage 0..N) and
+    inequality duals n_y_pad = max(n_y, n_yN).
     """
 
     def __init__(self, dims, cost, lin, dyn, affine, con, bl, bu, x_init):
@@ -131,7 +179,6 @@ class OcpProblem:
         self.x_init = np.asarray(x_init, dtype=np.float64).copy()
         if self.x_init.shape != (dims.n_x,):
             raise ValueError(f"x_init must have shape ({dims.n_x},)")
-        self._b = None
         self._diag_flag = None
 
     # -- construction ------------------------------------------------------
@@ -163,6 +210,7 @@ class OcpProblem:
         Each stage family accepts a stacked (N, rows, cols) array or a single
         matrix reused for all stages.  Q and Q_N are symmetrized.
         """
+        given = dict(locals())  # the arguments by name, before any rebinding
         x_init = np.asarray(x_init, dtype=np.float64)
         n_x = x_init.shape[0]
         A = np.asarray(A, dtype=np.float64)
@@ -178,119 +226,40 @@ class OcpProblem:
         C = np.asarray(C, dtype=np.float64)
         n_y = C.shape[-2] if C.ndim >= 2 else 0
         C_N = np.asarray(C_N, dtype=np.float64).reshape(-1, n_x)
-        n_yN = C_N.shape[0]
-        dims = OcpDims(N, n_x, n_u, n_y, n_yN)
+        dims = OcpDims(N, n_x, n_u, n_y, C_N.shape[0])
 
-        Q = _per_stage(Q, N, (n_x, n_x), "Q")
-        S = _per_stage(S, N, (n_u, n_x), "S")
-        R = _per_stage(R, N, (n_u, n_u), "R")
-        q = _per_stage(q, N, (n_x,), "q")
-        r = _per_stage(r, N, (n_u,), "r")
-        A = _per_stage(A, N, (n_x, n_x), "A")
-        B = _per_stage(B, N, (n_x, n_u), "B")
-        c = _per_stage(c, N, (n_x,), "c")
-        C = _per_stage(C, N, (n_y, n_x), "C")
-        D = _per_stage(D, N, (n_y, n_u), "D")
-        bl = _per_stage(bl, N, (n_y,), "bl")
-        bu = _per_stage(bu, N, (n_y,), "bu")
-        Q_N = np.asarray(Q_N, dtype=np.float64).reshape(n_x, n_x)
-        q_N = np.asarray(q_N, dtype=np.float64).reshape(n_x)
-        bl_N = np.asarray(bl_N, dtype=np.float64).reshape(n_yN)
-        bu_N = np.asarray(bu_N, dtype=np.float64).reshape(n_yN)
-
-        Q = 0.5 * (Q + Q.transpose(0, 2, 1))
-        Q_N = 0.5 * (Q_N + Q_N.T)
-
-        n_xu, n_y_pad = dims.n_xu, dims.n_y_pad
-        ns = N + 1
-
-        cost_stack = np.zeros((ns, n_xu, n_xu))
-        lin_stack = np.zeros((ns, n_xu, 1))
-        dyn_stack = np.zeros((ns, n_x, n_xu))
-        aff_stack = np.zeros((ns, n_x, 1))
-        con_stack = np.zeros((ns, n_y_pad, n_xu))
-        bl_stack = np.full((ns, n_y_pad, 1), -np.inf)
-        bu_stack = np.full((ns, n_y_pad, 1), np.inf)
-
-        cost_stack[:N, :n_x, :n_x] = Q
-        cost_stack[:N, :n_x, n_x:] = S.transpose(0, 2, 1)
-        cost_stack[:N, n_x:, :n_x] = S
-        cost_stack[:N, n_x:, n_x:] = R
-        lin_stack[:N, :n_x, 0] = q
-        lin_stack[:N, n_x:, 0] = r
-        dyn_stack[:N, :, :n_x] = A
-        dyn_stack[:N, :, n_x:] = B
-        aff_stack[:N, :, 0] = c
-        if n_y:
-            con_stack[:N, :n_y, :n_x] = C
-            con_stack[:N, :n_y, n_x:] = D
-            bl_stack[:N, :n_y, 0] = bl
-            bu_stack[:N, :n_y, 0] = bu
-
-        # terminal stage embedded with S = 0, R = I, D = 0
-        cost_stack[N, :n_x, :n_x] = Q_N
-        cost_stack[N, n_x:, n_x:] = np.eye(n_u)
-        lin_stack[N, :n_x, 0] = q_N
-        if n_yN:
-            con_stack[N, :n_yN, :n_x] = C_N
-            bl_stack[N, :n_yN, 0] = bl_N
-            bu_stack[N, :n_yN, 0] = bu_N
-
-        def _wrap(stack):
-            return CompactBatch(*stack.shape[1:], ns, stack)
-
+        stacks = _zero_stacks(dims)
+        cost = stacks["cost"]
+        for name, view in _views(stacks, dims).items():
+            arr = np.asarray(given[name], dtype=np.float64)
+            if name.endswith("_N"):
+                arr = arr.reshape(view.shape)
+            elif arr.shape != view.shape and arr.shape != view.shape[1:]:
+                raise ValueError(
+                    f"{name}: expected shape {view.shape} or {view.shape[1:]}, got {arr.shape}"
+                )
+            if name in ("Q", "Q_N"):  # one temporary, written straight into the stack
+                np.multiply(arr + np.swapaxes(arr, -1, -2), 0.5, out=view)
+            else:
+                view[...] = arr
+            if name == "S":  # S^T while these rows of cost are still in cache
+                cost[:N, :n_x, n_x:] = np.swapaxes(arr, -1, -2)
+        cost[N, n_x:, n_x:] = np.eye(n_u)
         return cls(
             dims,
-            _wrap(cost_stack),
-            _wrap(lin_stack),
-            _wrap(dyn_stack),
-            _wrap(aff_stack),
-            _wrap(con_stack),
-            _wrap(bl_stack),
-            _wrap(bu_stack),
-            x_init,
+            x_init=x_init,
+            **{name: CompactBatch(*s.shape[1:], N + 1, s) for name, s in stacks.items()},
         )
 
-    # -- per-stage accessors (naive copies, mostly for tests and I/O) ------
-
-    def Q(self, j):
-        n_x = self.dims.n_x
-        return self.cost.stage(j)[:n_x, :n_x]
-
-    def S(self, j):
-        n_x = self.dims.n_x
-        return self.cost.stage(j)[n_x:, :n_x]
-
-    def R(self, j):
-        n_x = self.dims.n_x
-        return self.cost.stage(j)[n_x:, n_x:]
-
-    def q(self, j):
-        return self.lin.stage(j)[: self.dims.n_x, 0]
-
-    def r(self, j):
-        return self.lin.stage(j)[self.dims.n_x :, 0]
-
-    def A(self, j):
-        return self.dyn.stage(j)[:, : self.dims.n_x]
-
-    def B(self, j):
-        return self.dyn.stage(j)[:, self.dims.n_x :]
-
-    def c(self, j):
-        return self.affine.stage(j)[:, 0]
-
-    def C(self, j):
-        rows = self.dims.n_yN if j == self.dims.N else self.dims.n_y
-        return self.con.stage(j)[:rows, : self.dims.n_x]
-
-    def D(self, j):
-        rows = self.dims.n_yN if j == self.dims.N else self.dims.n_y
-        return self.con.stage(j)[:rows, self.dims.n_x :]
-
-    def bounds(self, j):
-        rows = self.dims.n_yN if j == self.dims.N else self.dims.n_y
-        return self.bl.stage(j)[:rows, 0], self.bu.stage(j)[:rows, 0]
+    def families(self):
+        """Every :meth:`from_stages` argument as a read-only view of this
+        problem's data, so that ``from_stages(**p.families())`` rebuilds it."""
+        stacks = {name: getattr(self, name).stack for name in _stack_shapes(self.dims)}
+        views = _views(stacks, self.dims)
+        views["x_init"] = self.x_init.view()
+        for view in views.values():
+            view.flags.writeable = False
+        return views
 
     # -- vectors -----------------------------------------------------------
 
@@ -351,11 +320,10 @@ class OcpProblem:
 
     def b_dualeq(self):
         """Equality right-hand side (x_init; c^0; ...; c^{N-1}) as a vector batch."""
-        if self._b is None:
-            self._b = self.dualeq_zeros()
-            self._b.stack[0, :, 0] = self.x_init
-            self._b.stack[1:] = self.affine.stack[:-1]
-        return self._b.copy()
+        b = self.dualeq_zeros()
+        b.stack[0, :, 0] = self.x_init
+        b.stack[1:] = self.affine.stack[:-1]
+        return b
 
     def flat_lin(self):
         """Flat linear cost vector (q^0, r^0, ..., q^N) of length n."""
@@ -390,7 +358,8 @@ def validate(problem):
     d = problem.dims
     N = d.N
     found = []  # (stage, check, message)
-    R = problem.cost.stack[:N, d.n_x :, d.n_x :]
+    f = problem.families()
+    R = f["R"]
     Rt = R.transpose(0, 2, 1)
     for j in np.flatnonzero(np.any(R != Rt, axis=(1, 2))):
         found.append((j, 0, f"R_{j} not symmetric"))
@@ -403,16 +372,16 @@ def validate(problem):
                 np.linalg.cholesky(sym[j])
             except np.linalg.LinAlgError:
                 found.append((j, 1, f"R_{j} not positive definite"))
-    # logical rows only: n_y per stage, n_yN at stage N
-    rows = np.arange(d.n_y_pad) < np.where(np.arange(N + 1) < N, d.n_y, d.n_yN)[:, None]
-    lo, hi = problem.bl.stack[:, :, 0], problem.bu.stack[:, :, 0]
-    for j in np.flatnonzero(np.any(np.isposinf(lo) & rows, axis=1)):
-        found.append((j, 2, f"lower bound +inf at stage {j}"))
-    for j in np.flatnonzero(np.any(np.isneginf(hi) & rows, axis=1)):
-        found.append((j, 3, f"upper bound -inf at stage {j}"))
-    crossing = (lo > hi) & rows
-    for j in np.flatnonzero(np.any(crossing, axis=1)):
-        found.append((j, 4, f"bound crossing at stage {j}, row {int(np.argmax(crossing[j]))}"))
+    # stages 0..N-1, then the terminal pair as stage N
+    for first, lo, hi in ((0, f["bl"], f["bu"]), (N, f["bl_N"][None], f["bu_N"][None])):
+        for j in first + np.flatnonzero(np.any(np.isposinf(lo), axis=1)):
+            found.append((j, 2, f"lower bound +inf at stage {j}"))
+        for j in first + np.flatnonzero(np.any(np.isneginf(hi), axis=1)):
+            found.append((j, 3, f"upper bound -inf at stage {j}"))
+        crossing = lo > hi
+        for j in np.flatnonzero(np.any(crossing, axis=1)):
+            row = int(np.argmax(crossing[j]))
+            found.append((first + j, 4, f"bound crossing at stage {first + j}, row {row}"))
     issues = [message for _, _, message in sorted(found)]
     for name in ("cost", "lin", "dyn", "affine", "con"):
         if not np.all(np.isfinite(getattr(problem, name).data)):
@@ -426,7 +395,7 @@ def pad_horizon(problem):
     """A copy of ``problem`` rebuilt from its stage families.  Nothing in the
     package calls it: it stays only because the benchmark traces this name,
     and goes with the benchmark change of ROADMAP item 5."""
-    return OcpProblem.from_stages(**_gather_families(problem))
+    return OcpProblem.from_stages(**problem.families())
 
 
 # ---------------------------------------------------------------------------
@@ -500,84 +469,32 @@ def _check_vec(problem, v, rows):
 
 # ---------------------------------------------------------------------------
 # problem files: binary container and JSON variant
-
-_FAMILIES = ("Q", "S", "R", "q", "r", "A", "B", "c", "C", "D", "bl", "bu")
-_TERMINAL = ("Q_N", "q_N", "C_N", "bl_N", "bu_N")
-
-
-def _family_shapes(N, n_x, n_u, n_y, n_yN):
-    per_stage = {
-        "Q": (n_x, n_x),
-        "S": (n_u, n_x),
-        "R": (n_u, n_u),
-        "q": (n_x,),
-        "r": (n_u,),
-        "A": (n_x, n_x),
-        "B": (n_x, n_u),
-        "c": (n_x,),
-        "C": (n_y, n_x),
-        "D": (n_y, n_u),
-        "bl": (n_y,),
-        "bu": (n_y,),
-    }
-    terminal = {
-        "Q_N": (n_x, n_x),
-        "q_N": (n_x,),
-        "C_N": (n_yN, n_x),
-        "bl_N": (n_yN,),
-        "bu_N": (n_yN,),
-    }
-    return per_stage, terminal
+#
+# The binary file is the magic bytes, the little-endian u64 header N, n_x,
+# n_u, n_y, n_yN, then every family in the order of ``_views`` and x_init:
+# stage by stage, each stage matrix in column-major order.
 
 
-def _gather_families(problem):
-    """The per-stage families and terminal data of a problem, in the argument
-    names of :meth:`OcpProblem.from_stages`, as slices of its stage stacks."""
-    d = problem.dims
-    N, n_x, n_y, n_yN = d.N, d.n_x, d.n_y, d.n_yN
-    cost, lin, dyn = problem.cost.stack, problem.lin.stack, problem.dyn.stack
-    con, bl, bu = problem.con.stack, problem.bl.stack, problem.bu.stack
-    return {
-        "Q": cost[:N, :n_x, :n_x],
-        "S": cost[:N, n_x:, :n_x],
-        "R": cost[:N, n_x:, n_x:],
-        "q": lin[:N, :n_x, 0],
-        "r": lin[:N, n_x:, 0],
-        "A": dyn[:N, :, :n_x],
-        "B": dyn[:N, :, n_x:],
-        "c": problem.affine.stack[:N, :, 0],
-        "C": con[:N, :n_y, :n_x],
-        "D": con[:N, :n_y, n_x:],
-        "bl": bl[:N, :n_y, 0],
-        "bu": bu[:N, :n_y, 0],
-        "Q_N": cost[N, :n_x, :n_x],
-        "q_N": lin[N, :n_x, 0],
-        "C_N": con[N, :n_yN, :n_x],
-        "bl_N": bl[N, :n_yN, 0],
-        "bu_N": bu[N, :n_yN, 0],
-        "x_init": problem.x_init,
-    }
+def _file_order(arr, name):
+    """``arr`` with the axes of each stage matrix reversed, so that C order
+    walks it as the binary file stores it."""
+    lead = 0 if name.endswith("_N") else 1
+    return arr.transpose(*range(lead), *reversed(range(lead, arr.ndim)))
 
 
 def save_problem(problem, path, fmt="binary"):
     """Write a problem file; ``fmt`` is 'binary' or 'json'."""
-    data = _gather_families(problem)
+    data = problem.families()
     d = problem.dims
     if fmt == "binary":
         with open(path, "wb") as fh:
             fh.write(_MAGIC)
-            fh.write(struct.pack("<5Q", d.N, d.n_x, d.n_u, d.n_y, d.n_yN))
-            for name in _FAMILIES:
-                arr = data[name]
-                for j in range(d.N):
-                    fh.write(np.asfortranarray(arr[j]).tobytes(order="F"))
-            for name in _TERMINAL:
-                fh.write(np.asfortranarray(data[name]).tobytes(order="F"))
-            fh.write(data["x_init"].tobytes())
+            fh.write(struct.pack("<5Q", *(getattr(d, k) for k in _DIMS)))
+            for name, arr in data.items():
+                fh.write(_file_order(arr, name).tobytes())
     elif fmt == "json":
-        doc = {"N": d.N, "n_x": d.n_x, "n_u": d.n_u, "n_y": d.n_y, "n_yN": d.n_yN}
-        for name in (*_FAMILIES, *_TERMINAL, "x_init"):
-            doc[name] = data[name].tolist()
+        doc = {k: getattr(d, k) for k in _DIMS}
+        doc.update((name, arr.tolist()) for name, arr in data.items())
         with open(path, "w") as fh:
             json.dump(doc, fh)
     else:
@@ -585,44 +502,40 @@ def save_problem(problem, path, fmt="binary"):
 
 
 def load_problem(path):
-    """Read a problem file (binary or JSON, detected by the magic bytes)."""
+    """Read a problem file (binary or JSON, detected by the magic bytes).
+
+    A binary file whose length differs from the one its header implies
+    raises ValueError.
+    """
     with open(path, "rb") as fh:
         head = fh.read(len(_MAGIC))
         body = fh.read()
-    if head == _MAGIC:
-        N, n_x, n_u, n_y, n_yN = (int(v) for v in struct.unpack("<5Q", body[:40]))
-        per_stage, terminal = _family_shapes(N, n_x, n_u, n_y, n_yN)
-        raw = body[40:]
-        offset = 0
-
-        def take(shape):
-            nonlocal offset
-            count = int(np.prod(shape))
-            arr = np.frombuffer(raw, dtype="<f8", count=count, offset=offset * 8)
-            offset += count
-            return arr.reshape(shape, order="F")
-
-        data = {}
-        for name in _FAMILIES:
-            data[name] = np.stack([take(per_stage[name]) for _ in range(N)])
-        for name in _TERMINAL:
-            data[name] = take(terminal[name])
-        data["x_init"] = take((n_x,))
+    binary = head == _MAGIC
+    if binary:
+        if len(body) < 40:
+            raise ValueError(f"{path}: header has {len(body)} of 40 bytes")
+        dims = OcpDims(*(int(v) for v in struct.unpack("<5Q", body[:40])))
     else:
         doc = json.loads((head + body).decode("utf-8"))
-        N, n_x, n_u = doc["N"], doc["n_x"], doc["n_u"]
-        n_y, n_yN = doc["n_y"], doc["n_yN"]
-        per_stage, terminal = _family_shapes(N, n_x, n_u, n_y, n_yN)
-        data = {}
-        for name in _FAMILIES:
-            data[name] = np.array(doc[name], dtype=np.float64).reshape((N, *per_stage[name]))
-        for name in _TERMINAL:
-            data[name] = np.array(doc[name], dtype=np.float64).reshape(terminal[name])
-        data["x_init"] = np.array(doc["x_init"], dtype=np.float64).reshape(n_x)
-    return OcpProblem.from_stages(
-        Q=data["Q"], S=data["S"], R=data["R"], q=data["q"], r=data["r"],
-        A=data["A"], B=data["B"], c=data["c"], C=data["C"], D=data["D"],
-        bl=data["bl"], bu=data["bu"], Q_N=data["Q_N"], q_N=data["q_N"],
-        C_N=data["C_N"], bl_N=data["bl_N"], bu_N=data["bu_N"],
-        x_init=data["x_init"],
-    )
+        dims = OcpDims(*(doc[k] for k in _DIMS))
+    # shapes from views of zero-stride stacks: nothing is allocated before
+    # the length check, whatever dims the header claims
+    blank = {name: np.broadcast_to(0.0, shape) for name, shape in _stack_shapes(dims).items()}
+    shapes = {name: view.shape for name, view in _views(blank, dims).items()}
+    shapes["x_init"] = (dims.n_x,)
+    data = {}
+    if binary:
+        size = 40 + 8 * sum(math.prod(shape) for shape in shapes.values())
+        if len(body) != size:
+            raise ValueError(f"{path}: body has {len(body)} bytes, its header implies {size}")
+        offset = 40
+        for name, shape in shapes.items():
+            arr = np.empty(shape)
+            dst = _file_order(arr, name)
+            dst[...] = np.frombuffer(body, "<f8", dst.size, offset).reshape(dst.shape)
+            offset += 8 * dst.size
+            data[name] = arr
+    else:
+        for name, shape in shapes.items():
+            data[name] = np.array(doc[name], dtype=np.float64).reshape(shape)
+    return OcpProblem.from_stages(**data)

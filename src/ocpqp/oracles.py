@@ -5,6 +5,10 @@ assembly of the standard-form matrices, a Riccati recursion for the
 unconstrained case, and a brute-force enumeration of active sets for tiny
 constrained problems.  These are the oracles the tests and the benchmark
 harness check against.
+
+The stage data is read through ``OcpProblem.families()``, the same table
+that ``from_stages`` writes through; ``tests/test_model.py::TestLayout``
+checks that table against stack offsets written out by hand.
 """
 
 from __future__ import annotations
@@ -60,43 +64,45 @@ def assemble_dense(problem):
     bl = np.full(m, -np.inf)
     bu = np.full(m, np.inf)
 
+    f = problem.families()
+
     def col(j):
         return j * d.n_xu
 
     for j in range(d.N):
         c0 = col(j)
         blk = np.zeros((d.n_xu, d.n_xu))
-        blk[: d.n_x, : d.n_x] = problem.Q(j)
-        blk[: d.n_x, d.n_x :] = problem.S(j).T
-        blk[d.n_x :, : d.n_x] = problem.S(j)
-        blk[d.n_x :, d.n_x :] = problem.R(j)
+        blk[: d.n_x, : d.n_x] = f["Q"][j]
+        blk[: d.n_x, d.n_x :] = f["S"][j].T
+        blk[d.n_x :, : d.n_x] = f["S"][j]
+        blk[d.n_x :, d.n_x :] = f["R"][j]
         Q[c0 : c0 + d.n_xu, c0 : c0 + d.n_xu] = blk
-        q[c0 : c0 + d.n_x] = problem.q(j)
-        q[c0 + d.n_x : c0 + d.n_xu] = problem.r(j)
+        q[c0 : c0 + d.n_x] = f["q"][j]
+        q[c0 + d.n_x : c0 + d.n_xu] = f["r"][j]
     cN = col(d.N)
-    Q[cN : cN + d.n_x, cN : cN + d.n_x] = problem.Q(d.N)
-    q[cN : cN + d.n_x] = problem.q(d.N)
+    Q[cN : cN + d.n_x, cN : cN + d.n_x] = f["Q_N"]
+    q[cN : cN + d.n_x] = f["q_N"]
 
     M[: d.n_x, : d.n_x] = np.eye(d.n_x)
     b[: d.n_x] = problem.x_init
     for j in range(d.N):
         r0 = (j + 1) * d.n_x
         c0 = col(j)
-        M[r0 : r0 + d.n_x, c0 : c0 + d.n_x] = -problem.A(j)
-        M[r0 : r0 + d.n_x, c0 + d.n_x : c0 + d.n_xu] = -problem.B(j)
+        M[r0 : r0 + d.n_x, c0 : c0 + d.n_x] = -f["A"][j]
+        M[r0 : r0 + d.n_x, c0 + d.n_x : c0 + d.n_xu] = -f["B"][j]
         M[r0 : r0 + d.n_x, col(j + 1) : col(j + 1) + d.n_x] = np.eye(d.n_x)
-        b[r0 : r0 + d.n_x] = problem.c(j)
+        b[r0 : r0 + d.n_x] = f["c"][j]
 
     for j in range(d.N):
         r0 = j * d.n_y
         c0 = col(j)
-        G[r0 : r0 + d.n_y, c0 : c0 + d.n_x] = problem.C(j)
-        G[r0 : r0 + d.n_y, c0 + d.n_x : c0 + d.n_xu] = problem.D(j)
-        bl[r0 : r0 + d.n_y], bu[r0 : r0 + d.n_y] = problem.bounds(j)
+        G[r0 : r0 + d.n_y, c0 : c0 + d.n_x] = f["C"][j]
+        G[r0 : r0 + d.n_y, c0 + d.n_x : c0 + d.n_xu] = f["D"][j]
+        bl[r0 : r0 + d.n_y], bu[r0 : r0 + d.n_y] = f["bl"][j], f["bu"][j]
     if d.n_yN:
         r0 = d.N * d.n_y
-        G[r0:, cN : cN + d.n_x] = problem.C(d.N)
-        bl[r0:], bu[r0:] = problem.bounds(d.N)
+        G[r0:, cN : cN + d.n_x] = f["C_N"]
+        bl[r0:], bu[r0:] = f["bl_N"], f["bu_N"]
 
     return DenseQp(Q, q, M, b, G, bl, bu)
 
@@ -150,19 +156,20 @@ def riccati_solve(problem):
     ps = [None] * (N + 1)
     Ks = [None] * N
     ks = [None] * N
-    Ps[N], ps[N] = problem.Q(N), problem.q(N)
+    f = problem.families()
+    Ps[N], ps[N] = f["Q_N"], f["q_N"]
     for j in range(N - 1, -1, -1):
-        Aj, Bj, cj = problem.A(j), problem.B(j), problem.c(j)
+        Aj, Bj, cj = f["A"][j], f["B"][j], f["c"][j]
         P1, p1 = Ps[j + 1], ps[j + 1]
-        F = problem.Q(j) + Aj.T @ P1 @ Aj
-        Hm = problem.S(j) + Bj.T @ P1 @ Aj
-        Gm = problem.R(j) + Bj.T @ P1 @ Bj
-        gv = problem.r(j) + Bj.T @ (p1 + P1 @ cj)
+        F = f["Q"][j] + Aj.T @ P1 @ Aj
+        Hm = f["S"][j] + Bj.T @ P1 @ Aj
+        Gm = f["R"][j] + Bj.T @ P1 @ Bj
+        gv = f["r"][j] + Bj.T @ (p1 + P1 @ cj)
         Ks[j] = -np.linalg.solve(Gm, Hm)
         ks[j] = -np.linalg.solve(Gm, gv)
         Pj = F + Hm.T @ Ks[j]
         Ps[j] = 0.5 * (Pj + Pj.T)
-        ps[j] = problem.q(j) + Aj.T @ (p1 + P1 @ cj) + Hm.T @ ks[j]
+        ps[j] = f["q"][j] + Aj.T @ (p1 + P1 @ cj) + Hm.T @ ks[j]
 
     x = problem.x_init
     flat, lams = [], []
@@ -170,7 +177,7 @@ def riccati_solve(problem):
         u = Ks[j] @ x + ks[j]
         lams.append(-(Ps[j] @ x + ps[j]))
         flat.extend([x, u])
-        x = problem.A(j) @ x + problem.B(j) @ u + problem.c(j)
+        x = f["A"][j] @ x + f["B"][j] @ u + f["c"][j]
     lams.append(-(Ps[N] @ x + ps[N]))
     flat.append(x)
     return np.concatenate(flat), np.concatenate(lams)

@@ -457,7 +457,6 @@ class TestUpdates:
         st_hi[: d.N + 1, :, 0] = np.where(np.isposinf(st_hi[: d.N + 1, :, 0]), np.inf, 3.0)
         p2.bl.data[:] = model.CompactBatch.from_stack(st_lo).data
         p2.bu.data[:] = model.CompactBatch.from_stack(st_hi).data
-        p2._b = None
         x_ref, _, _, rep_ref = solve(p2, SolverSettings())
         assert rep_ref.solved
         assert np.max(np.abs(x - x_ref)) <= 1e-6

@@ -105,10 +105,11 @@ class TestVerify:
         # only the complementarity residual tells it from the optimum
         p = gen_spring_mass(SpringMassConfig(masses=10, horizon=15, seed=0))
         d = p.dims
+        f = p.families()
         parts, xs = [], p.x_init
         for j in range(d.N):
             parts += [xs, np.zeros(d.n_u)]
-            xs = p.A(j) @ xs + p.c(j)
+            xs = f["A"][j] @ xs + f["c"][j]
         x = np.concatenate(parts + [xs])
         dq = oracles.assemble_dense(p)
         mult = np.linalg.lstsq(np.hstack([dq.M.T, dq.G.T]), -(dq.Q @ x + dq.q), rcond=None)[0]

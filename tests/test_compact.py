@@ -62,14 +62,6 @@ class TestLayout:
         assert np.array_equal(st[:, 0, 0], [0.0, 1.0, 2.0, 3.0])
         assert np.array_equal(source[:, 0, 0], [0.0, 1.0, 2.0, 3.0])
 
-    def test_stage_accessors(self):
-        rng = np.random.default_rng(5)
-        batch, mats = random_batch(rng, 3, 4, 6)
-        for j, m in enumerate(mats):
-            assert np.array_equal(batch.stage(j), m)
-        batch.set_stage(2, np.ones((3, 4)))
-        assert np.array_equal(batch.stage(2), np.ones((3, 4)))
-
     def test_zero_row_batch(self):
         # an empty constraint family (n_y = 0) still covers its stage slots
         batch = CompactBatch(0, 5, 3)

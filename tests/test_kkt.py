@@ -123,8 +123,8 @@ class TestAssembleH:
         sxinv = uniform_vec(p, "primal", 0.125)
         H = assembled(p, w, sxinv)
         for j in range(p.dims.N + 1):
-            want = p.cost.stage(j) + 0.125 * np.eye(p.dims.n_xu)
-            got = H.stage(j)
+            want = p.cost.stack[j].copy() + 0.125 * np.eye(p.dims.n_xu)
+            got = H.stack[j].copy()
             low = np.tril_indices(p.dims.n_xu)
             assert np.allclose(got[low], want[low], atol=1e-15)
 
@@ -142,10 +142,10 @@ class TestAssembleH:
             for j in range(dm.N):
                 c0 = j * dm.n_xu
                 want = Hd[c0 : c0 + dm.n_xu, c0 : c0 + dm.n_xu]
-                assert np.max(np.abs((H.stage(j) - want)[low])) < 1e-13 * (1 + np.max(np.abs(want)))
+                assert np.max(np.abs((H.stack[j].copy() - want)[low])) < 1e-13 * (1 + np.max(np.abs(want)))
             cN = dm.N * dm.n_xu
             wantN = Hd[cN : cN + dm.n_x, cN : cN + dm.n_x]
-            gotN = H.stage(dm.N)[: dm.n_x, : dm.n_x]
+            gotN = H.stack[dm.N].copy()[: dm.n_x, : dm.n_x]
             lowN = np.tril_indices(dm.n_x)
             assert np.max(np.abs((gotN - wantN)[lowN])) < 1e-13 * (1 + np.max(np.abs(wantN)))
 
@@ -254,7 +254,7 @@ class TestFactorStages:
         work = kkt.StageFactorization.allocate(p)
         assemble_H(work, w, uniform_vec(p, "primal", 1e-3))
         bad = 5
-        work.H.set_stage(bad, -np.eye(p.dims.n_xu))
+        work.H.stack[bad] = -np.eye(p.dims.n_xu)
         pool = WorkerPool(workers)
         try:
             with pytest.raises(NonPositivePivot) as exc:
@@ -265,7 +265,7 @@ class TestFactorStages:
         for j in range(work.H.nstages):
             if j == bad:
                 continue
-            want = np.linalg.inv(np.linalg.cholesky(work.H.stage(j)))
+            want = np.linalg.inv(np.linalg.cholesky(work.H.stack[j].copy()))
             err = np.max(np.abs(work.linv_lm[j] - want)) / np.max(np.abs(want))
             assert err <= 1e-12
 
@@ -282,7 +282,7 @@ class TestFactorStages:
         for j in range(work.H.nstages):
             linv = work.linv_lm[j]
             assert np.array_equal(linv, np.tril(linv))
-            rec = linv @ work.H.stage(j) @ linv.T
+            rec = linv @ work.H.stack[j].copy() @ linv.T
             assert np.max(np.abs(rec - eye)) < 1e-11
 
     def test_identity_and_scaled(self):
@@ -292,7 +292,7 @@ class TestFactorStages:
         work = kkt.StageFactorization.allocate(p)
         scales = (1.0, 4.0, 0.25, 16.0)
         for j, c in enumerate(scales):
-            work.H.set_stage(j, c * np.eye(p.dims.n_xu))
+            work.H.stack[j] = c * np.eye(p.dims.n_xu)
         factor_stages(work, INLINE)
         for j, c in enumerate(scales):
             assert np.array_equal(work.linv_lm[j], np.eye(p.dims.n_xu) / np.sqrt(c))
@@ -308,7 +308,7 @@ class TestFactorStages:
         assemble_H(work, w, uniform_vec(p, "primal", 1e-3))
         h = np.eye(p.dims.n_xu)
         h[row, row] = -1.0
-        work.H.set_stage(3, h)
+        work.H.stack[3] = h
         with pytest.raises(NonPositivePivot) as exc:
             factor_stages(work, INLINE)
         assert (exc.value.stage, exc.value.row) == (3, row)
@@ -319,8 +319,8 @@ class TestFactorStages:
         p = diagonal_problem(rng, N=4, n_x=2, n_u=1)
         work = kkt.StageFactorization.allocate(p, "diagonal")
         for j in range(work.H.nstages):
-            work.H.set_stage(j, np.eye(p.dims.n_xu))
-        work.H.set_stage(2, np.diag([1.0, 0.0, 1.0]))
+            work.H.stack[j] = np.eye(p.dims.n_xu)
+        work.H.stack[2] = np.diag([1.0, 0.0, 1.0])
         with pytest.raises(NonPositivePivot) as exc:
             factor_stages(work, INLINE)
         assert exc.value.failures == [(2, 1)]
@@ -336,8 +336,8 @@ class TestSolveH:
         rhs = p.primal_from_flat(rng.standard_normal(p.dims.n))
         z = solve_H(work, rhs)
         for j in range(work.H.nstages):
-            want = np.linalg.solve(work.H.stage(j), rhs.stage(j))
-            assert np.max(np.abs(z.stage(j) - want)) <= 1e-12 * (1 + np.max(np.abs(want)))
+            want = np.linalg.solve(work.H.stack[j].copy(), rhs.stack[j].copy())
+            assert np.max(np.abs(z.stack[j].copy() - want)) <= 1e-12 * (1 + np.max(np.abs(want)))
 
     def test_backward_error_wide_penalties(self):
         # penalties log-uniform over 13 decades: the stage solves stay
@@ -353,7 +353,7 @@ class TestSolveH:
         b = p.primal_from_flat(rng.standard_normal(p.dims.n))
         x = solve_H(work, b)
         for j in range(work.H.nstages):
-            Hj, xj, bj = work.H.stage(j), x.stage(j), b.stage(j)
+            Hj, xj, bj = work.H.stack[j].copy(), x.stack[j].copy(), b.stack[j].copy()
             res = np.linalg.norm(Hj @ xj - bj)
             scale = np.linalg.norm(Hj, 2) * np.linalg.norm(xj) + np.linalg.norm(bj)
             assert res <= 1e-13 * scale
@@ -685,11 +685,11 @@ class TestDiagonalVariant:
         rng = np.random.default_rng(80)
         p = diagonal_problem(rng, N=2, n_x=1, n_u=1)
         work = kkt.StageFactorization.allocate(p, "diagonal")
-        work.H.set_stage(0, np.diag([4.0, 9.0]))
+        work.H.stack[0] = np.diag([4.0, 9.0])
         for j in range(1, p.cost.nstages):
-            work.H.set_stage(j, np.eye(2))
+            work.H.stack[j] = np.eye(2)
         factor_stages(work, INLINE)
-        assert np.allclose(np.sqrt(work.h_diag.stage(0)[:, 0]), [2.0, 3.0])
+        assert np.allclose(np.sqrt(work.h_diag.stack[0].copy()[:, 0]), [2.0, 3.0])
 
     def test_agrees_with_dense_path(self):
         rng = np.random.default_rng(81)

@@ -71,9 +71,9 @@ class TestValidate:
     def test_singular_r_fails(self):
         rng = np.random.default_rng(1)
         p = random_problem(rng, N=2, n_u=2)
-        blk = p.cost.stage(0)
+        blk = p.cost.stack[0].copy()
         blk[p.dims.n_x :, p.dims.n_x :] = 0.0
-        p.cost.set_stage(0, blk)
+        p.cost.stack[0] = blk
         rep = validate(p)
         assert not rep.ok
         assert any("R_0 not positive definite" in s for s in rep.issues)
@@ -82,21 +82,21 @@ class TestValidate:
         rng = np.random.default_rng(5)
         p = random_problem(rng, N=5, n_u=2)
         for j in (1, 3):
-            blk = p.cost.stage(j)
+            blk = p.cost.stack[j].copy()
             blk[p.dims.n_x :, p.dims.n_x :] = -np.eye(2)
-            p.cost.set_stage(j, blk)
+            p.cost.stack[j] = blk
         rep = validate(p)
         assert rep.issues == ["R_1 not positive definite", "R_3 not positive definite"]
 
     def test_bound_crossing_fails(self):
         rng = np.random.default_rng(2)
         p = random_problem(rng, N=3)
-        lo = p.bl.stage(2)
+        lo = p.bl.stack[2].copy()
         lo[0, 0] = 1.0
-        p.bl.set_stage(2, lo)
-        hi = p.bu.stage(2)
+        p.bl.stack[2] = lo
+        hi = p.bu.stack[2].copy()
         hi[0, 0] = 0.0
-        p.bu.set_stage(2, hi)
+        p.bu.stack[2] = hi
         rep = validate(p)
         assert not rep.ok
         assert any("bound crossing at stage 2, row 0" in s for s in rep.issues)
@@ -108,10 +108,10 @@ class TestAccessorsAndPadding:
         p = random_problem(rng, N=4)
         dm = p.dims
         # terminal embedded with S = 0, R = I, D = 0
-        blk = p.cost.stage(dm.N)
+        blk = p.cost.stack[dm.N].copy()
         assert np.array_equal(blk[dm.n_x :, : dm.n_x], np.zeros((dm.n_u, dm.n_x)))
         assert np.array_equal(blk[dm.n_x :, dm.n_x :], np.eye(dm.n_u))
-        assert np.array_equal(p.dyn.stage(dm.N), np.zeros((dm.n_x, dm.n_xu)))
+        assert np.array_equal(p.dyn.stack[dm.N].copy(), np.zeros((dm.n_x, dm.n_xu)))
 
     def test_symmetrization(self):
         rng = np.random.default_rng(4)
@@ -126,7 +126,7 @@ class TestAccessorsAndPadding:
             bu_N=np.zeros(0), x_init=np.zeros(n_x),
         )
         for j in range(N):
-            assert np.allclose(p.Q(j), 0.5 * (Q[j] + Q[j].T))
+            assert np.allclose(p.families()["Q"][j], 0.5 * (Q[j] + Q[j].T))
 
     def test_pad_horizon_roundtrip(self):
         # a rebuild from the stage families is a bit-identical, detached copy
@@ -141,17 +141,120 @@ class TestAccessorsAndPadding:
         assert np.array_equal(p1.x_init, p2.x_init)
 
 
+class TestLayout:
+    """Where each family sits in the stage stacks, written out here by hand.
+
+    ``from_stages``, ``families()``, the problem files and the oracles all go
+    through the one table in ``model._views``; this test does not, so a
+    wrong entry there cannot pass unseen through both a build and its check.
+    """
+
+    NAMES = ("Q", "S", "R", "q", "r", "A", "B", "c", "C", "D", "bl", "bu",
+             "Q_N", "q_N", "C_N", "bl_N", "bu_N")
+
+    @pytest.mark.parametrize("n_y, n_yN", ((2, 3), (3, 1)), ids=("terminal_wider", "stage_wider"))
+    def test_every_entry_at_its_offset(self, n_y, n_yN):
+        N, n_x, n_u = 3, 3, 2
+        n_xu, n_y_pad = n_x + n_u, max(n_y, n_yN)
+        # (rows, cols) of one stage; cols == 1 marks a vector (n_x, n_u > 1)
+        shapes = {
+            "Q": (n_x, n_x), "S": (n_u, n_x), "R": (n_u, n_u), "q": (n_x, 1), "r": (n_u, 1),
+            "A": (n_x, n_x), "B": (n_x, n_u), "c": (n_x, 1), "C": (n_y, n_x), "D": (n_y, n_u),
+            "bl": (n_y, 1), "bu": (n_y, 1), "Q_N": (n_x, n_x), "q_N": (n_x, 1),
+            "C_N": (n_yN, n_x), "bl_N": (n_yN, 1), "bu_N": (n_yN, 1),
+        }
+
+        def block(name, j):
+            # 1000 family + 100 stage + 10 row + col, mirrored for Q and Q_N
+            i, col = np.indices(shapes[name])
+            if name in ("Q", "Q_N"):
+                i, col = np.minimum(i, col), np.maximum(i, col)
+            return 1000.0 * self.NAMES.index(name) + 100 * j + 10 * i + col
+
+        def given(name):
+            if name.endswith("_N"):
+                arr = block(name, N)
+            else:
+                arr = np.stack([block(name, j) for j in range(N)])
+            return arr[..., 0] if shapes[name][1] == 1 else arr
+
+        args = {name: given(name) for name in self.NAMES}
+        p = OcpProblem.from_stages(**args, x_init=np.arange(n_x, dtype=float))
+        for batch, rows, cols in ((p.cost, n_xu, n_xu), (p.lin, n_xu, 1), (p.dyn, n_x, n_xu),
+                                  (p.affine, n_x, 1), (p.con, n_y_pad, n_xu),
+                                  (p.bl, n_y_pad, 1), (p.bu, n_y_pad, 1)):
+            assert (batch.nstages, batch.rows, batch.cols) == (N + 1, rows, cols)
+
+        def at(batch, j, r0, c0, want):
+            # element (i, l) of stage j sits at (j * rows + i) * cols + l of data
+            for i, l in np.ndindex(want.shape):
+                off = (j * batch.rows + r0 + i) * batch.cols + c0 + l
+                assert batch.data[off] == want[i, l], (j, r0 + i, c0 + l)
+
+        for j in range(N):
+            at(p.cost, j, 0, 0, block("Q", j))
+            at(p.cost, j, 0, n_x, block("S", j).T)
+            at(p.cost, j, n_x, 0, block("S", j))
+            at(p.cost, j, n_x, n_x, block("R", j))
+            at(p.lin, j, 0, 0, block("q", j))
+            at(p.lin, j, n_x, 0, block("r", j))
+            at(p.dyn, j, 0, 0, block("A", j))
+            at(p.dyn, j, 0, n_x, block("B", j))
+            at(p.affine, j, 0, 0, block("c", j))
+            at(p.con, j, 0, 0, block("C", j))
+            at(p.con, j, 0, n_x, block("D", j))
+            at(p.con, j, n_y, 0, np.zeros((n_y_pad - n_y, n_xu)))
+            at(p.bl, j, 0, 0, block("bl", j))
+            at(p.bu, j, 0, 0, block("bu", j))
+            at(p.bl, j, n_y, 0, np.full((n_y_pad - n_y, 1), -np.inf))
+            at(p.bu, j, n_y, 0, np.full((n_y_pad - n_y, 1), np.inf))
+        # terminal stage: S = 0, R = I, D = 0, no dynamics
+        at(p.cost, N, 0, 0, block("Q_N", N))
+        at(p.cost, N, 0, n_x, np.zeros((n_x, n_u)))
+        at(p.cost, N, n_x, 0, np.zeros((n_u, n_x)))
+        at(p.cost, N, n_x, n_x, np.eye(n_u))
+        at(p.lin, N, 0, 0, block("q_N", N))
+        at(p.lin, N, n_x, 0, np.zeros((n_u, 1)))
+        at(p.dyn, N, 0, 0, np.zeros((n_x, n_xu)))
+        at(p.affine, N, 0, 0, np.zeros((n_x, 1)))
+        at(p.con, N, 0, 0, block("C_N", N))
+        at(p.con, N, 0, n_x, np.zeros((n_yN, n_u)))
+        at(p.con, N, n_yN, 0, np.zeros((n_y_pad - n_yN, n_xu)))
+        at(p.bl, N, 0, 0, block("bl_N", N))
+        at(p.bu, N, 0, 0, block("bu_N", N))
+        at(p.bl, N, n_yN, 0, np.full((n_y_pad - n_yN, 1), -np.inf))
+        at(p.bu, N, n_yN, 0, np.full((n_y_pad - n_yN, 1), np.inf))
+        # and the read side gives back exactly what went in
+        fam = p.families()
+        for name in self.NAMES:
+            assert np.array_equal(fam[name], args[name]), name
+
+    def test_families_are_read_only_views(self):
+        rng = np.random.default_rng(9)
+        p = random_problem(rng, N=3)
+        fam = p.families()
+        assert all(not view.flags.writeable for view in fam.values())
+        with pytest.raises(ValueError):
+            fam["A"][0, 0, 0] = 1.0
+        # views, not copies: a write to the problem shows through
+        p.dyn.stack[0, 0, 0] = 7.0
+        p.x_init[0] = 8.0
+        assert fam["A"][0, 0, 0] == 7.0 and fam["x_init"][0] == 8.0
+        assert p.x_init.flags.writeable
+
+
 class TestProducts:
     def test_rollout_satisfies_dynamics(self):
         rng = np.random.default_rng(6)
         p = random_problem(rng, N=5, n_x=3, n_u=2)
         dm = p.dims
+        f = p.families()
         x = p.x_init
         flat = []
         for j in range(dm.N):
             u = rng.standard_normal(dm.n_u)
             flat.extend([x, u])
-            x = p.A(j) @ x + p.B(j) @ u + p.c(j)
+            x = f["A"][j] @ x + f["B"][j] @ u + f["c"][j]
         flat.append(x)
         xb = p.primal_from_flat(np.concatenate(flat))
         mx = p.dualeq_to_flat(model.mul_M(p, xb))
@@ -285,11 +388,11 @@ class TestFiles:
         save_problem(p, path, fmt=fmt)
         q = load_problem(path)
         assert q.dims == p.dims
+        fp, fq = p.families(), q.families()
         for j in range(p.dims.N + 1):
-            assert np.array_equal(q.cost.stage(j), p.cost.stage(j))
-            lo_p, hi_p = p.bounds(j)
-            lo_q, hi_q = q.bounds(j)
-            assert np.array_equal(lo_p, lo_q) and np.array_equal(hi_p, hi_q)
+            assert np.array_equal(q.cost.stack[j].copy(), p.cost.stack[j].copy())
+        for lo, hi in (("bl", "bu"), ("bl_N", "bu_N")):
+            assert np.array_equal(fp[lo], fq[lo]) and np.array_equal(fp[hi], fq[hi])
         assert np.array_equal(p.x_init, q.x_init)
 
     def test_infinite_bounds_survive(self, tmp_path):
@@ -299,5 +402,17 @@ class TestFiles:
             path = tmp_path / f"inf.{fmt}"
             save_problem(p, path, fmt=fmt)
             q = load_problem(path)
-            lo, hi = q.bounds(0)
+            lo, hi = q.families()["bl"][0], q.families()["bu"][0]
             assert np.all(np.isneginf(lo)) and np.all(np.isposinf(hi))
+
+    @pytest.mark.parametrize("cut", ("header", "body", "extra"))
+    def test_malformed_binary_raises(self, tmp_path, cut):
+        # the body length must match the one the header implies
+        rng = np.random.default_rng(42)
+        p = random_problem(rng, N=3)
+        path = tmp_path / "prob.ocpq"
+        save_problem(p, path)
+        raw = path.read_bytes()
+        path.write_bytes({"header": raw[:25], "body": raw[:-8], "extra": raw + bytes(8)}[cut])
+        with pytest.raises(ValueError):
+            load_problem(path)

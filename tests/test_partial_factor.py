@@ -155,7 +155,7 @@ class TestPivotFailureInPartialSet:
         bad = 6
         h = np.eye(p.dims.n_xu)
         h[2, 2] = -1.0
-        work.H.set_stage(bad, h)
+        work.H.stack[bad] = h
         pool = kkt.WorkerPool(workers)
         try:
             with pytest.raises(NonPositivePivot) as exc:
@@ -179,7 +179,7 @@ class TestPivotFailureInPartialSet:
             calls.append(stages.copy())
             if not failures and len(stages) < f.H.nstages:
                 k = int(stages[len(stages) // 2])
-                f.H.set_stage(k, -np.eye(f.H.rows))
+                f.H.stack[k] = -np.eye(f.H.rows)
                 with pytest.raises(NonPositivePivot) as exc:
                     original(f, pool, stages)
                 failures.append((k, exc.value.failures))
