@@ -50,8 +50,7 @@ print(f"block-tridiagonal Psi vs dense M H^-1 M^T: max error {err:.2e}")
 g = rng.standard_normal(dims.n)
 r_eq = rng.standard_normal(dims.p)
 dx, dlam = kkt.solve_newton(
-    work, problem.primal_from_flat(g), problem.dualeq_zeros(),
-    problem.dualeq_from_flat(r_eq),
+    work, problem.primal_from_flat(g), problem.dualeq_from_flat(r_eq)
 )
 dx_dense, dlam_dense = oracles.dense_newton_solve(H_dense, dense.M, g, r_eq)
 print(f"three-step vs dense saddle solve: "

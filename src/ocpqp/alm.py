@@ -14,6 +14,13 @@ solve is a unit step, which restores Mx = b exactly; later steps use an
 exact line search over the piecewise-quadratic merit.  Outer iterations
 update the inequality multipliers, grow penalties on rows whose violation
 stalls, and move the proximal center.
+
+Each iterate (x, lam) is evaluated once, by :func:`eval_grad_phi`: one
+:class:`Evaluation` holds Gx, Qx, M'lam, Mx, the multiplier estimate
+y+ = Sigma_y (z - proj(z)) with G'y+, and the residuals made of them.  The
+inner loop evaluates at the top of each pass and ends on an evaluation; the
+inner stopping test, the Newton step, the line search and the outer update
+all read it.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ import os
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -159,64 +166,99 @@ class SolveReport:
         return self.status == SOLVED
 
 
+@dataclass
+class Evaluation:
+    """Every product and residual the solver reads at one iterate (x, lam),
+    formed once by :func:`eval_grad_phi`.
+
+    ``gx`` is Gx, ``z`` the shifted value Gx + Sigma_y^{-1} y, ``proj`` the
+    plain array proj(z) onto [bl, bu], ``y_plus`` the multiplier estimate
+    Sigma_y (z - proj(z)) and ``gty`` G' y_plus.  ``qx`` is Qx, ``grad`` the
+    inner-objective gradient, ``mtl`` M' lam and ``g`` = M' lam + grad the
+    stationarity residual; ``mx`` is Mx and ``r`` = Mx - b.
+    """
+
+    gx: object
+    z: object
+    proj: object
+    y_plus: object
+    gty: object
+    qx: object
+    grad: object
+    mtl: object
+    g: object
+    mx: object
+    r: object
+
+
 # The functions below work on the stage-major ``.data`` arrays.  Padded
 # inequality rows (zero in G, infinite bounds, zero multiplier) and the
 # terminal input slot (decoupled, zero gradient) hold exact zeros in z, G dx,
 # dx, the gradient and x, so they add nothing to a sum over those arrays.
 
 
-def eval_phi(problem, state, x):
-    """Inner objective value at ``x`` for the weights and center in ``state``."""
-    z = model.mul_G(problem, x)
+def eval_grad_phi(problem, state, b):
+    """Evaluate the iterate (state.x, state.lam) against the equality
+    right-hand side ``b``: the gradient of the inner objective
+
+        grad = Qx + q + G' y_plus + Sigma_x^{-1} (x - x_center),
+        y_plus = Sigma_y (z - proj(z)),
+
+    and every other product and residual of :class:`Evaluation`.  The inner
+    check, the Newton step, the line search and the outer update read it.
+    """
+    x = state.x
+    gx = model.mul_G(problem, x)
+    z = gx.copy()
     z.data += state.y.data / state.sigma_y.data
-    dist = z.data - np.clip(z.data, problem.bl.data, problem.bu.data)
-    xd = x.data
+    proj = np.clip(z.data, problem.bl.data, problem.bu.data)
+    y_plus = z.zeros_like()
+    np.subtract(z.data, proj, out=y_plus.data)
+    y_plus.data *= state.sigma_y.data
+    gty = model.mul_GT(problem, y_plus)
+    qx = model.mul_Q(problem, x)
+    grad = gty.copy()
+    grad.data += qx.data
+    grad.data += problem.lin.data
+    grad.data += state.sigma_x_inv.data * (x.data - state.x_center.data)
+    mtl = model.mul_MT(problem, state.lam)
+    g = mtl.copy()
+    g.data += grad.data
+    mx = model.mul_M(problem, x)
+    r = mx.copy()
+    r.data -= b.data
+    return Evaluation(gx, z, proj, y_plus, gty, qx, grad, mtl, g, mx, r)
+
+
+def eval_phi(problem, state, ev):
+    """Inner objective value at state.x, read from its evaluation ``ev``."""
+    dist = ev.z.data - ev.proj
+    xd = state.x.data
     dc = xd - state.x_center.data
     return float(
-        0.5 * (xd @ model.mul_Q(problem, x).data) + xd @ problem.lin.data
+        0.5 * (xd @ ev.qx.data) + xd @ problem.lin.data
         + 0.5 * (dist @ (state.sigma_y.data * dist))
         + 0.5 * (dc @ (state.sigma_x_inv.data * dc))
     )
 
 
-def eval_grad_phi(problem, state, x, out=None, z=None):
-    """Gradient of the inner objective:
-    Qx + q + G' Sigma_y (z - proj(z)) + Sigma_x^{-1} (x - x_center)."""
-    if z is None:
-        z = model.mul_G(problem, x)
-        z.data += state.y.data / state.sigma_y.data
-    scaled = z.zeros_like()
-    np.clip(z.data, problem.bl.data, problem.bu.data, out=scaled.data)
-    np.subtract(z.data, scaled.data, out=scaled.data)
-    scaled.data *= state.sigma_y.data
-    grad = model.mul_GT(problem, scaled, out=out)
-    grad.data += model.mul_Q(problem, x).data
-    grad.data += problem.lin.data
-    grad.data += state.sigma_x_inv.data * (x.data - state.x_center.data)
-    return grad
-
-
-def exact_line_search(problem, state, x, dx, z=None, grad=None):
-    """Global minimizer of tau -> phi(x + tau dx) on a feasible direction.
+def exact_line_search(problem, state, ev, dx):
+    """Global minimizer of tau -> phi(x + tau dx) on a feasible direction,
+    from the evaluation ``ev`` at x.
 
     The directional derivative is piecewise linear and nondecreasing; its
     breakpoints are the steps at which a shifted constraint value crosses
     one of its bounds.  Events are sorted once and scanned cumulatively.
     Raises NonDescentDirection when the slope at 0 is nonnegative.
     """
-    if z is None:
-        z = model.mul_G(problem, x)
-        z.data += state.y.data / state.sigma_y.data
-    if grad is None:
-        grad = eval_grad_phi(problem, state, x, z=z)
     dxd = dx.data
-    c0 = float(dxd @ grad.data)
+    c0 = float(dxd @ ev.grad.data)
     if c0 >= 0.0:
         raise NonDescentDirection(f"directional derivative {c0:.3e} at step 0")
 
     eta = float(dxd @ model.mul_Q(problem, dx).data + dxd @ (state.sigma_x_inv.data * dxd))
     delta = model.mul_G(problem, dx).data
-    z0, blf, buf, sig = z.data, problem.bl.data, problem.bu.data, state.sigma_y.data
+    z0, blf, buf, sig = ev.z.data, problem.bl.data, problem.bu.data, state.sigma_y.data
 
     moving = delta != 0.0
     above = (z0 > buf) | ((z0 == buf) & (delta > 0.0))
@@ -379,7 +421,6 @@ class Solver:
         # raises StructureMismatch for the diagonal variant of a non-diagonal problem
         self.work = kkt.StageFactorization.allocate(problem, self.variant)
         self.pool = WorkerPool(self.worker_count)
-        self._grad = problem.primal_zeros()
         self._b = problem.b_dualeq()
 
     def close(self):
@@ -393,39 +434,36 @@ class Solver:
 
     # -- data updates for repeated solves -----------------------------------
 
+    def _staged(self, names, families):
+        """Copies of the stacks ``names`` of the problem with ``families``
+        (``from_stages`` names) written into them through the layout table
+        ``model._views``; a terminal family given as None is left as it is."""
+        p = self.problem
+        stacks = {name: getattr(p, name).stack for name in model._stack_shapes(p.dims)}
+        copies = [stacks[name].copy() for name in names]
+        stacks.update(zip(names, copies))
+        views = model._views(stacks, p.dims)
+        for name, value in families.items():
+            if value is not None or not name.endswith("_N"):
+                np.copyto(views[name], np.asarray(value, dtype=np.float64))
+        return copies
+
     def update_bounds(self, bl, bu, bl_N=None, bu_N=None):
         """Replace the stage bounds (naive (N, n_y) arrays, optionally the
         terminal pair); the constraint matrices are unchanged."""
-        d = self.problem.dims
-        bl = np.broadcast_to(np.asarray(bl, dtype=np.float64), (d.N, d.n_y))
-        bu = np.broadcast_to(np.asarray(bu, dtype=np.float64), (d.N, d.n_y))
-        lo = self.problem.bl.stack[:, :, 0].copy()
-        hi = self.problem.bu.stack[:, :, 0].copy()
-        lo[: d.N, : d.n_y] = bl
-        hi[: d.N, : d.n_y] = bu
-        if bl_N is not None:
-            lo[d.N, : d.n_yN] = np.asarray(bl_N, dtype=np.float64)
-        if bu_N is not None:
-            hi[d.N, : d.n_yN] = np.asarray(bu_N, dtype=np.float64)
+        lo, hi = self._staged(("bl", "bu"), dict(bl=bl, bu=bu, bl_N=bl_N, bu_N=bu_N))
         # NaN fails lo <= hi; -inf below and +inf above are no bound
         if not (lo <= hi).all() or np.isposinf(lo).any() or np.isneginf(hi).any():
             raise ValueError("updated bounds NaN, crossing, +inf below or -inf above")
-        self.problem.bl.stack[:, :, 0] = lo
-        self.problem.bu.stack[:, :, 0] = hi
+        np.copyto(self.problem.bl.stack, lo)
+        np.copyto(self.problem.bu.stack, hi)
 
     def update_gradient(self, q, r, q_N=None):
         """Replace the linear cost vectors (naive (N, n_x), (N, n_u))."""
-        d = self.problem.dims
-        q = np.broadcast_to(np.asarray(q, dtype=np.float64), (d.N, d.n_x))
-        r = np.broadcast_to(np.asarray(r, dtype=np.float64), (d.N, d.n_u))
-        st = self.problem.lin.stack[:, :, 0].copy()
-        st[: d.N, : d.n_x] = q
-        st[: d.N, d.n_x :] = r
-        if q_N is not None:
-            st[d.N, : d.n_x] = np.asarray(q_N, dtype=np.float64)
-        if not np.isfinite(st).all():
+        (lin,) = self._staged(("lin",), dict(q=q, r=r, q_N=q_N))
+        if not np.isfinite(lin).all():
             raise ValueError("non-finite entries in updated gradient")
-        self.problem.lin.stack[:, :, 0] = st
+        np.copyto(self.problem.lin.stack, lin)
 
     def update_initial_state(self, x_init):
         x_init = np.asarray(x_init, dtype=np.float64)
@@ -443,6 +481,9 @@ class Solver:
             x = p.primal_from_flat(x0)
             y = p.dualineq_from_flat(y0)
             lam = p.dualeq_from_flat(lam0)
+            for name, v in (("x", x), ("y", y), ("lam", lam)):
+                if not np.isfinite(v.data).all():
+                    raise ValueError(f"non-finite entries in warm start {name}")
         else:
             x, y, lam = p.primal_zeros(), p.dualineq_zeros(), p.dualeq_zeros()
         sigma0 = self.settings.initial_sigma
@@ -499,44 +540,38 @@ class Solver:
         raise _PivotEscalationFailed()
 
     def _inner_solve(self, state, inner_tol, timings, log, counts):
-        """Newton iterations on the current inner problem.
+        """Newton iterations on the current inner problem; returns the
+        evaluation (see :func:`eval_grad_phi`) of the final iterate.
 
-        Returns (converged, iterations, prox_scale).  The first step is a
-        unit step; later steps use the exact line search.  The stage
-        factorization is redone only for the stages whose active penalties
-        changed (see :meth:`_factor`).
+        Each pass evaluates its iterate once and stops before stepping when
+        the tolerance is met, the direction is not a descent direction, or
+        ``max_inner`` steps have been taken.  The first step is a unit step;
+        later steps use the exact line search.  Only the stages whose active
+        penalties changed are refactored (see :meth:`_factor`).
         """
         p, settings = self.problem, self.settings
         prox_scale = 1.0
-        iterations = 0
-        converged = False
-        for it in range(settings.max_inner):
-            z = model.mul_G(p, state.x)
-            z.data += state.y.data / state.sigma_y.data
-            sx_eff = state.sigma_x_inv
+        for it in range(settings.max_inner + 1):
+            eff_state = state
             if prox_scale != 1.0:
-                sx_eff = sx_eff.copy()
+                sx_eff = state.sigma_x_inv.copy()
                 sx_eff.data *= prox_scale
-            eff_state = AlmState(
-                state.x, state.y, state.lam, state.sigma_y, sx_eff, state.x_center
-            )
-            grad = eval_grad_phi(p, eff_state, state.x, out=self._grad, z=z)
-            stationarity = model.mul_MT(p, state.lam)
-            stationarity.data += grad.data
-            eq = model.mul_M(p, state.x)
-            eq.data -= self._b.data
-            if (
-                np.max(np.abs(stationarity.data)) <= inner_tol
-                and np.max(np.abs(eq.data)) <= inner_tol
+                eff_state = replace(state, sigma_x_inv=sx_eff)
+            ev = eval_grad_phi(p, eff_state, self._b)
+            eq_norm = float(np.max(np.abs(ev.r.data)))
+            if log is not None and it:  # the step that led here
+                phi = eval_phi(p, eff_state, ev)
+                log.append(InnerRecord(state.outer_iter, it, phi, eq_norm, tau, it == 1))
+            if it == settings.max_inner or (
+                np.max(np.abs(ev.g.data)) <= inner_tol and eq_norm <= inner_tol
             ):
-                converged = True
-                break
+                return ev
 
-            weights = kkt.weights_from_shifted(p, state.sigma_y, z)
+            weights = kkt.weights_from_shifted(p, state.sigma_y, ev.z)
             prox_scale = self._factor(state, weights, prox_scale, timings, counts)
 
             t0 = time.perf_counter()
-            dx, dlam = kkt.solve_newton(self.work, grad, state.lam, eq)
+            dx, dlam = kkt.solve_newton(self.work, ev.g, ev.r)
             timings["substitution"] += time.perf_counter() - t0
 
             if it == 0:
@@ -544,29 +579,14 @@ class Solver:
             else:
                 t0 = time.perf_counter()
                 try:
-                    tau = exact_line_search(p, eff_state, state.x, dx, z=z, grad=grad)
+                    tau = exact_line_search(p, eff_state, ev, dx)
                 except NonDescentDirection:
+                    return ev
+                finally:
                     timings["line_search"] += time.perf_counter() - t0
-                    break
-                timings["line_search"] += time.perf_counter() - t0
             state.x.data += tau * dx.data
             state.lam.data += dlam.data
-            iterations += 1
             state.inner_iter += 1
-            if log is not None:
-                eq_now = model.mul_M(p, state.x)
-                eq_now.data -= self._b.data
-                log.append(
-                    InnerRecord(
-                        outer_iter=state.outer_iter,
-                        inner_iter=iterations,
-                        phi=eval_phi(p, eff_state, state.x),
-                        eq_norm=float(np.max(np.abs(eq_now.data))),
-                        step=tau,
-                        unit_step=(it == 0),
-                    )
-                )
-        return converged, iterations, prox_scale
 
     def solve(self, warm_start=None):
         """Run the outer loop; returns (x, y, lam, report) with flat arrays.
@@ -590,47 +610,31 @@ class Solver:
         log = [] if settings.log_inner else None
         inner_tol = 1.0
         status = MAX_ITER
-        total_inner = 0
         dual_res = eq_res = primal_res = float("inf")
         prev_viol = None
         t_start = time.perf_counter()
-        outer_done = 0
         for k in range(settings.max_outer):
             state.outer_iter = k + 1
-            outer_done = k + 1
             np.copyto(state.x_center.data, state.x.data)
             try:
-                _, inner_iters, _ = self._inner_solve(state, inner_tol, timings, log, counts)
+                ev = self._inner_solve(state, inner_tol, timings, log, counts)
             except _PivotEscalationFailed:
                 status = NUMERICAL_ERROR
                 break
-            total_inner += inner_iters
 
-            z = model.mul_G(p, state.x)
-            gx = z.copy()
-            z.data += state.y.data / state.sigma_y.data
-            proj = np.clip(z.data, p.bl.data, p.bu.data)
-            y_new = state.y.zeros_like()
-            y_new.data[:] = state.sigma_y.data * (z.data - proj)
-
-            qx = model.mul_Q(p, state.x).data
-            mtl = model.mul_MT(p, state.lam).data
-            gty = model.mul_GT(p, y_new).data
+            qx, mtl, gty, gx, mx = (v.data for v in (ev.qx, ev.mtl, ev.gty, ev.gx, ev.mx))
             dual_vec = qx + p.lin.data
             dual_vec += mtl
             dual_vec += gty
             dual_res = float(np.max(np.abs(dual_vec)))
-            mx = model.mul_M(p, state.x).data
-            eq_res = float(np.max(np.abs(mx - self._b.data)))
-            viol = np.maximum(
-                np.maximum(p.bl.data - gx.data, gx.data - p.bu.data), 0.0
-            )
+            eq_res = float(np.max(np.abs(ev.r.data)))
+            viol = np.maximum(np.maximum(p.bl.data - gx, gx - p.bu.data), 0.0)
             primal_res = float(np.max(viol)) if viol.size else 0.0
             # termination drives |Gx - proj(z)| per row: on violated rows this
             # is the bound violation, on rows held by a positive multiplier it
-            # is the complementarity slack (y_new is supported on proj(z)'s
-            # active faces, so passing this makes (x, y_new) a KKT certificate)
-            comp = np.abs(gx.data - proj)
+            # is the complementarity slack (y_plus is supported on proj(z)'s
+            # active faces, so passing this makes (x, y_plus) a KKT certificate)
+            comp = np.abs(gx - ev.proj)
             primal_term = float(np.max(comp)) if comp.size else 0.0
 
             # eps_rel scales each test by the largest term it is made of
@@ -640,13 +644,13 @@ class Solver:
                     float(np.max(np.abs(v), initial=0.0)) for v in (qx, p.lin.data, mtl, gty)
                 )
                 pscale = float(np.max(np.abs(np.concatenate(
-                    (gx.data, bl[np.isfinite(bl)], bu[np.isfinite(bu)])
+                    (gx, bl[np.isfinite(bl)], bu[np.isfinite(bu)])
                 )), initial=0.0))
                 escale = max(float(np.max(np.abs(mx))), float(np.max(np.abs(self._b.data))))
             else:
                 dscale = pscale = escale = 0.0
 
-            state.y = y_new
+            state.y = ev.y_plus
             if (
                 dual_res <= settings.eps_abs + settings.eps_rel * dscale
                 and primal_term <= settings.eps_abs + settings.eps_rel * pscale
@@ -668,8 +672,8 @@ class Solver:
         solve_time = time.perf_counter() - t_start
         report = SolveReport(
             status=status,
-            outer_iters=outer_done,
-            inner_iters=total_inner,
+            outer_iters=state.outer_iter,
+            inner_iters=state.inner_iter,
             dual_res=dual_res,
             eq_res=eq_res,
             primal_res=primal_res,

@@ -10,7 +10,7 @@ that never leave the stage-wise representation:
 
     H v                    = g
     -(M H^{-1} M^T) dlam   = M v - r
-    -H dx                  = g + M^T dlam   (g refreshed with lam + dlam)
+    -H dx                  = g + M^T dlam
 
 The Schur complement Psi = M H^{-1} M^T is block-tridiagonal, a band matrix
 with a block-bidiagonal Cholesky factor.  Everything up to Psi is independent
@@ -25,7 +25,8 @@ change stays valid.
 Every step takes the workspace, a :class:`StageFactorization` ``f``, first
 and works in place on it: ``assemble_H(f, weights, sigma_x_inv, stages)``,
 ``factor_stages(f, pool, stages)``, ``factor_psi(f, stages)``,
-``solve_H(f, rhs)`` and ``solve_newton(f, grad, lam, eq_residual)``.  The
+``solve_H(f, rhs)`` and ``solve_newton(f, g, r)``, where g = M^T lam +
+grad phi and r = Mx - b are the residuals at the current iterate.  The
 active penalties ``weights`` are a one-column CompactBatch, as
 :func:`weights_from_shifted` returns them.
 
@@ -410,26 +411,19 @@ def psi_solve(f, rhs_stack):
     return x.reshape(rhs_stack.shape)[::-1]
 
 
-def solve_newton(f, grad_phi, lam, eq_residual):
-    """Three-step structured solve of the Newton system.
-
-    ``grad_phi`` is the inner-objective gradient at the current point,
-    ``lam`` the running equality multipliers, ``eq_residual`` the current
-    Mx - b.  Returns the step (dx, dlam) as compact vectors.
+def solve_newton(f, g, r):
+    """Three-step structured solve of the Newton system for the residuals
+    ``g`` (stationarity, M' lam + grad phi) and ``r`` (Mx - b): v = H^{-1} g,
+    dlam from Psi dlam = r - M v, dx = -H^{-1} (g + M' dlam).  Returns the
+    step (dx, dlam) as compact vectors.
     """
     problem = f.problem
-    g1 = model.mul_MT(problem, lam)
-    g1.data += grad_phi.data
-    v = solve_H(f, g1)
-
+    v = solve_H(f, g)
     mv = model.mul_M(problem, v)
-    dlam = lam.zeros_like()
-    dlam.stack[:, :, 0] = psi_solve(f, eq_residual.stack[:, :, 0] - mv.stack[:, :, 0])
-
-    lam_new = lam.zeros_like()
-    np.add(lam.data, dlam.data, out=lam_new.data)
-    g3 = model.mul_MT(problem, lam_new)
-    g3.data += grad_phi.data
-    dx = solve_H(f, g3)
+    dlam = r.zeros_like()
+    dlam.stack[:, :, 0] = psi_solve(f, r.stack[:, :, 0] - mv.stack[:, :, 0])
+    rhs = model.mul_MT(problem, dlam)
+    rhs.data += g.data
+    dx = solve_H(f, rhs)
     dx.data *= -1.0
     return dx, dlam

@@ -165,8 +165,7 @@ class TestCriterion3:
             r_eq = rng.standard_normal(problem.dims.p)
             dx, dlam = kkt.solve_newton(
                 work,
-                problem.primal_from_flat(g),
-                problem.dualeq_from_flat(lam),
+                problem.primal_from_flat(g + dq.M.T @ lam),
                 problem.dualeq_from_flat(r_eq),
             )
             dxf = problem.primal_to_flat(dx)
@@ -461,7 +460,7 @@ class TestCriterion7:
         r = p.dualeq_from_flat(rng.standard_normal(p.dims.p))
         dxs = {}
         for variant, w in works.items():
-            dx, dlam = kkt.solve_newton(w, g, p.dualeq_zeros(), r)
+            dx, dlam = kkt.solve_newton(w, g, r)
             dxs[variant] = np.concatenate(
                 [p.primal_to_flat(dx), p.dualeq_to_flat(dlam)]
             )

@@ -1,3 +1,6 @@
+import collections
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -33,6 +36,14 @@ def make_state(problem, x_flat=None, y_flat=None, sigma=1.0, prox=0.0):
     sigma_x_inv = p.primal_zeros()
     sigma_x_inv.data[:] = prox
     return alm.AlmState(x, y, p.dualeq_zeros(), sigma_y, sigma_x_inv, x.copy())
+
+
+def evaluate(problem, state, x=None):
+    """The solver's evaluation at ``x`` (state.x when None) for the weights
+    and center in ``state``."""
+    if x is not None:
+        state = replace(state, x=x)
+    return eval_grad_phi(problem, state, problem.b_dualeq())
 
 
 def scalar_instance():
@@ -73,13 +84,13 @@ class TestEvalPhi:
         state = make_state(p, x_flat=xf, prox=0.5)  # x_center == x
         dq = oracles.assemble_dense(p)
         want = 0.5 * xf @ dq.Q @ xf + dq.q @ xf
-        assert np.isclose(eval_phi(p, state, state.x), want, rtol=1e-13)
+        assert np.isclose(eval_phi(p, state, evaluate(p, state)), want, rtol=1e-13)
 
     def test_hand_value(self):
         p = scalar_instance()
         xf = np.array([0.0, 2.0, 0.0])  # x0 = 0, u0 = 2, x1 = 0
         state = make_state(p, x_flat=xf, sigma=1.0, prox=0.0)
-        assert np.isclose(eval_phi(p, state, state.x), 4.0, atol=1e-14)
+        assert np.isclose(eval_phi(p, state, evaluate(p, state)), 4.0, atol=1e-14)
 
     @pytest.mark.parametrize("n_y,n_yN", ((3, 2),) + PADDED_EVERY_STAGE)
     def test_matches_dense_oracle(self, n_y, n_yN):
@@ -90,9 +101,9 @@ class TestEvalPhi:
             p, x_flat=rng.standard_normal(p.dims.n),
             y_flat=rng.standard_normal(p.dims.m), sigma=2.2, prox=1e-3,
         )
-        x = p.primal_from_flat(xf)
+        state.x = p.primal_from_flat(xf)
         want = dense_phi(p, state, xf)
-        assert np.isclose(eval_phi(p, state, x), want, rtol=1e-12)
+        assert np.isclose(eval_phi(p, state, evaluate(p, state)), want, rtol=1e-12)
 
 
 class TestEvalGradPhi:
@@ -101,14 +112,14 @@ class TestEvalGradPhi:
         p = random_problem(rng, N=3, infinite=True)
         xf = rng.standard_normal(p.dims.n)
         state = make_state(p, x_flat=xf, prox=0.25)
-        g = p.primal_to_flat(eval_grad_phi(p, state, state.x))
+        g = p.primal_to_flat(evaluate(p, state).grad)
         dq = oracles.assemble_dense(p)
         assert np.allclose(g, dq.Q @ xf + dq.q, atol=1e-13)
 
     def test_hand_value(self):
         p = scalar_instance()
         state = make_state(p, x_flat=np.array([0.0, 2.0, 0.0]))
-        g = p.primal_to_flat(eval_grad_phi(p, state, state.x))
+        g = p.primal_to_flat(evaluate(p, state).grad)
         assert np.isclose(g[1], 4.0, atol=1e-14)
 
     @pytest.mark.parametrize("n_y,n_yN", ((2, 1),) + PADDED_EVERY_STAGE)
@@ -120,7 +131,7 @@ class TestEvalGradPhi:
             p, x_flat=rng.standard_normal(p.dims.n),
             y_flat=rng.standard_normal(p.dims.m), sigma=1.5, prox=1e-2,
         )
-        g = p.primal_to_flat(eval_grad_phi(p, state, p.primal_from_flat(xf)))
+        g = p.primal_to_flat(evaluate(p, state, p.primal_from_flat(xf)).grad)
         h = 1e-6 * max(1.0, np.max(np.abs(xf)))
         fd = np.empty_like(g)
         for i in range(p.dims.n):
@@ -139,7 +150,7 @@ class TestExactLineSearch:
         p = scalar_instance()
         state = make_state(p, x_flat=np.array([0.0, 2.0, 0.0]))
         dx = p.primal_from_flat(np.array([0.0, -2.0, 0.0]))
-        tau = exact_line_search(p, state, state.x, dx)
+        tau = exact_line_search(p, state, evaluate(p, state), dx)
         assert tau == pytest.approx(1.0, abs=1e-14)
 
     def test_newton_step_on_smooth_quadratic(self):
@@ -151,9 +162,9 @@ class TestExactLineSearch:
         sx = p.primal_to_flat(state.sigma_x_inv)
         H = dq.Q + np.diag(sx)
         xf = p.primal_to_flat(state.x)
-        g = p.primal_to_flat(eval_grad_phi(p, state, state.x))
+        g = p.primal_to_flat(evaluate(p, state).grad)
         dxf, _ = oracles.dense_newton_solve(H, dq.M, g, np.zeros(p.dims.p))
-        tau = exact_line_search(p, state, state.x, p.primal_from_flat(dxf))
+        tau = exact_line_search(p, state, evaluate(p, state), p.primal_from_flat(dxf))
         assert tau == pytest.approx(1.0, rel=1e-10)
 
     def test_nondescent_raises(self):
@@ -161,7 +172,7 @@ class TestExactLineSearch:
         state = make_state(p, x_flat=np.array([0.0, 2.0, 0.0]))
         dx = p.primal_from_flat(np.array([0.0, +2.0, 0.0]))  # uphill
         with pytest.raises(NonDescentDirection):
-            exact_line_search(p, state, state.x, dx)
+            exact_line_search(p, state, evaluate(p, state), dx)
 
     @pytest.mark.parametrize("n_y,n_yN", ((2, 1),) + PADDED_EVERY_STAGE)
     def test_sign_change_at_minimizer(self, n_y, n_yN):
@@ -179,16 +190,16 @@ class TestExactLineSearch:
             ns = np.linalg.svd(dq.M)[2][p.dims.p :]
             dxf = ns.T @ (ns @ dxf)
             dx = p.primal_from_flat(dxf)
-            g0 = p.primal_to_flat(eval_grad_phi(p, state, state.x))
+            g0 = p.primal_to_flat(evaluate(p, state).grad)
             if g0 @ dxf >= 0:
                 dxf = -dxf
                 dx = p.primal_from_flat(dxf)
-            tau = exact_line_search(p, state, state.x, dx)
+            tau = exact_line_search(p, state, evaluate(p, state), dx)
             xf = p.primal_to_flat(state.x)
 
             def dphi(t):
                 pt = p.primal_from_flat(xf + t * dxf)
-                return p.primal_to_flat(eval_grad_phi(p, state, pt)) @ dxf
+                return p.primal_to_flat(evaluate(p, state, pt).grad) @ dxf
 
             scale = abs(dphi(0.0)) + 1.0
             assert dphi(max(tau - 1e-9 * (1 + tau), 0.0)) <= 1e-7 * scale
@@ -224,6 +235,28 @@ class TestInnerLoop:
             if len(recs) >= 1 and not recs[0].unit_step:
                 # records always start with the unit step of that outer round
                 assert recs[0].inner_iter > 1
+
+    def test_products_per_iterate(self, monkeypatch):
+        # each pass of the inner loop evaluates its iterate once (G' y+, M' lam
+        # and Mx among the products), an inner solve of k steps makes k + 1
+        # passes, and each Newton step adds one M and one M' product
+        calls = collections.Counter()
+        for name in ("mul_GT", "mul_MT", "mul_M"):
+            def counted(*args, _fn=getattr(model, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(model, name, counted)
+        p = gen_spring_mass(SpringMassConfig(masses=4, horizon=10, seed=0))
+        with Solver(p, SolverSettings()) as solver:
+            warm = None
+            for _ in range(2):  # cold, then warm-started from the cold result
+                calls.clear()
+                *warm, report = solver.solve(warm_start=warm)
+                assert report.solved and report.inner_iters > 0
+                passes = report.inner_iters + report.outer_iters
+                assert calls["mul_GT"] == passes
+                assert calls["mul_MT"] == calls["mul_M"] == passes + report.inner_iters
 
 
 class TestSolve:
@@ -560,3 +593,22 @@ class TestUpdatesRejectNonFinite:
         assert before[3].solved and after[3].solved
         for a, b in zip(before[:3], after[:3]):
             assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("value", (np.nan, np.inf, -np.inf))
+@pytest.mark.parametrize("vector", ("x", "y", "lam"))
+def test_warm_start_rejects_non_finite(vector, value):
+    # the check runs before the solve changes anything: the next solve is
+    # bit-identical to the one before the rejected call
+    p = gen_spring_mass(SpringMassConfig(masses=4, horizon=10, seed=0))
+    with Solver(p, SolverSettings()) as solver:
+        warm = solver.solve()[:3]
+        before = solver.solve(warm_start=warm)
+        bad = [v.copy() for v in warm]
+        bad[("x", "y", "lam").index(vector)][-1] = value
+        with pytest.raises(ValueError, match=f"warm start {vector}$"):
+            solver.solve(warm_start=bad)
+        after = solver.solve(warm_start=warm)
+    assert before[3].solved and after[3].solved
+    for a, b in zip(before[:3], after[:3]):
+        assert np.array_equal(a, b)

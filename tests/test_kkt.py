@@ -561,7 +561,7 @@ class TestSolveNewton:
         w = make_weights(p, np.zeros(p.dims.n))
         work = factor_all(p, w, 1e-3)
         factor_psi(work)
-        dx, dlam = solve_newton(work, p.primal_zeros(), p.dualeq_zeros(), p.dualeq_zeros())
+        dx, dlam = solve_newton(work, p.primal_zeros(), p.dualeq_zeros())
         assert np.all(dx.data == 0.0)
         assert np.all(dlam.data == 0.0)
 
@@ -578,9 +578,7 @@ class TestSolveNewton:
         g = rng.standard_normal(3)
         r = rng.standard_normal(2)
         dx_d, dl_d = oracles.dense_newton_solve(Hd, dq.M, g, r)
-        dx, dlam = solve_newton(
-            work, p.primal_from_flat(g), p.dualeq_zeros(), p.dualeq_from_flat(r)
-        )
+        dx, dlam = solve_newton(work, p.primal_from_flat(g), p.dualeq_from_flat(r))
         assert np.allclose(p.primal_to_flat(dx), dx_d, atol=1e-12)
         assert np.allclose(p.dualeq_to_flat(dlam), dl_d, atol=1e-12)
 
@@ -600,7 +598,7 @@ class TestSolveNewton:
             lam = rng.standard_normal(p.dims.p)
             r = rng.standard_normal(p.dims.p)
             dx, dlam = solve_newton(
-                work, p.primal_from_flat(g), p.dualeq_from_flat(lam), p.dualeq_from_flat(r)
+                work, p.primal_from_flat(g + dq.M.T @ lam), p.dualeq_from_flat(r)
             )
             dxf, dlf = p.primal_to_flat(dx), p.dualeq_to_flat(dlam)
             res1 = Hd @ dxf + dq.M.T @ dlf + (g + dq.M.T @ lam)
@@ -643,7 +641,7 @@ class TestExplicitInverse:
             lam = rng.standard_normal(p.dims.p)
             r = rng.standard_normal(p.dims.p)
             dx, dlam = solve_newton(
-                work, p.primal_from_flat(g), p.dualeq_from_flat(lam), p.dualeq_from_flat(r)
+                work, p.primal_from_flat(g + dq.M.T @ lam), p.dualeq_from_flat(r)
             )
             step = np.concatenate([p.primal_to_flat(dx), p.dualeq_to_flat(dlam)])
             K = np.block([[Hd, dq.M.T], [dq.M, np.zeros((p.dims.p, p.dims.p))]])
@@ -704,8 +702,8 @@ class TestDiagonalVariant:
         factor_psi(wdg)
         g = rng.standard_normal(p.dims.n)
         r = rng.standard_normal(p.dims.p)
-        dx1, dl1 = solve_newton(wd, p.primal_from_flat(g), p.dualeq_zeros(), p.dualeq_from_flat(r))
-        dx2, dl2 = solve_newton(wdg, p.primal_from_flat(g), p.dualeq_zeros(), p.dualeq_from_flat(r))
+        dx1, dl1 = solve_newton(wd, p.primal_from_flat(g), p.dualeq_from_flat(r))
+        dx2, dl2 = solve_newton(wdg, p.primal_from_flat(g), p.dualeq_from_flat(r))
         f1, f2 = p.primal_to_flat(dx1), p.primal_to_flat(dx2)
         assert np.max(np.abs(f1 - f2)) < 1e-12 * (1 + np.max(np.abs(f1)))
         l1, l2 = p.dualeq_to_flat(dl1), p.dualeq_to_flat(dl2)
