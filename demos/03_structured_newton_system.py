@@ -39,13 +39,24 @@ sig = problem.dualineq_to_flat(weights)
 H_dense = dense.Q + dense.G.T @ np.diag(sig) @ dense.G + 1e-6 * np.eye(dims.n)
 psi_dense = dense.M @ np.linalg.solve(H_dense, dense.M.T)
 
+# Psi from its band factor, read blockwise in stage order: band_diag[j] is
+# the diagonal block D_j of stage j and band_sub[j] the block S_j that
+# couples it to stage j + 1, so Psi_jj = D_j D_j^T + S_j S_j^T (the last
+# term for j < N) and Psi_{j,j+1} = S_j D_{j+1}^T
+D, S = np.tril(work.band_diag), work.band_sub
+psi_diag = D @ D.transpose(0, 2, 1)
+psi_diag[:-1] += S @ S.transpose(0, 2, 1)
+psi_up = S @ D[1:].transpose(0, 2, 1)
+n_x = dims.n_x
 err = 0.0
 for j in range(dims.N + 1):
-    r = j * dims.n_x
-    err = max(err, np.max(np.abs(
-        work.psi_diag[j] - psi_dense[r : r + dims.n_x, r : r + dims.n_x]
-    )))
-print(f"block-tridiagonal Psi vs dense M H^-1 M^T: max error {err:.2e}")
+    r = slice(j * n_x, (j + 1) * n_x)
+    err = max(err, np.max(np.abs(psi_diag[j] - psi_dense[r, r])))
+    if j < dims.N:
+        c = slice((j + 1) * n_x, (j + 2) * n_x)
+        err = max(err, np.max(np.abs(psi_up[j] - psi_dense[r, c])))
+psi_err = err / np.max(np.abs(psi_dense))
+print(f"band factor L L^T vs dense M H^-1 M^T: max relative error {psi_err:.2e}")
 
 g = rng.standard_normal(dims.n)
 r_eq = rng.standard_normal(dims.p)
@@ -53,6 +64,8 @@ dx, dlam = kkt.solve_newton(
     work, problem.primal_from_flat(g), problem.dualeq_from_flat(r_eq)
 )
 dx_dense, dlam_dense = oracles.dense_newton_solve(H_dense, dense.M, g, r_eq)
-print(f"three-step vs dense saddle solve: "
-      f"|dx diff| {np.max(np.abs(problem.primal_to_flat(dx) - dx_dense)):.2e}, "
-      f"|dlam diff| {np.max(np.abs(problem.dualeq_to_flat(dlam) - dlam_dense)):.2e}")
+dx_err = np.max(np.abs(problem.primal_to_flat(dx) - dx_dense)) / np.max(np.abs(dx_dense))
+dlam_err = np.max(np.abs(problem.dualeq_to_flat(dlam) - dlam_dense)) / np.max(np.abs(dlam_dense))
+print(f"three-step vs dense saddle solve: relative |dx diff| {dx_err:.2e}, "
+      f"|dlam diff| {dlam_err:.2e}")
+assert psi_err <= 1e-12 and dx_err <= 1e-10 and dlam_err <= 1e-10

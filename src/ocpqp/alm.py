@@ -67,7 +67,9 @@ class SolverSettings:
     ``variant`` picks the stage-factorization path: 'dense', 'diagonal', or
     'auto' (diagonal when the problem structure allows it).  ``worker_count``
     workers (an integer >= 1) share the stage-parallel phases; the
-    OCPQP_WORKERS environment variable overrides it when set.
+    OCPQP_WORKERS environment variable overrides it when set.  The
+    iteration limits ``max_outer`` and ``max_inner`` (>= 1) and
+    ``max_pivot_escalations`` (>= 0) are integers as well.
     ``lane_width`` is read by nothing: the benchmark still passes it, and it
     goes with the benchmark change of ROADMAP item 5.
     """
@@ -92,10 +94,11 @@ class SolverSettings:
             raise ValueError("eps_abs and eps_rel must be finite and nonnegative")
         if not (self.eps_abs > 0.0 or self.eps_rel > 0.0):
             raise ValueError("at least one of eps_abs, eps_rel must be positive")
-        if self.max_outer < 1 or self.max_inner < 1:
-            raise ValueError("max_outer and max_inner must be at least 1")
-        if self.max_pivot_escalations < 0:
-            raise ValueError("max_pivot_escalations must be nonnegative")
+        for name, least in (("max_outer", 1), ("max_inner", 1),
+                            ("max_pivot_escalations", 0), ("worker_count", 1)):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Integral) and value >= least):
+                raise ValueError(f"{name} must be an integer >= {least}")
         if not 1.0 < self.penalty_update_factor < np.inf:
             raise ValueError("penalty_update_factor must be finite and exceed 1")
         if not 0.0 < self.penalty_trigger < 1.0:
@@ -105,8 +108,6 @@ class SolverSettings:
             raise ValueError("initial_sigma must be None or finite and nonnegative")
         if not 0.0 <= self.proximal_weight < np.inf:
             raise ValueError("proximal_weight must be finite and nonnegative")
-        if not (isinstance(self.worker_count, numbers.Integral) and self.worker_count >= 1):
-            raise ValueError("worker_count must be an integer >= 1")
         if self.lane_width not in (1, 2, 4, 8):
             raise ValueError("lane_width must be one of 1, 2, 4, 8")
         if self.variant not in ("dense", "diagonal", "auto"):

@@ -41,15 +41,17 @@ once at workspace allocation.
 H_j depends on the iterate only through the active penalties of stage j
 (and the proximal scale), so only the stages whose penalties changed since
 the last successful factorization are reassembled and refactored; the
-others keep their factor bits.  Only the Psi blocks those stages touch are
-re-sliced, and the band Cholesky restarts at the block of the last changed
-stage: the leading band columns, which hold the factor of the later stages,
-are kept, and a full factorization is the restart at the first column.  When
-no stage changed, the whole factorization is reused as it stands.
+others keep their factor bits.  The band Cholesky of Psi restarts at the
+block of the last changed stage and reads its blocks straight from the
+per-stage J J^T products: the leading band columns, which hold the factor
+of the later stages, are kept, and a full factorization is the restart at
+the first column.  When no stage changed, the whole factorization is reused
+as it stands.
 """
 
 from __future__ import annotations
 
+import numbers
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
@@ -78,7 +80,9 @@ class WorkerPool:
     """
 
     def __init__(self, workers=1):
-        self.workers = max(1, int(workers))
+        if not (isinstance(workers, numbers.Integral) and workers >= 1):
+            raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
+        self.workers = int(workers)
         self._executor = None
 
     def run(self, fn, stages):
@@ -135,13 +139,12 @@ class StageFactorization:
     ``linv_lm``, ``vwt_lm`` and ``p_lm`` are stage stacks (nstages, ...):
     the inverses L_j^{-1} of the per-stage Cholesky factors of H (dense
     variant only), the panels (V_j; W_j)^T = L_j^{-1} [A B; I 0]^T, and the
-    products J_j J_j^T that the Psi blocks are sliced from.  ``psi_diag``
-    and ``psi_sub`` hold the blocks Psi_jj and Psi_{j+1,j} of the unfactored
-    Psi in stage order.  ``psi_band`` holds the Cholesky factor of P Psi P^T,
-    where P reverses the block order (stage j at block position N - j), in
-    LAPACK band storage; ``band_diag[j]`` and ``band_sub[j]`` are reversed
-    views of its blocks, indexed by stage: the diagonal block of stage j and
-    the block L(N - j, N - j - 1) that couples stage j to stage j + 1.
+    products J_j J_j^T that :func:`factor_psi` reads the Psi blocks from.
+    ``psi_band`` holds the Cholesky factor of P Psi P^T, where P reverses
+    the block order (stage j at block position N - j), in LAPACK band
+    storage; ``band_diag[j]`` and ``band_sub[j]`` are reversed views of its
+    blocks, indexed by stage: the diagonal block of stage j and the block
+    L(N - j, N - j - 1) that couples stage j to stage j + 1.
 
     ``factored_sigma`` and ``factored_scale`` record the active penalties
     (a copy of the weights' stack) and the proximal scale of the last
@@ -160,8 +163,6 @@ class StageFactorization:
     p_lm: np.ndarray
     ewt_lm: np.ndarray  # constant [A B; I 0]^T panels
     scaled_lm: np.ndarray  # scratch for the weighted constraint panel
-    psi_diag: np.ndarray
-    psi_sub: np.ndarray
     psi_band: np.ndarray
     band_diag: np.ndarray
     band_sub: np.ndarray
@@ -190,8 +191,6 @@ class StageFactorization:
             p_lm=np.zeros((ns, 2 * n_x, 2 * n_x)),
             ewt_lm=ew,
             scaled_lm=np.zeros((ns, d.n_y_pad, n_xu)),
-            psi_diag=np.zeros((ns, n_x, n_x)),
-            psi_sub=np.zeros((d.N, n_x, n_x)),
             psi_band=band,
             band_diag=_band_blocks(band, 0, ns)[::-1],
             band_sub=_band_blocks(band, n_x, d.N)[::-1],
@@ -305,44 +304,17 @@ def factor_chunk_diagonal(f, stages):
     _scatter(f.p_lm, s, p)
 
 
-def assemble_psi(f, stages=None):
-    """Slice the per-stage J J^T products into the block-tridiagonal Psi:
-    Psi_00 = W0 W0^T, Psi_{j+1,j+1} = Vj Vj^T + W_{j+1} W_{j+1}^T,
-    Psi_{j+1,j} = -Vj Wj^T.  Only the blocks that the sorted stage index
-    array ``stages`` (all stages when None) touch are rewritten: Psi_jj,
-    Psi_{j+1,j+1} and Psi_{j+1,j} for each j in it."""
-    dm = f.problem.dims
-    N, n_x = dm.N, dm.n_x
-    P = f.p_lm
-    stages = np.arange(N + 1) if stages is None else np.asarray(stages)
-    touched = np.zeros(N + 2, dtype=bool)
-    touched[stages] = touched[stages + 1] = True
-    rows = np.flatnonzero(touched[: N + 1])
-    d = _index(rows)
-    diag = _slots(f.psi_diag, d)
-    diag[:] = P[d, n_x:, n_x:]
-    first = 1 if rows[0] == 0 else 0
-    diag[first:] += P[_index(rows[first:] - 1), :n_x, :n_x]
-    diag += diag.transpose(0, 2, 1).copy()
-    diag *= 0.5
-    _scatter(f.psi_diag, d, diag)
-    s = _index(stages[stages < N])
-    f.psi_sub[s] = -P[s, :n_x, n_x:]
-    return f
-
-
 def factor_stages(f, pool, stages=None):
     """Factor the block-diagonal ``f.H`` (see :func:`assemble_H`) and form
-    the Psi blocks, split over the WorkerPool ``pool``.
+    the per-stage J J^T products ``f.p_lm`` that Psi is read from, split over
+    the WorkerPool ``pool``.
 
     Only the stages of the sorted index array ``stages`` (all when None) are
-    refactored; the others keep the factors ``f`` holds.  The Psi blocks
-    that those stages touch are then re-sliced, and the result is ready for
-    :func:`factor_psi` over the same ``stages``.
+    refactored; the others keep the factors ``f`` holds.  The result is
+    ready for :func:`factor_psi` over the same ``stages``.
     """
     chunk_fn = factor_chunk_diagonal if f.variant == "diagonal" else factor_chunk_dense
     pool.run(lambda ch: chunk_fn(f, ch), np.arange(f.H.nstages) if stages is None else stages)
-    assemble_psi(f, stages)
     return f
 
 
@@ -362,8 +334,13 @@ def factor_psi(f, stages=None):
     Position k holds stage N - k, so the stages above ``top`` (see
     :func:`psi_top`) fill the leading k0 = N - top positions, whose columns
     keep the factor of the last factorization.  The trailing columns are
-    refilled from the lower triangles of ``psi_diag`` and the transposed
-    ``psi_sub`` blocks; for k0 > 0 the kept block L(k0, k0 - 1), stored at
+    refilled straight from the J J^T products ``f.p_lm`` (P_j):
+
+        Psi_00 = P_0[n:, n:],  Psi_jj = P_j[n:, n:] + P_{j-1}[:n, :n],
+        Psi_{j+1,j} = -P_j[:n, n:]
+
+    with n = n_x; the diagonal blocks give their lower triangles (P_j is
+    symmetric) and the coupling blocks enter transposed.  For k0 > 0 the kept block L(k0, k0 - 1), stored at
     ``band_sub[top]``, is subtracted as L L^T from diagonal block k0, and
     dpbtrf factors the trailing band in place.  A full factorization is the
     restart at k0 = 0.  A failed leading minor names the stage whose block
@@ -375,12 +352,16 @@ def factor_psi(f, stages=None):
     c0 = (N - top) * n_x
     trail = f.psi_band[:, c0:]  # F-contiguous, factored in place
     trail.fill(0.0)  # a NaN in Psi spreads into slots outside the blocks
+    P, diag = f.p_lm, f.band_diag
     tri = np.tri(n_x, dtype=bool)
-    np.copyto(f.band_diag[: top + 1], f.psi_diag[: top + 1], where=tri)
-    np.copyto(f.band_sub[:top], f.psi_sub[:top].transpose(0, 2, 1))
+    # one masked copy per block: a masked add into the strided band views
+    # costs about twice as much as the contiguous sum
+    np.copyto(diag[0], P[0, n_x:, n_x:], where=tri)
+    np.copyto(diag[1 : top + 1], P[1 : top + 1, n_x:, n_x:] + P[:top, :n_x, :n_x], where=tri)
+    np.negative(P[:top, :n_x, n_x:].transpose(0, 2, 1), out=f.band_sub[:top])
     if top < N:
         L = f.band_sub[top]
-        np.copyto(f.band_diag[top], f.psi_diag[top] - L @ L.T, where=tri)
+        np.subtract(diag[top], L @ L.T, out=diag[top], where=tri)
     _, info = _pbtrf(trail, lower=1, overwrite_ab=1)
     if info > 0:
         raise NonPositivePivot([(top - (info - 1) // n_x, -1)])

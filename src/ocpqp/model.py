@@ -504,8 +504,8 @@ def save_problem(problem, path, fmt="binary"):
 def load_problem(path):
     """Read a problem file (binary or JSON, detected by the magic bytes).
 
-    A binary file whose length differs from the one its header implies
-    raises ValueError.
+    A binary file whose length differs from the one its header implies,
+    and a JSON file that lacks a field, raise ValueError.
     """
     with open(path, "rb") as fh:
         head = fh.read(len(_MAGIC))
@@ -517,7 +517,13 @@ def load_problem(path):
         dims = OcpDims(*(int(v) for v in struct.unpack("<5Q", body[:40])))
     else:
         doc = json.loads((head + body).decode("utf-8"))
-        dims = OcpDims(*(doc[k] for k in _DIMS))
+
+        def field(name):
+            if name not in doc:
+                raise ValueError(f"{path}: no field {name!r}")
+            return doc[name]
+
+        dims = OcpDims(*(field(k) for k in _DIMS))
     # shapes from views of zero-stride stacks: nothing is allocated before
     # the length check, whatever dims the header claims
     blank = {name: np.broadcast_to(0.0, shape) for name, shape in _stack_shapes(dims).items()}
@@ -537,5 +543,5 @@ def load_problem(path):
             data[name] = arr
     else:
         for name, shape in shapes.items():
-            data[name] = np.array(doc[name], dtype=np.float64).reshape(shape)
+            data[name] = np.array(field(name), dtype=np.float64).reshape(shape)
     return OcpProblem.from_stages(**data)

@@ -17,6 +17,8 @@ from ocpqp.bench import SpringMassConfig, gen_random_ocp, gen_spring_mass, loglo
 from ocpqp.compact import CompactBatch
 from ocpqp.model import OcpDims
 
+from test_kkt import band_factor, reverse_blocks
+
 EPS = 1e-8
 
 
@@ -149,16 +151,10 @@ class TestCriterion3:
             sig = problem.dualineq_to_flat(weights)
             Hd = dq.Q + dq.G.T @ np.diag(sig) @ dq.G + delta * np.eye(problem.dims.n)
             psi_dense = dq.M @ np.linalg.solve(Hd, dq.M.T)
-            scale = np.max(np.abs(psi_dense))
-            for j in range(problem.dims.N + 1):
-                r = j * n_x
-                err = np.max(np.abs(work.psi_diag[j] - psi_dense[r : r + n_x, r : r + n_x]))
-                worst_psi = max(worst_psi, err / scale)
-                if j < problem.dims.N:
-                    err = np.max(np.abs(
-                        work.psi_sub[j] - psi_dense[r + n_x : r + 2 * n_x, r : r + n_x]
-                    ))
-                    worst_psi = max(worst_psi, err / scale)
+            # the band factor L of P Psi P^T (P reverses the block order)
+            L = band_factor(work)
+            err = np.max(np.abs(L @ L.T - reverse_blocks(psi_dense, n_x)))
+            worst_psi = max(worst_psi, err / np.max(np.abs(psi_dense)))
 
             g = rng.standard_normal(problem.dims.n)
             lam = rng.standard_normal(problem.dims.p)
@@ -178,7 +174,7 @@ class TestCriterion3:
         assert _line(
             3, ok,
             f"100 Newton systems: relative KKT residual {worst_kkt:.2e} <= 1e-10, "
-            f"Psi vs dense Schur {worst_psi:.2e} <= 1e-11",
+            f"band factor L L^T vs dense Schur {worst_psi:.2e} <= 1e-11",
         )
 
 
@@ -318,7 +314,7 @@ class TestCriterion5:
         bit_identical = all(
             np.array_equal(getattr(outs[0], name), getattr(other, name))
             for other in outs[1:]
-            for name in ("linv_lm", "vwt_lm", "p_lm", "psi_diag", "psi_sub", "psi_band")
+            for name in ("linv_lm", "vwt_lm", "p_lm", "psi_band")
         ) and all(
             np.array_equal(a, b)
             for workers in worker_counts[1:]
@@ -387,7 +383,6 @@ def _stage_factor_times(problem, repeats=7):
             linv = kkt._trtri(np.linalg.cholesky(H[j]), lower=1)[0]
             vwt = linv @ work.ewt_lm[j]
             work.linv_lm[j], work.vwt_lm[j], work.p_lm[j] = linv, vwt, vwt.T @ vwt
-        kkt.assemble_psi(work)
 
     times = {batched: [], looped: []}
     results = {}

@@ -315,13 +315,13 @@ class TestSolve:
         # a Psi that holds a NaN is a failed pivot: the solve escalates,
         # gives up with numerical_error and returns no NaN iterate
         p = gen_spring_mass(SpringMassConfig(masses=3, horizon=8, seed=3))
-        original = kkt.assemble_psi
+        original = kkt.factor_stages
 
-        def poisoned(f, stages=None):
-            original(f, stages)
-            f.psi_sub[2][1, 0] = np.nan
+        def poisoned(f, pool, stages=None):
+            original(f, pool, stages)
+            f.p_lm[2, 1, f.problem.dims.n_x] = np.nan  # Psi_{3,2}[1, 0]
 
-        monkeypatch.setattr(kkt, "assemble_psi", poisoned)
+        monkeypatch.setattr(kkt, "factor_stages", poisoned)
         x, y, lam, report = solve(p, SolverSettings())
         assert report.status == alm.NUMERICAL_ERROR
         assert all(np.isfinite(v).all() for v in (x, y, lam))
@@ -524,6 +524,12 @@ NON_FINITE_UPDATES = [
     dict(max_outer=0),
     dict(max_inner=0),
     dict(max_pivot_escalations=-1),
+    dict(max_outer=np.nan),
+    dict(max_outer=3.0),
+    dict(max_inner=2.5),
+    dict(max_inner=np.inf),
+    dict(max_pivot_escalations=np.nan),
+    dict(max_pivot_escalations=1.5),
     dict(eps_abs=-1.0, eps_rel=1e-8),
     dict(eps_abs=1e-8, eps_rel=np.nan),
     dict(eps_abs=np.inf),

@@ -66,6 +66,14 @@ def factor_all(problem, weights, delta, variant="dense", workers=1):
     return work
 
 
+@pytest.mark.parametrize("workers", (0, -3, 2.5, np.nan, "2"))
+def test_worker_pool_rejects_bad_counts(workers):
+    # the counts SolverSettings and OCPQP_WORKERS reject
+    with pytest.raises(ValueError, match="workers"):
+        WorkerPool(workers)
+    assert WorkerPool(np.int64(2)).workers == 2
+
+
 class TestActiveWeights:
     def test_all_infinite_bounds(self):
         rng = np.random.default_rng(0)
@@ -196,18 +204,20 @@ class TestFactorStages:
         for j in range(N):
             assert np.allclose(work.vwt_lm[j, :, :n_x], eye_pad, atol=1e-14)
             assert np.allclose(work.vwt_lm[j, :, n_x:], eye_pad, atol=1e-14)
-        assert np.allclose(work.psi_diag[0], np.eye(n_x), atol=1e-14)
+        diag, sub = psi_blocks(work)
+        assert np.allclose(diag[0], np.eye(n_x), atol=1e-14)
         for j in range(1, N + 1):
-            assert np.allclose(work.psi_diag[j], 2 * np.eye(n_x), atol=1e-14)
-        assert np.allclose(work.psi_sub, -np.broadcast_to(np.eye(n_x), (N, n_x, n_x)), atol=1e-14)
+            assert np.allclose(diag[j], 2 * np.eye(n_x), atol=1e-14)
+        assert np.allclose(sub, -np.broadcast_to(np.eye(n_x), (N, n_x, n_x)), atol=1e-14)
 
     def test_single_stage_shapes(self):
         rng = np.random.default_rng(20)
         p = random_problem(rng, N=1, n_x=2, n_u=1)
         w = make_weights(p, np.zeros(p.dims.n))
-        work = factor_all(p, w, 1e-3)
-        assert work.psi_diag.shape == (2, 2, 2)
-        assert work.psi_sub.shape == (1, 2, 2)
+        work = factor_psi(factor_all(p, w, 1e-3))
+        diag, sub = psi_blocks(work)
+        assert diag.shape == (2, 2, 2) and sub.shape == (1, 2, 2)
+        assert work.psi_band.shape == (4, 4)
 
     @pytest.mark.parametrize("seed", (30, 31, 32))
     def test_psi_matches_dense_schur(self, seed):
@@ -218,19 +228,25 @@ class TestFactorStages:
             x = rng.standard_normal(p.dims.n)
             w = make_weights(p, x, sigma=2.0)
             delta = 1e-2
-            work = factor_all(p, w, delta)
+            work = factor_psi(factor_all(p, w, delta))
             Hd, dq = dense_H(p, w, delta)
             psi_want = dense_psi(p, Hd, dq)
             dm = p.dims
             scale = np.max(np.abs(psi_want))
+            # the test helper's blocks and the band's L L^T, both against
+            # the dense M H^-1 M^T
+            diag, sub = psi_blocks(work)
             for j in range(dm.N + 1):
                 r0 = j * dm.n_x
                 want = psi_want[r0 : r0 + dm.n_x, r0 : r0 + dm.n_x]
-                assert np.max(np.abs(work.psi_diag[j] - want)) < 1e-11 * scale
+                assert np.max(np.abs(diag[j] - want)) < 1e-11 * scale
                 if j < dm.N:
                     r1 = (j + 1) * dm.n_x
                     wsub = psi_want[r1 : r1 + dm.n_x, r0 : r0 + dm.n_x]
-                    assert np.max(np.abs(work.psi_sub[j] - wsub)) < 1e-11 * scale
+                    assert np.max(np.abs(sub[j] - wsub)) < 1e-11 * scale
+            L = band_factor(work)
+            err = np.max(np.abs(L @ L.T - reverse_blocks(psi_want, dm.n_x)))
+            assert err < 1e-11 * scale
 
     def test_worker_count_bit_identical(self):
         rng = np.random.default_rng(40)
@@ -239,7 +255,7 @@ class TestFactorStages:
         w = make_weights(p, x, sigma=1.0)
         w1 = factor_all(p, w, 1e-3, workers=1)
         w4 = factor_all(p, w, 1e-3, workers=4)
-        for name in ("linv_lm", "vwt_lm", "p_lm", "psi_diag", "psi_sub"):
+        for name in ("linv_lm", "vwt_lm", "p_lm"):
             assert np.array_equal(getattr(w1, name), getattr(w4, name))
 
     @pytest.mark.parametrize("workers", (1, 2))
@@ -395,6 +411,28 @@ def dense_from_blocks(diag, sub):
     return D
 
 
+def psi_blocks(work):
+    """The blocks Psi_jj and Psi_{j+1,j} of the unfactored Psi in stage
+    order, sliced from the J J^T products ``p_lm`` as factor_psi reads them."""
+    n = work.problem.dims.n_x
+    P = work.p_lm
+    diag = P[:, n:, n:].copy()
+    diag[1:] += P[:-1, :n, :n]
+    return diag, -P[:-1, :n, n:]
+
+
+def write_psi(work, diag, sub):
+    """Plant hand-made blocks Psi_jj = ``diag[j]`` and Psi_{j+1,j} =
+    ``sub[j]`` in ``p_lm``, so that factor_psi reads exactly them."""
+    n, N = work.problem.dims.n_x, work.problem.dims.N
+    sub = np.broadcast_to(sub, (N, n, n))
+    P = work.p_lm
+    P.fill(0.0)
+    P[:, n:, n:] = diag
+    P[:-1, :n, n:] = -sub
+    P[:-1, n:, :n] = -sub.transpose(0, 2, 1)
+
+
 def reverse_blocks(D, n_x):
     """P D P^T, where P reverses the order of the n_x x n_x blocks."""
     nb = D.shape[0] // n_x
@@ -419,9 +457,7 @@ class TestFactorPsi:
         rng = np.random.default_rng(50)
         p = random_problem(rng, N=1, n_x=2, n_u=1)
         work = kkt.StageFactorization.allocate(p)
-        work.psi_diag[0] = 4 * np.eye(2)
-        work.psi_diag[1] = 9 * np.eye(2)
-        work.psi_sub[0] = 0.0
+        write_psi(work, [4 * np.eye(2), 9 * np.eye(2)], 0.0)
         factor_psi(work)
         assert np.allclose(np.tril(work.band_diag[0]), 2 * np.eye(2))
         assert np.allclose(np.tril(work.band_diag[1]), 3 * np.eye(2))
@@ -431,11 +467,9 @@ class TestFactorPsi:
         rng = np.random.default_rng(51)
         p = random_problem(rng, N=5, n_x=3, n_u=2)
         work = kkt.StageFactorization.allocate(p)
-        for j in range(6):
-            work.psi_diag[j] = 2 * np.eye(3)
-        work.psi_sub[:] = -np.eye(3)
+        write_psi(work, 2 * np.eye(3), -np.eye(3))
         factor_psi(work)
-        dense = reverse_blocks(dense_from_blocks(work.psi_diag, work.psi_sub), 3)
+        dense = reverse_blocks(dense_from_blocks(*psi_blocks(work)), 3)
         Ld = band_factor(work)
         assert np.max(np.abs(Ld @ Ld.T - dense)) < 1e-13 * np.max(np.abs(dense))
 
@@ -466,7 +500,7 @@ class TestFactorPsi:
         rng = np.random.default_rng(53)
         p = random_problem(rng, N=1, n_x=2, n_u=1)
         work = kkt.StageFactorization.allocate(p)
-        work.psi_diag[0] = -np.eye(2)
+        write_psi(work, [-np.eye(2), np.eye(2)], 0.0)
         with pytest.raises(NonPositivePivot):
             factor_psi(work)
 
@@ -485,7 +519,7 @@ class TestBandedPsi:
         factor_psi(work)
         fresh = factor_psi(factor_all(p, w, 1e-2))
         assert np.array_equal(work.psi_band, fresh.psi_band)
-        psi = dense_from_blocks(work.psi_diag, work.psi_sub)
+        psi = dense_from_blocks(*psi_blocks(work))
         Ld = np.linalg.cholesky(reverse_blocks(psi, p.dims.n_x))
         assert np.max(np.abs(band_factor(work) - Ld)) <= 1e-11 * np.max(np.abs(Ld))
 
@@ -494,40 +528,45 @@ class TestBandedPsi:
         # stage N is the first block of the band, stage 0 the last
         p, w, work = self.setup_workspace()
         k = p.dims.N if stage == "N" else int(stage)
-        good = work.psi_diag[k].copy()
+        good = work.p_lm.copy()
+        diag, sub = psi_blocks(work)
         # the negative pivot is the block's last row, where an off-by-one
         # in the row-to-stage mapping would name stage k - 1
-        work.psi_diag[k] = np.diag([1.0, 1.0, -1.0]) * np.max(np.abs(good))
+        diag[k] = np.diag([1.0, 1.0, -1.0]) * np.max(np.abs(diag[k]))
+        write_psi(work, diag, sub)
         with pytest.raises(NonPositivePivot) as exc:
             factor_psi(work)
         assert exc.value.stage == k
-        work.psi_diag[k] = good
+        work.p_lm[:] = good
         self.assert_refactors_clean(work, p, w)
 
     def test_nan_leaves_nothing_stale(self):
         # a NaN in Psi spreads into band slots outside the block profile
         p, w, work = self.setup_workspace()
-        good = work.psi_sub[2].copy()
-        work.psi_sub[2][1, 0] = np.nan
+        good = work.p_lm.copy()
+        diag, sub = psi_blocks(work)
+        sub[2][1, 0] = np.nan
+        write_psi(work, diag, sub)
         try:
             factor_psi(work)
         except NonPositivePivot:
             pass
         assert np.isnan(work.psi_band).any()
-        work.psi_sub[2] = good
+        work.p_lm[:] = good
         self.assert_refactors_clean(work, p, w)
 
     @pytest.mark.parametrize("block,stage", (("sub", 3), ("diag", 4)))
     def test_nan_names_stage(self, block, stage):
         # a NaN in Psi is a failed pivot of the block row it sits in, in the
-        # band's reversed order: Psi_{4,3} = psi_sub[3] enters the band
-        # transposed, in the block row of stage 3, and psi_diag[4] in that of
-        # stage 4
+        # band's reversed order: Psi_{4,3} enters the band transposed, in the
+        # block row of stage 3, and Psi_44 in that of stage 4
         p, w, work = self.setup_workspace()
+        diag, sub = psi_blocks(work)
         if block == "sub":
-            work.psi_sub[3][1, 0] = np.nan
+            sub[3][1, 0] = np.nan
         else:
-            work.psi_diag[4][0, 0] = np.nan
+            diag[4][0, 0] = np.nan
+        write_psi(work, diag, sub)
         with pytest.raises(NonPositivePivot) as exc:
             factor_psi(work)
         assert exc.value.failures == [(stage, -1)]
@@ -546,9 +585,7 @@ class TestBandedPsi:
             work = factor_psi(factor_all(p, w, 1e-3, variant=variant))
             dm = p.dims
             rhs = rng.standard_normal((dm.N + 1, dm.n_x))
-            want = np.linalg.solve(
-                dense_from_blocks(work.psi_diag, work.psi_sub), rhs.ravel()
-            )
+            want = np.linalg.solve(dense_from_blocks(*psi_blocks(work)), rhs.ravel())
             got = kkt.psi_solve(work, rhs)
             assert got.shape == rhs.shape
             assert np.max(np.abs(got.ravel() - want)) <= 1e-11 * np.max(np.abs(want))

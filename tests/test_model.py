@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -415,4 +417,16 @@ class TestFiles:
         raw = path.read_bytes()
         path.write_bytes({"header": raw[:25], "body": raw[:-8], "extra": raw + bytes(8)}[cut])
         with pytest.raises(ValueError):
+            load_problem(path)
+
+    @pytest.mark.parametrize("missing", ("n_yN", "bu_N"))
+    def test_malformed_json_raises(self, tmp_path, missing):
+        # a missing dimension or family is named with the file
+        rng = np.random.default_rng(43)
+        path = tmp_path / "prob.json"
+        save_problem(random_problem(rng, N=3), path, fmt="json")
+        doc = json.loads(path.read_text())
+        del doc[missing]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"prob.json: no field '{missing}'"):
             load_problem(path)
