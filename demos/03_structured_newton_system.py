@@ -24,19 +24,20 @@ sigma_y.data[:] = 2.0
 x = problem.primal_from_flat(rng.standard_normal(dims.n))
 z = model.mul_G(problem, x)  # z = Gx + y / sigma_y with y = 0
 weights = kkt.weights_from_shifted(problem, sigma_y, z)
-sigma_x_inv = problem.primal_zeros()
-sigma_x_inv.data[:] = 1e-6
+sigma_x_inv = 1e-6  # the proximal term is sigma_x_inv times the identity
 
-# every step works in place on one workspace; one worker runs inline
+# every step works in place on one workspace over a set of stages, here all
+# N + 1 of them; one worker runs inline
 work = kkt.StageFactorization.allocate(problem)
-kkt.assemble_H(work, weights, sigma_x_inv)
-kkt.factor_stages(work, kkt.WorkerPool(1))
-kkt.factor_psi(work)
+stages = np.arange(dims.N + 1)
+kkt.assemble_H(work, weights, sigma_x_inv, stages)
+kkt.factor_stages(work, kkt.WorkerPool(1), stages)
+kkt.factor_psi(work, stages)
 
 # dense mirror of the same quantities (weights is a one-column CompactBatch)
 dense = oracles.assemble_dense(problem)
 sig = problem.dualineq_to_flat(weights)
-H_dense = dense.Q + dense.G.T @ np.diag(sig) @ dense.G + 1e-6 * np.eye(dims.n)
+H_dense = dense.Q + dense.G.T @ np.diag(sig) @ dense.G + sigma_x_inv * np.eye(dims.n)
 psi_dense = dense.M @ np.linalg.solve(H_dense, dense.M.T)
 
 # Psi from its band factor, read blockwise in stage order: band_diag[j] is

@@ -5,15 +5,15 @@ each outer iteration minimizes
 
     phi(x) = 1/2 x'Qx + q'x
              + 1/2 || z - proj(z) ||^2_{Sigma_y},   z = Gx + Sigma_y^{-1} y
-             + 1/2 || x - x_center ||^2_{Sigma_x^{-1}}
+             + 1/2 sigma_x_inv || x - x_center ||^2
 
 subject to Mx = b, by Newton steps on the generalized Hessian
-Q + G' Sigma_y^J G + Sigma_x^{-1} (the proximal diagonal keeps it positive
-definite even for semidefinite cost).  The first Newton step of each inner
-solve is a unit step, which restores Mx = b exactly; later steps use an
-exact line search over the piecewise-quadratic merit.  Outer iterations
-update the inequality multipliers, grow penalties on rows whose violation
-stalls, and move the proximal center.
+Q + G' Sigma_y^J G + sigma_x_inv I (one proximal weight, as in QPALM, keeps
+it positive definite even for semidefinite cost).  The first Newton step of
+each inner solve is a unit step, which restores Mx = b exactly; later steps
+use an exact line search over the piecewise-quadratic merit.  Outer
+iterations update the inequality multipliers, grow penalties on rows whose
+violation stalls, and move the proximal center.
 
 Each iterate (x, lam) is evaluated once, by :func:`eval_grad_phi`: one
 :class:`Evaluation` holds Gx, Qx, M'lam, Mx, the multiplier estimate
@@ -32,7 +32,7 @@ import os
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -72,6 +72,8 @@ class SolverSettings:
     ``max_pivot_escalations`` (>= 0) are integers as well.
     ``lane_width`` is read by nothing: the benchmark still passes it, and it
     goes with the benchmark change of ROADMAP item 5.
+    ``proximal_weight`` is sigma_x_inv at the start of each inner solve;
+    each pivot failure multiplies it by 10 for the rest of that solve.
     """
 
     eps_abs: float = 1e-8
@@ -103,7 +105,7 @@ class SolverSettings:
             raise ValueError("penalty_update_factor must be finite and exceed 1")
         if not 0.0 < self.penalty_trigger < 1.0:
             raise ValueError("penalty_trigger must lie in (0, 1)")
-        # both are clipped to [SIGMA_MIN, SIGMA_MAX] where they are used
+        # both are clipped to [SIGMA_MIN, SIGMA_MAX] by Solver
         if self.initial_sigma is not None and not 0.0 <= self.initial_sigma < np.inf:
             raise ValueError("initial_sigma must be None or finite and nonnegative")
         if not 0.0 <= self.proximal_weight < np.inf:
@@ -119,14 +121,15 @@ class AlmState:
     """Current iterates and weights of the outer loop.
 
     ``x`` is the running primal iterate; ``x_center`` snapshots it at the
-    top of each outer iteration and serves as the proximal center.
+    top of each outer iteration and serves as the proximal center, weighted
+    by the float ``sigma_x_inv``.
     """
 
     x: object
     y: object
     lam: object
     sigma_y: object
-    sigma_x_inv: object
+    sigma_x_inv: float
     x_center: object
     outer_iter: int = 0
     inner_iter: int = 0
@@ -202,7 +205,7 @@ def eval_grad_phi(problem, state, b):
     """Evaluate the iterate (state.x, state.lam) against the equality
     right-hand side ``b``: the gradient of the inner objective
 
-        grad = Qx + q + G' y_plus + Sigma_x^{-1} (x - x_center),
+        grad = Qx + q + G' y_plus + sigma_x_inv (x - x_center),
         y_plus = Sigma_y (z - proj(z)),
 
     and every other product and residual of :class:`Evaluation`.  The inner
@@ -221,7 +224,7 @@ def eval_grad_phi(problem, state, b):
     grad = gty.copy()
     grad.data += qx.data
     grad.data += problem.lin.data
-    grad.data += state.sigma_x_inv.data * (x.data - state.x_center.data)
+    grad.data += state.sigma_x_inv * (x.data - state.x_center.data)
     mtl = model.mul_MT(problem, state.lam)
     g = mtl.copy()
     g.data += grad.data
@@ -239,7 +242,7 @@ def eval_phi(problem, state, ev):
     return float(
         0.5 * (xd @ ev.qx.data) + xd @ problem.lin.data
         + 0.5 * (dist @ (state.sigma_y.data * dist))
-        + 0.5 * (dc @ (state.sigma_x_inv.data * dc))
+        + 0.5 * (dc @ (state.sigma_x_inv * dc))
     )
 
 
@@ -257,7 +260,7 @@ def exact_line_search(problem, state, ev, dx):
     if c0 >= 0.0:
         raise NonDescentDirection(f"directional derivative {c0:.3e} at step 0")
 
-    eta = float(dxd @ model.mul_Q(problem, dx).data + dxd @ (state.sigma_x_inv.data * dxd))
+    eta = float(dxd @ model.mul_Q(problem, dx).data + dxd @ (state.sigma_x_inv * dxd))
     delta = model.mul_G(problem, dx).data
     z0, blf, buf, sig = ev.z.data, problem.bl.data, problem.bu.data, state.sigma_y.data
 
@@ -421,6 +424,7 @@ class Solver:
                 raise ValueError(f"OCPQP_WORKERS must be an integer >= 1, got {env_workers!r}")
         # raises StructureMismatch for the diagonal variant of a non-diagonal problem
         self.work = kkt.StageFactorization.allocate(problem, self.variant)
+        self.proximal_weight = float(np.clip(self.settings.proximal_weight, SIGMA_MIN, SIGMA_MAX))
         self.pool = WorkerPool(self.worker_count)
         self._b = problem.b_dualeq()
 
@@ -446,12 +450,12 @@ class Solver:
         views = model._views(stacks, p.dims)
         for name, value in families.items():
             if value is not None or not name.endswith("_N"):
-                np.copyto(views[name], np.asarray(value, dtype=np.float64))
+                np.copyto(views[name], model._as_family(name, value, views[name].shape))
         return copies
 
     def update_bounds(self, bl, bu, bl_N=None, bu_N=None):
-        """Replace the stage bounds (naive (N, n_y) arrays, optionally the
-        terminal pair); the constraint matrices are unchanged."""
+        """Replace the stage bounds (in the shapes ``from_stages`` takes, the
+        terminal pair optional); the constraint matrices are unchanged."""
         lo, hi = self._staged(("bl", "bu"), dict(bl=bl, bu=bu, bl_N=bl_N, bu_N=bu_N))
         # NaN fails lo <= hi; -inf below and +inf above are no bound
         if not (lo <= hi).all() or np.isposinf(lo).any() or np.isneginf(hi).any():
@@ -460,7 +464,7 @@ class Solver:
         np.copyto(self.problem.bu.stack, hi)
 
     def update_gradient(self, q, r, q_N=None):
-        """Replace the linear cost vectors (naive (N, n_x), (N, n_u))."""
+        """Replace the linear cost vectors (in the shapes ``from_stages`` takes)."""
         (lin,) = self._staged(("lin",), dict(q=q, r=r, q_N=q_N))
         if not np.isfinite(lin).all():
             raise ValueError("non-finite entries in updated gradient")
@@ -492,39 +496,30 @@ class Solver:
             sigma0 = initial_penalty(p, x)
         sigma_y = p.dualineq_zeros()
         sigma_y.data[:] = float(np.clip(sigma0, SIGMA_MIN, SIGMA_MAX))
-        sigma_x_inv = p.primal_zeros()
-        sigma_x_inv.data[:] = float(
-            np.clip(self.settings.proximal_weight, SIGMA_MIN, SIGMA_MAX)
-        )
-        center = x.copy()
-        return AlmState(x, y, lam, sigma_y, sigma_x_inv, center)
+        return AlmState(x, y, lam, sigma_y, self.proximal_weight, x.copy())
 
-    def _factor(self, state, weights, prox_scale, timings, counts):
+    def _factor(self, state, weights, timings, counts):
         """Bring the factorization up to date with the current active set.
 
         Only the stages whose H_j changed since the last completed
         factorization are reassembled and refactored, and the band factor of
         Psi restarts at the last of them; when none did, the factorization
-        is reused as it stands.  Pivot failures escalate the proximal
-        diagonal (at most the configured count), and every stage is
-        refactored after one.  ``counts`` tallies the work for the report."""
+        is reused as it stands.  Pivot failures multiply the proximal weight
+        ``state.sigma_x_inv`` by 10 (at most the configured count), and every
+        stage is refactored after one.  ``counts`` tallies the work."""
         w = self.work
-        scale = prox_scale
         for attempt in range(self.settings.max_pivot_escalations + 1):
-            stages = w.changed_stages(weights, scale)
+            stages = w.changed_stages(weights, state.sigma_x_inv)
             if not stages.size:
-                return scale
+                return
+            # a failed attempt rewrites stages, whatever the recorded weight
             w.invalidate()
             counts["factorizations"] += 1
             counts["full_factorizations"] += stages.size == w.H.nstages
             counts["stages_factored"] += stages.size
             counts["psi_blocks_factored"] += kkt.psi_top(w, stages) + 1
-            sx = state.sigma_x_inv
-            if scale != 1.0:
-                sx = sx.copy()
-                sx.data *= scale
             t0 = time.perf_counter()
-            self.pool.run(functools.partial(kkt.assemble_H, w, weights, sx), stages)
+            self.pool.run(functools.partial(kkt.assemble_H, w, weights, state.sigma_x_inv), stages)
             t1 = time.perf_counter()
             timings["assembly"] += t1 - t0
             try:
@@ -533,11 +528,11 @@ class Solver:
                 timings["stage_factor"] += t2 - t1
                 kkt.factor_psi(w, stages)
                 timings["psi_factor"] += time.perf_counter() - t2
-                w.record(weights, scale)
-                return scale
+                w.record(weights, state.sigma_x_inv)
+                return
             except NonPositivePivot:
                 timings["stage_factor"] += time.perf_counter() - t1
-                scale = (scale if scale > 1.0 else 1.0) * 10.0
+                state.sigma_x_inv *= 10.0
         raise _PivotEscalationFailed()
 
     def _inner_solve(self, state, inner_tol, timings, log, counts):
@@ -551,17 +546,12 @@ class Solver:
         penalties changed are refactored (see :meth:`_factor`).
         """
         p, settings = self.problem, self.settings
-        prox_scale = 1.0
+        state.sigma_x_inv = self.proximal_weight  # until a pivot failure raises it
         for it in range(settings.max_inner + 1):
-            eff_state = state
-            if prox_scale != 1.0:
-                sx_eff = state.sigma_x_inv.copy()
-                sx_eff.data *= prox_scale
-                eff_state = replace(state, sigma_x_inv=sx_eff)
-            ev = eval_grad_phi(p, eff_state, self._b)
+            ev = eval_grad_phi(p, state, self._b)
             eq_norm = float(np.max(np.abs(ev.r.data)))
             if log is not None and it:  # the step that led here
-                phi = eval_phi(p, eff_state, ev)
+                phi = eval_phi(p, state, ev)
                 log.append(InnerRecord(state.outer_iter, it, phi, eq_norm, tau, it == 1))
             if it == settings.max_inner or (
                 np.max(np.abs(ev.g.data)) <= inner_tol and eq_norm <= inner_tol
@@ -569,7 +559,7 @@ class Solver:
                 return ev
 
             weights = kkt.weights_from_shifted(p, state.sigma_y, ev.z)
-            prox_scale = self._factor(state, weights, prox_scale, timings, counts)
+            self._factor(state, weights, timings, counts)
 
             t0 = time.perf_counter()
             dx, dlam = kkt.solve_newton(self.work, ev.g, ev.r)
@@ -580,7 +570,7 @@ class Solver:
             else:
                 t0 = time.perf_counter()
                 try:
-                    tau = exact_line_search(p, eff_state, ev, dx)
+                    tau = exact_line_search(p, state, ev, dx)
                 except NonDescentDirection:
                     return ev
                 finally:

@@ -42,10 +42,6 @@ def parse_range(spec):
     return out
 
 
-def parse_int_list(spec):
-    return [int(v) for v in str(spec).split(",")]
-
-
 def _print_results(results):
     header = f"{'size':>16} {'variant':>9} {'w':>2} {'ok':>4} {'fail':>4} {'gmean':>12} {'min':>12} {'max':>12}"
     print(header)
@@ -101,7 +97,7 @@ def cmd_bench_scaling(args):
             eps_abs=args.eps_abs,
             label=f"w{workers}",
         )
-        for workers in parse_int_list(args.workers)
+        for workers in parse_range(args.workers)
         for N in horizons
     ]
     return _run_cases(cases, args)

@@ -28,7 +28,8 @@ and works in place on it: ``assemble_H(f, weights, sigma_x_inv, stages)``,
 ``solve_H(f, rhs)`` and ``solve_newton(f, g, r)``, where g = M^T lam +
 grad phi and r = Mx - b are the residuals at the current iterate.  The
 active penalties ``weights`` are a one-column CompactBatch, as
-:func:`weights_from_shifted` returns them.
+:func:`weights_from_shifted` returns them, the proximal weight
+``sigma_x_inv`` is a float, and ``stages`` is a sorted stage index array.
 
 Over a set of stages the pipeline runs one batched Cholesky of the H_j and
 inverts each stage's factor once with LAPACK trtri, so the stored stage
@@ -39,14 +40,14 @@ batched matmuls over all stages.  The constant panel [A B; I 0]^T is built
 once at workspace allocation.
 
 H_j depends on the iterate only through the active penalties of stage j
-(and the proximal scale), so only the stages whose penalties changed since
-the last successful factorization are reassembled and refactored; the
-others keep their factor bits.  The band Cholesky of Psi restarts at the
-block of the last changed stage and reads its blocks straight from the
-per-stage J J^T products: the leading band columns, which hold the factor
-of the later stages, are kept, and a full factorization is the restart at
-the first column.  When no stage changed, the whole factorization is reused
-as it stands.
+and the proximal weight, so only the stages whose penalties changed since
+the last successful factorization are reassembled and refactored (every
+stage when the weight changed); the others keep their factor bits.  The
+band Cholesky of Psi restarts at the block of the last changed stage and
+reads its blocks straight from the per-stage J J^T products: the leading
+band columns, which hold the factor of the later stages, are kept, and a
+full factorization is the restart at the first column.  When no stage
+changed, the whole factorization is reused as it stands.
 """
 
 from __future__ import annotations
@@ -146,12 +147,11 @@ class StageFactorization:
     blocks, indexed by stage: the diagonal block of stage j and the block
     L(N - j, N - j - 1) that couples stage j to stage j + 1.
 
-    ``factored_sigma`` and ``factored_scale`` record the active penalties
-    (a copy of the weights' stack) and the proximal scale of the last
+    ``factored_sigma`` and ``factored_prox`` record the active penalties
+    (a copy of the weights' stack) and the proximal weight of the last
     factorization that completed through :func:`factor_psi`, or None when
     there is none; see :meth:`changed_stages`.  The cache assumes the cost
-    and constraint matrices and the proximal diagonal stay fixed between
-    :meth:`invalidate` calls.
+    and constraint matrices stay fixed between :meth:`invalidate` calls.
     """
 
     problem: object
@@ -167,7 +167,7 @@ class StageFactorization:
     band_diag: np.ndarray
     band_sub: np.ndarray
     factored_sigma: np.ndarray
-    factored_scale: float | None = None
+    factored_prox: float | None = None
 
     @classmethod
     def allocate(cls, problem, variant="dense"):
@@ -197,25 +197,25 @@ class StageFactorization:
             factored_sigma=np.zeros((ns, d.n_y_pad, 1)),
         )
 
-    def changed_stages(self, weights, scale):
+    def changed_stages(self, weights, sigma_x_inv):
         """Sorted indices of the stages whose H_j differs from the last
         completed factorization: those whose active penalties changed, or
         every stage when there is no such factorization or the proximal
-        scale differs from its."""
-        if self.factored_scale is None or scale != self.factored_scale:
+        weight ``sigma_x_inv`` differs from its."""
+        if self.factored_prox is None or sigma_x_inv != self.factored_prox:
             return np.arange(self.H.nstages)
         changed = self.factored_sigma != weights.stack
         return np.flatnonzero(np.any(changed, axis=(1, 2)))
 
     def invalidate(self):
         """Forget the last factorization: the next one refactors every stage."""
-        self.factored_scale = None
+        self.factored_prox = None
 
-    def record(self, weights, scale):
+    def record(self, weights, sigma_x_inv):
         """Mark the workspace as the complete factorization at ``weights``
-        and proximal scale ``scale``."""
+        and proximal weight ``sigma_x_inv``."""
         np.copyto(self.factored_sigma, weights.stack)
-        self.factored_scale = scale
+        self.factored_prox = sigma_x_inv
 
 
 def _band_blocks(band, row0, nblocks):
@@ -231,27 +231,27 @@ def _band_blocks(band, row0, nblocks):
     )
 
 
-def assemble_H(f, weights, sigma_x_inv, stages=None):
+def assemble_H(f, weights, sigma_x_inv, stages):
     """Per-stage generalized Hessian blocks into ``f.H``:
 
         H_j = [C_j D_j]^T Sigma_j [C_j D_j] + [[Q_j, S_j^T], [S_j, R_j]]
-              + diag(sigma_x_inv)_j
+              + sigma_x_inv I
 
-    with Sigma_j the active ``weights`` (see :func:`weights_from_shifted`),
-    over the sorted stage index array ``stages`` (all stages when None); no
-    other stage of ``f.H`` is written.  The proximal diagonal keeps every
-    block positive definite even when the cost block alone is only positive
-    semidefinite.
+    with Sigma_j the active ``weights`` (see :func:`weights_from_shifted`)
+    and the proximal weight ``sigma_x_inv`` a float, over the sorted stage
+    index array ``stages``; no other stage of ``f.H`` is written.  The
+    proximal term keeps every block positive definite even when the cost
+    block alone is only positive semidefinite.
     """
     problem = f.problem
-    s = _index(np.arange(f.H.nstages) if stages is None else stages)
+    s = _index(stages)
     H = _slots(f.H.stack, s)
     scaled = _slots(f.scaled_lm, s)
     np.multiply(problem.con.stack[s], np.sqrt(weights.stack[s]), out=scaled)
     np.matmul(scaled.transpose(0, 2, 1), scaled, out=H)
     H += problem.cost.stack[s]
     idx = np.arange(problem.dims.n_xu)
-    H[:, idx, idx] += sigma_x_inv.stack[s, :, 0]
+    H[:, idx, idx] += sigma_x_inv
     _scatter(f.H.stack, s, H)
     return f
 
@@ -304,32 +304,31 @@ def factor_chunk_diagonal(f, stages):
     _scatter(f.p_lm, s, p)
 
 
-def factor_stages(f, pool, stages=None):
+def factor_stages(f, pool, stages):
     """Factor the block-diagonal ``f.H`` (see :func:`assemble_H`) and form
     the per-stage J J^T products ``f.p_lm`` that Psi is read from, split over
     the WorkerPool ``pool``.
 
-    Only the stages of the sorted index array ``stages`` (all when None) are
-    refactored; the others keep the factors ``f`` holds.  The result is
-    ready for :func:`factor_psi` over the same ``stages``.
+    Only the stages of the sorted index array ``stages`` are refactored;
+    the others keep the factors ``f`` holds.  The result is ready for
+    :func:`factor_psi` over the same ``stages``.
     """
     chunk_fn = factor_chunk_diagonal if f.variant == "diagonal" else factor_chunk_dense
-    pool.run(lambda ch: chunk_fn(f, ch), np.arange(f.H.nstages) if stages is None else stages)
+    pool.run(lambda ch: chunk_fn(f, ch), stages)
     return f
 
 
-def psi_top(f, stages=None):
+def psi_top(f, stages):
     """Last stage whose Psi blocks a change at the sorted, non-empty stage
-    index array ``stages`` reaches (N when None): :func:`factor_psi`
-    refactors the band positions N - top to N, top + 1 blocks."""
-    N = f.problem.dims.N
-    return N if stages is None else min(int(stages[-1]) + 1, N)
+    index array ``stages`` reaches: :func:`factor_psi` refactors the band
+    positions N - top to N, top + 1 blocks."""
+    return min(int(stages[-1]) + 1, f.problem.dims.N)
 
 
-def factor_psi(f, stages=None):
+def factor_psi(f, stages):
     """Cholesky factor of P Psi P^T, block-bidiagonal, by one banded LAPACK
     call on the band positions that the sorted stage index array ``stages``
-    (all stages when None) reaches.
+    reaches.
 
     Position k holds stage N - k, so the stages above ``top`` (see
     :func:`psi_top`) fill the leading k0 = N - top positions, whose columns
@@ -371,16 +370,15 @@ def factor_psi(f, stages=None):
     return f
 
 
-def solve_H(f, rhs, out=None):
+def solve_H(f, rhs):
     """Per-stage solve H_j z_j = rhs_j with the stored inverse factors:
     z = L^{-T} (L^{-1} rhs), two batched matmuls over every stage (a row
     scaling on the diagonal path)."""
-    if out is None:
-        out = rhs.zeros_like()
+    out = rhs.zeros_like()
     if f.variant == "diagonal":
         np.divide(rhs.data, f.h_diag.data, out=out.data)
-        return out
-    np.matmul(f.linv_lm.transpose(0, 2, 1), np.matmul(f.linv_lm, rhs.stack), out=out.stack)
+    else:
+        np.matmul(f.linv_lm.transpose(0, 2, 1), np.matmul(f.linv_lm, rhs.stack), out=out.stack)
     return out
 
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import struct
 from dataclasses import dataclass, field
 
@@ -42,7 +43,7 @@ class OcpDims:
     """Problem dimensions.
 
     N is the number of non-terminal stages; n_y counts inequality rows per
-    stage and n_yN the terminal ones.
+    stage and n_yN the terminal ones; each is an integer, and not a bool.
     """
 
     N: int
@@ -52,6 +53,10 @@ class OcpDims:
     n_yN: int = 0
 
     def __post_init__(self):
+        for name in _DIMS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.N < 1 or self.n_x < 1 or self.n_u < 1:
             raise ValueError("N, n_x and n_u must all be at least 1")
         if self.n_y < 0 or self.n_yN < 0:
@@ -146,6 +151,18 @@ def _views(stacks, dims):
     }
 
 
+def _as_family(name, value, shape):
+    """``value`` as a float array for the family ``name``, whose view in the
+    stage stacks has ``shape``; a per-stage family also takes one stage's
+    matrix for every stage.  Any other shape raises ValueError naming the
+    family: nothing else is broadcast."""
+    arr = np.asarray(value, dtype=np.float64)
+    if arr.shape == shape or (not name.endswith("_N") and arr.shape == shape[1:]):
+        return arr
+    expected = shape if name.endswith("_N") else f"{shape} or {shape[1:]}"
+    raise ValueError(f"{name}: expected shape {expected}, got {arr.shape}")
+
+
 class OcpProblem:
     """All stage data of one problem, held in stage-major batches.
 
@@ -208,36 +225,25 @@ class OcpProblem:
         """Build a problem from naive per-stage arrays.
 
         Each stage family accepts a stacked (N, rows, cols) array or a single
-        matrix reused for all stages.  Q and Q_N are symmetrized.
+        matrix reused for all stages; a terminal family takes its one shape
+        (see :func:`_as_family`).  Q and Q_N are symmetrized.
         """
         given = dict(locals())  # the arguments by name, before any rebinding
         x_init = np.asarray(x_init, dtype=np.float64)
-        n_x = x_init.shape[0]
-        A = np.asarray(A, dtype=np.float64)
-        B = np.asarray(B, dtype=np.float64)
-        q = np.asarray(q, dtype=np.float64)
-        if A.ndim == 3:
-            N = A.shape[0]
-        elif q.ndim == 2:
-            N = q.shape[0]
+        n_x, n_u = x_init.shape[0], np.shape(B)[-1]
+        if np.ndim(A) == 3:
+            N = np.shape(A)[0]
+        elif np.ndim(q) == 2:
+            N = np.shape(q)[0]
         else:
             raise ValueError("cannot infer N: pass at least one stacked (N, ...) family")
-        n_u = B.shape[-1]
-        C = np.asarray(C, dtype=np.float64)
-        n_y = C.shape[-2] if C.ndim >= 2 else 0
-        C_N = np.asarray(C_N, dtype=np.float64).reshape(-1, n_x)
-        dims = OcpDims(N, n_x, n_u, n_y, C_N.shape[0])
+        n_y = np.shape(C)[-2] if np.ndim(C) >= 2 else 0
+        dims = OcpDims(N, n_x, n_u, n_y, np.shape(C_N)[0] if np.ndim(C_N) else 0)
 
         stacks = _zero_stacks(dims)
         cost = stacks["cost"]
         for name, view in _views(stacks, dims).items():
-            arr = np.asarray(given[name], dtype=np.float64)
-            if name.endswith("_N"):
-                arr = arr.reshape(view.shape)
-            elif arr.shape != view.shape and arr.shape != view.shape[1:]:
-                raise ValueError(
-                    f"{name}: expected shape {view.shape} or {view.shape[1:]}, got {arr.shape}"
-                )
+            arr = _as_family(name, given[name], view.shape)
             if name in ("Q", "Q_N"):  # one temporary, written straight into the stack
                 np.multiply(arr + np.swapaxes(arr, -1, -2), 0.5, out=view)
             else:
@@ -324,10 +330,6 @@ class OcpProblem:
         b.stack[0, :, 0] = self.x_init
         b.stack[1:] = self.affine.stack[:-1]
         return b
-
-    def flat_lin(self):
-        """Flat linear cost vector (q^0, r^0, ..., q^N) of length n."""
-        return self.primal_to_flat(self.lin)
 
     def flat_bounds(self):
         """Flat (bl, bu) of logical length m."""
@@ -504,8 +506,9 @@ def save_problem(problem, path, fmt="binary"):
 def load_problem(path):
     """Read a problem file (binary or JSON, detected by the magic bytes).
 
-    A binary file whose length differs from the one its header implies,
-    and a JSON file that lacks a field, raise ValueError.
+    A binary file whose length differs from the one its header implies, and
+    a JSON file with a missing, non-integer dimension or misshapen family,
+    raise ValueError naming the file (and the field).
     """
     with open(path, "rb") as fh:
         head = fh.read(len(_MAGIC))
@@ -523,7 +526,11 @@ def load_problem(path):
                 raise ValueError(f"{path}: no field {name!r}")
             return doc[name]
 
-        dims = OcpDims(*(field(k) for k in _DIMS))
+        counts = [field(k) for k in _DIMS]
+        try:
+            dims = OcpDims(*counts)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     # shapes from views of zero-stride stacks: nothing is allocated before
     # the length check, whatever dims the header claims
     blank = {name: np.broadcast_to(0.0, shape) for name, shape in _stack_shapes(dims).items()}
@@ -543,5 +550,13 @@ def load_problem(path):
             data[name] = arr
     else:
         for name, shape in shapes.items():
-            data[name] = np.array(field(name), dtype=np.float64).reshape(shape)
+            value = field(name)
+            try:
+                arr = np.array(value, dtype=np.float64)
+            except (TypeError, ValueError):
+                raise ValueError(f"{path}: field {name!r} is not an array of numbers") from None
+            # nested empty lists lose the trailing axes of an empty family
+            if arr.shape != shape and not arr.size == 0 == math.prod(shape):
+                raise ValueError(f"{path}: field {name!r} has shape {arr.shape}, not {shape}")
+            data[name] = arr.reshape(shape)
     return OcpProblem.from_stages(**data)

@@ -124,10 +124,9 @@ def kkt_residuals(problem, x, y, lam):
     xb = problem.primal_from_flat(x)
     yb = problem.dualineq_from_flat(y)
     lb = problem.dualeq_from_flat(lam)
-    qflat = problem.flat_lin()
     dual_vec = (
         problem.primal_to_flat(model.mul_Q(problem, xb))
-        + qflat
+        + problem.primal_to_flat(problem.lin)
         + problem.primal_to_flat(model.mul_MT(problem, lb))
         + problem.primal_to_flat(model.mul_GT(problem, yb))
     )

@@ -17,7 +17,7 @@ from ocpqp.bench import SpringMassConfig, gen_random_ocp, gen_spring_mass, loglo
 from ocpqp.compact import CompactBatch
 from ocpqp.model import OcpDims
 
-from test_kkt import band_factor, reverse_blocks
+from test_kkt import band_factor, every_stage, reverse_blocks
 
 EPS = 1e-8
 
@@ -140,12 +140,10 @@ class TestCriterion3:
                 problem, sy, problem.dualineq_zeros(), problem.primal_from_flat(x)
             )
             delta = 1e-3
-            sxinv = problem.primal_zeros()
-            sxinv.data[:] = delta
             work = kkt.StageFactorization.allocate(problem)
-            kkt.assemble_H(work, weights, sxinv)
-            kkt.factor_stages(work, INLINE)
-            kkt.factor_psi(work)
+            kkt.assemble_H(work, weights, delta, every_stage(work))
+            kkt.factor_stages(work, INLINE, every_stage(work))
+            kkt.factor_psi(work, every_stage(work))
 
             dq = oracles.assemble_dense(problem)
             sig = problem.dualineq_to_flat(weights)
@@ -238,11 +236,9 @@ class TestCriterion4:
             )
             weights = p.dualineq_from_flat(sig)
             delta = 1e-7
-            sxinv = p.primal_zeros()
-            sxinv.data[:] = delta
             work = kkt.StageFactorization.allocate(p)
-            kkt.assemble_H(work, weights, sxinv)
-            kkt.factor_stages(work, INLINE)
+            kkt.assemble_H(work, weights, delta, every_stage(work))
+            kkt.factor_stages(work, INLINE, every_stage(work))
             b = rng.standard_normal(dm.n)
             zf = p.primal_to_flat(kkt.solve_H(work, p.primal_from_flat(b)))
             Hd = dq.Q + dq.G.T @ np.diag(sig) @ dq.G + delta * np.eye(dm.n)
@@ -294,17 +290,16 @@ class TestCriterion5:
         weights = _active_weights(p, sy, p.dualineq_zeros(), p.primal_zeros())
         changed = weights.copy()
         changed.stack[[1, 6, 7, 12], 0, 0] = 5.0
-        sxinv = p.primal_zeros()
-        sxinv.data[:] = 1e-7
+        sxinv = 1e-7
         outs = []
         for workers in worker_counts:
             pool = kkt.WorkerPool(workers)
             work = kkt.StageFactorization.allocate(p)
-            kkt.assemble_H(work, weights, sxinv)
-            kkt.factor_stages(work, pool)
-            kkt.factor_psi(work)
-            work.record(weights, 1.0)
-            stages = work.changed_stages(changed, 1.0)
+            kkt.assemble_H(work, weights, sxinv, every_stage(work))
+            kkt.factor_stages(work, pool, every_stage(work))
+            kkt.factor_psi(work, every_stage(work))
+            work.record(weights, sxinv)
+            stages = work.changed_stages(changed, sxinv)
             assert np.array_equal(stages, [1, 6, 7, 12])
             kkt.assemble_H(work, changed, sxinv, stages)
             kkt.factor_stages(work, pool, stages)
@@ -369,14 +364,13 @@ def _stage_factor_times(problem, repeats=7):
     sy = problem.dualineq_zeros()
     sy.data[:] = 2.0
     weights = _active_weights(problem, sy, problem.dualineq_zeros(), problem.primal_zeros())
-    sxinv = problem.primal_zeros()
-    sxinv.data[:] = 1e-7
+    sxinv = 1e-7
     work = kkt.StageFactorization.allocate(problem)
-    kkt.assemble_H(work, weights, sxinv)
+    kkt.assemble_H(work, weights, sxinv, every_stage(work))
     H = work.H.stack
 
     def batched():
-        kkt.factor_stages(work, INLINE)
+        kkt.factor_stages(work, INLINE, every_stage(work))
 
     def looped():
         for j in range(H.shape[0]):
@@ -442,14 +436,13 @@ class TestCriterion7:
         rng = np.random.default_rng(7)
         x = p.primal_from_flat(0.5 * rng.standard_normal(p.dims.n))
         weights = _active_weights(p, sy, p.dualineq_zeros(), x)
-        sxinv = p.primal_zeros()
-        sxinv.data[:] = 1e-7
+        sxinv = 1e-7
         works = {}
         for variant in ("dense", "diagonal"):
             w = kkt.StageFactorization.allocate(p, variant)
-            kkt.assemble_H(w, weights, sxinv)
-            kkt.factor_stages(w, INLINE)
-            kkt.factor_psi(w)
+            kkt.assemble_H(w, weights, sxinv, every_stage(w))
+            kkt.factor_stages(w, INLINE, every_stage(w))
+            kkt.factor_psi(w, every_stage(w))
             works[variant] = w
         g = p.primal_from_flat(rng.standard_normal(p.dims.n))
         r = p.dualeq_from_flat(rng.standard_normal(p.dims.p))

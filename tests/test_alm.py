@@ -17,7 +17,7 @@ from ocpqp.alm import (
 from ocpqp.bench import SpringMassConfig, gen_random_ocp, gen_spring_mass
 from ocpqp.model import OcpDims, OcpProblem
 
-from test_model import random_problem
+from test_model import MISSHAPEN, random_problem
 
 
 # (n_y, n_yN) pairs that pad inequality rows in every stage: the stages
@@ -27,15 +27,14 @@ PADDED_EVERY_STAGE = ((2, 5), (0, 3))
 
 def make_state(problem, x_flat=None, y_flat=None, sigma=1.0, prox=0.0):
     """State at flat iterates; as in the solver, every inequality slot,
-    padded rows included, holds the penalty ``sigma``."""
+    padded rows included, holds the penalty ``sigma``, and the proximal
+    weight is the float ``prox``."""
     p = problem
     x = p.primal_from_flat(x_flat) if x_flat is not None else p.primal_zeros()
     y = p.dualineq_from_flat(y_flat) if y_flat is not None else p.dualineq_zeros()
     sigma_y = p.dualineq_zeros()
     sigma_y.data[:] = sigma
-    sigma_x_inv = p.primal_zeros()
-    sigma_x_inv.data[:] = prox
-    return alm.AlmState(x, y, p.dualeq_zeros(), sigma_y, sigma_x_inv, x.copy())
+    return alm.AlmState(x, y, p.dualeq_zeros(), sigma_y, prox, x.copy())
 
 
 def evaluate(problem, state, x=None):
@@ -67,12 +66,11 @@ def dense_phi(problem, state, x_flat):
     z = dq.G @ x_flat + y / sig
     dist = z - np.clip(z, dq.bl, dq.bu)
     xc = problem.primal_to_flat(state.x_center)
-    sx = problem.primal_to_flat(state.sigma_x_inv)
     return (
         0.5 * x_flat @ dq.Q @ x_flat
         + dq.q @ x_flat
         + 0.5 * dist @ (sig * dist)
-        + 0.5 * (x_flat - xc) @ (sx * (x_flat - xc))
+        + 0.5 * state.sigma_x_inv * (x_flat - xc) @ (x_flat - xc)
     )
 
 
@@ -159,8 +157,7 @@ class TestExactLineSearch:
         state = make_state(p, x_flat=rng.standard_normal(p.dims.n), prox=1e-6)
         # interior: phi is a smooth quadratic, whose Newton step is exact
         dq = oracles.assemble_dense(p)
-        sx = p.primal_to_flat(state.sigma_x_inv)
-        H = dq.Q + np.diag(sx)
+        H = dq.Q + state.sigma_x_inv * np.eye(p.dims.n)
         xf = p.primal_to_flat(state.x)
         g = p.primal_to_flat(evaluate(p, state).grad)
         dxf, _ = oracles.dense_newton_solve(H, dq.M, g, np.zeros(p.dims.p))
@@ -317,7 +314,7 @@ class TestSolve:
         p = gen_spring_mass(SpringMassConfig(masses=3, horizon=8, seed=3))
         original = kkt.factor_stages
 
-        def poisoned(f, pool, stages=None):
+        def poisoned(f, pool, stages):
             original(f, pool, stages)
             f.p_lm[2, 1, f.problem.dims.n_x] = np.nan  # Psi_{3,2}[1, 0]
 
@@ -493,6 +490,35 @@ class TestUpdates:
         x_ref, _, _, rep_ref = solve(p2, SolverSettings())
         assert rep_ref.solved
         assert np.max(np.abs(x - x_ref)) <= 1e-6
+
+
+class TestUpdatesRejectShapes:
+    """update_bounds and update_gradient take the shapes from_stages takes
+    and raise ValueError naming the family on any other, before anything is
+    written."""
+
+    @pytest.mark.parametrize("name,value", MISSHAPEN, ids=lambda v: str(getattr(v, "shape", v)))
+    def test_raises_naming_the_family(self, name, value):
+        p = gen_random_ocp(OcpDims(4, 2, 1, 3, 2), seed=0)
+        d = p.dims
+        args = {
+            "update_bounds": dict(
+                bl=np.full((d.N, d.n_y), -3.0), bu=np.full((d.N, d.n_y), 3.0),
+                bl_N=np.full(d.n_yN, -3.0), bu_N=np.full(d.n_yN, 3.0),
+            ),
+            "update_gradient": dict(
+                q=np.zeros((d.N, d.n_x)), r=np.zeros((d.N, d.n_u)), q_N=np.zeros(d.n_x),
+            ),
+        }
+        method = next(m for m, kwargs in args.items() if name in kwargs)
+        kwargs = args[method]
+        kwargs[name] = value
+        with Solver(p, SolverSettings()) as solver:
+            before = {k: getattr(solver.problem, k).stack.copy() for k in ("lin", "bl", "bu")}
+            with pytest.raises(ValueError, match=f"^{name}: expected shape"):
+                getattr(solver, method)(**kwargs)
+            for k, stack in before.items():
+                assert np.array_equal(getattr(solver.problem, k).stack, stack)
 
 
 NON_FINITE_UPDATES = [

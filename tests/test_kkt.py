@@ -19,6 +19,11 @@ from ocpqp.kkt import (
 from test_model import random_problem
 
 
+def every_stage(work):
+    """The sorted index array of every stage slot of a workspace."""
+    return np.arange(work.problem.dims.N + 1)
+
+
 def uniform_vec(problem, rows_kind, value):
     v = getattr(problem, f"{rows_kind}_zeros")()
     v.data[:] = value
@@ -51,16 +56,16 @@ INLINE = WorkerPool(1)
 
 def assembled(problem, weights, sxinv):
     """The H_j of every stage, assembled in a fresh workspace."""
-    return assemble_H(kkt.StageFactorization.allocate(problem), weights, sxinv).H
+    work = kkt.StageFactorization.allocate(problem)
+    return assemble_H(work, weights, sxinv, every_stage(work)).H
 
 
 def factor_all(problem, weights, delta, variant="dense", workers=1):
-    sxinv = uniform_vec(problem, "primal", delta)
     work = kkt.StageFactorization.allocate(problem, variant)
-    assemble_H(work, weights, sxinv)
+    assemble_H(work, weights, delta, every_stage(work))
     pool = WorkerPool(workers)
     try:
-        factor_stages(work, pool)
+        factor_stages(work, pool, every_stage(work))
     finally:
         pool.shutdown()
     return work
@@ -128,8 +133,7 @@ class TestAssembleH:
         rng = np.random.default_rng(10)
         p = random_problem(rng, N=3, infinite=True)
         w = make_weights(p, rng.standard_normal(p.dims.n))
-        sxinv = uniform_vec(p, "primal", 0.125)
-        H = assembled(p, w, sxinv)
+        H = assembled(p, w, 0.125)
         for j in range(p.dims.N + 1):
             want = p.cost.stack[j].copy() + 0.125 * np.eye(p.dims.n_xu)
             got = H.stack[j].copy()
@@ -144,7 +148,7 @@ class TestAssembleH:
             w = make_weights(p, x, sigma=1.7)
             delta = 1e-3
             Hd, dq = dense_H(p, w, delta)
-            H = assembled(p, w, uniform_vec(p, "primal", delta))
+            H = assembled(p, w, delta)
             dm = p.dims
             low = np.tril_indices(dm.n_xu)
             for j in range(dm.N):
@@ -164,12 +168,12 @@ class TestAssembleH:
         rng = np.random.default_rng(12)
         p = random_problem(rng, N=9, n_x=3, n_u=2, n_y=2, n_yN=1)
         w = make_weights(p, rng.standard_normal(p.dims.n), sigma=2.0)
-        sxinv = uniform_vec(p, "primal", 1e-2)
+        sxinv = 1e-2
         full = assembled(p, w, sxinv)
         work = kkt.StageFactorization.allocate(p)
         part = work.H
         part.data[:] = np.nan
-        assemble_H(work, w, sxinv, stages=np.array(stages))
+        assemble_H(work, w, sxinv, np.array(stages))
         others = np.setdiff1d(np.arange(p.cost.nstages), stages)
         assert np.array_equal(part.stack[stages], full.stack[stages])
         assert np.all(np.isnan(part.stack[others]))
@@ -179,7 +183,7 @@ class TestAssembleH:
         rng = np.random.default_rng(13)
         p = random_problem(rng, N=5, n_x=4, n_u=2, n_y=3, n_yN=2)
         w = make_weights(p, rng.standard_normal(p.dims.n), sigma=1e3)
-        H = assembled(p, w, uniform_vec(p, "primal", 1e-4))
+        H = assembled(p, w, 1e-4)
         sym = H.stack.transpose(0, 2, 1)
         assert np.max(np.abs(H.stack - sym)) <= 1e-14 * np.max(np.abs(H.stack))
 
@@ -214,7 +218,8 @@ class TestFactorStages:
         rng = np.random.default_rng(20)
         p = random_problem(rng, N=1, n_x=2, n_u=1)
         w = make_weights(p, np.zeros(p.dims.n))
-        work = factor_psi(factor_all(p, w, 1e-3))
+        work = factor_all(p, w, 1e-3)
+        factor_psi(work, every_stage(work))
         diag, sub = psi_blocks(work)
         assert diag.shape == (2, 2, 2) and sub.shape == (1, 2, 2)
         assert work.psi_band.shape == (4, 4)
@@ -228,7 +233,8 @@ class TestFactorStages:
             x = rng.standard_normal(p.dims.n)
             w = make_weights(p, x, sigma=2.0)
             delta = 1e-2
-            work = factor_psi(factor_all(p, w, delta))
+            work = factor_all(p, w, delta)
+            factor_psi(work, every_stage(work))
             Hd, dq = dense_H(p, w, delta)
             psi_want = dense_psi(p, Hd, dq)
             dm = p.dims
@@ -268,13 +274,13 @@ class TestFactorStages:
         p = random_problem(rng, N=9, n_x=3, n_u=2, n_y=2, n_yN=1)
         w = make_weights(p, rng.standard_normal(p.dims.n), sigma=1.0)
         work = kkt.StageFactorization.allocate(p)
-        assemble_H(work, w, uniform_vec(p, "primal", 1e-3))
+        assemble_H(work, w, 1e-3, every_stage(work))
         bad = 5
         work.H.stack[bad] = -np.eye(p.dims.n_xu)
         pool = WorkerPool(workers)
         try:
             with pytest.raises(NonPositivePivot) as exc:
-                factor_stages(work, pool)
+                factor_stages(work, pool, every_stage(work))
         finally:
             pool.shutdown()
         assert exc.value.failures == [(bad, 0)]
@@ -309,7 +315,7 @@ class TestFactorStages:
         scales = (1.0, 4.0, 0.25, 16.0)
         for j, c in enumerate(scales):
             work.H.stack[j] = c * np.eye(p.dims.n_xu)
-        factor_stages(work, INLINE)
+        factor_stages(work, INLINE, every_stage(work))
         for j, c in enumerate(scales):
             assert np.array_equal(work.linv_lm[j], np.eye(p.dims.n_xu) / np.sqrt(c))
 
@@ -321,12 +327,12 @@ class TestFactorStages:
         p = random_problem(rng, N=5, n_x=3, n_u=2)
         w = make_weights(p, rng.standard_normal(p.dims.n), sigma=1.0)
         work = kkt.StageFactorization.allocate(p)
-        assemble_H(work, w, uniform_vec(p, "primal", 1e-3))
+        assemble_H(work, w, 1e-3, every_stage(work))
         h = np.eye(p.dims.n_xu)
         h[row, row] = -1.0
         work.H.stack[3] = h
         with pytest.raises(NonPositivePivot) as exc:
-            factor_stages(work, INLINE)
+            factor_stages(work, INLINE, every_stage(work))
         assert (exc.value.stage, exc.value.row) == (3, row)
         assert exc.value.failures == [(3, row)]
 
@@ -338,7 +344,7 @@ class TestFactorStages:
             work.H.stack[j] = np.eye(p.dims.n_xu)
         work.H.stack[2] = np.diag([1.0, 0.0, 1.0])
         with pytest.raises(NonPositivePivot) as exc:
-            factor_stages(work, INLINE)
+            factor_stages(work, INLINE, every_stage(work))
         assert exc.value.failures == [(2, 1)]
 
 
@@ -387,16 +393,13 @@ class TestSolveH:
         changed = [j for j in range(z0.nstages) if not np.array_equal(z0.stack[j], z1.stack[j])]
         assert changed == [3]
 
-    def test_deterministic_and_out_overwritten(self):
+    def test_deterministic(self):
         rng = np.random.default_rng(57)
         p = random_problem(rng, N=5, n_x=3, n_u=2)
         work = factor_all(p, make_weights(p, rng.standard_normal(p.dims.n)), 1e-3)
         rhs = p.primal_from_flat(rng.standard_normal(p.dims.n))
         z0 = solve_H(work, rhs)
-        out = rhs.zeros_like()
-        out.data[:] = np.nan
-        assert solve_H(work, rhs, out=out) is out
-        assert np.array_equal(out.data, z0.data)
+        assert np.array_equal(solve_H(work, rhs).data, z0.data)
 
 
 def dense_from_blocks(diag, sub):
@@ -458,7 +461,7 @@ class TestFactorPsi:
         p = random_problem(rng, N=1, n_x=2, n_u=1)
         work = kkt.StageFactorization.allocate(p)
         write_psi(work, [4 * np.eye(2), 9 * np.eye(2)], 0.0)
-        factor_psi(work)
+        factor_psi(work, every_stage(work))
         assert np.allclose(np.tril(work.band_diag[0]), 2 * np.eye(2))
         assert np.allclose(np.tril(work.band_diag[1]), 3 * np.eye(2))
         assert np.allclose(work.band_sub[0], 0.0)
@@ -468,7 +471,7 @@ class TestFactorPsi:
         p = random_problem(rng, N=5, n_x=3, n_u=2)
         work = kkt.StageFactorization.allocate(p)
         write_psi(work, 2 * np.eye(3), -np.eye(3))
-        factor_psi(work)
+        factor_psi(work, every_stage(work))
         dense = reverse_blocks(dense_from_blocks(*psi_blocks(work)), 3)
         Ld = band_factor(work)
         assert np.max(np.abs(Ld @ Ld.T - dense)) < 1e-13 * np.max(np.abs(dense))
@@ -479,7 +482,7 @@ class TestFactorPsi:
         x = rng.standard_normal(p.dims.n)
         w = make_weights(p, x, sigma=1.2)
         work = factor_all(p, w, 1e-2)
-        factor_psi(work)
+        factor_psi(work, every_stage(work))
         Hd, dq = dense_H(p, w, 1e-2)
         psi = dense_psi(p, Hd, dq)
         dm = p.dims
@@ -502,7 +505,7 @@ class TestFactorPsi:
         work = kkt.StageFactorization.allocate(p)
         write_psi(work, [-np.eye(2), np.eye(2)], 0.0)
         with pytest.raises(NonPositivePivot):
-            factor_psi(work)
+            factor_psi(work, every_stage(work))
 
 
 class TestBandedPsi:
@@ -516,8 +519,9 @@ class TestBandedPsi:
 
     def assert_refactors_clean(self, work, p, w):
         # the same workspace, factored again, holds what a fresh one holds
-        factor_psi(work)
-        fresh = factor_psi(factor_all(p, w, 1e-2))
+        factor_psi(work, every_stage(work))
+        fresh = factor_all(p, w, 1e-2)
+        factor_psi(fresh, every_stage(fresh))
         assert np.array_equal(work.psi_band, fresh.psi_band)
         psi = dense_from_blocks(*psi_blocks(work))
         Ld = np.linalg.cholesky(reverse_blocks(psi, p.dims.n_x))
@@ -535,7 +539,7 @@ class TestBandedPsi:
         diag[k] = np.diag([1.0, 1.0, -1.0]) * np.max(np.abs(diag[k]))
         write_psi(work, diag, sub)
         with pytest.raises(NonPositivePivot) as exc:
-            factor_psi(work)
+            factor_psi(work, every_stage(work))
         assert exc.value.stage == k
         work.p_lm[:] = good
         self.assert_refactors_clean(work, p, w)
@@ -548,7 +552,7 @@ class TestBandedPsi:
         sub[2][1, 0] = np.nan
         write_psi(work, diag, sub)
         try:
-            factor_psi(work)
+            factor_psi(work, every_stage(work))
         except NonPositivePivot:
             pass
         assert np.isnan(work.psi_band).any()
@@ -568,7 +572,7 @@ class TestBandedPsi:
             diag[4][0, 0] = np.nan
         write_psi(work, diag, sub)
         with pytest.raises(NonPositivePivot) as exc:
-            factor_psi(work)
+            factor_psi(work, every_stage(work))
         assert exc.value.failures == [(stage, -1)]
 
     def problems(self):
@@ -582,7 +586,8 @@ class TestBandedPsi:
         rng = np.random.default_rng(57)
         for p, variant in self.problems():
             w = make_weights(p, rng.standard_normal(p.dims.n), sigma=1.5)
-            work = factor_psi(factor_all(p, w, 1e-3, variant=variant))
+            work = factor_all(p, w, 1e-3, variant=variant)
+            factor_psi(work, every_stage(work))
             dm = p.dims
             rhs = rng.standard_normal((dm.N + 1, dm.n_x))
             want = np.linalg.solve(dense_from_blocks(*psi_blocks(work)), rhs.ravel())
@@ -597,7 +602,7 @@ class TestSolveNewton:
         p = random_problem(rng, N=3, n_x=2, n_u=1)
         w = make_weights(p, np.zeros(p.dims.n))
         work = factor_all(p, w, 1e-3)
-        factor_psi(work)
+        factor_psi(work, every_stage(work))
         dx, dlam = solve_newton(work, p.primal_zeros(), p.dualeq_zeros())
         assert np.all(dx.data == 0.0)
         assert np.all(dlam.data == 0.0)
@@ -609,7 +614,7 @@ class TestSolveNewton:
         w = make_weights(p, x, sigma=2.0)
         delta = 1e-2
         work = factor_all(p, w, delta)
-        factor_psi(work)
+        factor_psi(work, every_stage(work))
         Hd, dq = dense_H(p, w, delta)
         assert Hd.shape == (3, 3) and dq.M.shape == (2, 3)  # 5x5 saddle system
         g = rng.standard_normal(3)
@@ -629,7 +634,7 @@ class TestSolveNewton:
             w = make_weights(p, x, sigma=1.5)
             delta = 1e-3
             work = factor_all(p, w, delta)
-            factor_psi(work)
+            factor_psi(work, every_stage(work))
             Hd, dq = dense_H(p, w, delta)
             g = rng.standard_normal(p.dims.n)
             lam = rng.standard_normal(p.dims.p)
@@ -671,7 +676,7 @@ class TestExplicitInverse:
             weights = p.dualineq_from_flat(sig)
             delta = 1e-7
             work = factor_all(p, weights, delta, variant="dense")
-            factor_psi(work)
+            factor_psi(work, every_stage(work))
             dq = oracles.assemble_dense(p)
             Hd = dq.Q + dq.G.T @ np.diag(sig) @ dq.G + delta * np.eye(p.dims.n)
             g = rng.standard_normal(p.dims.n)
@@ -723,7 +728,7 @@ class TestDiagonalVariant:
         work.H.stack[0] = np.diag([4.0, 9.0])
         for j in range(1, p.cost.nstages):
             work.H.stack[j] = np.eye(2)
-        factor_stages(work, INLINE)
+        factor_stages(work, INLINE, every_stage(work))
         assert np.allclose(np.sqrt(work.h_diag.stack[0].copy()[:, 0]), [2.0, 3.0])
 
     def test_agrees_with_dense_path(self):
@@ -735,8 +740,8 @@ class TestDiagonalVariant:
         delta = 1e-4
         wd = factor_all(p, w, delta, variant="dense")
         wdg = factor_all(p, w, delta, variant="diagonal")
-        factor_psi(wd)
-        factor_psi(wdg)
+        factor_psi(wd, every_stage(wd))
+        factor_psi(wdg, every_stage(wdg))
         g = rng.standard_normal(p.dims.n)
         r = rng.standard_normal(p.dims.p)
         dx1, dl1 = solve_newton(wd, p.primal_from_flat(g), p.dualeq_from_flat(r))

@@ -54,6 +54,11 @@ class TestDims:
         with pytest.raises(ValueError):
             OcpDims(N=1, n_x=1, n_u=0)
 
+    @pytest.mark.parametrize("counts", [(2.5, 2, 1), (2, "2", 1), (True, 2, 1), (2, 2, 1, 1.0)])
+    def test_counts_must_be_integers(self, counts):
+        with pytest.raises(ValueError, match="must be an integer"):
+            OcpDims(*counts)
+
     def test_one_slot_per_stage(self):
         # every stage family and every vector holds exactly N + 1 stages
         rng = np.random.default_rng(8)
@@ -141,6 +146,39 @@ class TestAccessorsAndPadding:
             assert np.array_equal(a.stack, b.stack)
             assert not np.shares_memory(a.stack, b.stack)
         assert np.array_equal(p1.x_init, p2.x_init)
+
+
+# (family, value) pairs of the wrong shape for a problem with
+# OcpDims(4, 2, 1, 3, 2); numpy would broadcast the first four into the
+# family's place in the stage stacks
+MISSHAPEN = [
+    ("bl", np.full((4, 1), -5.0)),
+    ("bl", -5.0),
+    ("q", np.zeros((4, 1))),
+    ("bl_N", -5.0),
+    ("bu_N", np.full(3, 5.0)),
+    ("q_N", np.zeros((1, 2))),
+]
+
+
+class TestFamilyShapes:
+    @pytest.mark.parametrize("name,value", MISSHAPEN, ids=lambda v: str(getattr(v, "shape", v)))
+    def test_from_stages_names_the_family(self, name, value):
+        from ocpqp.bench import gen_random_ocp
+
+        families = {k: v.copy() for k, v in gen_random_ocp(OcpDims(4, 2, 1, 3, 2)).families().items()}
+        families[name] = value
+        with pytest.raises(ValueError, match=f"^{name}: expected shape"):
+            OcpProblem.from_stages(**families)
+
+    def test_one_stage_reused(self):
+        # a per-stage family also takes one stage's matrix for every stage
+        from ocpqp.bench import gen_random_ocp
+
+        families = {k: v.copy() for k, v in gen_random_ocp(OcpDims(4, 2, 1, 3, 2)).families().items()}
+        families["bl"] = np.full(3, -5.0)
+        p = OcpProblem.from_stages(**families)
+        assert np.array_equal(p.families()["bl"], np.full((4, 3), -5.0))
 
 
 class TestLayout:
@@ -419,14 +457,27 @@ class TestFiles:
         with pytest.raises(ValueError):
             load_problem(path)
 
-    @pytest.mark.parametrize("missing", ("n_yN", "bu_N"))
-    def test_malformed_json_raises(self, tmp_path, missing):
-        # a missing dimension or family is named with the file
+    @pytest.mark.parametrize("name,value,message", [
+        pytest.param("n_yN", None, "no field 'n_yN'", id="n_yN"),
+        pytest.param("bu_N", None, "no field 'bu_N'", id="bu_N"),
+        pytest.param("N", 2.5, "N must be an integer, got 2.5", id="N-float"),
+        pytest.param("n_x", "2", "n_x must be an integer, got '2'", id="n_x-string"),
+        pytest.param("N", True, "N must be an integer, got True", id="N-bool"),
+        pytest.param("bu_N", "longer", r"field 'bu_N' has shape \(2,\)", id="bu_N-long"),
+        pytest.param("q", [[1.0, "a"]], "field 'q' is not an array of numbers", id="q-string"),
+    ])
+    def test_malformed_json_raises(self, tmp_path, name, value, message):
+        # a missing, non-integer or misshapen field is named with the file
         rng = np.random.default_rng(43)
         path = tmp_path / "prob.json"
         save_problem(random_problem(rng, N=3), path, fmt="json")
         doc = json.loads(path.read_text())
-        del doc[missing]
+        if value is None:
+            del doc[name]
+        elif value == "longer":
+            doc[name].append(1.0)
+        else:
+            doc[name] = value
         path.write_text(json.dumps(doc))
-        with pytest.raises(ValueError, match=f"prob.json: no field '{missing}'"):
+        with pytest.raises(ValueError, match=f"prob.json: {message}"):
             load_problem(path)

@@ -22,10 +22,10 @@ from test_kkt import (
     band_factor,
     dense_from_blocks,
     diagonal_problem,
+    every_stage,
     make_weights,
     psi_blocks,
     reverse_blocks,
-    uniform_vec,
     write_psi,
 )
 from test_model import random_problem
@@ -38,21 +38,18 @@ def field(work, name):
     return getattr(value, "stack", value)  # CompactBatch or array
 
 
-def fresh_factorization(solver, state, weights, scale):
-    """Every stage assembled and factored from scratch in a new workspace."""
-    p = solver.problem
-    sx = state.sigma_x_inv
-    if scale != 1.0:
-        sx = sx.copy()
-        sx.data *= scale
-    return factored(p, weights, sx, solver.variant)
+def fresh_factorization(solver, state, weights):
+    """Every stage assembled and factored from scratch in a new workspace,
+    at the state's proximal weight."""
+    return factored(solver.problem, weights, state.sigma_x_inv, solver.variant)
 
 
 def factored(problem, weights, sxinv, variant="dense"):
     work = kkt.StageFactorization.allocate(problem, variant)
-    kkt.assemble_H(work, weights, sxinv)
-    kkt.factor_stages(work, INLINE)
-    return kkt.factor_psi(work)
+    every = every_stage(work)
+    kkt.assemble_H(work, weights, sxinv, every)
+    kkt.factor_stages(work, INLINE, every)
+    return kkt.factor_psi(work, every)
 
 
 def band_residual(work):
@@ -87,7 +84,7 @@ def check_every_iteration(problem, variant, workers):
     original = kkt.factor_psi
     restarts = []
 
-    def checked_factor_psi(f, stages=None):
+    def checked_factor_psi(f, stages):
         before = f.psi_band.copy()
         original(f, stages)
         c0 = restart_column(f, stages)
@@ -101,15 +98,14 @@ def check_every_iteration(problem, variant, workers):
         factor = solver._factor
         checked = []
 
-        def hooked(state, weights, prox_scale, timings, counts):
-            scale = factor(state, weights, prox_scale, timings, counts)
-            fresh = fresh_factorization(solver, state, weights, scale)
+        def hooked(state, weights, timings, counts):
+            factor(state, weights, timings, counts)
+            fresh = fresh_factorization(solver, state, weights)
             for name in FIELDS:
                 if getattr(fresh, name) is not None:
                     assert np.array_equal(field(solver.work, name), field(fresh, name)), name
             assert band_residual(solver.work) <= 1e-14
-            checked.append(scale)
-            return scale
+            checked.append(state.sigma_x_inv)
 
         solver._factor = hooked
         _, _, _, report = solver.solve()
@@ -151,8 +147,8 @@ class TestPivotFailureInPartialSet:
         p = random_problem(rng, N=11, n_x=3, n_u=2, n_y=2, n_yN=1)
         w = make_weights(p, rng.standard_normal(p.dims.n), sigma=1.0)
         work = kkt.StageFactorization.allocate(p)
-        kkt.assemble_H(work, w, uniform_vec(p, "primal", 1e-3))
-        kkt.factor_stages(work, INLINE)
+        kkt.assemble_H(work, w, 1e-3, every_stage(work))
+        kkt.factor_stages(work, INLINE, every_stage(work))
         before = work.linv_lm.copy()
         stages = np.array([1, 5, 6, 10])
         bad = 6
@@ -178,7 +174,7 @@ class TestPivotFailureInPartialSet:
         original = kkt.factor_stages
         calls, failures = [], []
 
-        def planted(f, pool, stages=None):
+        def planted(f, pool, stages):
             calls.append(stages.copy())
             if not failures and len(stages) < f.H.nstages:
                 k = int(stages[len(stages) // 2])
@@ -200,6 +196,54 @@ class TestPivotFailureInPartialSet:
         assert len(calls[failed_at + 1]) == nstages
 
 
+class TestEscalationAfterFailedAttempt:
+    @pytest.mark.parametrize("workers", (1, 2))
+    def test_retry_refactors_every_stage(self, workers, monkeypatch):
+        # a pivot failure planted after factor_psi whenever a factorization
+        # runs at the base proximal weight: each inner solve starts there,
+        # rewrites every stage, fails and retries at ten times the weight,
+        # the weight the last inner solve's factorization was recorded at;
+        # the retry must not take that record for the workspace it overwrote
+        p = gen_spring_mass(SpringMassConfig(masses=10, horizon=30, seed=5))
+        original = kkt.factor_psi
+        live, failures, started, checked = [], [], {}, []
+
+        def planted(f, stages):
+            original(f, stages)
+            if live and live[-1].sigma_x_inv == base:
+                failures.append(live[-1].outer_iter)
+                raise NonPositivePivot([(int(stages[-1]), -1)])
+            return f
+
+        monkeypatch.setattr(kkt, "factor_psi", planted)
+        with Solver(p, SolverSettings(variant="dense", worker_count=workers)) as solver:
+            base = solver.proximal_weight
+            factor = solver._factor
+
+            def hooked(state, weights, timings, counts):
+                started.setdefault(state.outer_iter, state.sigma_x_inv)
+                live.append(state)
+                try:
+                    factor(state, weights, timings, counts)
+                finally:
+                    live.pop()
+                fresh = fresh_factorization(solver, state, weights)
+                for name in ("linv_lm", "vwt_lm", "p_lm"):
+                    assert np.array_equal(getattr(solver.work, name), getattr(fresh, name)), name
+                assert band_residual(solver.work) <= 1e-14
+                checked.append(state.sigma_x_inv)
+
+            solver._factor = hooked
+            _, _, _, report = solver.solve()
+        assert report.solved
+        # every inner solve that factors starts at the base weight and
+        # escalates once
+        assert len(started) > 1
+        assert all(weight == base for weight in started.values())
+        assert failures == sorted(started)
+        assert checked and all(weight == 10.0 * base for weight in checked)
+
+
 class TestStagesOutsideTheSet:
     @pytest.mark.parametrize("variant", ("dense", "diagonal"))
     @pytest.mark.parametrize("workers", (1, 2))
@@ -216,7 +260,7 @@ class TestStagesOutsideTheSet:
         stages = np.array([0, 3, 4, 8])
         pool = kkt.WorkerPool(workers)
         try:
-            kkt.assemble_H(work, w, uniform_vec(p, "primal", 1e-3), stages)
+            kkt.assemble_H(work, w, 1e-3, stages)
             kkt.factor_stages(work, pool, stages)
         finally:
             pool.shutdown()
@@ -236,16 +280,16 @@ class TestChangedStages:
         w = make_weights(p, rng.standard_normal(p.dims.n), sigma=1.0)
         work = kkt.StageFactorization.allocate(p)
         everything = np.arange(work.H.nstages)
-        assert np.array_equal(work.changed_stages(w, 1.0), everything)
-        work.record(w, 1.0)
-        assert work.changed_stages(w, 1.0).size == 0
-        assert np.array_equal(work.changed_stages(w, 10.0), everything)
+        assert np.array_equal(work.changed_stages(w, 1e-7), everything)
+        work.record(w, 1e-7)
+        assert work.changed_stages(w, 1e-7).size == 0
+        assert np.array_equal(work.changed_stages(w, 1e-6), everything)
         w2 = w.copy()
         w2.stack[2, 0, 0] += 1.0
         w2.stack[5, 1, 0] = np.nan
-        assert np.array_equal(work.changed_stages(w2, 1.0), [2, 5])
+        assert np.array_equal(work.changed_stages(w2, 1e-7), [2, 5])
         work.invalidate()
-        assert np.array_equal(work.changed_stages(w, 1.0), everything)
+        assert np.array_equal(work.changed_stages(w, 1e-7), everything)
 
 
 class TestPsiRestart:
@@ -271,21 +315,19 @@ class TestPsiRestart:
         # (and factor_stages rightly raises on them)
         assume(np.linalg.eigvalsh(p.cost.stack).min() > 0.0)
         w1 = make_weights(p, rng.standard_normal(p.dims.n), sigma=1.5)
-        sx1 = uniform_vec(p, "primal", 1e-2)
-        work = factored(p, w1, sx1)
+        work = factored(p, w1, 1e-2)
 
-        # new penalties and proximal diagonal on the changed stages only
+        # new penalties on every row of the changed stages, and on no other
         w2 = make_weights(p, rng.standard_normal(p.dims.n), sigma=4.0)
+        w2.stack[stages] += 1.0
         others = np.setdiff1d(np.arange(N + 1), stages)
         w2.stack[others] = w1.stack[others]
-        sx2 = sx1.copy()
-        sx2.stack[stages] *= 3.0
         before = work.psi_band.copy()
-        kkt.assemble_H(work, w2, sx2, stages)
+        kkt.assemble_H(work, w2, 1e-2, stages)
         kkt.factor_stages(work, INLINE, stages)
         kkt.factor_psi(work, stages)
 
-        fresh = factored(p, w2, sx2)
+        fresh = factored(p, w2, 1e-2)
         assert np.array_equal(work.p_lm, fresh.p_lm)
         c0 = restart_column(work, stages)
         assert c0 == (N - min(stages[-1] + 1, N)) * n_x
