@@ -61,7 +61,7 @@ print(f"band factor L L^T vs dense M H^-1 M^T: max relative error {psi_err:.2e}"
 
 g = rng.standard_normal(dims.n)
 r_eq = rng.standard_normal(dims.p)
-dx, dlam = kkt.solve_newton(
+dx, dlam, _ = kkt.solve_newton(
     work, problem.primal_from_flat(g), problem.dualeq_from_flat(r_eq)
 )
 dx_dense, dlam_dense = oracles.dense_newton_solve(H_dense, dense.M, g, r_eq)

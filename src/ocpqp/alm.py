@@ -15,12 +15,21 @@ use an exact line search over the piecewise-quadratic merit.  Outer
 iterations update the inequality multipliers, grow penalties on rows whose
 violation stalls, and move the proximal center.
 
-Each iterate (x, lam) is evaluated once, by :func:`eval_grad_phi`: one
-:class:`Evaluation` holds Gx, Qx, M'lam, Mx, the multiplier estimate
-y+ = Sigma_y (z - proj(z)) with G'y+, and the residuals made of them.  The
-inner loop evaluates at the top of each pass and ends on an evaluation; the
+The products of the iterate are formed once per solve and carried along
+the steps, as QPALM carries Ax and Qx through its line search.  One
+:class:`Evaluation` holds them: Gx, Qx, M'lam and r = Mx - b, which
+:func:`eval_products` forms from scratch and each step moves along
+(gx += tau G dx, qx += tau Q dx, mtl += M'dlam, r += tau M dx, from the
+products the step forms of itself).  What depends also on y, Sigma_y or the
+proximal center (z, proj(z), the multiplier estimate y+ with G'y+, the
+gradient and the stationarity residual) :func:`eval_grad_phi` completes from
+the carried products at the top of each pass, with one G' product.  The
 inner stopping test, the Newton step, the line search and the outer update
-all read it.
+all read the evaluation.  Termination is decided on fresh products only:
+when the outer test passes on carried values, the iterate is evaluated from
+scratch and tested again, and the solve continues from that evaluation when
+it fails.  The solver owns the evaluation and the step's vectors, and every
+product and solve of an iteration writes into them.
 """
 
 from __future__ import annotations
@@ -172,27 +181,61 @@ class SolveReport:
 
 @dataclass
 class Evaluation:
-    """Every product and residual the solver reads at one iterate (x, lam),
-    formed once by :func:`eval_grad_phi`.
+    """Every product and residual the solver reads at one iterate (x, lam).
 
-    ``gx`` is Gx, ``z`` the shifted value Gx + Sigma_y^{-1} y, ``proj`` the
+    The products of the iterate, which :func:`eval_products` forms and the
+    solver carries along its steps: ``gx`` is Gx, ``qx`` Qx, ``mtl`` M' lam
+    and ``r`` = Mx - b.  The rest depends also on y, Sigma_y and the
+    proximal center, and :func:`eval_grad_phi` completes it from the
+    products: ``z`` is the shifted value Gx + Sigma_y^{-1} y, ``proj`` the
     plain array proj(z) onto [bl, bu], ``y_plus`` the multiplier estimate
-    Sigma_y (z - proj(z)) and ``gty`` G' y_plus.  ``qx`` is Qx, ``grad`` the
-    inner-objective gradient, ``mtl`` M' lam and ``g`` = M' lam + grad the
-    stationarity residual; ``mx`` is Mx and ``r`` = Mx - b.
+    Sigma_y (z - proj(z)), ``gty`` G' y_plus, ``grad`` the inner-objective
+    gradient and ``g`` = M' lam + grad the stationarity residual.
     """
 
     gx: object
+    qx: object
+    mtl: object
+    r: object
     z: object
-    proj: object
+    proj: np.ndarray
     y_plus: object
     gty: object
-    qx: object
     grad: object
-    mtl: object
     g: object
-    mx: object
-    r: object
+
+    @classmethod
+    def zeros(cls, problem):
+        p = problem
+        return cls(
+            gx=p.dualineq_zeros(), qx=p.primal_zeros(), mtl=p.primal_zeros(),
+            r=p.dualeq_zeros(), z=p.dualineq_zeros(), proj=np.zeros_like(p.bl.data),
+            y_plus=p.dualineq_zeros(), gty=p.primal_zeros(), grad=p.primal_zeros(),
+            g=p.primal_zeros(),
+        )
+
+
+@dataclass
+class Step:
+    """The vectors of one Newton step: ``dx``, ``dlam`` and ``mtdl`` =
+    M' dlam, which :func:`kkt.solve_newton` writes, and the step's products
+    ``qdx`` = Q dx, ``gdx`` = G dx and ``mdx`` = M dx, which the line search
+    reads and the carried products move along."""
+
+    dx: object
+    dlam: object
+    mtdl: object
+    qdx: object
+    gdx: object
+    mdx: object
+
+    @classmethod
+    def zeros(cls, problem):
+        p = problem
+        return cls(
+            dx=p.primal_zeros(), dlam=p.dualeq_zeros(), mtdl=p.primal_zeros(),
+            qdx=p.primal_zeros(), gdx=p.dualineq_zeros(), mdx=p.dualeq_zeros(),
+        )
 
 
 # The functions below work on the stage-major ``.data`` arrays.  Padded
@@ -201,37 +244,47 @@ class Evaluation:
 # dx, the gradient and x, so they add nothing to a sum over those arrays.
 
 
-def eval_grad_phi(problem, state, b):
-    """Evaluate the iterate (state.x, state.lam) against the equality
-    right-hand side ``b``: the gradient of the inner objective
+def eval_products(problem, state, b, ev):
+    """Form the products of the iterate (state.x, state.lam) from scratch
+    into the :class:`Evaluation` ``ev``: Gx, Qx, M' lam and r = Mx - b for
+    the equality right-hand side ``b``.  Returns ``ev``, for
+    :func:`eval_grad_phi` to complete."""
+    x = state.x
+    model.mul_G(problem, x, out=ev.gx)
+    model.mul_Q(problem, x, out=ev.qx)
+    model.mul_MT(problem, state.lam, out=ev.mtl)
+    model.mul_M(problem, x, out=ev.r)
+    ev.r.data -= b.data
+    return ev
+
+
+def eval_grad_phi(problem, state, ev):
+    """Complete the evaluation ``ev`` of the iterate from the products it
+    holds (formed by :func:`eval_products` or carried along the steps): the
+    gradient of the inner objective
 
         grad = Qx + q + G' y_plus + sigma_x_inv (x - x_center),
-        y_plus = Sigma_y (z - proj(z)),
+        y_plus = Sigma_y (z - proj(z)),   z = Gx + Sigma_y^{-1} y,
 
-    and every other product and residual of :class:`Evaluation`.  The inner
+    and the rest of :class:`Evaluation`, for the current y, Sigma_y and
+    center of ``state``.  G' y_plus is the one product it forms.  The inner
     check, the Newton step, the line search and the outer update read it.
+    Returns ``ev``.
     """
-    x = state.x
-    gx = model.mul_G(problem, x)
-    z = gx.copy()
-    z.data += state.y.data / state.sigma_y.data
-    proj = np.clip(z.data, problem.bl.data, problem.bu.data)
-    y_plus = z.zeros_like()
-    np.subtract(z.data, proj, out=y_plus.data)
-    y_plus.data *= state.sigma_y.data
-    gty = model.mul_GT(problem, y_plus)
-    qx = model.mul_Q(problem, x)
-    grad = gty.copy()
-    grad.data += qx.data
-    grad.data += problem.lin.data
-    grad.data += state.sigma_x_inv * (x.data - state.x_center.data)
-    mtl = model.mul_MT(problem, state.lam)
-    g = mtl.copy()
-    g.data += grad.data
-    mx = model.mul_M(problem, x)
-    r = mx.copy()
-    r.data -= b.data
-    return Evaluation(gx, z, proj, y_plus, gty, qx, grad, mtl, g, mx, r)
+    z, proj, y_plus, grad, g = ev.z.data, ev.proj, ev.y_plus.data, ev.grad.data, ev.g.data
+    np.divide(state.y.data, state.sigma_y.data, out=z)
+    z += ev.gx.data
+    np.minimum(np.maximum(z, problem.bl.data, out=proj), problem.bu.data, out=proj)
+    np.subtract(z, proj, out=y_plus)
+    y_plus *= state.sigma_y.data
+    model.mul_GT(problem, ev.y_plus, out=ev.gty)
+    np.add(ev.gty.data, ev.qx.data, out=grad)
+    grad += problem.lin.data
+    np.subtract(state.x.data, state.x_center.data, out=g)  # scratch until g is formed
+    g *= state.sigma_x_inv
+    grad += g
+    np.add(ev.mtl.data, grad, out=g)
+    return ev
 
 
 def eval_phi(problem, state, ev):
@@ -246,69 +299,76 @@ def eval_phi(problem, state, ev):
     )
 
 
-def exact_line_search(problem, state, ev, dx):
+def exact_line_search(problem, state, ev, dx, qdx, gdx):
     """Global minimizer of tau -> phi(x + tau dx) on a feasible direction,
-    from the evaluation ``ev`` at x.
+    from the evaluation ``ev`` at x and the step's products ``qdx`` = Q dx
+    and ``gdx`` = G dx.
 
-    The directional derivative is piecewise linear and nondecreasing; its
-    breakpoints are the steps at which a shifted constraint value crosses
-    one of its bounds.  Events are sorted once and scanned cumulatively.
-    Raises NonDescentDirection when the slope at 0 is nonnegative.
+    The directional derivative phi'(tau) is continuous, piecewise linear and
+    nondecreasing; its breakpoints are the steps at which a shifted
+    constraint value crosses one of its bounds.  phi'(1), a sum over the
+    breakpoints below 1, tells on which side of the unit step the minimizer
+    lies.  When phi'(1) >= 0 only the breakpoints below 1 are kept;
+    otherwise those below 1 are added into the starting slope and
+    intercept, and only those at or above 1 are kept.  The kept breakpoints
+    are sorted and scanned, unless the minimizer lies before the first of
+    them.  Raises NonDescentDirection when the slope at 0 is nonnegative.
     """
     dxd = dx.data
     c0 = float(dxd @ ev.grad.data)
     if c0 >= 0.0:
         raise NonDescentDirection(f"directional derivative {c0:.3e} at step 0")
 
-    eta = float(dxd @ model.mul_Q(problem, dx).data + dxd @ (state.sigma_x_inv * dxd))
-    delta = model.mul_G(problem, dx).data
+    eta = float(dxd @ qdx.data + dxd @ (state.sigma_x_inv * dxd))
+    delta = gdx.data
     z0, blf, buf, sig = ev.z.data, problem.bl.data, problem.bu.data, state.sigma_y.data
 
-    moving = delta != 0.0
+    curv = sig * delta * delta
     above = (z0 > buf) | ((z0 == buf) & (delta > 0.0))
     below = (z0 < blf) | ((z0 == blf) & (delta < 0.0))
-    curv = sig * delta * delta
     s0 = eta + float(np.sum(curv[above | below]))
 
-    taus, d_s, d_c = [], [], []
+    # a row's breakpoint at a bound is the positive finite step at which z
+    # reaches it: moving out of [bl, bu] the row's curvature d_s joins the
+    # slope of phi', moving back in it leaves, and as phi' is continuous the
+    # intercept changes by -d_s tau there
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_up = (buf - z0) / delta
+        t_lo = (blf - z0) / delta
+    at_up = (t_up > 0.0) & (t_up < np.inf)
+    at_lo = (t_lo > 0.0) & (t_lo < np.inf)
+    signed = np.copysign(curv, delta)
+    taus = np.concatenate((t_up[at_up], t_lo[at_lo]))
+    d_s = np.concatenate((signed[at_up], -signed[at_lo]))
 
-    def add_events(mask, bound, sign):
-        idx = np.nonzero(mask)[0]
-        if idx.size:
-            taus.append((bound[idx] - z0[idx]) / delta[idx])
-            d_s.append(sign * curv[idx])
-            d_c.append(sign * sig[idx] * delta[idx] * (z0[idx] - bound[idx]))
-
-    up, down = moving & (delta > 0.0), moving & (delta < 0.0)
-    add_events(up & np.isfinite(buf) & (z0 < buf), buf, +1.0)   # enters above
-    add_events(up & (z0 < blf), blf, -1.0)                      # leaves below
-    add_events(down & np.isfinite(blf) & (z0 > blf), blf, +1.0) # enters below
-    add_events(down & (z0 > buf), buf, -1.0)                    # leaves above
-
-    if taus:
-        taus = np.concatenate(taus)
-        d_s = np.concatenate(d_s)
-        d_c = np.concatenate(d_c)
-        order = np.argsort(taus, kind="stable")
-        taus, d_s, d_c = taus[order], d_s[order], d_c[order]
-        s_pref = s0 + np.concatenate([[0.0], np.cumsum(d_s)[:-1]])
-        c_pref = c0 + np.concatenate([[0.0], np.cumsum(d_c)[:-1]])
-        vals = c_pref + s_pref * taus
-        hit = np.nonzero(vals >= 0.0)[0]
-        if hit.size:
-            k = hit[0]
-            return float(-c_pref[k] / s_pref[k])
-        s_end = s0 + float(np.sum(d_s))
-        c_end = c0 + float(np.sum(d_c))
-        return float(-c_end / s_end)
-    return float(-c0 / s0)
+    early = taus < 1.0
+    s_early = float(np.sum(d_s[early]))
+    c_early = -float(d_s[early] @ taus[early])
+    if c0 + c_early + s0 + s_early >= 0.0:  # phi'(1) >= 0: the minimizer is at most 1
+        keep = early
+    else:
+        keep = ~early
+        c0, s0 = c0 + c_early, s0 + s_early
+    taus, d_s = taus[keep], d_s[keep]
+    if not taus.size or c0 + s0 * float(np.min(taus)) >= 0.0:  # before the first breakpoint
+        return float(-c0 / s0)
+    order = np.argsort(taus)  # ties add no change of slope at their step
+    taus, d_s = taus[order], d_s[order]
+    # slope and intercept of phi' on each piece: before each breakpoint, then after the last
+    s_pref = s0 + np.concatenate(([0.0], np.cumsum(d_s)))
+    c_pref = c0 - np.concatenate(([0.0], np.cumsum(d_s * taus)))
+    hit = np.flatnonzero(c_pref[:-1] + s_pref[:-1] * taus >= 0.0)
+    k = hit[0] if hit.size else taus.size
+    return float(-c_pref[k] / s_pref[k])
 
 
-def initial_penalty(problem, x):
-    """Scale-matched uniform initial penalty, clamped to [1e-4, 1e4]."""
+def initial_penalty(problem, x, ev):
+    """Scale-matched uniform initial penalty, clamped to [1e-4, 1e4], from
+    the products ``ev.qx`` = Qx and ``ev.gx`` = Gx of x (see
+    :func:`eval_products`)."""
     xd = x.data
-    cost = abs(0.5 * float(xd @ model.mul_Q(problem, x).data) + float(xd @ problem.lin.data))
-    gx = model.mul_G(problem, x).data
+    cost = abs(0.5 * float(xd @ ev.qx.data) + float(xd @ problem.lin.data))
+    gx = ev.gx.data
     gnorm = 0.5 * float(gx @ gx)
     return float(np.clip(20.0 * max(1.0, cost) / max(1.0, gnorm), 1e-4, 1e4))
 
@@ -479,7 +539,9 @@ class Solver:
 
     # -- solve ---------------------------------------------------------------
 
-    def _init_state(self, warm_start):
+    def _init_state(self, warm_start, ev):
+        """The starting state, with the products of its iterate formed
+        fresh into the evaluation ``ev``; the initial penalty reads them."""
         p = self.problem
         if warm_start is not None:
             x0, y0, lam0 = warm_start
@@ -491,12 +553,13 @@ class Solver:
                     raise ValueError(f"non-finite entries in warm start {name}")
         else:
             x, y, lam = p.primal_zeros(), p.dualineq_zeros(), p.dualeq_zeros()
+        state = AlmState(x, y, lam, p.dualineq_zeros(), self.proximal_weight, x.copy())
+        eval_products(p, state, self._b, ev)
         sigma0 = self.settings.initial_sigma
         if sigma0 is None:
-            sigma0 = initial_penalty(p, x)
-        sigma_y = p.dualineq_zeros()
-        sigma_y.data[:] = float(np.clip(sigma0, SIGMA_MIN, SIGMA_MAX))
-        return AlmState(x, y, lam, sigma_y, self.proximal_weight, x.copy())
+            sigma0 = initial_penalty(p, x, ev)
+        state.sigma_y.data[:] = float(np.clip(sigma0, SIGMA_MIN, SIGMA_MAX))
+        return state
 
     def _factor(self, state, weights, timings, counts):
         """Bring the factorization up to date with the current active set.
@@ -535,20 +598,24 @@ class Solver:
                 state.sigma_x_inv *= 10.0
         raise _PivotEscalationFailed()
 
-    def _inner_solve(self, state, inner_tol, timings, log, counts):
-        """Newton iterations on the current inner problem; returns the
-        evaluation (see :func:`eval_grad_phi`) of the final iterate.
+    def _inner_solve(self, state, ev, step, inner_tol, timings, log, counts):
+        """Newton iterations on the current inner problem, from the products
+        of state's iterate that the evaluation ``ev`` carries, with the
+        step's vectors in ``step``; ends with ``ev`` completed (see
+        :func:`eval_grad_phi`) at the final iterate.
 
-        Each pass evaluates its iterate once and stops before stepping when
-        the tolerance is met, the direction is not a descent direction, or
-        ``max_inner`` steps have been taken.  The first step is a unit step;
+        Each pass completes the evaluation of its iterate and stops before
+        stepping when the tolerance is met, the direction is not a descent
+        direction, or ``max_inner`` steps have been taken.  Each step forms
+        its products Q dx, G dx and M dx, and the iterate and its carried
+        products move along it together.  The first step is a unit step;
         later steps use the exact line search.  Only the stages whose active
         penalties changed are refactored (see :meth:`_factor`).
         """
         p, settings = self.problem, self.settings
         state.sigma_x_inv = self.proximal_weight  # until a pivot failure raises it
         for it in range(settings.max_inner + 1):
-            ev = eval_grad_phi(p, state, self._b)
+            eval_grad_phi(p, state, ev)
             eq_norm = float(np.max(np.abs(ev.r.data)))
             if log is not None and it:  # the step that led here
                 phi = eval_phi(p, state, ev)
@@ -556,27 +623,34 @@ class Solver:
             if it == settings.max_inner or (
                 np.max(np.abs(ev.g.data)) <= inner_tol and eq_norm <= inner_tol
             ):
-                return ev
+                return
 
             weights = kkt.weights_from_shifted(p, state.sigma_y, ev.z)
             self._factor(state, weights, timings, counts)
 
             t0 = time.perf_counter()
-            dx, dlam = kkt.solve_newton(self.work, ev.g, ev.r)
-            timings["substitution"] += time.perf_counter() - t0
+            kkt.solve_newton(self.work, ev.g, ev.r, out=(step.dx, step.dlam, step.mtdl))
+            t1 = time.perf_counter()
+            timings["substitution"] += t1 - t0
 
-            if it == 0:
-                tau = 1.0
-            else:
-                t0 = time.perf_counter()
-                try:
-                    tau = exact_line_search(p, state, ev, dx)
-                except NonDescentDirection:
-                    return ev
-                finally:
-                    timings["line_search"] += time.perf_counter() - t0
-            state.x.data += tau * dx.data
-            state.lam.data += dlam.data
+            model.mul_Q(p, step.dx, out=step.qdx)
+            model.mul_G(p, step.dx, out=step.gdx)
+            model.mul_M(p, step.dx, out=step.mdx)
+            try:
+                tau = exact_line_search(p, state, ev, step.dx, step.qdx, step.gdx) if it else 1.0
+            except NonDescentDirection:
+                return
+            finally:
+                timings["line_search"] += time.perf_counter() - t1
+            if tau != 1.0:  # nothing reads the step again: scale it in place
+                for v in (step.dx, step.qdx, step.gdx, step.mdx):
+                    v.data *= tau
+            state.x.data += step.dx.data
+            state.lam.data += step.dlam.data
+            ev.gx.data += step.gdx.data
+            ev.qx.data += step.qdx.data
+            ev.mtl.data += step.mtdl.data
+            ev.r.data += step.mdx.data
             state.inner_iter += 1
 
     def solve(self, warm_start=None):
@@ -590,9 +664,51 @@ class Solver:
         report.blas_threads = threads
         return x, y, lam, report
 
+    def _outer_test(self, ev):
+        """The outer stopping test on the evaluation ``ev``: returns whether
+        it passes, the dual, equality and primal residuals, and the per-row
+        |Gx - proj(z)| that drives it and the penalty update."""
+        p, settings = self.problem, self.settings
+        qx, mtl, gty, gx = (v.data for v in (ev.qx, ev.mtl, ev.gty, ev.gx))
+        dual_vec = qx + p.lin.data
+        dual_vec += mtl
+        dual_vec += gty
+        dual_res = float(np.max(np.abs(dual_vec)))
+        eq_res = float(np.max(np.abs(ev.r.data)))
+        viol = np.maximum(np.maximum(p.bl.data - gx, gx - p.bu.data), 0.0)
+        primal_res = float(np.max(viol)) if viol.size else 0.0
+        # termination drives |Gx - proj(z)| per row: on violated rows this
+        # is the bound violation, on rows held by a positive multiplier it
+        # is the complementarity slack (y_plus is supported on proj(z)'s
+        # active faces, so passing this makes (x, y_plus) a KKT certificate)
+        comp = np.abs(gx - ev.proj)
+        primal_term = float(np.max(comp)) if comp.size else 0.0
+
+        # eps_rel scales each test by the largest term it is made of
+        if settings.eps_rel > 0.0:
+            bl, bu, b = p.bl.data, p.bu.data, self._b.data
+            dscale = max(
+                float(np.max(np.abs(v), initial=0.0)) for v in (qx, p.lin.data, mtl, gty)
+            )
+            pscale = float(np.max(np.abs(np.concatenate(
+                (gx, bl[np.isfinite(bl)], bu[np.isfinite(bu)])
+            )), initial=0.0))
+            escale = max(float(np.max(np.abs(ev.r.data + b))), float(np.max(np.abs(b))))
+        else:
+            dscale = pscale = escale = 0.0
+        passed = (
+            dual_res <= settings.eps_abs + settings.eps_rel * dscale
+            and primal_term <= settings.eps_abs + settings.eps_rel * pscale
+            and eq_res <= settings.eps_abs + settings.eps_rel * escale
+        )
+        return passed, dual_res, eq_res, primal_res, comp
+
     def _solve(self, warm_start):
         p, settings = self.problem, self.settings
-        state = self._init_state(warm_start)
+        # the vectors of every iteration, allocated once per solve; freed
+        # between solves, they add nothing to a pool of idle solvers
+        ev, step = Evaluation.zeros(p), Step.zeros(p)
+        state = self._init_state(warm_start, ev)
         timings = {k: 0.0 for k in PHASES}
         counts = dict.fromkeys(
             ("factorizations", "full_factorizations", "stages_factored", "psi_blocks_factored"), 0
@@ -608,45 +724,20 @@ class Solver:
             state.outer_iter = k + 1
             np.copyto(state.x_center.data, state.x.data)
             try:
-                ev = self._inner_solve(state, inner_tol, timings, log, counts)
+                self._inner_solve(state, ev, step, inner_tol, timings, log, counts)
             except _PivotEscalationFailed:
                 status = NUMERICAL_ERROR
                 break
 
-            qx, mtl, gty, gx, mx = (v.data for v in (ev.qx, ev.mtl, ev.gty, ev.gx, ev.mx))
-            dual_vec = qx + p.lin.data
-            dual_vec += mtl
-            dual_vec += gty
-            dual_res = float(np.max(np.abs(dual_vec)))
-            eq_res = float(np.max(np.abs(ev.r.data)))
-            viol = np.maximum(np.maximum(p.bl.data - gx, gx - p.bu.data), 0.0)
-            primal_res = float(np.max(viol)) if viol.size else 0.0
-            # termination drives |Gx - proj(z)| per row: on violated rows this
-            # is the bound violation, on rows held by a positive multiplier it
-            # is the complementarity slack (y_plus is supported on proj(z)'s
-            # active faces, so passing this makes (x, y_plus) a KKT certificate)
-            comp = np.abs(gx - ev.proj)
-            primal_term = float(np.max(comp)) if comp.size else 0.0
-
-            # eps_rel scales each test by the largest term it is made of
-            if settings.eps_rel > 0.0:
-                bl, bu = p.bl.data, p.bu.data
-                dscale = max(
-                    float(np.max(np.abs(v), initial=0.0)) for v in (qx, p.lin.data, mtl, gty)
-                )
-                pscale = float(np.max(np.abs(np.concatenate(
-                    (gx, bl[np.isfinite(bl)], bu[np.isfinite(bu)])
-                )), initial=0.0))
-                escale = max(float(np.max(np.abs(mx))), float(np.max(np.abs(self._b.data))))
-            else:
-                dscale = pscale = escale = 0.0
-
-            state.y = ev.y_plus
-            if (
-                dual_res <= settings.eps_abs + settings.eps_rel * dscale
-                and primal_term <= settings.eps_abs + settings.eps_rel * pscale
-                and eq_res <= settings.eps_abs + settings.eps_rel * escale
-            ):
+            passed, dual_res, eq_res, primal_res, comp = self._outer_test(ev)
+            if passed:
+                # carried products drift by rounding: only a fresh
+                # evaluation of the iterate may end the solve, and the solve
+                # goes on from it when it fails the test
+                eval_grad_phi(p, state, eval_products(p, state, self._b, ev))
+                passed, dual_res, eq_res, primal_res, comp = self._outer_test(ev)
+            np.copyto(state.y.data, ev.y_plus.data)
+            if passed:
                 status = SOLVED
                 break
 

@@ -21,7 +21,10 @@ from .model import load_problem
 
 
 def parse_range(spec):
-    """'10..70:10' -> arithmetic sweep, '15..240:x2' -> geometric, '30' -> [30]."""
+    """'10..70:10' -> arithmetic sweep, '15..240:x2' -> geometric, '30' -> [30].
+
+    A geometric sweep must grow: a factor below 2 or a start below 1 raises
+    ValueError."""
     spec = str(spec)
     if ".." not in spec:
         return [int(v) for v in spec.split(",")]
@@ -33,6 +36,10 @@ def parse_range(spec):
     out = []
     if step.startswith("x"):
         factor = int(step[1:])
+        if factor < 2 or lo < 1:
+            raise ValueError(
+                f"geometric sweep {spec!r} cannot grow: needs a factor >= 2 and a start >= 1"
+            )
         v = lo
         while v <= hi:
             out.append(v)

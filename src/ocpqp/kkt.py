@@ -27,6 +27,8 @@ and works in place on it: ``assemble_H(f, weights, sigma_x_inv, stages)``,
 ``factor_stages(f, pool, stages)``, ``factor_psi(f, stages)``,
 ``solve_H(f, rhs)`` and ``solve_newton(f, g, r)``, where g = M^T lam +
 grad phi and r = Mx - b are the residuals at the current iterate.  The
+solves write into given buffers (``out=``), so a caller that keeps its
+step vectors allocates none per step.  The
 active penalties ``weights`` are a one-column CompactBatch, as
 :func:`weights_from_shifted` returns them, the proximal weight
 ``sigma_x_inv`` is a float, and ``stages`` is a sorted stage index array.
@@ -145,7 +147,9 @@ class StageFactorization:
     the block order (stage j at block position N - j), in LAPACK band
     storage; ``band_diag[j]`` and ``band_sub[j]`` are reversed views of its
     blocks, indexed by stage: the diagonal block of stage j and the block
-    L(N - j, N - j - 1) that couples stage j to stage j + 1.
+    L(N - j, N - j - 1) that couples stage j to stage j + 1.  ``psi_rhs``
+    is the one-column scratch that :func:`psi_solve` solves in, in the
+    band's block order.
 
     ``factored_sigma`` and ``factored_prox`` record the active penalties
     (a copy of the weights' stack) and the proximal weight of the last
@@ -166,6 +170,7 @@ class StageFactorization:
     psi_band: np.ndarray
     band_diag: np.ndarray
     band_sub: np.ndarray
+    psi_rhs: np.ndarray
     factored_sigma: np.ndarray
     factored_prox: float | None = None
 
@@ -194,6 +199,7 @@ class StageFactorization:
             psi_band=band,
             band_diag=_band_blocks(band, 0, ns)[::-1],
             band_sub=_band_blocks(band, n_x, d.N)[::-1],
+            psi_rhs=np.zeros((ns * n_x, 1)),
             factored_sigma=np.zeros((ns, d.n_y_pad, 1)),
         )
 
@@ -370,11 +376,13 @@ def factor_psi(f, stages):
     return f
 
 
-def solve_H(f, rhs):
+def solve_H(f, rhs, out=None):
     """Per-stage solve H_j z_j = rhs_j with the stored inverse factors:
     z = L^{-T} (L^{-1} rhs), two batched matmuls over every stage (a row
-    scaling on the diagonal path)."""
-    out = rhs.zeros_like()
+    scaling on the diagonal path).  The result goes into ``out`` when given,
+    which may be ``rhs`` itself."""
+    if out is None:
+        out = rhs.zeros_like()
     if f.variant == "diagonal":
         np.divide(rhs.data, f.h_diag.data, out=out.data)
     else:
@@ -382,27 +390,39 @@ def solve_H(f, rhs):
     return out
 
 
-def psi_solve(f, rhs_stack):
+def psi_solve(f, rhs_stack, out=None):
     """Solve Psi x = rhs for the (N + 1, n_x) stack with the banded factor:
-    forward and back substitution in one dpbtrs call, on the blocks in the
-    band's reversed order."""
-    x, _ = _pbtrs(f.psi_band, rhs_stack[::-1].reshape(-1, 1), lower=1)
-    return x.reshape(rhs_stack.shape)[::-1]
+    forward and back substitution in one dpbtrs call, in place on the
+    scratch ``f.psi_rhs``, which holds the blocks in the band's reversed
+    order.  The result goes into ``out`` when given, which may be
+    ``rhs_stack`` itself."""
+    np.copyto(f.psi_rhs.reshape(rhs_stack.shape), rhs_stack[::-1])
+    x, _ = _pbtrs(f.psi_band, f.psi_rhs, lower=1, overwrite_b=1)
+    x = x.reshape(rhs_stack.shape)[::-1]
+    if out is None:
+        return x.copy()
+    np.copyto(out, x)
+    return out
 
 
-def solve_newton(f, g, r):
+def solve_newton(f, g, r, out=None):
     """Three-step structured solve of the Newton system for the residuals
     ``g`` (stationarity, M' lam + grad phi) and ``r`` (Mx - b): v = H^{-1} g,
     dlam from Psi dlam = r - M v, dx = -H^{-1} (g + M' dlam).  Returns the
-    step (dx, dlam) as compact vectors.
+    step (dx, dlam) and M' dlam, which the last step forms, as compact
+    vectors; they are written into ``out`` = (dx, dlam, mtdl) when given,
+    and v and M v are formed in the buffers of dx and dlam.
     """
     problem = f.problem
-    v = solve_H(f, g)
-    mv = model.mul_M(problem, v)
-    dlam = r.zeros_like()
-    dlam.stack[:, :, 0] = psi_solve(f, r.stack[:, :, 0] - mv.stack[:, :, 0])
-    rhs = model.mul_MT(problem, dlam)
-    rhs.data += g.data
-    dx = solve_H(f, rhs)
+    if out is None:
+        out = (g.zeros_like(), r.zeros_like(), g.zeros_like())
+    dx, dlam, mtdl = out
+    v = solve_H(f, g, out=dx)
+    mv = model.mul_M(problem, v, out=dlam)
+    np.subtract(r.data, mv.data, out=dlam.data)
+    psi_solve(f, dlam.stack[:, :, 0], out=dlam.stack[:, :, 0])
+    model.mul_MT(problem, dlam, out=mtdl)
+    np.add(mtdl.data, g.data, out=dx.data)
+    solve_H(f, dx, out=dx)
     dx.data *= -1.0
-    return dx, dlam
+    return out

@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ocpqp import alm, kkt, model, oracles
 from ocpqp.alm import (
@@ -11,6 +13,7 @@ from ocpqp.alm import (
     Solver,
     eval_grad_phi,
     eval_phi,
+    eval_products,
     exact_line_search,
     solve,
 )
@@ -39,10 +42,20 @@ def make_state(problem, x_flat=None, y_flat=None, sigma=1.0, prox=0.0):
 
 def evaluate(problem, state, x=None):
     """The solver's evaluation at ``x`` (state.x when None) for the weights
-    and center in ``state``."""
+    and center in ``state``, from fresh products."""
     if x is not None:
         state = replace(state, x=x)
-    return eval_grad_phi(problem, state, problem.b_dualeq())
+    ev = alm.Evaluation.zeros(problem)
+    return eval_grad_phi(problem, state, eval_products(problem, state, problem.b_dualeq(), ev))
+
+
+def line_search(problem, state, dx):
+    """The exact line search along ``dx`` from a fresh evaluation at
+    state.x, with the step's products formed here."""
+    return exact_line_search(
+        problem, state, evaluate(problem, state), dx,
+        model.mul_Q(problem, dx), model.mul_G(problem, dx),
+    )
 
 
 def scalar_instance():
@@ -148,7 +161,7 @@ class TestExactLineSearch:
         p = scalar_instance()
         state = make_state(p, x_flat=np.array([0.0, 2.0, 0.0]))
         dx = p.primal_from_flat(np.array([0.0, -2.0, 0.0]))
-        tau = exact_line_search(p, state, evaluate(p, state), dx)
+        tau = line_search(p, state, dx)
         assert tau == pytest.approx(1.0, abs=1e-14)
 
     def test_newton_step_on_smooth_quadratic(self):
@@ -161,7 +174,7 @@ class TestExactLineSearch:
         xf = p.primal_to_flat(state.x)
         g = p.primal_to_flat(evaluate(p, state).grad)
         dxf, _ = oracles.dense_newton_solve(H, dq.M, g, np.zeros(p.dims.p))
-        tau = exact_line_search(p, state, evaluate(p, state), p.primal_from_flat(dxf))
+        tau = line_search(p, state, p.primal_from_flat(dxf))
         assert tau == pytest.approx(1.0, rel=1e-10)
 
     def test_nondescent_raises(self):
@@ -169,7 +182,7 @@ class TestExactLineSearch:
         state = make_state(p, x_flat=np.array([0.0, 2.0, 0.0]))
         dx = p.primal_from_flat(np.array([0.0, +2.0, 0.0]))  # uphill
         with pytest.raises(NonDescentDirection):
-            exact_line_search(p, state, evaluate(p, state), dx)
+            line_search(p, state, dx)
 
     @pytest.mark.parametrize("n_y,n_yN", ((2, 1),) + PADDED_EVERY_STAGE)
     def test_sign_change_at_minimizer(self, n_y, n_yN):
@@ -191,7 +204,7 @@ class TestExactLineSearch:
             if g0 @ dxf >= 0:
                 dxf = -dxf
                 dx = p.primal_from_flat(dxf)
-            tau = exact_line_search(p, state, evaluate(p, state), dx)
+            tau = line_search(p, state, dx)
             xf = p.primal_to_flat(state.x)
 
             def dphi(t):
@@ -201,6 +214,70 @@ class TestExactLineSearch:
             scale = abs(dphi(0.0)) + 1.0
             assert dphi(max(tau - 1e-9 * (1 + tau), 0.0)) <= 1e-7 * scale
             assert dphi(tau + 1e-9 * (1 + tau)) >= -1e-7 * scale
+
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        rows=st.sampled_from(((6, 3), (3, 6), (0, 3), (5, 0))),
+        unbounded=st.sampled_from((False, False, False, True)),
+        target=st.floats(0.02, 50.0),
+    )
+    def test_pruned_matches_full_sort(self, seed, rows, unbounded, target):
+        # the direction is scaled so that the minimizer lies at about
+        # ``target``: below the unit step, above it, or (all bounds
+        # infinite) with no breakpoint at all
+        rng = np.random.default_rng(seed)
+        p = random_problem(rng, N=6, n_x=2, n_u=2, n_y=rows[0], n_yN=rows[1],
+                           infinite=unbounded)
+        state = make_state(
+            p, x_flat=3.0 * rng.standard_normal(p.dims.n),
+            y_flat=rng.standard_normal(p.dims.m), sigma=float(rng.uniform(0.5, 5.0)),
+            prox=1e-4,
+        )
+        state.x_center = p.primal_from_flat(rng.standard_normal(p.dims.n))
+        ev = evaluate(p, state)
+        dx = p.primal_from_flat(rng.standard_normal(p.dims.n))
+        if dx.data @ ev.grad.data >= 0.0:
+            dx.data *= -1.0
+        dx.data *= full_sort_line_search(p, state, ev, dx) / target
+        want = full_sort_line_search(p, state, ev, dx)
+        got = line_search(p, state, dx)
+        assert abs(got - want) <= 1e-12 * abs(want)
+
+
+def full_sort_line_search(problem, state, ev, dx):
+    """The line search as it was before the breakpoints were pruned: every
+    breakpoint sorted and scanned, the reference of the pruned search."""
+    dxd = dx.data
+    c0 = float(dxd @ ev.grad.data)
+    eta = float(dxd @ model.mul_Q(problem, dx).data + dxd @ (state.sigma_x_inv * dxd))
+    delta = model.mul_G(problem, dx).data
+    z0, blf, buf, sig = ev.z.data, problem.bl.data, problem.bu.data, state.sigma_y.data
+    above = (z0 > buf) | ((z0 == buf) & (delta > 0.0))
+    below = (z0 < blf) | ((z0 == blf) & (delta < 0.0))
+    curv = sig * delta * delta
+    s0 = eta + float(np.sum(curv[above | below]))
+    taus, d_s, d_c = [], [], []
+    for i in range(delta.size):
+        if delta[i] > 0.0:
+            events = [(buf[i], +1.0)] if np.isfinite(buf[i]) and z0[i] < buf[i] else []
+            events += [(blf[i], -1.0)] if z0[i] < blf[i] else []
+        elif delta[i] < 0.0:
+            events = [(blf[i], +1.0)] if np.isfinite(blf[i]) and z0[i] > blf[i] else []
+            events += [(buf[i], -1.0)] if z0[i] > buf[i] else []
+        else:
+            events = []
+        for bound, sign in events:
+            taus.append((bound - z0[i]) / delta[i])
+            d_s.append(sign * curv[i])
+            d_c.append(sign * sig[i] * delta[i] * (z0[i] - bound))
+    c, s = c0, s0
+    for k in np.argsort(taus, kind="stable"):
+        if c + s * taus[k] >= 0.0:
+            break
+        c, s = c + d_c[k], s + d_s[k]
+    return -c / s
 
 
 class TestInnerLoop:
@@ -234,11 +311,16 @@ class TestInnerLoop:
                 assert recs[0].inner_iter > 1
 
     def test_products_per_iterate(self, monkeypatch):
-        # each pass of the inner loop evaluates its iterate once (G' y+, M' lam
-        # and Mx among the products), an inner solve of k steps makes k + 1
-        # passes, and each Newton step adds one M and one M' product
+        # the products of the iterate (Q, G, M' lam, M) are formed from
+        # scratch twice per solve: at the start, where the initial penalty
+        # reads Qx and Gx, and where the outer test passes on carried
+        # values.  Each pass of the inner loop forms G' y+ (an inner solve of
+        # k steps makes k + 1 passes, and the fresh evaluation one more);
+        # each Newton step forms M v and M' dlam in the solve and its own
+        # Q dx, G dx and M dx
+        names = ("mul_Q", "mul_G", "mul_GT", "mul_MT", "mul_M")
         calls = collections.Counter()
-        for name in ("mul_GT", "mul_MT", "mul_M"):
+        for name in names:
             def counted(*args, _fn=getattr(model, name), _name=name, **kwargs):
                 calls[_name] += 1
                 return _fn(*args, **kwargs)
@@ -251,9 +333,106 @@ class TestInnerLoop:
                 calls.clear()
                 *warm, report = solver.solve(warm_start=warm)
                 assert report.solved and report.inner_iters > 0
-                passes = report.inner_iters + report.outer_iters
-                assert calls["mul_GT"] == passes
-                assert calls["mul_MT"] == calls["mul_M"] == passes + report.inner_iters
+                steps, passes = report.inner_iters, report.inner_iters + report.outer_iters
+                assert calls["mul_GT"] == passes + 1
+                assert calls["mul_Q"] == calls["mul_G"] == calls["mul_MT"] == 2 + steps
+                assert calls["mul_M"] == 2 + 2 * steps
+                assert sum(calls[n] for n in names) == 9 + 5 * steps + passes
+
+class TestCarriedProducts:
+    PROBLEMS = (
+        dict(masses=4, horizon=10, seed=0),
+        dict(masses=10, horizon=60, seed=3),
+        dict(masses=6, horizon=15, seed=1),
+    )
+
+    @pytest.mark.parametrize("cfg", PROBLEMS)
+    def test_carried_products_match_fresh(self, cfg, monkeypatch):
+        # where the outer test passes on carried values the iterate is
+        # evaluated from scratch: there the carried Gx, Qx, M' lam and
+        # r = Mx - b, moved along every step of the solve, agree with the
+        # fresh products
+        p = gen_spring_mass(SpringMassConfig(**cfg))
+        b = p.b_dualeq()
+        original = alm.eval_products
+        compared = []
+
+        def checked(problem, state, rhs, ev):
+            if state.inner_iter == 0:  # the solve's first evaluation
+                return original(problem, state, rhs, ev)
+            carried = [v.data.copy() for v in (ev.gx, ev.qx, ev.mtl, ev.r)]
+            original(problem, state, rhs, ev)
+            for name, old, new in zip(("gx", "qx", "mtl", "r"), carried,
+                                      (ev.gx, ev.qx, ev.mtl, ev.r)):
+                scale = 1.0 + np.max(np.abs(b.data if name == "r" else new.data))
+                err = float(np.max(np.abs(old - new.data), initial=0.0))
+                assert err <= 1e-12 * scale, (name, err, scale)
+            compared.append(state.inner_iter)
+            return ev
+
+        monkeypatch.setattr(alm, "eval_products", checked)
+        x, y, lam, report = solve(p, SolverSettings())
+        assert report.solved and report.inner_iters >= 5
+        assert compared and compared[-1] == report.inner_iters
+
+    @pytest.mark.parametrize("cfg", PROBLEMS)
+    def test_report_residuals_from_scratch(self, cfg):
+        # the reported residuals are those of a fresh evaluation at the
+        # returned (x, y, lam), formed in the same order, bit for bit
+        p = gen_spring_mass(SpringMassConfig(**cfg))
+        with Solver(p, SolverSettings()) as solver:
+            for warm in (None, "warm"):
+                x, y, lam, report = solver.solve(warm_start=warm and (x, y, lam))
+                assert report.solved
+                assert (report.dual_res, report.eq_res, report.primal_res) == \
+                    from_scratch_residuals(p, x, y, lam)
+
+    def test_carried_pass_alone_never_ends_a_solve(self, monkeypatch):
+        # an outer test that passes every carried evaluation: each outer
+        # iteration then evaluates from scratch, and only the fresh test
+        # decides, so the solve ends solved and inside the tolerance
+        p = gen_spring_mass(SpringMassConfig(masses=6, horizon=15, seed=1))
+        original = Solver._outer_test
+        calls = []
+
+        def lenient(self, ev):
+            calls.append(len(calls))
+            result = original(self, ev)
+            return (True,) + result[1:] if len(calls) % 2 else result
+
+        monkeypatch.setattr(Solver, "_outer_test", lenient)
+        x, y, lam, report = solve(p, SolverSettings())
+        assert report.solved and len(calls) == 2 * report.outer_iters
+        assert max(report.dual_res, report.eq_res, report.primal_res) <= 1e-8
+        assert max(oracles.kkt_residuals(p, x, y, lam)) <= 1e-8
+
+    def test_initial_penalty_reads_the_first_evaluation(self):
+        # the same penalty, bit for bit, as from products formed for it
+        rng = np.random.default_rng(14)
+        p = gen_spring_mass(SpringMassConfig(masses=5, horizon=12, seed=2))
+        for x_flat in (None, rng.standard_normal(p.dims.n)):
+            state = make_state(p, x_flat=x_flat)
+            x = state.x
+            cost = abs(0.5 * float(x.data @ model.mul_Q(p, x).data) + float(x.data @ p.lin.data))
+            gx = model.mul_G(p, x).data
+            want = float(np.clip(20.0 * max(1.0, cost) / max(1.0, 0.5 * float(gx @ gx)),
+                                 1e-4, 1e4))
+            ev = eval_products(p, state, p.b_dualeq(), alm.Evaluation.zeros(p))
+            assert alm.initial_penalty(p, x, ev) == want
+
+
+def from_scratch_residuals(problem, x, y, lam):
+    """Dual, equality and primal residuals at flat (x, y, lam) from fresh
+    products, summed in the order the solver sums them."""
+    p = problem
+    xs, ys, ls = p.primal_from_flat(x), p.dualineq_from_flat(y), p.dualeq_from_flat(lam)
+    dual = model.mul_Q(p, xs).data + p.lin.data
+    dual += model.mul_MT(p, ls).data
+    dual += model.mul_GT(p, ys).data
+    eq = model.mul_M(p, xs).data - p.b_dualeq().data
+    gx = model.mul_G(p, xs).data
+    viol = np.maximum(np.maximum(p.bl.data - gx, gx - p.bu.data), 0.0)
+    return float(np.max(np.abs(dual))), float(np.max(np.abs(eq))), float(np.max(viol))
 
 
 class TestSolve:

@@ -23,6 +23,11 @@ class TestParsing:
         assert parse_range("30") == [30]
         assert parse_range("1,4,8") == [1, 4, 8]
 
+    @pytest.mark.parametrize("spec", ("0..8:x2", "15..240:x1", "15..240:x0", "-4..8:x2"))
+    def test_geometric_sweep_that_cannot_grow_raises(self, spec):
+        with pytest.raises(ValueError, match="cannot grow"):
+            parse_range(spec)
+
 
 class TestSolveCommand:
     def test_solve_writes_report(self, spring_file, tmp_path):

@@ -594,6 +594,12 @@ class TestBandedPsi:
             got = kkt.psi_solve(work, rhs)
             assert got.shape == rhs.shape
             assert np.max(np.abs(got.ravel() - want)) <= 1e-11 * np.max(np.abs(want))
+            # into a given buffer, and in place over the right-hand side
+            out = np.empty_like(rhs)
+            assert kkt.psi_solve(work, rhs, out=out) is out
+            assert np.array_equal(out, got)
+            assert kkt.psi_solve(work, rhs, out=rhs) is rhs
+            assert np.array_equal(rhs, got)
 
 
 class TestSolveNewton:
@@ -603,7 +609,7 @@ class TestSolveNewton:
         w = make_weights(p, np.zeros(p.dims.n))
         work = factor_all(p, w, 1e-3)
         factor_psi(work, every_stage(work))
-        dx, dlam = solve_newton(work, p.primal_zeros(), p.dualeq_zeros())
+        dx, dlam, _ = solve_newton(work, p.primal_zeros(), p.dualeq_zeros())
         assert np.all(dx.data == 0.0)
         assert np.all(dlam.data == 0.0)
 
@@ -620,9 +626,30 @@ class TestSolveNewton:
         g = rng.standard_normal(3)
         r = rng.standard_normal(2)
         dx_d, dl_d = oracles.dense_newton_solve(Hd, dq.M, g, r)
-        dx, dlam = solve_newton(work, p.primal_from_flat(g), p.dualeq_from_flat(r))
+        dx, dlam, _ = solve_newton(work, p.primal_from_flat(g), p.dualeq_from_flat(r))
         assert np.allclose(p.primal_to_flat(dx), dx_d, atol=1e-12)
         assert np.allclose(p.dualeq_to_flat(dlam), dl_d, atol=1e-12)
+
+    @pytest.mark.parametrize("variant", ("dense", "diagonal"))
+    def test_out_buffers_and_mtdl(self, variant):
+        # the step written into given buffers, whatever they held, is the
+        # allocated one, bit for bit, and the third vector is M' dlam
+        rng = np.random.default_rng(62)
+        p = diagonal_problem(rng, N=5)
+        w = make_weights(p, rng.standard_normal(p.dims.n), sigma=1.5)
+        work = factor_all(p, w, 1e-3, variant=variant)
+        factor_psi(work, every_stage(work))
+        g = p.primal_from_flat(rng.standard_normal(p.dims.n))
+        r = p.dualeq_from_flat(rng.standard_normal(p.dims.p))
+        want = solve_newton(work, g, r)
+        out = (p.primal_zeros(), p.dualeq_zeros(), p.primal_zeros())
+        for v in out:
+            v.data[:] = np.nan
+        got = solve_newton(work, g, r, out=out)
+        assert all(a is b for a, b in zip(got, out))
+        for a, b in zip(want, got):
+            assert np.array_equal(a.data, b.data)
+        assert np.array_equal(got[2].data, model.mul_MT(p, got[1]).data)
 
     @pytest.mark.parametrize("seed", (70, 71))
     def test_kkt_residual_random(self, seed):
@@ -639,7 +666,7 @@ class TestSolveNewton:
             g = rng.standard_normal(p.dims.n)
             lam = rng.standard_normal(p.dims.p)
             r = rng.standard_normal(p.dims.p)
-            dx, dlam = solve_newton(
+            dx, dlam, _ = solve_newton(
                 work, p.primal_from_flat(g + dq.M.T @ lam), p.dualeq_from_flat(r)
             )
             dxf, dlf = p.primal_to_flat(dx), p.dualeq_to_flat(dlam)
@@ -682,7 +709,7 @@ class TestExplicitInverse:
             g = rng.standard_normal(p.dims.n)
             lam = rng.standard_normal(p.dims.p)
             r = rng.standard_normal(p.dims.p)
-            dx, dlam = solve_newton(
+            dx, dlam, _ = solve_newton(
                 work, p.primal_from_flat(g + dq.M.T @ lam), p.dualeq_from_flat(r)
             )
             step = np.concatenate([p.primal_to_flat(dx), p.dualeq_to_flat(dlam)])
@@ -744,8 +771,8 @@ class TestDiagonalVariant:
         factor_psi(wdg, every_stage(wdg))
         g = rng.standard_normal(p.dims.n)
         r = rng.standard_normal(p.dims.p)
-        dx1, dl1 = solve_newton(wd, p.primal_from_flat(g), p.dualeq_from_flat(r))
-        dx2, dl2 = solve_newton(wdg, p.primal_from_flat(g), p.dualeq_from_flat(r))
+        dx1, dl1, _ = solve_newton(wd, p.primal_from_flat(g), p.dualeq_from_flat(r))
+        dx2, dl2, _ = solve_newton(wdg, p.primal_from_flat(g), p.dualeq_from_flat(r))
         f1, f2 = p.primal_to_flat(dx1), p.primal_to_flat(dx2)
         assert np.max(np.abs(f1 - f2)) < 1e-12 * (1 + np.max(np.abs(f1)))
         l1, l2 = p.dualeq_to_flat(dl1), p.dualeq_to_flat(dl2)

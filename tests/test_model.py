@@ -109,6 +109,31 @@ class TestValidate:
         assert any("bound crossing at stage 2, row 0" in s for s in rep.issues)
 
 
+    @pytest.mark.parametrize("value", (np.nan, np.inf, -np.inf))
+    @pytest.mark.parametrize("name", ("cost", "lin", "dyn", "affine", "con"))
+    def test_non_finite_entry_reported(self, name, value):
+        rng = np.random.default_rng(9)
+        p = random_problem(rng, N=3)
+        stack = getattr(p, name).stack
+        stack[1, -1, -1] = value
+        rep = validate(p)
+        assert f"non-finite entries in {name} data" in rep.issues
+
+    def test_huge_finite_entries_pass(self):
+        # their squares overflow, which alone reports nothing
+        rng = np.random.default_rng(11)
+        p = random_problem(rng, N=3)
+        p.lin.stack[1, 0, 0] = 1e200
+        p.con.stack[1, 0, 0] = -1e300
+        assert validate(p).ok
+
+    def test_no_inequality_rows_pass(self):
+        rng = np.random.default_rng(10)
+        p = random_problem(rng, N=3, n_y=0, n_yN=0)
+        assert p.con.data.size == 0
+        assert validate(p).ok
+
+
 class TestAccessorsAndPadding:
     def test_terminal_padding_layout(self):
         rng = np.random.default_rng(3)
