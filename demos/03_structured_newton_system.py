@@ -62,7 +62,8 @@ print(f"band factor L L^T vs dense M H^-1 M^T: max relative error {psi_err:.2e}"
 g = rng.standard_normal(dims.n)
 r_eq = rng.standard_normal(dims.p)
 dx, dlam, _ = kkt.solve_newton(
-    work, problem.primal_from_flat(g), problem.dualeq_from_flat(r_eq)
+    work, problem.primal_from_flat(g), problem.dualeq_from_flat(r_eq),
+    out=(problem.primal_zeros(), problem.dualeq_zeros(), problem.primal_zeros()),
 )
 dx_dense, dlam_dense = oracles.dense_newton_solve(H_dense, dense.M, g, r_eq)
 dx_err = np.max(np.abs(problem.primal_to_flat(dx) - dx_dense)) / np.max(np.abs(dx_dense))

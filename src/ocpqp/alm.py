@@ -28,8 +28,10 @@ inner stopping test, the Newton step, the line search and the outer update
 all read the evaluation.  Termination is decided on fresh products only:
 when the outer test passes on carried values, the iterate is evaluated from
 scratch and tested again, and the solve continues from that evaluation when
-it fails.  The solver owns the evaluation and the step's vectors, and every
-product and solve of an iteration writes into them.
+it fails.  The last outer iteration is evaluated from scratch as well, so a
+``max_iter`` report and its y also come from fresh products.  The solver
+owns the evaluation and the step's vectors, and every product and solve of
+an iteration writes into them.
 """
 
 from __future__ import annotations
@@ -730,10 +732,11 @@ class Solver:
                 break
 
             passed, dual_res, eq_res, primal_res, comp = self._outer_test(ev)
-            if passed:
+            if passed or k == settings.max_outer - 1:
                 # carried products drift by rounding: only a fresh
-                # evaluation of the iterate may end the solve, and the solve
-                # goes on from it when it fails the test
+                # evaluation of the iterate may end the solve or give the
+                # residuals and y of a max_iter report, and the solve goes
+                # on from it when it fails the test
                 eval_grad_phi(p, state, eval_products(p, state, self._b, ev))
                 passed, dual_res, eq_res, primal_res, comp = self._outer_test(ev)
             np.copyto(state.y.data, ev.y_plus.data)

@@ -25,10 +25,10 @@ change stays valid.
 Every step takes the workspace, a :class:`StageFactorization` ``f``, first
 and works in place on it: ``assemble_H(f, weights, sigma_x_inv, stages)``,
 ``factor_stages(f, pool, stages)``, ``factor_psi(f, stages)``,
-``solve_H(f, rhs)`` and ``solve_newton(f, g, r)``, where g = M^T lam +
-grad phi and r = Mx - b are the residuals at the current iterate.  The
-solves write into given buffers (``out=``), so a caller that keeps its
-step vectors allocates none per step.  The
+``solve_H(f, rhs, out)`` and ``solve_newton(f, g, r, out)``, where
+g = M^T lam + grad phi and r = Mx - b are the residuals at the current
+iterate.  The solves write into the caller's buffers ``out``, so a caller
+that keeps its step vectors allocates none per step.  The
 active penalties ``weights`` are a one-column CompactBatch, as
 :func:`weights_from_shifted` returns them, the proximal weight
 ``sigma_x_inv`` is a float, and ``stages`` is a sorted stage index array.
@@ -376,13 +376,11 @@ def factor_psi(f, stages):
     return f
 
 
-def solve_H(f, rhs, out=None):
+def solve_H(f, rhs, out):
     """Per-stage solve H_j z_j = rhs_j with the stored inverse factors:
     z = L^{-T} (L^{-1} rhs), two batched matmuls over every stage (a row
-    scaling on the diagonal path).  The result goes into ``out`` when given,
-    which may be ``rhs`` itself."""
-    if out is None:
-        out = rhs.zeros_like()
+    scaling on the diagonal path), into ``out``, which may be ``rhs``
+    itself.  Returns ``out``."""
     if f.variant == "diagonal":
         np.divide(rhs.data, f.h_diag.data, out=out.data)
     else:
@@ -390,32 +388,27 @@ def solve_H(f, rhs, out=None):
     return out
 
 
-def psi_solve(f, rhs_stack, out=None):
+def psi_solve(f, rhs_stack, out):
     """Solve Psi x = rhs for the (N + 1, n_x) stack with the banded factor:
     forward and back substitution in one dpbtrs call, in place on the
     scratch ``f.psi_rhs``, which holds the blocks in the band's reversed
-    order.  The result goes into ``out`` when given, which may be
-    ``rhs_stack`` itself."""
+    order.  The result goes into ``out``, which may be ``rhs_stack``
+    itself.  Returns ``out``."""
     np.copyto(f.psi_rhs.reshape(rhs_stack.shape), rhs_stack[::-1])
     x, _ = _pbtrs(f.psi_band, f.psi_rhs, lower=1, overwrite_b=1)
-    x = x.reshape(rhs_stack.shape)[::-1]
-    if out is None:
-        return x.copy()
-    np.copyto(out, x)
+    np.copyto(out, x.reshape(rhs_stack.shape)[::-1])
     return out
 
 
-def solve_newton(f, g, r, out=None):
+def solve_newton(f, g, r, out):
     """Three-step structured solve of the Newton system for the residuals
     ``g`` (stationarity, M' lam + grad phi) and ``r`` (Mx - b): v = H^{-1} g,
-    dlam from Psi dlam = r - M v, dx = -H^{-1} (g + M' dlam).  Returns the
-    step (dx, dlam) and M' dlam, which the last step forms, as compact
-    vectors; they are written into ``out`` = (dx, dlam, mtdl) when given,
-    and v and M v are formed in the buffers of dx and dlam.
+    dlam from Psi dlam = r - M v, dx = -H^{-1} (g + M' dlam).  The step
+    (dx, dlam) and M' dlam, which the last step forms, are written into the
+    compact vectors ``out`` = (dx, dlam, mtdl), which it returns; v and M v
+    are formed in the buffers of dx and dlam.
     """
     problem = f.problem
-    if out is None:
-        out = (g.zeros_like(), r.zeros_like(), g.zeros_like())
     dx, dlam, mtdl = out
     v = solve_H(f, g, out=dx)
     mv = model.mul_M(problem, v, out=dlam)

@@ -385,15 +385,9 @@ def validate(problem):
             row = int(np.argmax(crossing[j]))
             found.append((first + j, 4, f"bound crossing at stage {first + j}, row {row}"))
     issues = [message for _, _, message in sorted(found)]
-    # a finite sum of squares rules out NaN and +-inf in one reduction with
-    # no boolean temporary (0 for the empty con of n_y = n_yN = 0); only a
-    # non-finite sum, which huge finite entries can also overflow to, is
-    # checked entry by entry
-    with np.errstate(over="ignore", invalid="ignore"):
-        for name in ("cost", "lin", "dyn", "affine", "con"):
-            data = getattr(problem, name).data
-            if not np.isfinite(data @ data) and not np.isfinite(data).all():
-                issues.append(f"non-finite entries in {name} data")
+    for name in ("cost", "lin", "dyn", "affine", "con"):
+        if not np.all(np.isfinite(getattr(problem, name).data)):
+            issues.append(f"non-finite entries in {name} data")
     if not np.all(np.isfinite(problem.x_init)):
         issues.append("non-finite x_init")
     return ValidationReport(not issues, issues)

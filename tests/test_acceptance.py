@@ -17,7 +17,7 @@ from ocpqp.bench import SpringMassConfig, gen_random_ocp, gen_spring_mass, loglo
 from ocpqp.compact import CompactBatch
 from ocpqp.model import OcpDims
 
-from test_kkt import band_factor, every_stage, reverse_blocks
+from test_kkt import band_factor, every_stage, newton_step, reverse_blocks
 
 EPS = 1e-8
 
@@ -157,7 +157,7 @@ class TestCriterion3:
             g = rng.standard_normal(problem.dims.n)
             lam = rng.standard_normal(problem.dims.p)
             r_eq = rng.standard_normal(problem.dims.p)
-            dx, dlam, _ = kkt.solve_newton(
+            dx, dlam, _ = newton_step(
                 work,
                 problem.primal_from_flat(g + dq.M.T @ lam),
                 problem.dualeq_from_flat(r_eq),
@@ -240,7 +240,7 @@ class TestCriterion4:
             kkt.assemble_H(work, weights, delta, every_stage(work))
             kkt.factor_stages(work, INLINE, every_stage(work))
             b = rng.standard_normal(dm.n)
-            zf = p.primal_to_flat(kkt.solve_H(work, p.primal_from_flat(b)))
+            zf = p.primal_to_flat(kkt.solve_H(work, p.primal_from_flat(b), out=p.primal_zeros()))
             Hd = dq.Q + dq.G.T @ np.diag(sig) @ dq.G + delta * np.eye(dm.n)
             res = np.max(np.abs(Hd @ zf - b))
             scale = np.linalg.norm(Hd, np.inf) * np.max(np.abs(zf)) + np.max(np.abs(b))
@@ -448,7 +448,7 @@ class TestCriterion7:
         r = p.dualeq_from_flat(rng.standard_normal(p.dims.p))
         dxs = {}
         for variant, w in works.items():
-            dx, dlam, _ = kkt.solve_newton(w, g, r)
+            dx, dlam, _ = newton_step(w, g, r)
             dxs[variant] = np.concatenate(
                 [p.primal_to_flat(dx), p.dualeq_to_flat(dlam)]
             )

@@ -346,14 +346,12 @@ class TestCarriedProducts:
         dict(masses=6, horizon=15, seed=1),
     )
 
-    @pytest.mark.parametrize("cfg", PROBLEMS)
-    def test_carried_products_match_fresh(self, cfg, monkeypatch):
-        # where the outer test passes on carried values the iterate is
-        # evaluated from scratch: there the carried Gx, Qx, M' lam and
-        # r = Mx - b, moved along every step of the solve, agree with the
-        # fresh products
-        p = gen_spring_mass(SpringMassConfig(**cfg))
-        b = p.b_dualeq()
+    @staticmethod
+    def compare_with_fresh(monkeypatch, b):
+        """Make every evaluation from scratch after the first of a solve
+        check the carried Gx, Qx, M' lam and r = Mx - b against the fresh
+        products first; returns the list that gathers the inner iteration
+        count and the largest penalty at each check."""
         original = alm.eval_products
         compared = []
 
@@ -367,13 +365,42 @@ class TestCarriedProducts:
                 scale = 1.0 + np.max(np.abs(b.data if name == "r" else new.data))
                 err = float(np.max(np.abs(old - new.data), initial=0.0))
                 assert err <= 1e-12 * scale, (name, err, scale)
-            compared.append(state.inner_iter)
+            compared.append((state.inner_iter, float(np.max(state.sigma_y.data))))
             return ev
 
         monkeypatch.setattr(alm, "eval_products", checked)
+        return compared
+
+    @pytest.mark.parametrize("cfg", PROBLEMS)
+    def test_carried_products_match_fresh(self, cfg, monkeypatch):
+        # where the outer test passes on carried values the iterate is
+        # evaluated from scratch: there the carried Gx, Qx, M' lam and
+        # r = Mx - b, moved along every step of the solve, agree with the
+        # fresh products
+        p = gen_spring_mass(SpringMassConfig(**cfg))
+        compared = self.compare_with_fresh(monkeypatch, p.b_dualeq())
         x, y, lam, report = solve(p, SolverSettings())
         assert report.solved and report.inner_iters >= 5
-        assert compared and compared[-1] == report.inner_iters
+        assert compared and compared[-1][0] == report.inner_iters
+
+    def test_carried_products_at_large_penalties(self, monkeypatch):
+        # warm-started at its own solution with initial_sigma=1e3, this
+        # random problem drives its penalties to 1e6 and beyond (the stall
+        # of ROADMAP item 8), where y+ = Sigma_y (z - proj z) magnifies any
+        # drift of Gx: the carried products still agree with fresh ones,
+        # and the report, whatever its status, is that of a fresh
+        # evaluation at the returned (x, y, lam)
+        p = gen_random_ocp(OcpDims(12, 5, 3, 4, 4), seed=1, feasibility_margin=0.3)
+        with Solver(p, SolverSettings(initial_sigma=1e3)) as solver:
+            x, y, lam, report = solver.solve()
+            assert report.solved
+            compared = self.compare_with_fresh(monkeypatch, p.b_dualeq())
+            x, y, lam, report = solver.solve(warm_start=(x, y, lam))
+        assert report.inner_iters >= 5
+        assert max(sigma for _, sigma in compared) >= 1e6
+        assert compared[-1][0] == report.inner_iters
+        assert (report.dual_res, report.eq_res, report.primal_res) == \
+            from_scratch_residuals(p, x, y, lam)
 
     @pytest.mark.parametrize("cfg", PROBLEMS)
     def test_report_residuals_from_scratch(self, cfg):

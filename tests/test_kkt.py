@@ -71,6 +71,11 @@ def factor_all(problem, weights, delta, variant="dense", workers=1):
     return work
 
 
+def newton_step(work, g, r):
+    """kkt.solve_newton into freshly allocated (dx, dlam, M' dlam)."""
+    return solve_newton(work, g, r, out=(g.zeros_like(), r.zeros_like(), g.zeros_like()))
+
+
 @pytest.mark.parametrize("workers", (0, -3, 2.5, np.nan, "2"))
 def test_worker_pool_rejects_bad_counts(workers):
     # the counts SolverSettings and OCPQP_WORKERS reject
@@ -356,10 +361,13 @@ class TestSolveH:
         w = make_weights(p, rng.standard_normal(p.dims.n), sigma=5.0)
         work = factor_all(p, w, 1e-3)
         rhs = p.primal_from_flat(rng.standard_normal(p.dims.n))
-        z = solve_H(work, rhs)
+        z = solve_H(work, rhs, out=rhs.zeros_like())
         for j in range(work.H.nstages):
             want = np.linalg.solve(work.H.stack[j].copy(), rhs.stack[j].copy())
             assert np.max(np.abs(z.stack[j].copy() - want)) <= 1e-12 * (1 + np.max(np.abs(want)))
+        # in place over the right-hand side, bit for bit
+        assert solve_H(work, rhs, out=rhs) is rhs
+        assert np.array_equal(rhs.data, z.data)
 
     def test_backward_error_wide_penalties(self):
         # penalties log-uniform over 13 decades: the stage solves stay
@@ -373,7 +381,7 @@ class TestSolveH:
         w = weights_from_shifted(p, sy, z)
         work = factor_all(p, w, 1e-3)
         b = p.primal_from_flat(rng.standard_normal(p.dims.n))
-        x = solve_H(work, b)
+        x = solve_H(work, b, out=b.zeros_like())
         for j in range(work.H.nstages):
             Hj, xj, bj = work.H.stack[j].copy(), x.stack[j].copy(), b.stack[j].copy()
             res = np.linalg.norm(Hj @ xj - bj)
@@ -387,9 +395,9 @@ class TestSolveH:
         p = random_problem(rng, N=6, n_x=3, n_u=2)
         work = factor_all(p, make_weights(p, rng.standard_normal(p.dims.n)), 1e-3)
         rhs = p.primal_from_flat(rng.standard_normal(p.dims.n))
-        z0 = solve_H(work, rhs)
+        z0 = solve_H(work, rhs, out=rhs.zeros_like())
         rhs.stack[3] += 1.0
-        z1 = solve_H(work, rhs)
+        z1 = solve_H(work, rhs, out=rhs.zeros_like())
         changed = [j for j in range(z0.nstages) if not np.array_equal(z0.stack[j], z1.stack[j])]
         assert changed == [3]
 
@@ -398,8 +406,8 @@ class TestSolveH:
         p = random_problem(rng, N=5, n_x=3, n_u=2)
         work = factor_all(p, make_weights(p, rng.standard_normal(p.dims.n)), 1e-3)
         rhs = p.primal_from_flat(rng.standard_normal(p.dims.n))
-        z0 = solve_H(work, rhs)
-        assert np.array_equal(solve_H(work, rhs).data, z0.data)
+        z0 = solve_H(work, rhs, out=rhs.zeros_like())
+        assert np.array_equal(solve_H(work, rhs, out=rhs.zeros_like()).data, z0.data)
 
 
 def dense_from_blocks(diag, sub):
@@ -591,13 +599,9 @@ class TestBandedPsi:
             dm = p.dims
             rhs = rng.standard_normal((dm.N + 1, dm.n_x))
             want = np.linalg.solve(dense_from_blocks(*psi_blocks(work)), rhs.ravel())
-            got = kkt.psi_solve(work, rhs)
-            assert got.shape == rhs.shape
+            got = kkt.psi_solve(work, rhs, out=np.empty_like(rhs))
             assert np.max(np.abs(got.ravel() - want)) <= 1e-11 * np.max(np.abs(want))
-            # into a given buffer, and in place over the right-hand side
-            out = np.empty_like(rhs)
-            assert kkt.psi_solve(work, rhs, out=out) is out
-            assert np.array_equal(out, got)
+            # in place over the right-hand side, bit for bit
             assert kkt.psi_solve(work, rhs, out=rhs) is rhs
             assert np.array_equal(rhs, got)
 
@@ -609,7 +613,7 @@ class TestSolveNewton:
         w = make_weights(p, np.zeros(p.dims.n))
         work = factor_all(p, w, 1e-3)
         factor_psi(work, every_stage(work))
-        dx, dlam, _ = solve_newton(work, p.primal_zeros(), p.dualeq_zeros())
+        dx, dlam, _ = newton_step(work, p.primal_zeros(), p.dualeq_zeros())
         assert np.all(dx.data == 0.0)
         assert np.all(dlam.data == 0.0)
 
@@ -626,14 +630,14 @@ class TestSolveNewton:
         g = rng.standard_normal(3)
         r = rng.standard_normal(2)
         dx_d, dl_d = oracles.dense_newton_solve(Hd, dq.M, g, r)
-        dx, dlam, _ = solve_newton(work, p.primal_from_flat(g), p.dualeq_from_flat(r))
+        dx, dlam, _ = newton_step(work, p.primal_from_flat(g), p.dualeq_from_flat(r))
         assert np.allclose(p.primal_to_flat(dx), dx_d, atol=1e-12)
         assert np.allclose(p.dualeq_to_flat(dlam), dl_d, atol=1e-12)
 
     @pytest.mark.parametrize("variant", ("dense", "diagonal"))
     def test_out_buffers_and_mtdl(self, variant):
-        # the step written into given buffers, whatever they held, is the
-        # allocated one, bit for bit, and the third vector is M' dlam
+        # the step written into buffers that held NaN is the one written
+        # into zeroed buffers, bit for bit, and the third vector is M' dlam
         rng = np.random.default_rng(62)
         p = diagonal_problem(rng, N=5)
         w = make_weights(p, rng.standard_normal(p.dims.n), sigma=1.5)
@@ -641,7 +645,7 @@ class TestSolveNewton:
         factor_psi(work, every_stage(work))
         g = p.primal_from_flat(rng.standard_normal(p.dims.n))
         r = p.dualeq_from_flat(rng.standard_normal(p.dims.p))
-        want = solve_newton(work, g, r)
+        want = newton_step(work, g, r)
         out = (p.primal_zeros(), p.dualeq_zeros(), p.primal_zeros())
         for v in out:
             v.data[:] = np.nan
@@ -666,7 +670,7 @@ class TestSolveNewton:
             g = rng.standard_normal(p.dims.n)
             lam = rng.standard_normal(p.dims.p)
             r = rng.standard_normal(p.dims.p)
-            dx, dlam, _ = solve_newton(
+            dx, dlam, _ = newton_step(
                 work, p.primal_from_flat(g + dq.M.T @ lam), p.dualeq_from_flat(r)
             )
             dxf, dlf = p.primal_to_flat(dx), p.dualeq_to_flat(dlam)
@@ -709,7 +713,7 @@ class TestExplicitInverse:
             g = rng.standard_normal(p.dims.n)
             lam = rng.standard_normal(p.dims.p)
             r = rng.standard_normal(p.dims.p)
-            dx, dlam, _ = solve_newton(
+            dx, dlam, _ = newton_step(
                 work, p.primal_from_flat(g + dq.M.T @ lam), p.dualeq_from_flat(r)
             )
             step = np.concatenate([p.primal_to_flat(dx), p.dualeq_to_flat(dlam)])
@@ -771,8 +775,8 @@ class TestDiagonalVariant:
         factor_psi(wdg, every_stage(wdg))
         g = rng.standard_normal(p.dims.n)
         r = rng.standard_normal(p.dims.p)
-        dx1, dl1, _ = solve_newton(wd, p.primal_from_flat(g), p.dualeq_from_flat(r))
-        dx2, dl2, _ = solve_newton(wdg, p.primal_from_flat(g), p.dualeq_from_flat(r))
+        dx1, dl1, _ = newton_step(wd, p.primal_from_flat(g), p.dualeq_from_flat(r))
+        dx2, dl2, _ = newton_step(wdg, p.primal_from_flat(g), p.dualeq_from_flat(r))
         f1, f2 = p.primal_to_flat(dx1), p.primal_to_flat(dx2)
         assert np.max(np.abs(f1 - f2)) < 1e-12 * (1 + np.max(np.abs(f1)))
         l1, l2 = p.dualeq_to_flat(dl1), p.dualeq_to_flat(dl2)
@@ -796,6 +800,6 @@ class TestDiagonalVariant:
         wd = factor_all(p, w, 1e-3, variant="dense")
         wdg = factor_all(p, w, 1e-3, variant="diagonal")
         rhs = p.primal_from_flat(rng.standard_normal(p.dims.n))
-        z1 = solve_H(wd, rhs)
-        z2 = solve_H(wdg, rhs)
+        z1 = solve_H(wd, rhs, out=rhs.zeros_like())
+        z2 = solve_H(wdg, rhs, out=rhs.zeros_like())
         assert np.max(np.abs(z1.data - z2.data)) < 1e-12 * (1 + np.max(np.abs(z1.data)))
