@@ -27,11 +27,12 @@ weights = kkt.weights_from_shifted(problem, sigma_y, z)
 sigma_x_inv = 1e-6  # the proximal term is sigma_x_inv times the identity
 
 # every step works in place on one workspace over a set of stages, here all
-# N + 1 of them; one worker runs inline
+# N + 1 of them: factor_stages assembles and factors each H_j and forms its
+# Psi contributions in one pass (one worker runs it inline), then
+# factor_psi factors Psi
 work = kkt.StageFactorization.allocate(problem)
 stages = np.arange(dims.N + 1)
-kkt.assemble_H(work, weights, sigma_x_inv, stages)
-kkt.factor_stages(work, kkt.WorkerPool(1), stages)
+kkt.factor_stages(work, kkt.WorkerPool(1), weights, sigma_x_inv, stages)
 kkt.factor_psi(work, stages)
 
 # dense mirror of the same quantities (weights is a one-column CompactBatch)

@@ -37,7 +37,6 @@ an iteration writes into them.
 from __future__ import annotations
 
 import ctypes
-import functools
 import numbers
 import os
 import threading
@@ -60,7 +59,7 @@ SOLVED = "solved"
 MAX_ITER = "max_iter"
 NUMERICAL_ERROR = "numerical_error"
 
-PHASES = ("assembly", "stage_factor", "psi_factor", "substitution", "line_search")
+PHASES = ("stage_factor", "psi_factor", "substitution", "line_search")
 
 
 class NonDescentDirection(Exception):
@@ -580,24 +579,23 @@ class Solver:
             # a failed attempt rewrites stages, whatever the recorded weight
             w.invalidate()
             counts["factorizations"] += 1
-            counts["full_factorizations"] += stages.size == w.H.nstages
+            counts["full_factorizations"] += stages.size == len(w.p_lm)
             counts["stages_factored"] += stages.size
             counts["psi_blocks_factored"] += kkt.psi_top(w, stages) + 1
             t0 = time.perf_counter()
-            self.pool.run(functools.partial(kkt.assemble_H, w, weights, state.sigma_x_inv), stages)
-            t1 = time.perf_counter()
-            timings["assembly"] += t1 - t0
             try:
-                kkt.factor_stages(w, self.pool, stages)
-                t2 = time.perf_counter()
-                timings["stage_factor"] += t2 - t1
+                kkt.factor_stages(w, self.pool, weights, state.sigma_x_inv, stages)
+                t1 = time.perf_counter()
                 kkt.factor_psi(w, stages)
-                timings["psi_factor"] += time.perf_counter() - t2
-                w.record(weights, state.sigma_x_inv)
-                return
             except NonPositivePivot:
-                timings["stage_factor"] += time.perf_counter() - t1
+                # the whole failed attempt is stage work
+                timings["stage_factor"] += time.perf_counter() - t0
                 state.sigma_x_inv *= 10.0
+                continue
+            timings["stage_factor"] += t1 - t0
+            timings["psi_factor"] += time.perf_counter() - t1
+            w.record(weights, state.sigma_x_inv)
+            return
         raise _PivotEscalationFailed()
 
     def _inner_solve(self, state, ev, step, inner_tol, timings, log, counts):

@@ -17,7 +17,7 @@ import numpy as np
 import scipy.linalg
 
 from . import oracles
-from .alm import Solver, SolverSettings
+from .alm import PHASES, Solver, SolverSettings
 from .model import OcpDims, OcpProblem
 
 
@@ -304,8 +304,7 @@ def run_benchmark(cases):
 CSV_COLUMNS = (
     "family", "label", "size", "variant", "workers", "seeds",
     "solved", "failed", "gmean_us", "min_us", "max_us",
-    "assembly_us", "stage_factor_us", "psi_factor_us",
-    "substitution_us", "line_search_us",
+    *(f"{phase}_us" for phase in PHASES),
     "outer_iters_mean", "inner_iters_mean", "max_kkt_residual",
 )
 
@@ -323,8 +322,7 @@ def write_csv(results, path):
                 case.workers, len(case.seeds),
                 len(res.times), len(res.failures),
                 f"{res.gmean * us:.1f}", f"{res.tmin * us:.1f}", f"{res.tmax * us:.1f}",
-                *(f"{res.phase_means.get(k, 0.0) * us:.1f}" for k in (
-                    "assembly", "stage_factor", "psi_factor", "substitution", "line_search")),
+                *(f"{res.phase_means.get(k, 0.0) * us:.1f}" for k in PHASES),
                 f"{np.mean(res.outer_iters):.2f}" if res.outer_iters else "nan",
                 f"{np.mean(res.inner_iters):.2f}" if res.inner_iters else "nan",
                 f"{res.max_residual:.3e}",
@@ -342,9 +340,3 @@ def write_gnuplot_script(csv_path, out_path):
             f"plot '{csv_path}' using 0:{CSV_COLUMNS.index('gmean_us') + 1} "
             "with linespoints title 'gmean'\n"
         )
-
-
-def loglog_slope(sizes, times):
-    """Least-squares slope of log(time) against log(size)."""
-    return float(np.polyfit(np.log(np.asarray(sizes, float)),
-                            np.log(np.asarray(times, float)), 1)[0])

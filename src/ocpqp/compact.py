@@ -86,9 +86,6 @@ class CompactBatch:
     def copy(self):
         return CompactBatch(self.rows, self.cols, self.nstages, self.data.copy())
 
-    def zeros_like(self):
-        return CompactBatch(self.rows, self.cols, self.nstages)
-
     def __repr__(self):
         return f"CompactBatch(rows={self.rows}, cols={self.cols}, nstages={self.nstages})"
 

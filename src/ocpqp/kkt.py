@@ -23,23 +23,25 @@ Riccati recursion runs), so the factor of the blocks of stages above a
 change stays valid.
 
 Every step takes the workspace, a :class:`StageFactorization` ``f``, first
-and works in place on it: ``assemble_H(f, weights, sigma_x_inv, stages)``,
-``factor_stages(f, pool, stages)``, ``factor_psi(f, stages)``,
-``solve_H(f, rhs, out)`` and ``solve_newton(f, g, r, out)``, where
-g = M^T lam + grad phi and r = Mx - b are the residuals at the current
-iterate.  The solves write into the caller's buffers ``out``, so a caller
-that keeps its step vectors allocates none per step.  The
-active penalties ``weights`` are a one-column CompactBatch, as
-:func:`weights_from_shifted` returns them, the proximal weight
-``sigma_x_inv`` is a float, and ``stages`` is a sorted stage index array.
+and works in place on it: ``factor_stages(f, pool, weights, sigma_x_inv,
+stages)``, ``factor_psi(f, stages)``, ``solve_H(f, rhs, out)`` and
+``solve_newton(f, g, r, out)``, where g = M^T lam + grad phi and r = Mx - b
+are the residuals at the current iterate.  The solves write into the
+caller's buffers ``out``, so a caller that keeps its step vectors allocates
+none per step.  The active penalties ``weights`` are a one-column
+CompactBatch, as :func:`weights_from_shifted` returns them, the proximal
+weight ``sigma_x_inv`` is a float, and ``stages`` is a sorted stage index
+array.
 
-Over a set of stages the pipeline runs one batched Cholesky of the H_j and
-inverts each stage's factor once with LAPACK trtri, so the stored stage
-factor is L^{-1} (in place of L).  The panel J_j = [V_j; W_j] is then one
-batched matmul L^{-1} [A B; I 0]^T, all three Psi products (V V^T, W W^T,
--V W^T) come out of a single J J^T, and every later solve with H is two
-batched matmuls over all stages.  The constant panel [A B; I 0]^T is built
-once at workspace allocation.
+``factor_stages`` is one fork-join: each worker assembles the H_j of its
+chunk of stages (:func:`assemble_H`) into the slots that then hold their
+factors, so no H stack is kept, runs one batched Cholesky and inverts each
+stage's factor in place with LAPACK trtri, so the stored stage factor is
+L^{-1} (in place of L).  The panel J_j = [V_j; W_j] is then one batched matmul
+L^{-1} [A B; I 0]^T, all three Psi products (V V^T, W W^T, -V W^T) come out
+of a single J J^T, and every later solve with H is two batched matmuls over
+all stages.  The constant panel [A B; I 0]^T is built once at workspace
+allocation.
 
 H_j depends on the iterate only through the active penalties of stage j
 and the proximal weight, so only the stages whose penalties changed since
@@ -140,9 +142,10 @@ class StageFactorization:
     """Workspaces and results of one stage-structured factorization.
 
     ``linv_lm``, ``vwt_lm`` and ``p_lm`` are stage stacks (nstages, ...):
-    the inverses L_j^{-1} of the per-stage Cholesky factors of H (dense
-    variant only), the panels (V_j; W_j)^T = L_j^{-1} [A B; I 0]^T, and the
-    products J_j J_j^T that :func:`factor_psi` reads the Psi blocks from.
+    the inverses L_j^{-1} of the per-stage Cholesky factors of H (on the
+    diagonal path, the H_j that ``h_diag`` is read from), the panels
+    (V_j; W_j)^T = L_j^{-1} [A B; I 0]^T, and the products J_j J_j^T that
+    :func:`factor_psi` reads the Psi blocks from.
     ``psi_band`` holds the Cholesky factor of P Psi P^T, where P reverses
     the block order (stage j at block position N - j), in LAPACK band
     storage; ``band_diag[j]`` and ``band_sub[j]`` are reversed views of its
@@ -160,7 +163,6 @@ class StageFactorization:
 
     problem: object
     variant: str
-    H: CompactBatch
     h_diag: CompactBatch | None
     linv_lm: np.ndarray
     vwt_lm: np.ndarray
@@ -189,7 +191,6 @@ class StageFactorization:
         return cls(
             problem=problem,
             variant=variant,
-            H=CompactBatch(n_xu, n_xu, ns),
             h_diag=CompactBatch(n_xu, 1, ns) if variant == "diagonal" else None,
             linv_lm=np.zeros((ns, n_xu, n_xu)),
             vwt_lm=np.zeros((ns, n_xu, 2 * n_x)),
@@ -209,7 +210,7 @@ class StageFactorization:
         every stage when there is no such factorization or the proximal
         weight ``sigma_x_inv`` differs from its."""
         if self.factored_prox is None or sigma_x_inv != self.factored_prox:
-            return np.arange(self.H.nstages)
+            return np.arange(len(self.p_lm))
         changed = self.factored_sigma != weights.stack
         return np.flatnonzero(np.any(changed, axis=(1, 2)))
 
@@ -237,48 +238,47 @@ def _band_blocks(band, row0, nblocks):
     )
 
 
-def assemble_H(f, weights, sigma_x_inv, stages):
-    """Per-stage generalized Hessian blocks into ``f.H``:
+def assemble_H(f, weights, sigma_x_inv, stages, out):
+    """Per-stage generalized Hessian blocks into ``out``, a
+    (len(stages), n_xu, n_xu) buffer:
 
         H_j = [C_j D_j]^T Sigma_j [C_j D_j] + [[Q_j, S_j^T], [S_j, R_j]]
               + sigma_x_inv I
 
     with Sigma_j the active ``weights`` (see :func:`weights_from_shifted`)
-    and the proximal weight ``sigma_x_inv`` a float, over the sorted stage
-    index array ``stages``; no other stage of ``f.H`` is written.  The
-    proximal term keeps every block positive definite even when the cost
-    block alone is only positive semidefinite.
+    and the proximal weight ``sigma_x_inv`` a float, for the stages of the
+    sorted index array ``stages``.  The proximal term keeps every block
+    positive definite even when the cost block alone is only positive
+    semidefinite.  Returns ``out``.
     """
     problem = f.problem
     s = _index(stages)
-    H = _slots(f.H.stack, s)
     scaled = _slots(f.scaled_lm, s)
     np.multiply(problem.con.stack[s], np.sqrt(weights.stack[s]), out=scaled)
-    np.matmul(scaled.transpose(0, 2, 1), scaled, out=H)
-    H += problem.cost.stack[s]
+    np.matmul(scaled.transpose(0, 2, 1), scaled, out=out)
+    out += problem.cost.stack[s]
     idx = np.arange(problem.dims.n_xu)
-    H[:, idx, idx] += sigma_x_inv
-    _scatter(f.H.stack, s, H)
-    return f
+    out[:, idx, idx] += sigma_x_inv
+    return out
 
 
-def factor_chunk_dense(f, stages):
-    """Dense per-stage pipeline over a sorted stage index array: batched
-    Cholesky of the H_j, one trtri per stage replacing L by L^{-1}, one
-    batched matmul for the combined (V; W)^T panels, and one J J^T product
-    holding every Psi contribution of those stages; no other stage is
-    written.  When the batched Cholesky fails, each stage is factored on its
-    own by LAPACK potrf, so a failing stage is named by its index and the
-    row of its first non-positive pivot without touching its siblings'
-    factors."""
+def factor_chunk_dense(f, weights, sigma_x_inv, stages):
+    """Dense per-stage pipeline over a sorted stage index array: the H_j
+    assembled into their ``linv_lm`` slots, a batched Cholesky and one
+    trtri per stage there, replacing H by L^{-1}, one batched matmul for
+    the combined (V; W)^T panels, and one J J^T product holding every Psi
+    contribution of those stages; no other stage is written.  When the
+    batched Cholesky fails, each stage is factored on its own by LAPACK
+    potrf, so a failing stage is named by its index and the row of its
+    first non-positive pivot without touching its siblings' factors."""
     s = _index(stages)
-    H, linv = f.H.stack[s], _slots(f.linv_lm, s)
+    linv = assemble_H(f, weights, sigma_x_inv, stages, _slots(f.linv_lm, s))
     failures = []
     try:
-        linv[:] = np.linalg.cholesky(H)  # reads the lower triangle
+        linv[:] = np.linalg.cholesky(linv)  # reads the lower triangle
     except np.linalg.LinAlgError:
-        for t in range(H.shape[0]):
-            linv[t], info = _potrf(H[t], lower=1)
+        for t in range(linv.shape[0]):
+            linv[t], info = _potrf(linv[t], lower=1)
             if info > 0:
                 failures.append((int(stages[t]), info - 1))
     for t in range(linv.shape[0]):
@@ -292,12 +292,13 @@ def factor_chunk_dense(f, stages):
         raise NonPositivePivot(failures)
 
 
-def factor_chunk_diagonal(f, stages):
+def factor_chunk_diagonal(f, weights, sigma_x_inv, stages):
     """Diagonal fast path: H_j is diagonal, so the Cholesky factor is a
     square root and the panel solve collapses to a row scaling of the
     constant [A B; I 0]^T panels."""
     s = _index(stages)
-    diag = np.diagonal(f.H.stack, axis1=1, axis2=2)[s]  # (stages, n_xu)
+    H = assemble_H(f, weights, sigma_x_inv, stages, _slots(f.linv_lm, s))
+    diag = np.diagonal(H, axis1=1, axis2=2)  # (stages, n_xu)
     bad = ~(diag > 0.0)
     if bad.any():
         t, row = np.argwhere(bad)[0]
@@ -310,17 +311,19 @@ def factor_chunk_diagonal(f, stages):
     _scatter(f.p_lm, s, p)
 
 
-def factor_stages(f, pool, stages):
-    """Factor the block-diagonal ``f.H`` (see :func:`assemble_H`) and form
-    the per-stage J J^T products ``f.p_lm`` that Psi is read from, split over
-    the WorkerPool ``pool``.
+def factor_stages(f, pool, weights, sigma_x_inv, stages):
+    """Assemble and factor the block-diagonal H at the active ``weights``
+    and proximal weight ``sigma_x_inv`` (see :func:`assemble_H`) and form
+    the per-stage J J^T products ``f.p_lm`` that Psi is read from, in one
+    fork-join over the WorkerPool ``pool``: each worker runs the whole
+    pipeline on its chunk of the stages.
 
     Only the stages of the sorted index array ``stages`` are refactored;
     the others keep the factors ``f`` holds.  The result is ready for
     :func:`factor_psi` over the same ``stages``.
     """
     chunk_fn = factor_chunk_diagonal if f.variant == "diagonal" else factor_chunk_dense
-    pool.run(lambda ch: chunk_fn(f, ch), stages)
+    pool.run(lambda ch: chunk_fn(f, weights, sigma_x_inv, ch), stages)
     return f
 
 

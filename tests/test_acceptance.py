@@ -13,7 +13,7 @@ import pytest
 
 from ocpqp import kkt, model, oracles
 from ocpqp.alm import Solver, SolverSettings, solve
-from ocpqp.bench import SpringMassConfig, gen_random_ocp, gen_spring_mass, loglog_slope
+from ocpqp.bench import SpringMassConfig, gen_random_ocp, gen_spring_mass
 from ocpqp.compact import CompactBatch
 from ocpqp.model import OcpDims
 
@@ -31,6 +31,12 @@ def _active_weights(problem, sigma_y, y, x):
     z = model.mul_G(problem, x)
     z.data += y.data / sigma_y.data
     return kkt.weights_from_shifted(problem, sigma_y, z)
+
+
+def loglog_slope(sizes, times):
+    """Least-squares slope of log(time) against log(size)."""
+    return float(np.polyfit(np.log(np.asarray(sizes, float)),
+                            np.log(np.asarray(times, float)), 1)[0])
 
 
 def _line(num, ok, detail, soft=False):
@@ -141,8 +147,7 @@ class TestCriterion3:
             )
             delta = 1e-3
             work = kkt.StageFactorization.allocate(problem)
-            kkt.assemble_H(work, weights, delta, every_stage(work))
-            kkt.factor_stages(work, INLINE, every_stage(work))
+            kkt.factor_stages(work, INLINE, weights, delta, every_stage(work))
             kkt.factor_psi(work, every_stage(work))
 
             dq = oracles.assemble_dense(problem)
@@ -229,7 +234,7 @@ class TestCriterion4:
             ):
                 worst_product = max(worst_product, _product_err(got, A, v))
 
-            # assemble_H + factor_stages + solve_H: normwise backward error
+            # factor_stages + solve_H: normwise backward error
             # with penalties log-uniform in [1e-4, 1e9] on about half the rows
             sig = np.where(
                 rng.random(dm.m) < 0.5, 10.0 ** rng.uniform(-4, 9, dm.m), 0.0
@@ -237,8 +242,7 @@ class TestCriterion4:
             weights = p.dualineq_from_flat(sig)
             delta = 1e-7
             work = kkt.StageFactorization.allocate(p)
-            kkt.assemble_H(work, weights, delta, every_stage(work))
-            kkt.factor_stages(work, INLINE, every_stage(work))
+            kkt.factor_stages(work, INLINE, weights, delta, every_stage(work))
             b = rng.standard_normal(dm.n)
             zf = p.primal_to_flat(kkt.solve_H(work, p.primal_from_flat(b), out=p.primal_zeros()))
             Hd = dq.Q + dq.G.T @ np.diag(sig) @ dq.G + delta * np.eye(dm.n)
@@ -258,7 +262,7 @@ class TestCriterion4:
             f"{cases} cases per kernel (edge shapes "
             f"{', '.join(f'{k}: {v}' for k, v in edges.items())}): from_stack/to_stack "
             f"round trip bit-exact: {roundtrip_exact}; mul_Q/M/MT/G/GT vs dense "
-            f"{worst_product:.2e} <= 1e-13; assemble_H + factor_stages + solve_H "
+            f"{worst_product:.2e} <= 1e-13; factor_stages + solve_H "
             f"backward error {worst_backward:.2e} <= 1e-13",
         )
 
@@ -295,14 +299,12 @@ class TestCriterion5:
         for workers in worker_counts:
             pool = kkt.WorkerPool(workers)
             work = kkt.StageFactorization.allocate(p)
-            kkt.assemble_H(work, weights, sxinv, every_stage(work))
-            kkt.factor_stages(work, pool, every_stage(work))
+            kkt.factor_stages(work, pool, weights, sxinv, every_stage(work))
             kkt.factor_psi(work, every_stage(work))
             work.record(weights, sxinv)
             stages = work.changed_stages(changed, sxinv)
             assert np.array_equal(stages, [1, 6, 7, 12])
-            kkt.assemble_H(work, changed, sxinv, stages)
-            kkt.factor_stages(work, pool, stages)
+            kkt.factor_stages(work, pool, changed, sxinv, stages)
             kkt.factor_psi(work, stages)
             pool.shutdown()
             outs.append(work)
@@ -357,24 +359,25 @@ def _alternating_medians(cases, repeats=5):
 
 
 def _stage_factor_times(problem, repeats=7):
-    """Median times of the dense factorization of every stage: one batched
-    ``factor_stages`` call over the stage axis, and a per-stage Python loop
-    of the same cholesky, trtri and matmul calls.  Also returns the largest
-    difference between the two results, relative to the largest entry."""
+    """Median times of the dense assembly and factorization of every
+    stage: one batched ``factor_stages`` call over the stage axis, and a
+    per-stage Python loop of the same assembly, cholesky, trtri and matmul
+    calls.  Also returns the largest difference between the two results,
+    relative to the largest entry."""
     sy = problem.dualineq_zeros()
     sy.data[:] = 2.0
     weights = _active_weights(problem, sy, problem.dualineq_zeros(), problem.primal_zeros())
     sxinv = 1e-7
     work = kkt.StageFactorization.allocate(problem)
-    kkt.assemble_H(work, weights, sxinv, every_stage(work))
-    H = work.H.stack
+    H = np.empty((1,) + work.linv_lm.shape[1:])
 
     def batched():
-        kkt.factor_stages(work, INLINE, every_stage(work))
+        kkt.factor_stages(work, INLINE, weights, sxinv, every_stage(work))
 
     def looped():
-        for j in range(H.shape[0]):
-            linv = kkt._trtri(np.linalg.cholesky(H[j]), lower=1)[0]
+        for j in every_stage(work):
+            kkt.assemble_H(work, weights, sxinv, np.array([j]), H)
+            linv = kkt._trtri(np.linalg.cholesky(H[0]), lower=1)[0]
             vwt = linv @ work.ewt_lm[j]
             work.linv_lm[j], work.vwt_lm[j], work.p_lm[j] = linv, vwt, vwt.T @ vwt
 
@@ -440,8 +443,7 @@ class TestCriterion7:
         works = {}
         for variant in ("dense", "diagonal"):
             w = kkt.StageFactorization.allocate(p, variant)
-            kkt.assemble_H(w, weights, sxinv, every_stage(w))
-            kkt.factor_stages(w, INLINE, every_stage(w))
+            kkt.factor_stages(w, INLINE, weights, sxinv, every_stage(w))
             kkt.factor_psi(w, every_stage(w))
             works[variant] = w
         g = p.primal_from_flat(rng.standard_normal(p.dims.n))

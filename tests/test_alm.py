@@ -520,8 +520,8 @@ class TestSolve:
         p = gen_spring_mass(SpringMassConfig(masses=3, horizon=8, seed=3))
         original = kkt.factor_stages
 
-        def poisoned(f, pool, stages):
-            original(f, pool, stages)
+        def poisoned(f, *args):
+            original(f, *args)
             f.p_lm[2, 1, f.problem.dims.n_x] = np.nan  # Psi_{3,2}[1, 0]
 
         monkeypatch.setattr(kkt, "factor_stages", poisoned)
@@ -535,7 +535,7 @@ class TestSolve:
         p = gen_spring_mass(SpringMassConfig(masses=30, horizon=30, seed=5))
         with Solver(p, SolverSettings(variant="dense")) as solver:
             _, _, _, report = solver.solve()
-            nstages = solver.work.H.nstages
+            nstages = len(solver.work.p_lm)
         assert report.solved
         assert 1 <= report.full_factorizations < report.factorizations
         assert report.factorizations <= report.inner_iters
@@ -552,7 +552,7 @@ class TestSolve:
         want = solve(p, SolverSettings(variant="dense"))
         assert want[3].solved
         with Solver(p, SolverSettings(lane_width=d, variant="dense")) as solver:
-            assert solver.work.H.nstages == p.dims.N + 1
+            assert len(solver.work.p_lm) == p.dims.N + 1
             got = solver.solve()
         for a, b in zip(want[:3], got[:3]):
             assert np.array_equal(a, b)

@@ -9,12 +9,13 @@ from ocpqp.bench import (
     discretize_exact,
     gen_random_ocp,
     gen_spring_mass,
-    loglog_slope,
     run_benchmark,
     spring_mass_continuous,
     write_csv,
 )
 from ocpqp.model import OcpDims, validate
+
+from test_acceptance import loglog_slope
 
 
 class TestSpringMass:

@@ -93,4 +93,3 @@ class TestLayout:
         dup.stack[1] = 7.0
         assert np.array_equal(batch.stack[1], mats[1])
         assert not np.shares_memory(dup.data, batch.data)
-        assert np.all(batch.zeros_like().data == 0.0)

@@ -55,17 +55,33 @@ INLINE = WorkerPool(1)
 
 
 def assembled(problem, weights, sxinv):
-    """The H_j of every stage, assembled in a fresh workspace."""
+    """The (N + 1, n_xu, n_xu) stack of every stage's H_j, assembled with a
+    fresh workspace into a buffer of its own."""
     work = kkt.StageFactorization.allocate(problem)
-    return assemble_H(work, weights, sxinv, every_stage(work)).H
+    out = np.full(work.linv_lm.shape, np.nan)
+    return assemble_H(work, weights, sxinv, every_stage(work), out)
+
+
+def plant_H(monkeypatch, blocks):
+    """Make the assembly inside factor_stages give H_j = blocks[j] for the
+    stages j of the dict ``blocks``, and the assembled H_j elsewhere."""
+    original = kkt.assemble_H
+
+    def planted(f, weights, sigma_x_inv, stages, out):
+        original(f, weights, sigma_x_inv, stages, out)
+        for t, j in enumerate(stages):
+            if int(j) in blocks:
+                out[t] = blocks[int(j)]
+        return out
+
+    monkeypatch.setattr(kkt, "assemble_H", planted)
 
 
 def factor_all(problem, weights, delta, variant="dense", workers=1):
     work = kkt.StageFactorization.allocate(problem, variant)
-    assemble_H(work, weights, delta, every_stage(work))
     pool = WorkerPool(workers)
     try:
-        factor_stages(work, pool, every_stage(work))
+        factor_stages(work, pool, weights, delta, every_stage(work))
     finally:
         pool.shutdown()
     return work
@@ -73,7 +89,8 @@ def factor_all(problem, weights, delta, variant="dense", workers=1):
 
 def newton_step(work, g, r):
     """kkt.solve_newton into freshly allocated (dx, dlam, M' dlam)."""
-    return solve_newton(work, g, r, out=(g.zeros_like(), r.zeros_like(), g.zeros_like()))
+    p = work.problem
+    return solve_newton(work, g, r, out=(p.primal_zeros(), p.dualeq_zeros(), p.primal_zeros()))
 
 
 @pytest.mark.parametrize("workers", (0, -3, 2.5, np.nan, "2"))
@@ -141,7 +158,7 @@ class TestAssembleH:
         H = assembled(p, w, 0.125)
         for j in range(p.dims.N + 1):
             want = p.cost.stack[j].copy() + 0.125 * np.eye(p.dims.n_xu)
-            got = H.stack[j].copy()
+            got = H[j]
             low = np.tril_indices(p.dims.n_xu)
             assert np.allclose(got[low], want[low], atol=1e-15)
 
@@ -159,29 +176,26 @@ class TestAssembleH:
             for j in range(dm.N):
                 c0 = j * dm.n_xu
                 want = Hd[c0 : c0 + dm.n_xu, c0 : c0 + dm.n_xu]
-                assert np.max(np.abs((H.stack[j].copy() - want)[low])) < 1e-13 * (1 + np.max(np.abs(want)))
+                assert np.max(np.abs((H[j] - want)[low])) < 1e-13 * (1 + np.max(np.abs(want)))
             cN = dm.N * dm.n_xu
             wantN = Hd[cN : cN + dm.n_x, cN : cN + dm.n_x]
-            gotN = H.stack[dm.N].copy()[: dm.n_x, : dm.n_x]
+            gotN = H[dm.N, : dm.n_x, : dm.n_x]
             lowN = np.tril_indices(dm.n_x)
             assert np.max(np.abs((gotN - wantN)[lowN])) < 1e-13 * (1 + np.max(np.abs(wantN)))
 
     @pytest.mark.parametrize("stages", ([2, 3, 4, 5], [0, 3, 4, 9]))
     def test_stage_set_touches_only_its_stages(self, stages):
-        # assembling a stage set (one run, or scattered) writes exactly those
-        # stages, with the bits a full assembly gives them
+        # assembling a stage set (one run, or scattered) gives those stages
+        # the bits a full assembly gives them
         rng = np.random.default_rng(12)
         p = random_problem(rng, N=9, n_x=3, n_u=2, n_y=2, n_yN=1)
         w = make_weights(p, rng.standard_normal(p.dims.n), sigma=2.0)
         sxinv = 1e-2
         full = assembled(p, w, sxinv)
         work = kkt.StageFactorization.allocate(p)
-        part = work.H
-        part.data[:] = np.nan
-        assemble_H(work, w, sxinv, np.array(stages))
-        others = np.setdiff1d(np.arange(p.cost.nstages), stages)
-        assert np.array_equal(part.stack[stages], full.stack[stages])
-        assert np.all(np.isnan(part.stack[others]))
+        part = np.full((len(stages),) + full.shape[1:], np.nan)
+        assert assemble_H(work, w, sxinv, np.array(stages), part) is part
+        assert np.array_equal(part, full[stages])
 
     def test_blocks_are_symmetric(self):
         # the full weighted product is added, so both triangles hold H_j
@@ -189,8 +203,8 @@ class TestAssembleH:
         p = random_problem(rng, N=5, n_x=4, n_u=2, n_y=3, n_yN=2)
         w = make_weights(p, rng.standard_normal(p.dims.n), sigma=1e3)
         H = assembled(p, w, 1e-4)
-        sym = H.stack.transpose(0, 2, 1)
-        assert np.max(np.abs(H.stack - sym)) <= 1e-14 * np.max(np.abs(H.stack))
+        sym = H.transpose(0, 2, 1)
+        assert np.max(np.abs(H - sym)) <= 1e-14 * np.max(np.abs(H))
 
 
 class TestFactorStages:
@@ -270,30 +284,32 @@ class TestFactorStages:
             assert np.array_equal(getattr(w1, name), getattr(w4, name))
 
     @pytest.mark.parametrize("workers", (1, 2))
-    def test_failed_stage_does_not_poison_siblings(self, workers):
+    def test_failed_stage_does_not_poison_siblings(self, workers, monkeypatch):
         # one non-PD stage among ten: the batched Cholesky of the range
-        # fails, the per-stage retry names exactly that stage, and
-        # every sibling still holds its own inverse factor; with 2 workers
-        # the failing stage lies in a range that does not start at stage 0
+        # fails, the per-stage retry names exactly that stage, and every
+        # sibling still holds its own inverse factor and J J^T product; with
+        # 2 workers the failing stage lies in a range that does not start at
+        # stage 0
         rng = np.random.default_rng(41)
         p = random_problem(rng, N=9, n_x=3, n_u=2, n_y=2, n_yN=1)
         w = make_weights(p, rng.standard_normal(p.dims.n), sigma=1.0)
-        work = kkt.StageFactorization.allocate(p)
-        assemble_H(work, w, 1e-3, every_stage(work))
+        clean = factor_all(p, w, 1e-3, workers=workers)
+        H = assembled(p, w, 1e-3)
         bad = 5
-        work.H.stack[bad] = -np.eye(p.dims.n_xu)
+        plant_H(monkeypatch, {bad: -np.eye(p.dims.n_xu)})
+        work = kkt.StageFactorization.allocate(p)
         pool = WorkerPool(workers)
         try:
             with pytest.raises(NonPositivePivot) as exc:
-                factor_stages(work, pool, every_stage(work))
+                factor_stages(work, pool, w, 1e-3, every_stage(work))
         finally:
             pool.shutdown()
         assert exc.value.failures == [(bad, 0)]
-        for j in range(work.H.nstages):
-            if j == bad:
-                continue
-            want = np.linalg.inv(np.linalg.cholesky(work.H.stack[j].copy()))
+        for j in np.setdiff1d(every_stage(work), [bad]):
+            want = np.linalg.inv(np.linalg.cholesky(H[j]))
             err = np.max(np.abs(work.linv_lm[j] - want)) / np.max(np.abs(want))
+            assert err <= 1e-12
+            err = np.max(np.abs(work.p_lm[j] - clean.p_lm[j])) / np.max(np.abs(clean.p_lm[j]))
             assert err <= 1e-12
 
     @pytest.mark.parametrize("N", (1, 3, 6, 7))
@@ -304,52 +320,50 @@ class TestFactorStages:
         p = random_problem(rng, N=N, n_x=3, n_u=2, n_y=2, n_yN=1)
         w = make_weights(p, rng.standard_normal(p.dims.n), sigma=10.0)
         work = factor_all(p, w, 1e-3)
+        H = assembled(p, w, 1e-3)
         eye = np.eye(p.dims.n_xu)
-        assert work.H.nstages == N + 1
-        for j in range(work.H.nstages):
+        assert len(work.linv_lm) == N + 1
+        for j in range(N + 1):
             linv = work.linv_lm[j]
             assert np.array_equal(linv, np.tril(linv))
-            rec = linv @ work.H.stack[j].copy() @ linv.T
+            rec = linv @ H[j] @ linv.T
             assert np.max(np.abs(rec - eye)) < 1e-11
 
-    def test_identity_and_scaled(self):
+    def test_identity_and_scaled(self, monkeypatch):
         # H_j = c_j I gives L^{-1} = I / sqrt(c_j) exactly for square c_j
         rng = np.random.default_rng(43)
         p = random_problem(rng, N=3, n_x=2, n_u=1)
         work = kkt.StageFactorization.allocate(p)
         scales = (1.0, 4.0, 0.25, 16.0)
-        for j, c in enumerate(scales):
-            work.H.stack[j] = c * np.eye(p.dims.n_xu)
-        factor_stages(work, INLINE, every_stage(work))
+        plant_H(monkeypatch, {j: c * np.eye(p.dims.n_xu) for j, c in enumerate(scales)})
+        factor_stages(work, INLINE, make_weights(p, np.zeros(p.dims.n)), 1e-3, every_stage(work))
         for j, c in enumerate(scales):
             assert np.array_equal(work.linv_lm[j], np.eye(p.dims.n_xu) / np.sqrt(c))
 
     @pytest.mark.parametrize("row", (0, 2, 4))
-    def test_failure_reports_stage_and_row(self, row):
+    def test_failure_reports_stage_and_row(self, row, monkeypatch):
         # H_j = I with pivot ``row`` negated: the first non-positive pivot
         # that LAPACK potrf meets is that row
         rng = np.random.default_rng(44)
         p = random_problem(rng, N=5, n_x=3, n_u=2)
         w = make_weights(p, rng.standard_normal(p.dims.n), sigma=1.0)
         work = kkt.StageFactorization.allocate(p)
-        assemble_H(work, w, 1e-3, every_stage(work))
         h = np.eye(p.dims.n_xu)
         h[row, row] = -1.0
-        work.H.stack[3] = h
+        plant_H(monkeypatch, {3: h})
         with pytest.raises(NonPositivePivot) as exc:
-            factor_stages(work, INLINE, every_stage(work))
+            factor_stages(work, INLINE, w, 1e-3, every_stage(work))
         assert (exc.value.stage, exc.value.row) == (3, row)
         assert exc.value.failures == [(3, row)]
 
-    def test_diagonal_failure_reports_stage_and_row(self):
+    def test_diagonal_failure_reports_stage_and_row(self, monkeypatch):
         rng = np.random.default_rng(45)
         p = diagonal_problem(rng, N=4, n_x=2, n_u=1)
         work = kkt.StageFactorization.allocate(p, "diagonal")
-        for j in range(work.H.nstages):
-            work.H.stack[j] = np.eye(p.dims.n_xu)
-        work.H.stack[2] = np.diag([1.0, 0.0, 1.0])
+        plant_H(monkeypatch, {2: np.diag([1.0, 0.0, 1.0])})
+        w = make_weights(p, np.zeros(p.dims.n))
         with pytest.raises(NonPositivePivot) as exc:
-            factor_stages(work, INLINE, every_stage(work))
+            factor_stages(work, INLINE, w, 1e-3, every_stage(work))
         assert exc.value.failures == [(2, 1)]
 
 
@@ -361,9 +375,10 @@ class TestSolveH:
         w = make_weights(p, rng.standard_normal(p.dims.n), sigma=5.0)
         work = factor_all(p, w, 1e-3)
         rhs = p.primal_from_flat(rng.standard_normal(p.dims.n))
-        z = solve_H(work, rhs, out=rhs.zeros_like())
-        for j in range(work.H.nstages):
-            want = np.linalg.solve(work.H.stack[j].copy(), rhs.stack[j].copy())
+        z = solve_H(work, rhs, out=p.primal_zeros())
+        H = assembled(p, w, 1e-3)
+        for j in range(p.dims.N + 1):
+            want = np.linalg.solve(H[j], rhs.stack[j].copy())
             assert np.max(np.abs(z.stack[j].copy() - want)) <= 1e-12 * (1 + np.max(np.abs(want)))
         # in place over the right-hand side, bit for bit
         assert solve_H(work, rhs, out=rhs) is rhs
@@ -381,9 +396,10 @@ class TestSolveH:
         w = weights_from_shifted(p, sy, z)
         work = factor_all(p, w, 1e-3)
         b = p.primal_from_flat(rng.standard_normal(p.dims.n))
-        x = solve_H(work, b, out=b.zeros_like())
-        for j in range(work.H.nstages):
-            Hj, xj, bj = work.H.stack[j].copy(), x.stack[j].copy(), b.stack[j].copy()
+        x = solve_H(work, b, out=p.primal_zeros())
+        H = assembled(p, w, 1e-3)
+        for j in range(p.dims.N + 1):
+            Hj, xj, bj = H[j], x.stack[j].copy(), b.stack[j].copy()
             res = np.linalg.norm(Hj @ xj - bj)
             scale = np.linalg.norm(Hj, 2) * np.linalg.norm(xj) + np.linalg.norm(bj)
             assert res <= 1e-13 * scale
@@ -395,9 +411,9 @@ class TestSolveH:
         p = random_problem(rng, N=6, n_x=3, n_u=2)
         work = factor_all(p, make_weights(p, rng.standard_normal(p.dims.n)), 1e-3)
         rhs = p.primal_from_flat(rng.standard_normal(p.dims.n))
-        z0 = solve_H(work, rhs, out=rhs.zeros_like())
+        z0 = solve_H(work, rhs, out=p.primal_zeros())
         rhs.stack[3] += 1.0
-        z1 = solve_H(work, rhs, out=rhs.zeros_like())
+        z1 = solve_H(work, rhs, out=p.primal_zeros())
         changed = [j for j in range(z0.nstages) if not np.array_equal(z0.stack[j], z1.stack[j])]
         assert changed == [3]
 
@@ -406,8 +422,8 @@ class TestSolveH:
         p = random_problem(rng, N=5, n_x=3, n_u=2)
         work = factor_all(p, make_weights(p, rng.standard_normal(p.dims.n)), 1e-3)
         rhs = p.primal_from_flat(rng.standard_normal(p.dims.n))
-        z0 = solve_H(work, rhs, out=rhs.zeros_like())
-        assert np.array_equal(solve_H(work, rhs, out=rhs.zeros_like()).data, z0.data)
+        z0 = solve_H(work, rhs, out=p.primal_zeros())
+        assert np.array_equal(solve_H(work, rhs, out=p.primal_zeros()).data, z0.data)
 
 
 def dense_from_blocks(diag, sub):
@@ -752,14 +768,13 @@ def diagonal_problem(rng, N=4, n_x=3, n_u=2):
 
 
 class TestDiagonalVariant:
-    def test_sqrt_factor(self):
+    def test_sqrt_factor(self, monkeypatch):
         rng = np.random.default_rng(80)
         p = diagonal_problem(rng, N=2, n_x=1, n_u=1)
         work = kkt.StageFactorization.allocate(p, "diagonal")
-        work.H.stack[0] = np.diag([4.0, 9.0])
-        for j in range(1, p.cost.nstages):
-            work.H.stack[j] = np.eye(2)
-        factor_stages(work, INLINE, every_stage(work))
+        plant_H(monkeypatch, {0: np.diag([4.0, 9.0]), 1: np.eye(2), 2: np.eye(2)})
+        w = make_weights(p, np.zeros(p.dims.n))
+        factor_stages(work, INLINE, w, 1e-3, every_stage(work))
         assert np.allclose(np.sqrt(work.h_diag.stack[0].copy()[:, 0]), [2.0, 3.0])
 
     def test_agrees_with_dense_path(self):
@@ -800,6 +815,6 @@ class TestDiagonalVariant:
         wd = factor_all(p, w, 1e-3, variant="dense")
         wdg = factor_all(p, w, 1e-3, variant="diagonal")
         rhs = p.primal_from_flat(rng.standard_normal(p.dims.n))
-        z1 = solve_H(wd, rhs, out=rhs.zeros_like())
-        z2 = solve_H(wdg, rhs, out=rhs.zeros_like())
+        z1 = solve_H(wd, rhs, out=p.primal_zeros())
+        z2 = solve_H(wdg, rhs, out=p.primal_zeros())
         assert np.max(np.abs(z1.data - z2.data)) < 1e-12 * (1 + np.max(np.abs(z1.data)))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ocpqp import model, oracles
+from ocpqp.compact import CompactBatch
 from ocpqp.model import OcpDims, OcpProblem, load_problem, pad_horizon, save_problem, validate
 
 
@@ -431,7 +432,7 @@ class TestProducts:
             (model.mul_G, xb), (model.mul_GT, zb),
         ):
             fresh = fn(p, arg)
-            out = fresh.zeros_like()
+            out = CompactBatch(fresh.rows, fresh.cols, fresh.nstages)
             out.data[:] = np.nan
             assert fn(p, arg, out=out) is out
             assert np.array_equal(out.data, fresh.data)

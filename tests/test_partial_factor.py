@@ -24,13 +24,14 @@ from test_kkt import (
     diagonal_problem,
     every_stage,
     make_weights,
+    plant_H,
     psi_blocks,
     reverse_blocks,
     write_psi,
 )
 from test_model import random_problem
 
-FIELDS = ("H", "h_diag", "linv_lm", "vwt_lm", "p_lm")
+FIELDS = ("h_diag", "linv_lm", "vwt_lm", "p_lm")
 
 
 def field(work, name):
@@ -47,8 +48,7 @@ def fresh_factorization(solver, state, weights):
 def factored(problem, weights, sxinv, variant="dense"):
     work = kkt.StageFactorization.allocate(problem, variant)
     every = every_stage(work)
-    kkt.assemble_H(work, weights, sxinv, every)
-    kkt.factor_stages(work, INLINE, every)
+    kkt.factor_stages(work, INLINE, weights, sxinv, every)
     return kkt.factor_psi(work, every)
 
 
@@ -102,6 +102,9 @@ def check_every_iteration(problem, variant, workers):
             factor(state, weights, timings, counts)
             fresh = fresh_factorization(solver, state, weights)
             for name in FIELDS:
+                # on the diagonal path linv_lm is only where H_j is assembled
+                if name == "linv_lm" and variant == "diagonal":
+                    continue
                 if getattr(fresh, name) is not None:
                     assert np.array_equal(field(solver.work, name), field(fresh, name)), name
             assert band_residual(solver.work) <= 1e-14
@@ -140,30 +143,29 @@ class TestWorkspaceMatchesFullFactorization:
 
 class TestPivotFailureInPartialSet:
     @pytest.mark.parametrize("workers", (1, 2))
-    def test_kkt_names_stage(self, workers):
+    def test_kkt_names_stage(self, workers, monkeypatch):
         # a planted negative pivot inside a scattered stage set is named by
         # its absolute stage index; stages outside the set are not touched
         rng = np.random.default_rng(7)
         p = random_problem(rng, N=11, n_x=3, n_u=2, n_y=2, n_yN=1)
         w = make_weights(p, rng.standard_normal(p.dims.n), sigma=1.0)
-        work = kkt.StageFactorization.allocate(p)
-        kkt.assemble_H(work, w, 1e-3, every_stage(work))
-        kkt.factor_stages(work, INLINE, every_stage(work))
-        before = work.linv_lm.copy()
+        work = factored(p, w, 1e-3)
+        before = {name: getattr(work, name).copy() for name in ("linv_lm", "p_lm")}
         stages = np.array([1, 5, 6, 10])
         bad = 6
         h = np.eye(p.dims.n_xu)
         h[2, 2] = -1.0
-        work.H.stack[bad] = h
+        plant_H(monkeypatch, {bad: h})
         pool = kkt.WorkerPool(workers)
         try:
             with pytest.raises(NonPositivePivot) as exc:
-                kkt.factor_stages(work, pool, stages)
+                kkt.factor_stages(work, pool, w, 1e-3, stages)
         finally:
             pool.shutdown()
         assert exc.value.failures == [(bad, 2)]
-        others = np.setdiff1d(np.arange(work.H.nstages), stages)
-        assert np.array_equal(work.linv_lm[others], before[others])
+        others = np.setdiff1d(every_stage(work), stages)
+        for name, stack in before.items():
+            assert np.array_equal(getattr(work, name)[others], stack[others]), name
 
     @pytest.mark.parametrize("workers", (1, 2))
     def test_solver_escalates_to_full(self, workers, monkeypatch):
@@ -171,29 +173,65 @@ class TestPivotFailureInPartialSet:
         # at one of its stages: the failure names that stage and the next
         # factorization refactors every stage
         p = gen_spring_mass(SpringMassConfig(masses=10, horizon=30, seed=5))
+        nstages = p.dims.N + 1
         original = kkt.factor_stages
         calls, failures = [], []
 
-        def planted(f, pool, stages):
+        def planted(f, pool, weights, sigma_x_inv, stages):
             calls.append(stages.copy())
-            if not failures and len(stages) < f.H.nstages:
+            if not failures and len(stages) < nstages:
                 k = int(stages[len(stages) // 2])
-                f.H.stack[k] = -np.eye(f.H.rows)
-                with pytest.raises(NonPositivePivot) as exc:
-                    original(f, pool, stages)
+                with monkeypatch.context() as m, pytest.raises(NonPositivePivot) as exc:
+                    plant_H(m, {k: -np.eye(p.dims.n_xu)})
+                    original(f, pool, weights, sigma_x_inv, stages)
                 failures.append((k, exc.value.failures))
                 raise exc.value
-            return original(f, pool, stages)
+            return original(f, pool, weights, sigma_x_inv, stages)
 
         monkeypatch.setattr(kkt, "factor_stages", planted)
         with Solver(p, SolverSettings(variant="dense", worker_count=workers)) as solver:
             _, _, _, report = solver.solve()
-            nstages = solver.work.H.nstages
         assert report.solved
         (k, named), = failures
         assert named == [(k, 0)]
         failed_at = next(i for i, s in enumerate(calls) if len(s) < nstages)
         assert len(calls[failed_at + 1]) == nstages
+
+
+class TestOneForkJoinPerAttempt:
+    @pytest.mark.parametrize("workers", (1, 2))
+    def test_one_pool_run_per_attempt(self, workers, monkeypatch):
+        # every factorization attempt assembles and factors its stages in
+        # exactly one WorkerPool.run, also the attempt a planted pivot
+        # failure ends and the full refactorization that escalates after it
+        p = gen_spring_mass(SpringMassConfig(masses=10, horizon=30, seed=5))
+        nstages = p.dims.N + 1
+        runs, attempts, failed = [], [], []
+        original_run = kkt.WorkerPool.run
+
+        def counting_run(pool, fn, stages):
+            runs.append(len(stages))
+            return original_run(pool, fn, stages)
+
+        original = kkt.factor_stages
+
+        def planted(f, pool, weights, sigma_x_inv, stages):
+            attempts.append(len(stages))
+            if not failed and len(stages) < nstages:
+                failed.append(len(attempts))
+                with monkeypatch.context() as m:
+                    plant_H(m, {int(stages[0]): -np.eye(p.dims.n_xu)})
+                    return original(f, pool, weights, sigma_x_inv, stages)
+            return original(f, pool, weights, sigma_x_inv, stages)
+
+        monkeypatch.setattr(kkt.WorkerPool, "run", counting_run)
+        monkeypatch.setattr(kkt, "factor_stages", planted)
+        with Solver(p, SolverSettings(variant="dense", worker_count=workers)) as solver:
+            _, _, _, report = solver.solve()
+        assert report.solved
+        assert failed and attempts[failed[0]] == nstages
+        assert runs == attempts
+        assert report.factorizations == len(attempts)
 
 
 class TestEscalationAfterFailedAttempt:
@@ -252,25 +290,23 @@ class TestStagesOutsideTheSet:
         p = diagonal_problem(rng, N=9, n_x=3, n_u=2)
         w = make_weights(p, rng.standard_normal(p.dims.n), sigma=2.0)
         work = kkt.StageFactorization.allocate(p, variant)
-        stacks = [work.H.stack, work.linv_lm, work.vwt_lm, work.p_lm]
+        stacks = {"linv_lm": work.linv_lm, "vwt_lm": work.vwt_lm, "p_lm": work.p_lm}
         if variant == "diagonal":
-            stacks.append(work.h_diag.stack)
-        for stack in stacks:
+            stacks["h_diag"] = work.h_diag.stack
+        for stack in stacks.values():
             stack[:] = np.nan
         stages = np.array([0, 3, 4, 8])
         pool = kkt.WorkerPool(workers)
         try:
-            kkt.assemble_H(work, w, 1e-3, stages)
-            kkt.factor_stages(work, pool, stages)
+            kkt.factor_stages(work, pool, w, 1e-3, stages)
         finally:
             pool.shutdown()
-        others = np.setdiff1d(np.arange(work.H.nstages), stages)
-        written = stacks if variant == "dense" else stacks[:1] + stacks[2:]
-        for stack in written:
-            assert np.all(np.isnan(stack[others]))
-            assert np.all(np.isfinite(stack[stages]))
-        if variant == "diagonal":
-            assert np.all(np.isnan(work.linv_lm))  # the diagonal path keeps no L^-1
+        others = np.setdiff1d(every_stage(work), stages)
+        for name, stack in stacks.items():
+            assert np.all(np.isnan(stack[others])), name
+            # on the diagonal path linv_lm is only where H_j is assembled
+            if variant == "dense" or name != "linv_lm":
+                assert np.all(np.isfinite(stack[stages])), name
 
 
 class TestChangedStages:
@@ -279,7 +315,7 @@ class TestChangedStages:
         p = random_problem(rng, N=7, n_x=3, n_u=2, n_y=2, n_yN=1)
         w = make_weights(p, rng.standard_normal(p.dims.n), sigma=1.0)
         work = kkt.StageFactorization.allocate(p)
-        everything = np.arange(work.H.nstages)
+        everything = every_stage(work)
         assert np.array_equal(work.changed_stages(w, 1e-7), everything)
         work.record(w, 1e-7)
         assert work.changed_stages(w, 1e-7).size == 0
@@ -323,8 +359,7 @@ class TestPsiRestart:
         others = np.setdiff1d(np.arange(N + 1), stages)
         w2.stack[others] = w1.stack[others]
         before = work.psi_band.copy()
-        kkt.assemble_H(work, w2, 1e-2, stages)
-        kkt.factor_stages(work, INLINE, stages)
+        kkt.factor_stages(work, INLINE, w2, 1e-2, stages)
         kkt.factor_psi(work, stages)
 
         fresh = factored(p, w2, 1e-2)
