@@ -41,7 +41,11 @@ L^{-1} (in place of L).  The panel J_j = [V_j; W_j] is then one batched matmul
 L^{-1} [A B; I 0]^T, all three Psi products (V V^T, W W^T, -V W^T) come out
 of a single J J^T, and every later solve with H is two batched matmuls over
 all stages.  The constant panel [A B; I 0]^T is built once at workspace
-allocation.
+allocation.  On the diagonal variant no n_xu x n_xu block is formed: the
+diagonal of each H_j comes elementwise from the problem's
+:class:`~ocpqp.model.DiagonalStructure` (:func:`assemble_H_diagonal`), its
+square root scales the rows of the panel, and a solve with H is one
+elementwise division.
 
 H_j depends on the iterate only through the active penalties of stage j
 and the proximal weight, so only the stages whose penalties changed since
@@ -142,10 +146,13 @@ class StageFactorization:
     """Workspaces and results of one stage-structured factorization.
 
     ``linv_lm``, ``vwt_lm`` and ``p_lm`` are stage stacks (nstages, ...):
-    the inverses L_j^{-1} of the per-stage Cholesky factors of H (on the
-    diagonal path, the H_j that ``h_diag`` is read from), the panels
+    the inverses L_j^{-1} of the per-stage Cholesky factors of H, the panels
     (V_j; W_j)^T = L_j^{-1} [A B; I 0]^T, and the products J_j J_j^T that
-    :func:`factor_psi` reads the Psi blocks from.
+    :func:`factor_psi` reads the Psi blocks from.  The diagonal variant
+    keeps the diagonal of each H_j in ``h_diag`` instead, and has no
+    ``linv_lm``, ``scaled_lm`` or ``linv_rhs`` (None); the dense variant
+    has no ``h_diag``.  ``linv_rhs`` is the one-column stage stack that
+    :func:`solve_H` forms L^{-1} rhs in.
     ``psi_band`` holds the Cholesky factor of P Psi P^T, where P reverses
     the block order (stage j at block position N - j), in LAPACK band
     storage; ``band_diag[j]`` and ``band_sub[j]`` are reversed views of its
@@ -164,11 +171,12 @@ class StageFactorization:
     problem: object
     variant: str
     h_diag: CompactBatch | None
-    linv_lm: np.ndarray
+    linv_lm: np.ndarray | None
     vwt_lm: np.ndarray
     p_lm: np.ndarray
     ewt_lm: np.ndarray  # constant [A B; I 0]^T panels
-    scaled_lm: np.ndarray  # scratch for the weighted constraint panel
+    scaled_lm: np.ndarray | None  # scratch for the weighted constraint panel
+    linv_rhs: np.ndarray | None
     psi_band: np.ndarray
     band_diag: np.ndarray
     band_sub: np.ndarray
@@ -188,15 +196,17 @@ class StageFactorization:
         ew[:, :, :n_x] = problem.dyn.stack.transpose(0, 2, 1)
         ew[:, :n_x, n_x:] = np.eye(n_x)
         band = np.zeros((2 * n_x, ns * n_x), order="F")
+        dense = variant != "diagonal"
         return cls(
             problem=problem,
             variant=variant,
-            h_diag=CompactBatch(n_xu, 1, ns) if variant == "diagonal" else None,
-            linv_lm=np.zeros((ns, n_xu, n_xu)),
+            h_diag=None if dense else CompactBatch(n_xu, 1, ns),
+            linv_lm=np.zeros((ns, n_xu, n_xu)) if dense else None,
             vwt_lm=np.zeros((ns, n_xu, 2 * n_x)),
             p_lm=np.zeros((ns, 2 * n_x, 2 * n_x)),
             ewt_lm=ew,
-            scaled_lm=np.zeros((ns, d.n_y_pad, n_xu)),
+            scaled_lm=np.zeros((ns, d.n_y_pad, n_xu)) if dense else None,
+            linv_rhs=np.zeros((ns, n_xu, 1)) if dense else None,
             psi_band=band,
             band_diag=_band_blocks(band, 0, ns)[::-1],
             band_sub=_band_blocks(band, n_x, d.N)[::-1],
@@ -262,6 +272,24 @@ def assemble_H(f, weights, sigma_x_inv, stages, out):
     return out
 
 
+def assemble_H_diagonal(f, weights, sigma_x_inv, stages, out):
+    """Diagonals of the H_j of :func:`assemble_H` for a diagonal problem,
+    into ``out``, a (len(stages), n_xu) buffer, with no n_xu x n_xu block:
+    each constraint row adds (coef sqrt(w))^2 to the entry of its variable,
+    then come the cost diagonal and ``sigma_x_inv``, in the order in which
+    :func:`assemble_H` adds them.  Returns ``out``."""
+    diag, n_xu = f.problem.diagonal, f.problem.dims.n_xu
+    s = _index(stages)
+    sq = diag.coef[s] * np.sqrt(weights.stack[s, :, 0])
+    sq *= sq
+    # flat index of each row's variable in out: stage j's block moves to t
+    local = diag.col[s] - ((stages - np.arange(len(stages))) * n_xu)[:, None]
+    out[...] = np.bincount(local.ravel(), sq.ravel(), out.size).reshape(out.shape)
+    out += diag.cost[s]
+    out += sigma_x_inv
+    return out
+
+
 def factor_chunk_dense(f, weights, sigma_x_inv, stages):
     """Dense per-stage pipeline over a sorted stage index array: the H_j
     assembled into their ``linv_lm`` slots, a batched Cholesky and one
@@ -293,17 +321,17 @@ def factor_chunk_dense(f, weights, sigma_x_inv, stages):
 
 
 def factor_chunk_diagonal(f, weights, sigma_x_inv, stages):
-    """Diagonal fast path: H_j is diagonal, so the Cholesky factor is a
-    square root and the panel solve collapses to a row scaling of the
-    constant [A B; I 0]^T panels."""
+    """Diagonal fast path: H_j is diagonal (:func:`assemble_H_diagonal`),
+    so the Cholesky factor is a square root and the panel solve collapses
+    to a row scaling of the constant [A B; I 0]^T panels."""
     s = _index(stages)
-    H = assemble_H(f, weights, sigma_x_inv, stages, _slots(f.linv_lm, s))
-    diag = np.diagonal(H, axis1=1, axis2=2)  # (stages, n_xu)
+    h_diag = f.h_diag.stack[:, :, 0]
+    diag = assemble_H_diagonal(f, weights, sigma_x_inv, stages, _slots(h_diag, s))
     bad = ~(diag > 0.0)
     if bad.any():
         t, row = np.argwhere(bad)[0]
         raise NonPositivePivot([(int(stages[t]), int(row))])
-    f.h_diag.stack[s, :, 0] = diag
+    _scatter(h_diag, s, diag)
     vwt, p = _slots(f.vwt_lm, s), _slots(f.p_lm, s)
     np.multiply(f.ewt_lm[s], 1.0 / np.sqrt(diag)[:, :, None], out=vwt)
     np.matmul(vwt.transpose(0, 2, 1), vwt, out=p)
@@ -381,13 +409,14 @@ def factor_psi(f, stages):
 
 def solve_H(f, rhs, out):
     """Per-stage solve H_j z_j = rhs_j with the stored inverse factors:
-    z = L^{-T} (L^{-1} rhs), two batched matmuls over every stage (a row
-    scaling on the diagonal path), into ``out``, which may be ``rhs``
-    itself.  Returns ``out``."""
+    z = L^{-T} (L^{-1} rhs), two batched matmuls over every stage through
+    the scratch ``f.linv_rhs`` (a division by ``h_diag`` on the diagonal
+    path), into ``out``, which may be ``rhs`` itself.  Returns ``out``."""
     if f.variant == "diagonal":
         np.divide(rhs.data, f.h_diag.data, out=out.data)
     else:
-        np.matmul(f.linv_lm.transpose(0, 2, 1), np.matmul(f.linv_lm, rhs.stack), out=out.stack)
+        np.matmul(f.linv_lm, rhs.stack, out=f.linv_rhs)
+        np.matmul(f.linv_lm.transpose(0, 2, 1), f.linv_rhs, out=out.stack)
     return out
 
 

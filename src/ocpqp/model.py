@@ -9,8 +9,13 @@ gives the standard-form quadratic program
     s.t.      M x = b,   b_l <= G x <= b_u
 
 whose matrices Q (block-diagonal cost), M (dynamics stencil) and G
-(block-diagonal constraints) are never assembled here: every product is one
-batched matmul over the stage-major stacks of the data and of the vector.
+(block-diagonal constraints) are never assembled here.  A product with M or
+M^T is one batched matmul over the stage-major stacks of the data and of the
+vector, and so is one with Q, G or G^T, except on a diagonal problem
+(diagonal cost blocks, box-like constraint rows; see
+:meth:`OcpProblem.is_diagonal`): there the :class:`DiagonalStructure`,
+derived once from the data, makes it one elementwise operation over the flat
+vectors, with no dense block read.
 
 At load the terminal stage is embedded as a regular stage padded with
 S = 0, R = I, D = 0, so every stage operation is uniform over exactly N + 1
@@ -24,6 +29,7 @@ in the stage stacks.  ``from_stages`` writes through it; ``families()``,
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import numbers
@@ -163,6 +169,39 @@ def _as_family(name, value, shape):
     raise ValueError(f"{name}: expected shape {expected}, got {arr.shape}")
 
 
+@dataclass(frozen=True)
+class DiagonalStructure:
+    """The cost and constraint data of a diagonal problem, in the flat
+    stage-major order of the vectors.
+
+    ``cost`` (nstages, n_xu) holds the diagonal of each cost block.  Each
+    constraint row touches at most one variable: ``col`` (nstages, n_y_pad)
+    holds that variable's flat index in a primal vector's ``data`` and
+    ``coef`` its coefficient; a row that touches nothing (a padded row, say)
+    has coefficient 0 and points at the first variable of its stage.
+    """
+
+    cost: np.ndarray
+    col: np.ndarray
+    coef: np.ndarray
+
+    @classmethod
+    def derive(cls, problem):
+        """The structure of ``problem``, or None when it is not diagonal."""
+        cost, con = problem.cost.stack, problem.con.stack
+        diag = np.diagonal(cost, axis1=1, axis2=2).copy()
+        if np.count_nonzero(cost != 0.0) != np.count_nonzero(diag):
+            return None
+        nonzero = con != 0.0
+        col = np.argmax(nonzero, axis=2)  # a row's first nonzero, 0 when it has none
+        coef = np.take_along_axis(con, col[:, :, None], axis=2)[:, :, 0]
+        # each row's first nonzero is all of its nonzeros
+        if np.count_nonzero(nonzero) != np.count_nonzero(coef):
+            return None
+        col += np.arange(len(con))[:, None] * problem.dims.n_xu
+        return cls(diag, col, coef)
+
+
 class OcpProblem:
     """All stage data of one problem, held in stage-major batches.
 
@@ -182,6 +221,9 @@ class OcpProblem:
     slots: primal vectors have n_x + n_u rows per stage (the terminal u slot
     is a zero dummy), equality duals n_x (one block row per stage 0..N) and
     inequality duals n_y_pad = max(n_y, n_yN).
+
+    ``diagonal`` is derived from ``cost`` and ``con`` at its first use, so
+    these two must not change afterwards.
     """
 
     def __init__(self, dims, cost, lin, dyn, affine, con, bl, bu, x_init):
@@ -196,7 +238,6 @@ class OcpProblem:
         self.x_init = np.asarray(x_init, dtype=np.float64).copy()
         if self.x_init.shape != (dims.n_x,):
             raise ValueError(f"x_init must have shape ({dims.n_x},)")
-        self._diag_flag = None
 
     # -- construction ------------------------------------------------------
 
@@ -337,16 +378,16 @@ class OcpProblem:
 
     # -- structure flags ----------------------------------------------------
 
+    @functools.cached_property
+    def diagonal(self):
+        """The problem's :class:`DiagonalStructure`, or None when it is not
+        diagonal; derived once."""
+        return DiagonalStructure.derive(self)
+
     def is_diagonal(self):
         """True when every stage has diagonal Q and R, S = 0, and each
         constraint row touches at most one variable (box-like rows)."""
-        if self._diag_flag is None:
-            cost, con = self.cost.stack, self.con.stack
-            off_diag = ~np.eye(self.dims.n_xu, dtype=bool)
-            self._diag_flag = not (
-                np.any(cost[:, off_diag]) or np.any(np.count_nonzero(con, axis=2) > 1)
-            )
-        return self._diag_flag
+        return self.diagonal is not None
 
 
 def validate(problem):
@@ -412,7 +453,12 @@ def mul_Q(problem, x, out=None):
     """Structured product with the block-diagonal cost matrix."""
     _check_vec(problem, x, problem.dims.n_xu)
     out = _result(problem, out, problem.dims.n_xu)
-    np.matmul(problem.cost.stack, x.stack, out=out.stack)
+    diag = problem.diagonal
+    if diag is None:
+        np.matmul(problem.cost.stack, x.stack, out=out.stack)
+    else:
+        np.multiply(diag.cost.ravel(), x.data, out=out.data)
+        out.data += 0.0  # -0 to +0, the zero the matmul gives
     return out
 
 
@@ -449,16 +495,29 @@ def mul_G(problem, x, out=None):
     d = problem.dims
     _check_vec(problem, x, d.n_xu)
     out = _result(problem, out, d.n_y_pad)
-    np.matmul(problem.con.stack, x.stack, out=out.stack)
+    diag = problem.diagonal
+    if diag is None:
+        np.matmul(problem.con.stack, x.stack, out=out.stack)
+    else:
+        # every index is in range; mode "clip" writes into out unbuffered
+        np.take(x.data, diag.col.ravel(), out=out.data, mode="clip")
+        out.data *= diag.coef.ravel()
+        out.data += 0.0  # -0 to +0, the zero the matmul gives
     return out
 
 
 def mul_GT(problem, z, out=None):
-    """Structured product with G^T."""
+    """Structured product with G^T; on a diagonal problem a scatter-add, as
+    several rows may touch one variable."""
     d = problem.dims
     _check_vec(problem, z, d.n_y_pad)
     out = _result(problem, out, d.n_xu)
-    np.matmul(problem.con.stack.transpose(0, 2, 1), z.stack, out=out.stack)
+    diag = problem.diagonal
+    if diag is None:
+        np.matmul(problem.con.stack.transpose(0, 2, 1), z.stack, out=out.stack)
+    else:
+        out.data.fill(0.0)
+        np.add.at(out.data, diag.col.ravel(), diag.coef.ravel() * z.data)
     return out
 
 

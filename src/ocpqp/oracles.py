@@ -18,7 +18,6 @@ from itertools import product
 
 import numpy as np
 
-from . import model
 
 
 class OracleIntractable(Exception):
@@ -108,7 +107,7 @@ def assemble_dense(problem):
 
 
 def kkt_residuals(problem, x, y, lam):
-    """Residuals of a candidate solution, recomputed from structured products.
+    """Residuals of a candidate solution, recomputed from the stage families.
 
     Returns (dual, eq, primal, comp) max-norms for flat (x, y, lam):
     dual   = ||Qx + q + M'lam + G'y||_inf
@@ -120,21 +119,47 @@ def kkt_residuals(problem, x, y, lam):
     when Gx is feasible and y lies in the normal cone of the box at Gx
     (y >= 0 only on rows at their upper bound, y <= 0 only at the lower,
     y = 0 in the interior), so the four together certify optimality.
+
+    The products are per-stage ``einsum`` over the families, the way
+    :func:`assemble_dense` reads them, and not the structured products of
+    :mod:`ocpqp.model`, which this checks.
     """
-    xb = problem.primal_from_flat(x)
-    yb = problem.dualineq_from_flat(y)
-    lb = problem.dualeq_from_flat(lam)
-    dual_vec = (
-        problem.primal_to_flat(model.mul_Q(problem, xb))
-        + problem.primal_to_flat(problem.lin)
-        + problem.primal_to_flat(model.mul_MT(problem, lb))
-        + problem.primal_to_flat(model.mul_GT(problem, yb))
+    d = problem.dims
+    N, n_x, n_y = d.N, d.n_x, d.n_y
+    f = problem.families()
+    x, y, lam = (np.asarray(v, dtype=np.float64).ravel() for v in (x, y, lam))
+    if (x.size, y.size, lam.size) != (d.n, d.m, d.p):
+        raise ValueError(
+            f"(x, y, lam) must have lengths ({d.n}, {d.m}, {d.p}), "
+            f"got ({x.size}, {y.size}, {lam.size})"
+        )
+    xu = x[: N * d.n_xu].reshape(N, d.n_xu)
+    xs, us, x_N = xu[:, :n_x], xu[:, n_x:], x[N * d.n_xu :]
+    ys, y_N = y[: N * n_y].reshape(N, n_y), y[N * n_y :]
+    lams = lam.reshape(N + 1, n_x)
+
+    def mul(blocks, v):  # blocks[j] @ v[j]
+        return np.einsum("jab,jb->ja", blocks, v)
+
+    def mul_t(blocks, v):  # blocks[j]^T @ v[j]
+        return np.einsum("jba,jb->ja", blocks, v)
+
+    # Qx + q + M'lam + G'y, stage by stage: the x^j rows, the u^j rows, x^N
+    dual_x = (
+        mul(f["Q"], xs) + mul_t(f["S"], us) + f["q"]
+        + lams[:N] - mul_t(f["A"], lams[1:]) + mul_t(f["C"], ys)
     )
-    eq_vec = problem.dualeq_to_flat(model.mul_M(problem, xb)) - problem.dualeq_to_flat(
-        problem.b_dualeq()
+    dual_u = mul(f["S"], xs) + mul(f["R"], us) + f["r"] - mul_t(f["B"], lams[1:]) + mul_t(f["D"], ys)
+    dual_N = f["Q_N"] @ x_N + f["q_N"] + lams[N] + f["C_N"].T @ y_N
+    dual_vec = np.concatenate([np.hstack([dual_x, dual_u]).ravel(), dual_N])
+    # Mx - b: x^0 - x_init, then x^{j+1} - A_j x^j - B_j u^j - c_j
+    x_next = np.vstack([xs[1:], x_N[None]])
+    eq_vec = np.concatenate(
+        [x[:n_x] - f["x_init"], (x_next - mul(f["A"], xs) - mul(f["B"], us) - f["c"]).ravel()]
     )
-    gx = problem.dualineq_to_flat(model.mul_G(problem, xb))
-    blf, buf = problem.flat_bounds()
+    gx = np.concatenate([(mul(f["C"], xs) + mul(f["D"], us)).ravel(), f["C_N"] @ x_N])
+    blf = np.concatenate([f["bl"].ravel(), f["bl_N"]])
+    buf = np.concatenate([f["bu"].ravel(), f["bu_N"]])
     viol = np.maximum(np.maximum(blf - gx, gx - buf), 0.0)
     comp = gx - np.clip(gx + y, blf, buf)
     return _norm_inf(dual_vec), _norm_inf(eq_vec), _norm_inf(viol), _norm_inf(comp)

@@ -20,6 +20,7 @@ from ocpqp.alm import (
 from ocpqp.bench import SpringMassConfig, gen_random_ocp, gen_spring_mass
 from ocpqp.model import OcpDims, OcpProblem
 
+from test_kkt import diagonal_problem
 from test_model import MISSHAPEN, random_problem
 
 
@@ -446,6 +447,70 @@ class TestCarriedProducts:
                                  1e-4, 1e4))
             ev = eval_products(p, state, p.b_dualeq(), alm.Evaluation.zeros(p))
             assert alm.initial_penalty(p, x, ev) == want
+
+
+def structure_off(monkeypatch):
+    """Route every product with Q, G and G' through dense per-stage matmuls
+    over the stage blocks, and the diagonal variant's H_j diagonals through
+    the dense assembly of whole blocks, so that a solve reads no
+    DiagonalStructure."""
+
+    def mul_Q(problem, x, out):
+        np.matmul(problem.cost.stack, x.stack, out=out.stack)
+        return out
+
+    def mul_G(problem, x, out):
+        np.matmul(problem.con.stack, x.stack, out=out.stack)
+        return out
+
+    def mul_GT(problem, z, out):
+        np.matmul(problem.con.stack.transpose(0, 2, 1), z.stack, out=out.stack)
+        return out
+
+    def assemble_H_diagonal(f, weights, sigma_x_inv, stages, out):
+        work = kkt.StageFactorization.allocate(f.problem)  # a dense one
+        H = np.empty((len(stages),) + work.linv_lm.shape[1:])
+        kkt.assemble_H(work, weights, sigma_x_inv, stages, H)
+        out[...] = np.diagonal(H, axis1=1, axis2=2)
+        return out
+
+    for fn in (mul_Q, mul_G, mul_GT):
+        monkeypatch.setattr(model, fn.__name__, fn)
+    monkeypatch.setattr(kkt, "assemble_H_diagonal", assemble_H_diagonal)
+
+
+class TestDiagonalStructure:
+    """The elementwise products and H diagonals of a diagonal problem leave
+    every solve bit for bit as the dense stage blocks give it."""
+
+    REPORTED = ("status", "outer_iters", "inner_iters", "factorizations",
+                "full_factorizations", "stages_factored", "psi_blocks_factored")
+
+    def solves(self, problem, variant):
+        """A cold solve, then one warm-started from it."""
+        with Solver(problem, SolverSettings(variant=variant)) as solver:
+            cold = solver.solve()
+            return cold, solver.solve(warm_start=cold[:3])
+
+    @pytest.mark.parametrize("variant", ("auto", "dense"))
+    @pytest.mark.parametrize("case", ("spring_mass", "random_diagonal"))
+    def test_solves_bit_identical_without_structure(self, case, variant, monkeypatch):
+        if case == "spring_mass":
+            p = gen_spring_mass(SpringMassConfig(masses=6, horizon=15, seed=4))
+        else:
+            p = diagonal_problem(np.random.default_rng(90), N=12, n_x=4, n_u=2)
+        assert p.is_diagonal()
+        with_structure = self.solves(p, variant)
+        with monkeypatch.context() as m:
+            structure_off(m)
+            without = self.solves(p, variant)
+        for got, want in zip(with_structure, without):
+            assert got[3].solved
+            for a, b in zip(got[:3], want[:3]):
+                assert a.tobytes() == b.tobytes()
+            assert [getattr(got[3], k) for k in self.REPORTED] == [
+                getattr(want[3], k) for k in self.REPORTED
+            ]
 
 
 def from_scratch_residuals(problem, x, y, lam):

@@ -64,17 +64,23 @@ def assembled(problem, weights, sxinv):
 
 def plant_H(monkeypatch, blocks):
     """Make the assembly inside factor_stages give H_j = blocks[j] for the
-    stages j of the dict ``blocks``, and the assembled H_j elsewhere."""
-    original = kkt.assemble_H
+    stages j of the dict ``blocks``, and the assembled H_j elsewhere; the
+    diagonal variant's assembly gives the diagonal of blocks[j]."""
 
-    def planted(f, weights, sigma_x_inv, stages, out):
-        original(f, weights, sigma_x_inv, stages, out)
-        for t, j in enumerate(stages):
-            if int(j) in blocks:
-                out[t] = blocks[int(j)]
-        return out
+    def plant(name, block_of):
+        original = getattr(kkt, name)
 
-    monkeypatch.setattr(kkt, "assemble_H", planted)
+        def planted(f, weights, sigma_x_inv, stages, out):
+            original(f, weights, sigma_x_inv, stages, out)
+            for t, j in enumerate(stages):
+                if int(j) in blocks:
+                    out[t] = block_of(blocks[int(j)])
+            return out
+
+        monkeypatch.setattr(kkt, name, planted)
+
+    plant("assemble_H", lambda block: block)
+    plant("assemble_H_diagonal", np.diagonal)
 
 
 def factor_all(problem, weights, delta, variant="dense", workers=1):
@@ -776,6 +782,24 @@ class TestDiagonalVariant:
         w = make_weights(p, np.zeros(p.dims.n))
         factor_stages(work, INLINE, w, 1e-3, every_stage(work))
         assert np.allclose(np.sqrt(work.h_diag.stack[0].copy()[:, 0]), [2.0, 3.0])
+
+    @pytest.mark.parametrize("stages", (None, [1, 2, 3], [0, 2, 5]))
+    def test_assembly_is_the_dense_diagonal(self, stages):
+        # the H_j diagonals, formed elementwise, are the diagonals of the
+        # dense blocks bit for bit, for every stage, a run and a scattered set
+        rng = np.random.default_rng(84)
+        p = diagonal_problem(rng, N=5, n_x=3, n_u=2)
+        w = p.dualineq_zeros()
+        # penalty, cost and proximal terms of one size, so that the order
+        # of their sum shows in the last bits
+        w.data[:] = rng.uniform(0.0, 4.0, w.data.size) * (rng.random(w.data.size) < 0.7)
+        sxinv = rng.uniform(0.1, 2.0)
+        work = kkt.StageFactorization.allocate(p, "diagonal")
+        stages = every_stage(work) if stages is None else np.array(stages)
+        got = np.full((len(stages), p.dims.n_xu), np.nan)
+        assert kkt.assemble_H_diagonal(work, w, sxinv, stages, got) is got
+        want = np.diagonal(assembled(p, w, sxinv)[stages], axis1=1, axis2=2)
+        assert got.tobytes() == want.tobytes()
 
     def test_agrees_with_dense_path(self):
         rng = np.random.default_rng(81)

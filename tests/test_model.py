@@ -445,6 +445,129 @@ class TestProducts:
             model.mul_Q(p, bad)
 
 
+def box_problem(rng, N, n_x, n_u, rows, rows_N):
+    """A diagonal problem: random diagonal Q, R and Q_N, S = 0, and a box
+    row with a random nonzero coefficient on the variable of each entry of
+    ``rows`` (stage variables) and ``rows_N`` (terminal states); a variable
+    may appear in several rows."""
+    n_xu = n_x + n_u
+    G = np.zeros((len(rows), n_xu))
+    G[np.arange(len(rows)), rows] = rng.uniform(0.5, 2.0, len(rows)) * rng.choice([-1.0, 1.0], len(rows))
+    C_N = np.zeros((len(rows_N), n_x))
+    C_N[np.arange(len(rows_N)), rows_N] = rng.uniform(0.5, 2.0, len(rows_N))
+    return OcpProblem.from_stages(
+        Q=np.stack([np.diag(v) for v in rng.uniform(0.5, 2.0, (N, n_x))]),
+        S=np.zeros((N, n_u, n_x)),
+        R=np.stack([np.diag(v) for v in rng.uniform(0.5, 2.0, (N, n_u))]),
+        q=rng.standard_normal((N, n_x)), r=rng.standard_normal((N, n_u)),
+        A=rng.standard_normal((N, n_x, n_x)), B=rng.standard_normal((N, n_x, n_u)),
+        c=rng.standard_normal((N, n_x)), C=G[:, :n_x], D=G[:, n_x:],
+        bl=np.full((N, len(rows)), -1.0), bu=np.full((N, len(rows)), 1.0),
+        Q_N=np.diag(rng.uniform(0.5, 2.0, n_x)), q_N=rng.standard_normal(n_x), C_N=C_N,
+        bl_N=np.full(len(rows_N), -1.0), bu_N=np.full(len(rows_N), 1.0),
+        x_init=rng.standard_normal(n_x),
+    )
+
+
+def matmul_products(p, xb, zb):
+    """Q x, G x and G' z as dense per-stage matmuls over the stage blocks."""
+    return (
+        np.matmul(p.cost.stack, xb.stack),
+        np.matmul(p.con.stack, xb.stack),
+        np.matmul(p.con.stack.transpose(0, 2, 1), zb.stack),
+    )
+
+
+def structured_products(p, xb, zb):
+    return (
+        model.mul_Q(p, xb).stack,
+        model.mul_G(p, xb).stack,
+        model.mul_GT(p, zb).stack,
+    )
+
+
+def random_vectors(rng, p):
+    """Random x and z, some entries -0 and +0."""
+    xb, zb = p.primal_zeros(), p.dualineq_zeros()
+    for v in (xb, zb):
+        v.data[:] = rng.standard_normal(v.data.size)
+        v.data[::5] = -0.0
+        v.data[1::7] = 0.0
+    return xb, zb
+
+
+class TestDiagonalProducts:
+    """On a diagonal problem mul_Q, mul_G and mul_GT are elementwise over
+    the problem's DiagonalStructure; they must give the dense per-stage
+    matmul over the stage blocks."""
+
+    # (N, stage rows, terminal rows) on n_x = 3, n_u = 2: one row per
+    # variable, no stage rows, n_yN above and below n_y, a single stage
+    ONE_ROW_PER_VARIABLE = {
+        "every_variable": (6, [0, 1, 2, 3, 4], [0, 1, 2]),
+        "no_stage_rows": (4, [], [2, 0]),
+        "no_rows": (3, [], []),
+        "terminal_rows_above": (5, [4, 1], [0, 1, 2]),
+        "terminal_rows_below": (5, [3, 0, 2, 4], [1]),
+        "single_stage": (1, [2, 3, 0], [1, 2]),
+    }
+
+    @pytest.mark.parametrize("case", sorted(ONE_ROW_PER_VARIABLE))
+    def test_one_row_per_variable_bit_identical(self, case):
+        N, rows, rows_N = self.ONE_ROW_PER_VARIABLE[case]
+        rng = np.random.default_rng(60 + N + len(rows))
+        p = box_problem(rng, N, 3, 2, rows, rows_N)
+        assert p.is_diagonal() and p.dims.n_y_pad == max(len(rows), len(rows_N))
+        for _ in range(3):
+            xb, zb = random_vectors(rng, p)
+            for got, want in zip(structured_products(p, xb, zb), matmul_products(p, xb, zb)):
+                assert got.tobytes() == want.tobytes()  # signed zeros too
+
+    @pytest.mark.parametrize("N", (1, 5))
+    def test_two_rows_on_one_variable(self, N):
+        # G' z sums two rows into variables 1 and 4: equal up to the order
+        # of the sum
+        rng = np.random.default_rng(70 + N)
+        p = box_problem(rng, N, 3, 2, [1, 4, 1, 0, 4], [2, 2, 0])
+        assert p.is_diagonal()
+        for _ in range(3):
+            xb, zb = random_vectors(rng, p)
+            got, want = structured_products(p, xb, zb), matmul_products(p, xb, zb)
+            assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
+            assert np.max(np.abs(got[2] - want[2])) <= 1e-15 * np.max(np.abs(want[2]))
+
+    def test_structure(self):
+        rng = np.random.default_rng(75)
+        p = box_problem(rng, 2, 2, 1, [2, 0], [1])
+        diag = p.diagonal
+        assert p.diagonal is diag  # derived once
+        assert np.array_equal(diag.cost, np.diagonal(p.cost.stack, axis1=1, axis2=2))
+        # flat primal index of each row's variable; the padded terminal row
+        # points at the first variable of its stage with coefficient 0
+        assert np.array_equal(diag.col, [[2, 0], [5, 3], [7, 6]])
+        want = [[p.con.stack[0, 0, 2], p.con.stack[0, 1, 0]],
+                [p.con.stack[1, 0, 2], p.con.stack[1, 1, 0]],
+                [p.con.stack[2, 0, 1], 0.0]]
+        assert np.array_equal(diag.coef, want) and np.all(diag.coef[:, 0] != 0.0)
+
+    def test_non_diagonal_keeps_matmul(self):
+        # dense S, C and D; one row on two variables; an off-diagonal Q entry
+        rng = np.random.default_rng(76)
+        two_vars = {k: np.array(v) for k, v in box_problem(rng, 3, 3, 2, [0, 1], [0]).families().items()}
+        two_vars["D"][1, 0, 1] = 0.5
+        coupled = {k: np.array(v) for k, v in box_problem(rng, 3, 3, 2, [0, 1], [0]).families().items()}
+        coupled["Q"][1, 0, 2] = coupled["Q"][1, 2, 0] = 0.1
+        for p in (
+            random_problem(rng, N=4),
+            OcpProblem.from_stages(**two_vars),
+            OcpProblem.from_stages(**coupled),
+        ):
+            assert not p.is_diagonal() and p.diagonal is None
+            xb, zb = random_vectors(rng, p)
+            for got, want in zip(structured_products(p, xb, zb), matmul_products(p, xb, zb)):
+                assert got.tobytes() == want.tobytes()
+
+
 class TestFiles:
     @pytest.mark.parametrize("fmt", ("binary", "json"))
     def test_roundtrip(self, tmp_path, fmt):

@@ -102,9 +102,6 @@ def check_every_iteration(problem, variant, workers):
             factor(state, weights, timings, counts)
             fresh = fresh_factorization(solver, state, weights)
             for name in FIELDS:
-                # on the diagonal path linv_lm is only where H_j is assembled
-                if name == "linv_lm" and variant == "diagonal":
-                    continue
                 if getattr(fresh, name) is not None:
                     assert np.array_equal(field(solver.work, name), field(fresh, name)), name
             assert band_residual(solver.work) <= 1e-14
@@ -290,8 +287,11 @@ class TestStagesOutsideTheSet:
         p = diagonal_problem(rng, N=9, n_x=3, n_u=2)
         w = make_weights(p, rng.standard_normal(p.dims.n), sigma=2.0)
         work = kkt.StageFactorization.allocate(p, variant)
-        stacks = {"linv_lm": work.linv_lm, "vwt_lm": work.vwt_lm, "p_lm": work.p_lm}
-        if variant == "diagonal":
+        stacks = {"vwt_lm": work.vwt_lm, "p_lm": work.p_lm}
+        # the factor of H_j: L_j^{-1}, or the diagonal of H_j
+        if variant == "dense":
+            stacks["linv_lm"] = work.linv_lm
+        else:
             stacks["h_diag"] = work.h_diag.stack
         for stack in stacks.values():
             stack[:] = np.nan
@@ -304,9 +304,7 @@ class TestStagesOutsideTheSet:
         others = np.setdiff1d(every_stage(work), stages)
         for name, stack in stacks.items():
             assert np.all(np.isnan(stack[others])), name
-            # on the diagonal path linv_lm is only where H_j is assembled
-            if variant == "dense" or name != "linv_lm":
-                assert np.all(np.isfinite(stack[stages])), name
+            assert np.all(np.isfinite(stack[stages])), name
 
 
 class TestChangedStages:
