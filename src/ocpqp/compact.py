@@ -20,9 +20,9 @@ class NonPositivePivot(Exception):
     """A Cholesky pivot was not strictly positive.
 
     Attributes ``stage`` and ``row`` identify the first offending stage; the
-    full list of (stage, row) pairs is in ``failures``.  Stages that fail do
-    not corrupt their siblings: all other stages hold their correct factors
-    when this is raised.
+    full list of (stage, row) pairs, in stage order, is in ``failures``.  A
+    dense stage that fails does not corrupt its siblings: they hold their
+    correct factors when this is raised.
     """
 
     def __init__(self, failures):

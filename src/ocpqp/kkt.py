@@ -35,9 +35,9 @@ array.
 
 ``factor_stages`` is one fork-join: each worker assembles the H_j of its
 chunk of stages (:func:`assemble_H`) into the slots that then hold their
-factors, so no H stack is kept, runs one batched Cholesky and inverts each
-stage's factor in place with LAPACK trtri, so the stored stage factor is
-L^{-1} (in place of L).  The panel J_j = [V_j; W_j] is then one batched matmul
+factors, so no H stack is kept, and factors and inverts each slot in place
+with one LAPACK potrf and one trtri, so the stored stage factor is L^{-1}
+(in place of L).  The panel J_j = [V_j; W_j] is then one batched matmul
 L^{-1} [A B; I 0]^T, all three Psi products (V V^T, W W^T, -V W^T) come out
 of a single J J^T, and every later solve with H is two batched matmuls over
 all stages.  The constant panel [A B; I 0]^T is built once at workspace
@@ -82,10 +82,9 @@ class StructureMismatch(Exception):
 class WorkerPool:
     """Runs a callable over disjoint parts of a sorted stage index array.
 
-    With one worker everything is inline; otherwise a thread pool executes
-    one part per worker and ``run`` returns only after all parts finish
-    (the barrier between stage-parallel work and the Psi factorization),
-    also when one of them raises; the first part's exception is re-raised.
+    With one worker everything is inline; otherwise a thread pool runs one
+    part per worker.  ``run`` returns the parts' results in stage order once
+    all parts finish (the barrier before the Psi factorization).
     """
 
     def __init__(self, workers=1):
@@ -96,15 +95,13 @@ class WorkerPool:
 
     def run(self, fn, stages):
         if self.workers == 1 or len(stages) <= 1:
-            fn(stages)
-            return
+            return [fn(stages)]
         chunks = np.array_split(stages, min(self.workers, len(stages)))
         if self._executor is None:
             self._executor = ThreadPoolExecutor(max_workers=self.workers)
         futures = [self._executor.submit(fn, ch) for ch in chunks]
         wait(futures)
-        for fut in futures:
-            fut.result()
+        return [fut.result() for fut in futures]
 
     def shutdown(self):
         if self._executor is not None:
@@ -292,51 +289,50 @@ def assemble_H_diagonal(f, weights, sigma_x_inv, stages, out):
 
 def factor_chunk_dense(f, weights, sigma_x_inv, stages):
     """Dense per-stage pipeline over a sorted stage index array: the H_j
-    assembled into their ``linv_lm`` slots, a batched Cholesky and one
-    trtri per stage there, replacing H by L^{-1}, one batched matmul for
-    the combined (V; W)^T panels, and one J J^T product holding every Psi
-    contribution of those stages; no other stage is written.  When the
-    batched Cholesky fails, each stage is factored on its own by LAPACK
-    potrf, so a failing stage is named by its index and the row of its
-    first non-positive pivot without touching its siblings' factors."""
+    assembled into their ``linv_lm`` slots, one potrf and one trtri per
+    slot, one batched matmul for the combined (V; W)^T panels, and one
+    J J^T product holding every Psi contribution of those stages; no other
+    stage is written.  A C-ordered slot's transpose is Fortran-ordered with
+    the slot's lower triangle as its upper one, so LAPACK writes U^{-1} =
+    L^{-T} there, which the slot reads as L^{-1} with a zero strict upper
+    triangle.  Returns the (stage, row) of each stage's first non-positive
+    pivot; a failing stage leaves its siblings' factors intact."""
     s = _index(stages)
     linv = assemble_H(f, weights, sigma_x_inv, stages, _slots(f.linv_lm, s))
     failures = []
-    try:
-        linv[:] = np.linalg.cholesky(linv)  # reads the lower triangle
-    except np.linalg.LinAlgError:
-        for t in range(linv.shape[0]):
-            linv[t], info = _potrf(linv[t], lower=1)
-            if info > 0:
-                failures.append((int(stages[t]), info - 1))
     for t in range(linv.shape[0]):
-        linv[t] = _trtri(linv[t], lower=1)[0]
+        c, info = _potrf(linv[t].T, lower=0, overwrite_a=1, clean=1)
+        if info > 0:
+            failures.append((int(stages[t]), info - 1))
+        _trtri(c, lower=0, overwrite_c=1)
     vwt, p = _slots(f.vwt_lm, s), _slots(f.p_lm, s)
     np.matmul(linv, f.ewt_lm[s], out=vwt)
     np.matmul(vwt.transpose(0, 2, 1), vwt, out=p)
     for stack, values in ((f.linv_lm, linv), (f.vwt_lm, vwt), (f.p_lm, p)):
         _scatter(stack, s, values)
-    if failures:
-        raise NonPositivePivot(failures)
+    return failures
 
 
 def factor_chunk_diagonal(f, weights, sigma_x_inv, stages):
     """Diagonal fast path: H_j is diagonal (:func:`assemble_H_diagonal`),
     so the Cholesky factor is a square root and the panel solve collapses
-    to a row scaling of the constant [A B; I 0]^T panels."""
+    to a row scaling of the constant [A B; I 0]^T panels.  Returns the
+    (stage, row) of each stage's first non-positive entry, found before any
+    square root is taken; a chunk with one writes nothing."""
     s = _index(stages)
     h_diag = f.h_diag.stack[:, :, 0]
     diag = assemble_H_diagonal(f, weights, sigma_x_inv, stages, _slots(h_diag, s))
     bad = ~(diag > 0.0)
     if bad.any():
-        t, row = np.argwhere(bad)[0]
-        raise NonPositivePivot([(int(stages[t]), int(row))])
+        rows = bad.argmax(axis=1)
+        return [(int(stages[t]), int(rows[t])) for t in np.flatnonzero(bad.any(axis=1))]
     _scatter(h_diag, s, diag)
     vwt, p = _slots(f.vwt_lm, s), _slots(f.p_lm, s)
     np.multiply(f.ewt_lm[s], 1.0 / np.sqrt(diag)[:, :, None], out=vwt)
     np.matmul(vwt.transpose(0, 2, 1), vwt, out=p)
     _scatter(f.vwt_lm, s, vwt)
     _scatter(f.p_lm, s, p)
+    return []
 
 
 def factor_stages(f, pool, weights, sigma_x_inv, stages):
@@ -348,10 +344,14 @@ def factor_stages(f, pool, weights, sigma_x_inv, stages):
 
     Only the stages of the sorted index array ``stages`` are refactored;
     the others keep the factors ``f`` holds.  The result is ready for
-    :func:`factor_psi` over the same ``stages``.
+    :func:`factor_psi` over the same ``stages``.  One NonPositivePivot
+    names the failing stages of every chunk, at any worker count.
     """
     chunk_fn = factor_chunk_diagonal if f.variant == "diagonal" else factor_chunk_dense
-    pool.run(lambda ch: chunk_fn(f, weights, sigma_x_inv, ch), stages)
+    results = pool.run(lambda ch: chunk_fn(f, weights, sigma_x_inv, ch), stages)
+    failures = sorted(pair for chunk in results for pair in chunk)
+    if failures:
+        raise NonPositivePivot(failures)
     return f
 
 

@@ -386,12 +386,12 @@ class TestCarriedProducts:
 
     def test_carried_products_at_large_penalties(self, monkeypatch):
         # warm-started at its own solution with initial_sigma=1e3, this
-        # random problem drives its penalties to 1e6 and beyond (the stall
-        # of ROADMAP item 8), where y+ = Sigma_y (z - proj z) magnifies any
-        # drift of Gx: the carried products still agree with fresh ones,
-        # and the report, whatever its status, is that of a fresh
-        # evaluation at the returned (x, y, lam)
-        p = gen_random_ocp(OcpDims(12, 5, 3, 4, 4), seed=1, feasibility_margin=0.3)
+        # random problem stalls (ends max_iter) and drives its penalties to
+        # 1e6 and beyond (ROADMAP item 8), where y+ = Sigma_y (z - proj z)
+        # magnifies any drift of Gx: the carried products still agree with
+        # fresh ones, and the report, whatever its status, is that of a
+        # fresh evaluation at the returned (x, y, lam)
+        p = gen_random_ocp(OcpDims(12, 5, 3, 4, 4), seed=17, feasibility_margin=0.3)
         with Solver(p, SolverSettings(initial_sigma=1e3)) as solver:
             x, y, lam, report = solver.solve()
             assert report.solved

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -291,11 +293,10 @@ class TestFactorStages:
 
     @pytest.mark.parametrize("workers", (1, 2))
     def test_failed_stage_does_not_poison_siblings(self, workers, monkeypatch):
-        # one non-PD stage among ten: the batched Cholesky of the range
-        # fails, the per-stage retry names exactly that stage, and every
-        # sibling still holds its own inverse factor and J J^T product; with
-        # 2 workers the failing stage lies in a range that does not start at
-        # stage 0
+        # one non-PD stage among ten: its potrf fails and names exactly
+        # that stage, and every sibling still holds its own inverse factor
+        # and J J^T product; with 2 workers the failing stage lies in a
+        # range that does not start at stage 0
         rng = np.random.default_rng(41)
         p = random_problem(rng, N=9, n_x=3, n_u=2, n_y=2, n_yN=1)
         w = make_weights(p, rng.standard_normal(p.dims.n), sigma=1.0)
@@ -371,6 +372,34 @@ class TestFactorStages:
         with pytest.raises(NonPositivePivot) as exc:
             factor_stages(work, INLINE, w, 1e-3, every_stage(work))
         assert exc.value.failures == [(2, 1)]
+
+    @pytest.mark.parametrize("workers", (1, 2, 4))
+    @pytest.mark.parametrize("variant", ("dense", "diagonal"))
+    def test_every_failing_stage_is_named(self, variant, workers, monkeypatch):
+        # stages 1 and 8 fail, in the first and the last chunk at 2 and 4
+        # workers: one exception lists both, at any worker count and on
+        # both variants
+        rng = np.random.default_rng(46)
+        p = diagonal_problem(rng, N=9, n_x=2, n_u=1)
+        plant_H(monkeypatch, {j: -np.eye(p.dims.n_xu) for j in (1, 8)})
+        with pytest.raises(NonPositivePivot) as exc:
+            factor_all(p, make_weights(p, np.zeros(p.dims.n)), 1e-3, variant, workers)
+        assert exc.value.failures == [(1, 0), (8, 0)]
+
+    def test_dense_factorization_in_place(self):
+        # each slot is factored and inverted where it was assembled: the
+        # whole factorization allocates a small part of one L^{-1} stack
+        p = gen_spring_mass(SpringMassConfig(masses=30, horizon=30, seed=0))
+        rng = np.random.default_rng(47)
+        w = make_weights(p, rng.standard_normal(p.dims.n), sigma=1.0)
+        work = kkt.StageFactorization.allocate(p)
+        tracemalloc.start()
+        try:
+            factor_stages(work, INLINE, w, 1e-3, every_stage(work))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < work.linv_lm.nbytes / 8
 
 
 class TestSolveH:
