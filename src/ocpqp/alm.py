@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import ctypes
 import numbers
-import os
 import threading
 import time
 from contextlib import contextmanager
@@ -76,10 +75,10 @@ class SolverSettings:
 
     ``variant`` picks the stage-factorization path: 'dense', 'diagonal', or
     'auto' (diagonal when the problem structure allows it).  ``worker_count``
-    workers (an integer >= 1) share the stage-parallel phases; the
-    OCPQP_WORKERS environment variable overrides it when set.  The
+    workers (an integer >= 1) share the stage-parallel phases.  The
     iteration limits ``max_outer`` and ``max_inner`` (>= 1) and
-    ``max_pivot_escalations`` (>= 0) are integers as well.
+    ``max_pivot_escalations`` (>= 0) are integers as well, and no count may
+    be a bool.
     ``lane_width`` is read by nothing: the benchmark still passes it, and it
     goes with the benchmark change of ROADMAP item 5.
     ``proximal_weight`` is sigma_x_inv at the start of each inner solve;
@@ -109,7 +108,7 @@ class SolverSettings:
         for name, least in (("max_outer", 1), ("max_inner", 1),
                             ("max_pivot_escalations", 0), ("worker_count", 1)):
             value = getattr(self, name)
-            if not (isinstance(value, numbers.Integral) and value >= least):
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
                 raise ValueError(f"{name} must be an integer >= {least}")
         if not 1.0 < self.penalty_update_factor < np.inf:
             raise ValueError("penalty_update_factor must be finite and exceed 1")
@@ -157,14 +156,21 @@ class InnerRecord:
 
 @dataclass
 class SolveReport:
-    status: str
-    outer_iters: int
-    inner_iters: int
-    dual_res: float
-    eq_res: float
-    primal_res: float
-    timings: dict
-    solve_time: float
+    """Everything a solve reports, under the names ``ocpqp solve --report``
+    writes.  ``Solver`` creates it when the solve starts and the loop writes
+    into it; the defaults are those of a solve that has not yet stopped.
+    ``timings`` holds the seconds spent in each phase of ``PHASES``, and
+    ``inner_log`` one :class:`InnerRecord` per inner step when
+    ``SolverSettings.log_inner`` is set."""
+
+    status: str = MAX_ITER
+    outer_iters: int = 0
+    inner_iters: int = 0
+    dual_res: float = float("inf")
+    eq_res: float = float("inf")
+    primal_res: float = float("inf")
+    timings: dict = field(default_factory=lambda: dict.fromkeys(PHASES, 0.0))
+    solve_time: float = 0.0
     inner_log: list = field(default_factory=list)
     blas_threads: int | None = None  # None: no bundled OpenBLAS was found
     # stage factorizations that refactored at least one stage, those of them
@@ -474,15 +480,7 @@ class Solver:
         self.variant = self.settings.variant
         if self.variant == "auto":
             self.variant = "diagonal" if problem.is_diagonal() else "dense"
-        env_workers = os.environ.get("OCPQP_WORKERS")
         self.worker_count = self.settings.worker_count
-        if env_workers:
-            try:
-                self.worker_count = int(env_workers)
-            except ValueError:
-                self.worker_count = 0
-            if self.worker_count < 1:
-                raise ValueError(f"OCPQP_WORKERS must be an integer >= 1, got {env_workers!r}")
         # raises StructureMismatch for the diagonal variant of a non-diagonal problem
         self.work = kkt.StageFactorization.allocate(problem, self.variant)
         self.proximal_weight = float(np.clip(self.settings.proximal_weight, SIGMA_MIN, SIGMA_MAX))
@@ -562,7 +560,7 @@ class Solver:
         state.sigma_y.data[:] = float(np.clip(sigma0, SIGMA_MIN, SIGMA_MAX))
         return state
 
-    def _factor(self, state, weights, timings, counts):
+    def _factor(self, state, weights, report):
         """Bring the factorization up to date with the current active set.
 
         Only the stages whose H_j changed since the last completed
@@ -570,7 +568,8 @@ class Solver:
         Psi restarts at the last of them; when none did, the factorization
         is reused as it stands.  Pivot failures multiply the proximal weight
         ``state.sigma_x_inv`` by 10 (at most the configured count), and every
-        stage is refactored after one.  ``counts`` tallies the work."""
+        stage is refactored after one.  The work and its time are tallied
+        in ``report``."""
         w = self.work
         for attempt in range(self.settings.max_pivot_escalations + 1):
             stages = w.changed_stages(weights, state.sigma_x_inv)
@@ -578,10 +577,10 @@ class Solver:
                 return
             # a failed attempt rewrites stages, whatever the recorded weight
             w.invalidate()
-            counts["factorizations"] += 1
-            counts["full_factorizations"] += stages.size == len(w.p_lm)
-            counts["stages_factored"] += stages.size
-            counts["psi_blocks_factored"] += kkt.psi_top(w, stages) + 1
+            report.factorizations += 1
+            report.full_factorizations += stages.size == len(w.p_lm)
+            report.stages_factored += stages.size
+            report.psi_blocks_factored += kkt.psi_top(w, stages) + 1
             t0 = time.perf_counter()
             try:
                 kkt.factor_stages(w, self.pool, weights, state.sigma_x_inv, stages)
@@ -589,16 +588,16 @@ class Solver:
                 kkt.factor_psi(w, stages)
             except NonPositivePivot:
                 # the whole failed attempt is stage work
-                timings["stage_factor"] += time.perf_counter() - t0
+                report.timings["stage_factor"] += time.perf_counter() - t0
                 state.sigma_x_inv *= 10.0
                 continue
-            timings["stage_factor"] += t1 - t0
-            timings["psi_factor"] += time.perf_counter() - t1
+            report.timings["stage_factor"] += t1 - t0
+            report.timings["psi_factor"] += time.perf_counter() - t1
             w.record(weights, state.sigma_x_inv)
             return
         raise _PivotEscalationFailed()
 
-    def _inner_solve(self, state, ev, step, inner_tol, timings, log, counts):
+    def _inner_solve(self, state, ev, step, inner_tol, report):
         """Newton iterations on the current inner problem, from the products
         of state's iterate that the evaluation ``ev`` carries, with the
         step's vectors in ``step``; ends with ``ev`` completed (see
@@ -610,23 +609,26 @@ class Solver:
         its products Q dx, G dx and M dx, and the iterate and its carried
         products move along it together.  The first step is a unit step;
         later steps use the exact line search.  Only the stages whose active
-        penalties changed are refactored (see :meth:`_factor`).
+        penalties changed are refactored (see :meth:`_factor`).  Phase times,
+        factorization counts and, with ``log_inner``, one record per step
+        go into ``report``.
         """
-        p, settings = self.problem, self.settings
+        p, settings, timings = self.problem, self.settings, report.timings
         state.sigma_x_inv = self.proximal_weight  # until a pivot failure raises it
         for it in range(settings.max_inner + 1):
             eval_grad_phi(p, state, ev)
             eq_norm = float(np.max(np.abs(ev.r.data)))
-            if log is not None and it:  # the step that led here
+            if settings.log_inner and it:  # the step that led here
                 phi = eval_phi(p, state, ev)
-                log.append(InnerRecord(state.outer_iter, it, phi, eq_norm, tau, it == 1))
+                record = InnerRecord(state.outer_iter, it, phi, eq_norm, tau, it == 1)
+                report.inner_log.append(record)
             if it == settings.max_inner or (
                 np.max(np.abs(ev.g.data)) <= inner_tol and eq_norm <= inner_tol
             ):
                 return
 
             weights = kkt.weights_from_shifted(p, state.sigma_y, ev.z)
-            self._factor(state, weights, timings, counts)
+            self._factor(state, weights, report)
 
             t0 = time.perf_counter()
             kkt.solve_newton(self.work, ev.g, ev.r, out=(step.dx, step.dlam, step.mtdl))
@@ -709,37 +711,31 @@ class Solver:
         # between solves, they add nothing to a pool of idle solvers
         ev, step = Evaluation.zeros(p), Step.zeros(p)
         state = self._init_state(warm_start, ev)
-        timings = {k: 0.0 for k in PHASES}
-        counts = dict.fromkeys(
-            ("factorizations", "full_factorizations", "stages_factored", "psi_blocks_factored"), 0
-        )
+        report = SolveReport()
         self.work.invalidate()  # the first factorization of a solve is full
-        log = [] if settings.log_inner else None
         inner_tol = 1.0
-        status = MAX_ITER
-        dual_res = eq_res = primal_res = float("inf")
         prev_viol = None
         t_start = time.perf_counter()
         for k in range(settings.max_outer):
             state.outer_iter = k + 1
             np.copyto(state.x_center.data, state.x.data)
             try:
-                self._inner_solve(state, ev, step, inner_tol, timings, log, counts)
+                self._inner_solve(state, ev, step, inner_tol, report)
             except _PivotEscalationFailed:
-                status = NUMERICAL_ERROR
+                report.status = NUMERICAL_ERROR
                 break
 
-            passed, dual_res, eq_res, primal_res, comp = self._outer_test(ev)
+            passed, report.dual_res, report.eq_res, report.primal_res, comp = self._outer_test(ev)
             if passed or k == settings.max_outer - 1:
                 # carried products drift by rounding: only a fresh
                 # evaluation of the iterate may end the solve or give the
                 # residuals and y of a max_iter report, and the solve goes
                 # on from it when it fails the test
                 eval_grad_phi(p, state, eval_products(p, state, self._b, ev))
-                passed, dual_res, eq_res, primal_res, comp = self._outer_test(ev)
+                passed, report.dual_res, report.eq_res, report.primal_res, comp = self._outer_test(ev)
             np.copyto(state.y.data, ev.y_plus.data)
             if passed:
-                status = SOLVED
+                report.status = SOLVED
                 break
 
             if prev_viol is not None:
@@ -752,19 +748,8 @@ class Solver:
             prev_viol = comp
             inner_tol = max(0.1 * inner_tol, 0.1 * settings.eps_abs)
 
-        solve_time = time.perf_counter() - t_start
-        report = SolveReport(
-            status=status,
-            outer_iters=state.outer_iter,
-            inner_iters=state.inner_iter,
-            dual_res=dual_res,
-            eq_res=eq_res,
-            primal_res=primal_res,
-            timings=timings,
-            solve_time=solve_time,
-            inner_log=log or [],
-            **counts,
-        )
+        report.solve_time = time.perf_counter() - t_start
+        report.outer_iters, report.inner_iters = state.outer_iter, state.inner_iter
         return (
             p.primal_to_flat(state.x),
             p.dualineq_to_flat(state.y),

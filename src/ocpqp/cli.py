@@ -6,12 +6,12 @@
     ocpqp verify --problem file.ocpq --oracle riccati|enumerate|residual
 
 Exit codes: 0 success, 2 solver failure, 3 verification failure.
-OCPQP_WORKERS overrides any worker count.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -24,7 +24,7 @@ def parse_range(spec):
     """'10..70:10' -> arithmetic sweep, '15..240:x2' -> geometric, '30' -> [30].
 
     A geometric sweep must grow: a factor below 2 or a start below 1 raises
-    ValueError."""
+    ValueError, as do an arithmetic step below 1 and a sweep with no values."""
     spec = str(spec)
     if ".." not in spec:
         return [int(v) for v in spec.split(",")]
@@ -45,8 +45,21 @@ def parse_range(spec):
             out.append(v)
             v *= factor
     else:
-        out.extend(range(lo, hi + 1, int(step)))
+        step = int(step)
+        if step < 1:
+            raise ValueError(f"arithmetic sweep {spec!r} needs a step >= 1")
+        out.extend(range(lo, hi + 1, step))
+    if not out:
+        raise ValueError(f"sweep {spec!r} has no values")
     return out
+
+
+def _runs(text):
+    """The --runs count: an integer >= 1."""
+    runs = int(text)
+    if runs < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text!r}")
+    return runs
 
 
 def _print_results(results):
@@ -120,25 +133,9 @@ def cmd_solve(args):
     )
     with Solver(problem, settings) as solver:
         x, y, lam, report = solver.solve()
-    doc = {
-        "status": report.status,
-        "outer_iterations": report.outer_iters,
-        "inner_iterations": report.inner_iters,
-        "dual_residual": report.dual_res,
-        "eq_residual": report.eq_res,
-        "primal_residual": report.primal_res,
-        "solve_time_s": report.solve_time,
-        "timings_s": report.timings,
-        "factorizations": report.factorizations,
-        "full_factorizations": report.full_factorizations,
-        "stages_factored": report.stages_factored,
-        "psi_blocks_factored": report.psi_blocks_factored,
-        "blas_threads": report.blas_threads,
-    }
+    doc = dataclasses.asdict(report)
     if args.solution:
-        doc["x"] = x.tolist()
-        doc["y"] = y.tolist()
-        doc["lam"] = lam.tolist()
+        doc.update(x=x.tolist(), y=y.tolist(), lam=lam.tolist())
     if args.report:
         with open(args.report, "w") as fh:
             json.dump(doc, fh, indent=2)
@@ -182,7 +179,7 @@ def main(argv=None):
     p_sm = bench_sub.add_parser("spring-mass", help="mass sweep at fixed horizon")
     p_sm.add_argument("--masses", default="10..70:10")
     p_sm.add_argument("--horizon", type=int, default=15)
-    p_sm.add_argument("--runs", type=int, default=100, help="seeded instances per size")
+    p_sm.add_argument("--runs", type=_runs, default=100, help="seeded instances per size")
     p_sm.add_argument("--variant", choices=("dense", "diagonal", "auto"), default="dense")
     p_sm.add_argument("--workers", type=int, default=1)
     p_sm.add_argument("--eps-abs", type=float, default=1e-8)
@@ -195,7 +192,7 @@ def main(argv=None):
     p_sc = bench_sub.add_parser("scaling", help="horizon sweep across worker counts")
     p_sc.add_argument("--masses", type=int, default=30)
     p_sc.add_argument("--horizons", default="15..240:x2")
-    p_sc.add_argument("--runs", type=int, default=10)
+    p_sc.add_argument("--runs", type=_runs, default=10)
     p_sc.add_argument("--variant", choices=("dense", "diagonal", "auto"), default="dense")
     p_sc.add_argument("--workers", default="1,8")
     p_sc.add_argument("--eps-abs", type=float, default=1e-8)

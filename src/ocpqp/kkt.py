@@ -88,7 +88,7 @@ class WorkerPool:
     """
 
     def __init__(self, workers=1):
-        if not (isinstance(workers, numbers.Integral) and workers >= 1):
+        if isinstance(workers, bool) or not isinstance(workers, numbers.Integral) or workers < 1:
             raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
         self.workers = int(workers)
         self._executor = None

@@ -687,12 +687,6 @@ class TestSolve:
         assert rd.solved and rg.solved
         assert np.max(np.abs(xd - xg)) <= 1e-6
 
-    def test_env_worker_override(self, monkeypatch):
-        monkeypatch.setenv("OCPQP_WORKERS", "3")
-        p = gen_spring_mass(SpringMassConfig(masses=3, horizon=5, seed=1))
-        with Solver(p, SolverSettings(worker_count=1)) as solver:
-            assert solver.worker_count == 3
-
 
 class TestUpdates:
     def test_update_gradient_matches_fresh_solver(self):
@@ -837,21 +831,15 @@ NON_FINITE_UPDATES = [
     dict(worker_count=-2),
     dict(worker_count=2.5),
     dict(worker_count=np.nan),
-    dict(OCPQP_WORKERS="0"),
-    dict(OCPQP_WORKERS="-1"),
-    dict(OCPQP_WORKERS="two"),
-    dict(OCPQP_WORKERS="1.5"),
+    # bool is an Integral, and True would pass for 1
+    dict(worker_count=True),
+    dict(max_outer=True),
+    dict(max_inner=True),
+    dict(max_pivot_escalations=False),
 ], ids=lambda kw: ",".join(f"{k}={v}" for k, v in kw.items()))
-def test_settings_reject_non_finite_or_out_of_range(kwargs, monkeypatch):
-    if "OCPQP_WORKERS" in kwargs:
-        # the environment variable overrides worker_count when Solver() starts
-        monkeypatch.setenv("OCPQP_WORKERS", kwargs["OCPQP_WORKERS"])
-        p = gen_spring_mass(SpringMassConfig(masses=3, horizon=5, seed=1))
-        with pytest.raises(ValueError, match="OCPQP_WORKERS"):
-            Solver(p, SolverSettings())
-    else:
-        with pytest.raises(ValueError):
-            SolverSettings(**kwargs)
+def test_settings_reject_non_finite_or_out_of_range(kwargs):
+    with pytest.raises(ValueError):
+        SolverSettings(**kwargs)
 
 
 def test_settings_accept_edge_values():

@@ -1,8 +1,11 @@
+import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
 
+from ocpqp.alm import SolveReport
 from ocpqp.bench import SpringMassConfig, gen_random_ocp, gen_spring_mass
 from ocpqp.cli import main, parse_range
 from ocpqp.model import OcpDims, save_problem
@@ -28,6 +31,24 @@ class TestParsing:
         with pytest.raises(ValueError, match="cannot grow"):
             parse_range(spec)
 
+    @pytest.mark.parametrize("spec", ("70..10", "10..70:-10", "10..70:0", "240..15:x2"))
+    def test_sweep_that_runs_nothing_raises(self, spec):
+        with pytest.raises(ValueError, match=re.escape(repr(spec))):
+            parse_range(spec)
+
+    @pytest.mark.parametrize("command", (
+        ["spring-mass", "--masses", "2"],
+        ["scaling", "--masses", "2", "--horizons", "4"],
+    ))
+    def test_bench_needs_a_run(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", *command, "--runs", "0"])
+        assert exc.value.code == 2
+        assert "--runs" in capsys.readouterr().err
+
+
+REPORT_KEYS = {f.name for f in dataclasses.fields(SolveReport)}
+
 
 class TestSolveCommand:
     def test_solve_writes_report(self, spring_file, tmp_path):
@@ -38,13 +59,19 @@ class TestSolveCommand:
         ])
         assert rc == 0
         doc = json.loads(report.read_text())
+        # every SolveReport field under its own name, and nothing else
+        assert set(doc) == REPORT_KEYS | {"x", "y", "lam"}
         assert doc["status"] == "solved"
-        assert doc["dual_residual"] <= 1e-8
-        assert "blas_threads" in doc
+        assert doc["dual_res"] <= 1e-8
         for key in ("factorizations", "full_factorizations", "stages_factored", "psi_blocks_factored"):
             assert isinstance(doc[key], int)
         assert 0 < doc["full_factorizations"] <= doc["factorizations"]
         assert len(doc["x"]) == 6 * (6 + 2) + 6
+
+    def test_report_without_solution(self, spring_file, tmp_path):
+        report = tmp_path / "report.json"
+        assert main(["solve", "--problem", spring_file, "--report", str(report)]) == 0
+        assert set(json.loads(report.read_text())) == REPORT_KEYS
 
     def test_json_problem_is_accepted(self, tmp_path):
         p = gen_random_ocp(OcpDims(2, 2, 1, 1, 1), seed=0, feasibility_margin=1.0)

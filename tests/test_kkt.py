@@ -101,9 +101,9 @@ def newton_step(work, g, r):
     return solve_newton(work, g, r, out=(p.primal_zeros(), p.dualeq_zeros(), p.primal_zeros()))
 
 
-@pytest.mark.parametrize("workers", (0, -3, 2.5, np.nan, "2"))
+@pytest.mark.parametrize("workers", (0, -3, 2.5, np.nan, "2", True))
 def test_worker_pool_rejects_bad_counts(workers):
-    # the counts SolverSettings and OCPQP_WORKERS reject
+    # the counts SolverSettings rejects
     with pytest.raises(ValueError, match="workers"):
         WorkerPool(workers)
     assert WorkerPool(np.int64(2)).workers == 2

@@ -16,6 +16,9 @@ def random_problem(rng, N=4, n_x=3, n_u=2, n_y=2, n_yN=1, infinite=False):
     Q = np.stack([spd(n_x, 0.5) for _ in range(N)])
     R = np.stack([spd(n_u, 1.0) for _ in range(N)])
     S = 0.2 * rng.standard_normal((N, n_u, n_x))
+    # R >= I, so Q >= (0.5 + |S|^2) I keeps the Schur complement
+    # Q - S'R^{-1}S >= 0.5 I: every stage cost is positive definite
+    Q += np.linalg.norm(S, 2, axis=(1, 2))[:, None, None] ** 2 * np.eye(n_x)
     A = rng.standard_normal((N, n_x, n_x)) * 0.4
     B = rng.standard_normal((N, n_x, n_u))
     c = 0.3 * rng.standard_normal((N, n_x))

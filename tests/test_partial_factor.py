@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ocpqp import kkt
@@ -98,8 +98,8 @@ def check_every_iteration(problem, variant, workers):
         factor = solver._factor
         checked = []
 
-        def hooked(state, weights, timings, counts):
-            factor(state, weights, timings, counts)
+        def hooked(state, weights, report):
+            factor(state, weights, report)
             fresh = fresh_factorization(solver, state, weights)
             for name in FIELDS:
                 if getattr(fresh, name) is not None:
@@ -255,11 +255,11 @@ class TestEscalationAfterFailedAttempt:
             base = solver.proximal_weight
             factor = solver._factor
 
-            def hooked(state, weights, timings, counts):
+            def hooked(state, weights, report):
                 started.setdefault(state.outer_iter, state.sigma_x_inv)
                 live.append(state)
                 try:
-                    factor(state, weights, timings, counts)
+                    factor(state, weights, report)
                 finally:
                     live.pop()
                 fresh = fresh_factorization(solver, state, weights)
@@ -344,10 +344,6 @@ class TestPsiRestart:
         )))
         rng = np.random.default_rng(seed)
         p = random_problem(rng, N=N, n_x=n_x, n_u=n_u, n_y=n_y, n_yN=n_yN)
-        # the problem class needs a positive semidefinite stage cost; the
-        # generator draws S apart from Q and R, so a few draws are indefinite
-        # (and factor_stages rightly raises on them)
-        assume(np.linalg.eigvalsh(p.cost.stack).min() > 0.0)
         w1 = make_weights(p, rng.standard_normal(p.dims.n), sigma=1.5)
         work = factored(p, w1, 1e-2)
 
