@@ -13,7 +13,7 @@ it positive definite even for semidefinite cost).  The first Newton step of
 each inner solve is a unit step, which restores Mx = b exactly; later steps
 use an exact line search over the piecewise-quadratic merit.  Outer
 iterations update the inequality multipliers, grow penalties on rows whose
-violation stalls, and move the proximal center.
+violation stalls above the primal tolerance, and move the proximal center.
 
 The products of the iterate are formed once per solve and carried along
 the steps, as QPALM carries Ax and Qx through its line search.  One
@@ -53,6 +53,7 @@ from .kkt import WorkerPool
 
 SIGMA_MIN = 1e-9
 SIGMA_MAX = 1e9
+COLD_PENALTY = 20.0  # the initial penalty of a cold start (see initial_penalty)
 
 SOLVED = "solved"
 MAX_ITER = "max_iter"
@@ -83,6 +84,13 @@ class SolverSettings:
     goes with the benchmark change of ROADMAP item 5.
     ``proximal_weight`` is sigma_x_inv at the start of each inner solve;
     each pivot failure multiplies it by 10 for the rest of that solve.
+    ``initial_sigma`` is the starting penalty of every row; None takes
+    ``COLD_PENALTY`` (20) on a cold start and :func:`initial_penalty`, the
+    cost over the squared bound violation of the warm start, on a warm one.
+    After an outer iteration that does not end the solve, a row's penalty is
+    multiplied by ``penalty_update_factor`` when its |Gx - proj(z)| exceeds
+    both ``penalty_trigger`` times its value one outer iteration earlier and
+    the primal tolerance eps_abs + eps_rel * scale of the stopping test.
     """
 
     eps_abs: float = 1e-8
@@ -180,6 +188,12 @@ class SolveReport:
     full_factorizations: int = 0
     stages_factored: int = 0
     psi_blocks_factored: int = 0
+    # inner solves that stopped short of their tolerance: on a direction that
+    # does not descend, or after max_inner steps; and the largest row penalty
+    # when the solve stopped (0 for a problem with no inequality row)
+    nondescent_breaks: int = 0
+    max_inner_hits: int = 0
+    max_penalty: float = 0.0
 
     @property
     def solved(self):
@@ -370,14 +384,22 @@ def exact_line_search(problem, state, ev, dx, qdx, gdx):
 
 
 def initial_penalty(problem, x, ev):
-    """Scale-matched uniform initial penalty, clamped to [1e-4, 1e4], from
-    the products ``ev.qx`` = Qx and ``ev.gx`` = Gx of x (see
-    :func:`eval_products`)."""
+    """Uniform initial penalty of a warm start at x, as QPALM chooses it:
+
+        20 max(1, |1/2 x'Qx + q'x|) / max(1, 1/2 ||Gx - proj(Gx)||^2),
+
+    clamped to [1e-4, 1e4], from the products ``ev.qx`` = Qx and ``ev.gx``
+    = Gx of x (see :func:`eval_products`); proj clips onto [bl, bu].  A warm
+    start close to feasibility thus starts with a large penalty.  A cold
+    start (x = 0) takes ``COLD_PENALTY``, the rule's numerator at x = 0:
+    where 0 violates the bounds, the divisor would lower it and cost the
+    cold solve outer iterations."""
     xd = x.data
     cost = abs(0.5 * float(xd @ ev.qx.data) + float(xd @ problem.lin.data))
     gx = ev.gx.data
-    gnorm = 0.5 * float(gx @ gx)
-    return float(np.clip(20.0 * max(1.0, cost) / max(1.0, gnorm), 1e-4, 1e4))
+    viol = gx - np.clip(gx, problem.bl.data, problem.bu.data)
+    vnorm = 0.5 * float(viol @ viol)
+    return float(np.clip(COLD_PENALTY * max(1.0, cost) / max(1.0, vnorm), 1e-4, 1e4))
 
 
 # -- BLAS thread budget ------------------------------------------------------
@@ -556,7 +578,7 @@ class Solver:
         eval_products(p, state, self._b, ev)
         sigma0 = self.settings.initial_sigma
         if sigma0 is None:
-            sigma0 = initial_penalty(p, x, ev)
+            sigma0 = COLD_PENALTY if warm_start is None else initial_penalty(p, x, ev)
         state.sigma_y.data[:] = float(np.clip(sigma0, SIGMA_MIN, SIGMA_MAX))
         return state
 
@@ -622,9 +644,10 @@ class Solver:
                 phi = eval_phi(p, state, ev)
                 record = InnerRecord(state.outer_iter, it, phi, eq_norm, tau, it == 1)
                 report.inner_log.append(record)
-            if it == settings.max_inner or (
-                np.max(np.abs(ev.g.data)) <= inner_tol and eq_norm <= inner_tol
-            ):
+            if np.max(np.abs(ev.g.data)) <= inner_tol and eq_norm <= inner_tol:
+                return
+            if it == settings.max_inner:
+                report.max_inner_hits += 1
                 return
 
             weights = kkt.weights_from_shifted(p, state.sigma_y, ev.z)
@@ -641,6 +664,7 @@ class Solver:
             try:
                 tau = exact_line_search(p, state, ev, step.dx, step.qdx, step.gdx) if it else 1.0
             except NonDescentDirection:
+                report.nondescent_breaks += 1
                 return
             finally:
                 timings["line_search"] += time.perf_counter() - t1
@@ -668,8 +692,9 @@ class Solver:
 
     def _outer_test(self, ev):
         """The outer stopping test on the evaluation ``ev``: returns whether
-        it passes, the dual, equality and primal residuals, and the per-row
-        |Gx - proj(z)| that drives it and the penalty update."""
+        it passes, the dual, equality and primal residuals, the per-row
+        |Gx - proj(z)| that drives it and the penalty update, and the
+        tolerance that the largest of those must meet."""
         p, settings = self.problem, self.settings
         qx, mtl, gty, gx = (v.data for v in (ev.qx, ev.mtl, ev.gty, ev.gx))
         dual_vec = qx + p.lin.data
@@ -698,12 +723,13 @@ class Solver:
             escale = max(float(np.max(np.abs(ev.r.data + b))), float(np.max(np.abs(b))))
         else:
             dscale = pscale = escale = 0.0
+        primal_tol = settings.eps_abs + settings.eps_rel * pscale
         passed = (
             dual_res <= settings.eps_abs + settings.eps_rel * dscale
-            and primal_term <= settings.eps_abs + settings.eps_rel * pscale
+            and primal_term <= primal_tol
             and eq_res <= settings.eps_abs + settings.eps_rel * escale
         )
-        return passed, dual_res, eq_res, primal_res, comp
+        return passed, dual_res, eq_res, primal_res, comp, primal_tol
 
     def _solve(self, warm_start):
         p, settings = self.problem, self.settings
@@ -725,21 +751,25 @@ class Solver:
                 report.status = NUMERICAL_ERROR
                 break
 
-            passed, report.dual_res, report.eq_res, report.primal_res, comp = self._outer_test(ev)
+            passed, report.dual_res, report.eq_res, report.primal_res, comp, primal_tol = \
+                self._outer_test(ev)
             if passed or k == settings.max_outer - 1:
                 # carried products drift by rounding: only a fresh
                 # evaluation of the iterate may end the solve or give the
                 # residuals and y of a max_iter report, and the solve goes
                 # on from it when it fails the test
                 eval_grad_phi(p, state, eval_products(p, state, self._b, ev))
-                passed, report.dual_res, report.eq_res, report.primal_res, comp = self._outer_test(ev)
+                passed, report.dual_res, report.eq_res, report.primal_res, comp, primal_tol = \
+                    self._outer_test(ev)
             np.copyto(state.y.data, ev.y_plus.data)
             if passed:
                 report.status = SOLVED
                 break
 
             if prev_viol is not None:
-                grow = comp > settings.penalty_trigger * prev_viol
+                # a row within the primal tolerance needs no larger penalty,
+                # however its violation compares with the last
+                grow = (comp > settings.penalty_trigger * prev_viol) & (comp > primal_tol)
                 if grow.any():
                     state.sigma_y.data[grow] = np.minimum(
                         state.sigma_y.data[grow] * settings.penalty_update_factor,
@@ -750,6 +780,7 @@ class Solver:
 
         report.solve_time = time.perf_counter() - t_start
         report.outer_iters, report.inner_iters = state.outer_iter, state.inner_iter
+        report.max_penalty = float(np.max(state.sigma_y.data, initial=0.0))
         return (
             p.primal_to_flat(state.x),
             p.dualineq_to_flat(state.y),

@@ -20,11 +20,17 @@ from .alm import Solver, SolverSettings
 from .model import load_problem
 
 
+class SweepError(ValueError, argparse.ArgumentTypeError):
+    """A sweep spec that names no value; as the ``type=`` of an argument it
+    is a usage error, and argparse prints its message."""
+
+
 def parse_range(spec):
     """'10..70:10' -> arithmetic sweep, '15..240:x2' -> geometric, '30' -> [30].
 
     A geometric sweep must grow: a factor below 2 or a start below 1 raises
-    ValueError, as do an arithmetic step below 1 and a sweep with no values."""
+    SweepError, a ValueError, as do an arithmetic step below 1 and a sweep
+    with no values."""
     spec = str(spec)
     if ".." not in spec:
         return [int(v) for v in spec.split(",")]
@@ -37,7 +43,7 @@ def parse_range(spec):
     if step.startswith("x"):
         factor = int(step[1:])
         if factor < 2 or lo < 1:
-            raise ValueError(
+            raise SweepError(
                 f"geometric sweep {spec!r} cannot grow: needs a factor >= 2 and a start >= 1"
             )
         v = lo
@@ -47,10 +53,10 @@ def parse_range(spec):
     else:
         step = int(step)
         if step < 1:
-            raise ValueError(f"arithmetic sweep {spec!r} needs a step >= 1")
+            raise SweepError(f"arithmetic sweep {spec!r} needs a step >= 1")
         out.extend(range(lo, hi + 1, step))
     if not out:
-        raise ValueError(f"sweep {spec!r} has no values")
+        raise SweepError(f"sweep {spec!r} has no values")
     return out
 
 
@@ -89,7 +95,6 @@ def _run_cases(cases, args):
 
 
 def cmd_bench_spring_mass(args):
-    masses = parse_range(args.masses)
     cases = [
         bench.BenchCase(
             family="spring-mass",
@@ -100,13 +105,12 @@ def cmd_bench_spring_mass(args):
             eps_abs=args.eps_abs,
             label=args.label,
         )
-        for m in masses
+        for m in args.masses
     ]
     return _run_cases(cases, args)
 
 
 def cmd_bench_scaling(args):
-    horizons = parse_range(args.horizons)
     cases = [
         bench.BenchCase(
             family="spring-mass",
@@ -117,8 +121,8 @@ def cmd_bench_scaling(args):
             eps_abs=args.eps_abs,
             label=f"w{workers}",
         )
-        for workers in parse_range(args.workers)
-        for N in horizons
+        for workers in args.workers
+        for N in args.horizons
     ]
     return _run_cases(cases, args)
 
@@ -177,7 +181,7 @@ def main(argv=None):
     bench_sub = p_bench.add_subparsers(dest="bench_command", required=True)
 
     p_sm = bench_sub.add_parser("spring-mass", help="mass sweep at fixed horizon")
-    p_sm.add_argument("--masses", default="10..70:10")
+    p_sm.add_argument("--masses", type=parse_range, default="10..70:10")
     p_sm.add_argument("--horizon", type=int, default=15)
     p_sm.add_argument("--runs", type=_runs, default=100, help="seeded instances per size")
     p_sm.add_argument("--variant", choices=("dense", "diagonal", "auto"), default="dense")
@@ -191,10 +195,10 @@ def main(argv=None):
 
     p_sc = bench_sub.add_parser("scaling", help="horizon sweep across worker counts")
     p_sc.add_argument("--masses", type=int, default=30)
-    p_sc.add_argument("--horizons", default="15..240:x2")
+    p_sc.add_argument("--horizons", type=parse_range, default="15..240:x2")
     p_sc.add_argument("--runs", type=_runs, default=10)
     p_sc.add_argument("--variant", choices=("dense", "diagonal", "auto"), default="dense")
-    p_sc.add_argument("--workers", default="1,8")
+    p_sc.add_argument("--workers", type=parse_range, default="1,8")
     p_sc.add_argument("--eps-abs", type=float, default=1e-8)
     p_sc.add_argument("--seed0", type=int, default=0)
     p_sc.add_argument("--out", default="")

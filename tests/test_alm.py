@@ -385,23 +385,26 @@ class TestCarriedProducts:
         assert compared and compared[-1][0] == report.inner_iters
 
     def test_carried_products_at_large_penalties(self, monkeypatch):
-        # warm-started at its own solution with initial_sigma=1e3, this
-        # random problem stalls (ends max_iter) and drives its penalties to
+        # warm-started at initial_sigma=1e6 after its initial state moved,
+        # this random problem takes a dozen inner iterations at penalties of
         # 1e6 and beyond (ROADMAP item 8), where y+ = Sigma_y (z - proj z)
         # magnifies any drift of Gx: the carried products still agree with
         # fresh ones, and the report, whatever its status, is that of a
         # fresh evaluation at the returned (x, y, lam)
         p = gen_random_ocp(OcpDims(12, 5, 3, 4, 4), seed=17, feasibility_margin=0.3)
-        with Solver(p, SolverSettings(initial_sigma=1e3)) as solver:
-            x, y, lam, report = solver.solve()
-            assert report.solved
-            compared = self.compare_with_fresh(monkeypatch, p.b_dualeq())
+        x, y, lam, report = solve(p)
+        assert report.solved
+        moved = p.x_init + 0.1 * np.random.default_rng(17).standard_normal(p.dims.n_x)
+        with Solver(p, SolverSettings(initial_sigma=1e6)) as solver:
+            solver.update_initial_state(moved)
+            q = solver.problem
+            compared = self.compare_with_fresh(monkeypatch, q.b_dualeq())
             x, y, lam, report = solver.solve(warm_start=(x, y, lam))
         assert report.inner_iters >= 5
         assert max(sigma for _, sigma in compared) >= 1e6
         assert compared[-1][0] == report.inner_iters
         assert (report.dual_res, report.eq_res, report.primal_res) == \
-            from_scratch_residuals(p, x, y, lam)
+            from_scratch_residuals(q, x, y, lam)
 
     @pytest.mark.parametrize("cfg", PROBLEMS)
     def test_report_residuals_from_scratch(self, cfg):
@@ -435,18 +438,136 @@ class TestCarriedProducts:
         assert max(oracles.kkt_residuals(p, x, y, lam)) <= 1e-8
 
     def test_initial_penalty_reads_the_first_evaluation(self):
-        # the same penalty, bit for bit, as from products formed for it
+        # a warm start's penalty, bit for bit, from products formed for it:
+        # the cost over the squared bound violation of Gx, for an x inside
+        # the bounds (divisor 1) and one far outside them
         rng = np.random.default_rng(14)
         p = gen_spring_mass(SpringMassConfig(masses=5, horizon=12, seed=2))
-        for x_flat in (None, rng.standard_normal(p.dims.n)):
-            state = make_state(p, x_flat=x_flat)
+        for scale, violated in ((0.1, False), (10.0, True)):
+            state = make_state(p, x_flat=scale * rng.standard_normal(p.dims.n))
             x = state.x
             cost = abs(0.5 * float(x.data @ model.mul_Q(p, x).data) + float(x.data @ p.lin.data))
             gx = model.mul_G(p, x).data
-            want = float(np.clip(20.0 * max(1.0, cost) / max(1.0, 0.5 * float(gx @ gx)),
+            viol = gx - np.clip(gx, p.bl.data, p.bu.data)
+            assert (0.5 * float(viol @ viol) > 1.0) == violated
+            want = float(np.clip(20.0 * max(1.0, cost) / max(1.0, 0.5 * float(viol @ viol)),
                                  1e-4, 1e4))
             ev = eval_products(p, state, p.b_dualeq(), alm.Evaluation.zeros(p))
             assert alm.initial_penalty(p, x, ev) == want
+
+
+class TestPenaltyGrowth:
+    """Penalties grow only on rows whose violation stalls above the primal
+    tolerance, and warm starts take the violation-scaled initial penalty."""
+
+    def test_cold_start_takes_twenty(self, monkeypatch):
+        # 0 violates this problem's bounds, so the warm-start rule would
+        # give less than 20 at x = 0; a cold start takes 20 on every row
+        # and does not call the rule
+        p = gen_random_ocp(OcpDims(20, 6, 3, 6, 6), seed=0, feasibility_margin=0.3)
+        zero = make_state(p)
+        ev = eval_products(p, zero, p.b_dualeq(), alm.Evaluation.zeros(p))
+        assert alm.initial_penalty(p, zero.x, ev) < alm.COLD_PENALTY == 20.0
+        with Solver(p) as solver:
+            x, y, lam, _ = solver.solve()
+            warm = solver._init_state((x, y, lam), alm.Evaluation.zeros(p))
+            monkeypatch.setattr(alm, "initial_penalty", None)
+            cold = solver._init_state(None, alm.Evaluation.zeros(p))
+        assert np.all(cold.sigma_y.data == 20.0)
+        assert np.all(warm.sigma_y.data > 20.0)
+
+    def test_row_within_tolerance_keeps_its_penalty(self, monkeypatch):
+        # warm-started at its own solution with initial_sigma=1e3, this
+        # problem's outer loop goes on for several iterations on its dual
+        # residual alone, while rows already within the primal tolerance
+        # "stall" (each above the trigger times its last value): none of
+        # them may grow; grown without bound, they ended the solve max_iter
+        p = gen_random_ocp(OcpDims(12, 5, 3, 4, 4), seed=17, feasibility_margin=0.3)
+        x, y, lam, report = solve(p, SolverSettings(initial_sigma=1e3))
+        assert report.solved
+        outer_test, inner_solve = Solver._outer_test, Solver._inner_solve
+        iters = []  # per outer iteration: its penalties, then its last test
+
+        def record_inner(self, state, *args):
+            iters.append({"sigma": state.sigma_y.data.copy()})
+            return inner_solve(self, state, *args)
+
+        def record_test(self, ev):
+            result = outer_test(self, ev)
+            iters[-1]["comp"] = result[4].copy()
+            return result
+
+        monkeypatch.setattr(Solver, "_inner_solve", record_inner)
+        monkeypatch.setattr(Solver, "_outer_test", record_test)
+        settings = SolverSettings(initial_sigma=1e3)  # eps_rel = 0: the primal tolerance is eps_abs
+        x, y, lam, report = solve(p, settings, warm_start=(x, y, lam))
+        assert report.outer_iters == len(iters) >= 3
+        stalled_within = 0
+        for prev, cur, nxt in zip(iters, iters[1:], iters[2:]):
+            within = cur["comp"] <= settings.eps_abs
+            assert np.array_equal(nxt["sigma"][within], cur["sigma"][within])
+            stalled_within += np.count_nonzero(
+                within & (cur["comp"] > settings.penalty_trigger * prev["comp"]))
+        assert stalled_within > 0
+        assert report.solved
+
+    def test_drifting_initial_state(self):
+        # an MPC-like sequence: the initial state takes a random step before
+        # each solve, which is warm-started from the last solution; with the
+        # violation-scaled penalty (about 7e3 here) but penalties growing on
+        # rows within tolerance, steps 0-3 of this seed ended max_iter
+        p = gen_random_ocp(OcpDims(60, 12, 6, 12, 6), seed=6)
+        rng = np.random.default_rng(6)
+        with Solver(p) as solver:
+            x, y, lam, report = solver.solve()
+            assert report.solved
+            for step in range(4):
+                solver.update_initial_state(
+                    solver.problem.x_init + 0.03 * rng.standard_normal(p.dims.n_x))
+                x, y, lam, report = solver.solve(warm_start=(x, y, lam))
+                assert report.solved, (step, report.status)
+                assert report.outer_iters <= 10
+
+    @pytest.mark.parametrize("dims, seed", (
+        ((12, 5, 3, 4, 4), 9), ((20, 6, 3, 6, 6), 8), ((8, 4, 2, 3, 2), 31),
+        ((8, 4, 2, 3, 2), 68),
+    ))
+    def test_warm_start_at_own_solution(self, dims, seed):
+        # warm starts at the solver's own solution with initial_sigma=1e3
+        # that ended max_iter while rows within tolerance kept growing
+        p = gen_random_ocp(OcpDims(*dims), seed=seed, feasibility_margin=0.3)
+        with Solver(p, SolverSettings(initial_sigma=1e3)) as solver:
+            x, y, lam, report = solver.solve()
+            assert report.solved
+            x, y, lam, report = solver.solve(warm_start=(x, y, lam))
+        assert report.solved
+        assert max(oracles.kkt_residuals(p, x, y, lam)) <= 1e-8
+
+    def test_stall_counters(self, monkeypatch):
+        # at initial_sigma=1e8 the inner solves stall at the rounding floor
+        # of ROADMAP item 8; with max_inner=3 some end on a direction that
+        # does not descend and some on the step limit, and the report
+        # counts each kind and the largest penalty
+        p = gen_spring_mass(SpringMassConfig(masses=10, horizon=15, seed=6))
+        original = alm.exact_line_search
+        raised = []
+
+        def counted(*args):
+            try:
+                return original(*args)
+            except NonDescentDirection:
+                raised.append(1)
+                raise
+
+        monkeypatch.setattr(alm, "exact_line_search", counted)
+        settings = SolverSettings(initial_sigma=1e8, max_inner=3)
+        x, y, lam, report = solve(p, settings)
+        assert report.status == alm.MAX_ITER
+        assert report.nondescent_breaks == len(raised) > 0
+        assert report.max_inner_hits > 0
+        assert report.nondescent_breaks + report.max_inner_hits <= report.outer_iters
+        assert report.inner_iters <= settings.max_inner * report.outer_iters
+        assert report.max_penalty == alm.SIGMA_MAX
 
 
 def structure_off(monkeypatch):

@@ -46,6 +46,18 @@ class TestParsing:
         assert exc.value.code == 2
         assert "--runs" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, flag, spec", (
+        (["spring-mass"], "--masses", "70..10"),
+        (["scaling", "--masses", "2"], "--horizons", "15..240:x1"),
+        (["scaling", "--masses", "2"], "--workers", "2..1"),
+    ))
+    def test_empty_sweep_is_a_usage_error(self, command, flag, spec, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", *command, flag, spec, "--runs", "1"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:") and flag in err and repr(spec) in err
+
 
 REPORT_KEYS = {f.name for f in dataclasses.fields(SolveReport)}
 
@@ -66,6 +78,9 @@ class TestSolveCommand:
         for key in ("factorizations", "full_factorizations", "stages_factored", "psi_blocks_factored"):
             assert isinstance(doc[key], int)
         assert 0 < doc["full_factorizations"] <= doc["factorizations"]
+        # no inner solve stalled, and every penalty is at least the cold start's
+        assert doc["nondescent_breaks"] == doc["max_inner_hits"] == 0
+        assert doc["max_penalty"] >= 20.0
         assert len(doc["x"]) == 6 * (6 + 2) + 6
 
     def test_report_without_solution(self, spring_file, tmp_path):
