@@ -22,7 +22,7 @@ print(f"problem: N={dims.N}, n_x={dims.n_x}, n_u={dims.n_u} "
 sigma_y = problem.dualineq_zeros()
 sigma_y.data[:] = 2.0
 x = problem.primal_from_flat(rng.standard_normal(dims.n))
-z = model.mul_G(problem, x)  # z = Gx + y / sigma_y with y = 0
+z = model.mul_G(problem, x, out=problem.dualineq_zeros())  # z = Gx + y / sigma_y with y = 0
 weights = kkt.weights_from_shifted(problem, sigma_y, z)
 sigma_x_inv = 1e-6  # the proximal term is sigma_x_inv times the identity
 

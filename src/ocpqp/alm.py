@@ -502,11 +502,10 @@ class Solver:
         self.variant = self.settings.variant
         if self.variant == "auto":
             self.variant = "diagonal" if problem.is_diagonal() else "dense"
-        self.worker_count = self.settings.worker_count
         # raises StructureMismatch for the diagonal variant of a non-diagonal problem
         self.work = kkt.StageFactorization.allocate(problem, self.variant)
         self.proximal_weight = float(np.clip(self.settings.proximal_weight, SIGMA_MIN, SIGMA_MAX))
-        self.pool = WorkerPool(self.worker_count)
+        self.pool = WorkerPool(self.settings.worker_count)
         self._b = problem.b_dualeq()
 
     def close(self):

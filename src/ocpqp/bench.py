@@ -68,12 +68,8 @@ def spring_mass_continuous(config):
     """Continuous-time (A, B) of the chain."""
     M = config.masses
     k, mu, beta = config.spring_k, config.mass, config.damping
-    T = -2.0 * np.eye(M)
-    T += np.diag(np.ones(M - 1), 1) + np.diag(np.ones(M - 1), -1)
-    F = np.zeros((M, M - 1))
-    for i in range(M - 1):
-        F[i, i] = 1.0
-        F[i + 1, i] = -1.0
+    T = -2.0 * np.eye(M) + np.eye(M, k=1) + np.eye(M, k=-1)
+    F = np.eye(M, M - 1) - np.eye(M, M - 1, k=-1)
     A = np.zeros((2 * M, 2 * M))
     A[:M, M:] = np.eye(M)
     A[M:, :M] = (k / mu) * T
@@ -104,10 +100,8 @@ def gen_spring_mass(config):
     Ad, Bd = discretize_exact(Ac, Bc, config.ts)
     n_x, n_u, N = config.n_x, config.n_u, config.horizon
     n_y = n_x + n_u
-    C = np.zeros((n_y, n_x))
-    C[:n_x] = np.eye(n_x)
-    D = np.zeros((n_y, n_u))
-    D[n_x:] = np.eye(n_u)
+    C = np.eye(n_y, n_x)
+    D = np.eye(n_y, n_u, k=-n_x)
     bound = np.concatenate([np.full(n_x, config.x_max), np.full(n_u, config.u_max)])
     rng = np.random.default_rng(config.seed)
     box = config.init_fraction * config.x_max

@@ -5,7 +5,8 @@
     ocpqp solve --problem file.ocpq --eps-abs 1e-8 --report report.json
     ocpqp verify --problem file.ocpq --oracle riccati|enumerate|residual
 
-Exit codes: 0 success, 2 solver failure, 3 verification failure.
+Exit codes: 0 success, 2 usage error or solver failure, 3 verification
+failure.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import sys
 
 from . import bench, oracles
 from .alm import Solver, SolverSettings
+from .bench import SpringMassConfig
 from .model import load_problem
 
 
@@ -60,6 +62,15 @@ def parse_range(spec):
     return out
 
 
+def _checked(args, flags, make, *values, **kw):
+    """``make(*values, **kw)``: a ValueError or OSError that the package's
+    own checks raise on the values of ``flags`` is a usage error naming them."""
+    try:
+        return make(*values, **kw)
+    except (ValueError, OSError) as exc:
+        args.parser.error(f"argument {flags}: {exc}")
+
+
 def _runs(text):
     """The --runs count: an integer >= 1."""
     runs = int(text)
@@ -80,9 +91,31 @@ def _print_results(results):
         )
 
 
-def _run_cases(cases, args):
-    """Run the cases, print the table, write the CSV and gnuplot script if
-    asked; exit code 2 when any instance failed."""
+def _run_sweep(args, masses, horizons, workers, horizon_flag, label):
+    """Check the sweep's values (each size against the least valid other),
+    run one case per worker count, mass count and horizon, print the table
+    and write the CSV and gnuplot script if asked; 2 when any run failed."""
+    for m in masses:
+        _checked(args, "--masses", SpringMassConfig, masses=m, horizon=1)
+    for N in horizons:
+        _checked(args, horizon_flag, SpringMassConfig, masses=2, horizon=N)
+    for w in workers:
+        _checked(args, "--workers", SolverSettings, worker_count=w)
+    _checked(args, "--eps-abs", SolverSettings, eps_abs=args.eps_abs)
+    cases = [
+        bench.BenchCase(
+            family="spring-mass",
+            params={"masses": m, "horizon": N},
+            seeds=list(range(args.seed0, args.seed0 + args.runs)),
+            variant=args.variant,
+            workers=w,
+            eps_abs=args.eps_abs,
+            label=label(w),
+        )
+        for w in workers
+        for m in masses
+        for N in horizons
+    ]
     results = bench.run_benchmark(cases)
     _print_results(results)
     if args.out:
@@ -95,47 +128,23 @@ def _run_cases(cases, args):
 
 
 def cmd_bench_spring_mass(args):
-    cases = [
-        bench.BenchCase(
-            family="spring-mass",
-            params={"masses": m, "horizon": args.horizon},
-            seeds=list(range(args.seed0, args.seed0 + args.runs)),
-            variant=args.variant,
-            workers=args.workers,
-            eps_abs=args.eps_abs,
-            label=args.label,
-        )
-        for m in args.masses
-    ]
-    return _run_cases(cases, args)
+    sweep = (args.masses, [args.horizon], [args.workers], "--horizon")
+    return _run_sweep(args, *sweep, lambda w: args.label)
 
 
 def cmd_bench_scaling(args):
-    cases = [
-        bench.BenchCase(
-            family="spring-mass",
-            params={"masses": args.masses, "horizon": N},
-            seeds=list(range(args.seed0, args.seed0 + args.runs)),
-            variant=args.variant,
-            workers=workers,
-            eps_abs=args.eps_abs,
-            label=f"w{workers}",
-        )
-        for workers in args.workers
-        for N in args.horizons
-    ]
-    return _run_cases(cases, args)
+    sweep = ([args.masses], args.horizons, args.workers, "--horizons")
+    return _run_sweep(args, *sweep, lambda w: f"w{w}")
 
 
 def cmd_solve(args):
-    problem = load_problem(args.problem)
-    settings = SolverSettings(
-        eps_abs=args.eps_abs,
-        eps_rel=args.eps_rel,
-        worker_count=args.workers,
-        variant=args.variant,
+    problem = _checked(args, "--problem", load_problem, args.problem)
+    _checked(args, "--workers", SolverSettings, worker_count=args.workers)
+    settings = _checked(
+        args, "--eps-abs/--eps-rel", SolverSettings, eps_abs=args.eps_abs,
+        eps_rel=args.eps_rel, worker_count=args.workers, variant=args.variant,
     )
-    with Solver(problem, settings) as solver:
+    with _checked(args, "--problem", Solver, problem, settings) as solver:
         x, y, lam, report = solver.solve()
     doc = dataclasses.asdict(report)
     if args.solution:
@@ -153,9 +162,9 @@ def cmd_solve(args):
 
 
 def cmd_verify(args):
-    problem = load_problem(args.problem)
-    settings = SolverSettings(eps_abs=args.eps_abs)
-    with Solver(problem, settings) as solver:
+    problem = _checked(args, "--problem", load_problem, args.problem)
+    settings = _checked(args, "--eps-abs", SolverSettings, eps_abs=args.eps_abs)
+    with _checked(args, "--problem", Solver, problem, settings) as solver:
         x, y, lam, report = solver.solve()
     if not report.solved:
         print(f"solver failed: {report.status}")
@@ -184,26 +193,23 @@ def main(argv=None):
     p_sm.add_argument("--masses", type=parse_range, default="10..70:10")
     p_sm.add_argument("--horizon", type=int, default=15)
     p_sm.add_argument("--runs", type=_runs, default=100, help="seeded instances per size")
-    p_sm.add_argument("--variant", choices=("dense", "diagonal", "auto"), default="dense")
     p_sm.add_argument("--workers", type=int, default=1)
-    p_sm.add_argument("--eps-abs", type=float, default=1e-8)
-    p_sm.add_argument("--seed0", type=int, default=0)
     p_sm.add_argument("--label", default="")
-    p_sm.add_argument("--out", default="")
-    p_sm.add_argument("--gnuplot", action="store_true")
-    p_sm.set_defaults(func=cmd_bench_spring_mass)
+    p_sm.set_defaults(func=cmd_bench_spring_mass, parser=p_sm)
 
     p_sc = bench_sub.add_parser("scaling", help="horizon sweep across worker counts")
     p_sc.add_argument("--masses", type=int, default=30)
     p_sc.add_argument("--horizons", type=parse_range, default="15..240:x2")
     p_sc.add_argument("--runs", type=_runs, default=10)
-    p_sc.add_argument("--variant", choices=("dense", "diagonal", "auto"), default="dense")
     p_sc.add_argument("--workers", type=parse_range, default="1,8")
-    p_sc.add_argument("--eps-abs", type=float, default=1e-8)
-    p_sc.add_argument("--seed0", type=int, default=0)
-    p_sc.add_argument("--out", default="")
-    p_sc.add_argument("--gnuplot", action="store_true")
-    p_sc.set_defaults(func=cmd_bench_scaling)
+    p_sc.set_defaults(func=cmd_bench_scaling, parser=p_sc)
+
+    for p_sweep in (p_sm, p_sc):  # what both sweeps take
+        p_sweep.add_argument("--variant", choices=("dense", "diagonal", "auto"), default="dense")
+        p_sweep.add_argument("--eps-abs", type=float, default=1e-8)
+        p_sweep.add_argument("--seed0", type=int, default=0)
+        p_sweep.add_argument("--out", default="")
+        p_sweep.add_argument("--gnuplot", action="store_true")
 
     p_solve = sub.add_parser("solve", help="solve a problem file")
     p_solve.add_argument("--problem", required=True)
@@ -213,13 +219,13 @@ def main(argv=None):
     p_solve.add_argument("--variant", choices=("dense", "diagonal", "auto"), default="auto")
     p_solve.add_argument("--report", default="")
     p_solve.add_argument("--solution", action="store_true", help="embed x, y, lam in the report")
-    p_solve.set_defaults(func=cmd_solve)
+    p_solve.set_defaults(func=cmd_solve, parser=p_solve)
 
     p_ver = sub.add_parser("verify", help="solve then check against an oracle")
     p_ver.add_argument("--problem", required=True)
     p_ver.add_argument("--oracle", choices=("auto", "riccati", "enumerate", "residual"), default="auto")
     p_ver.add_argument("--eps-abs", type=float, default=1e-8)
-    p_ver.set_defaults(func=cmd_verify)
+    p_ver.set_defaults(func=cmd_verify, parser=p_ver)
 
     args = parser.parse_args(argv)
     return args.func(args)

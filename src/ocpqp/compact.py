@@ -2,9 +2,9 @@
 
 A horizon of per-stage matrices of a common shape is stored as one
 C-contiguous ``(nstages, rows, cols)`` array, ``batch.stack``: stage j's
-matrix is ``batch.stack[j]``.  numpy's batched gufuncs (``matmul``,
-``linalg.cholesky``) loop over that leading stage axis inside one call, so
-stage-wise linear algebra is one call over a range of stages.
+matrix is ``batch.stack[j]``.  numpy's batched ``matmul`` loops over that
+leading stage axis inside one call, so a stage-wise product is one call over
+a range of stages (the stage factorizations loop over LAPACK calls).
 
 Element (i, l) of stage j lives at flat offset ``(j * rows + i) * cols + l``
 of ``batch.data``, a flat view of the same buffer.  A problem's batches hold

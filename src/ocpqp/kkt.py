@@ -37,15 +37,15 @@ array.
 chunk of stages (:func:`assemble_H`) into the slots that then hold their
 factors, so no H stack is kept, and factors and inverts each slot in place
 with one LAPACK potrf and one trtri, so the stored stage factor is L^{-1}
-(in place of L).  The panel J_j = [V_j; W_j] is then one batched matmul
-L^{-1} [A B; I 0]^T, all three Psi products (V V^T, W W^T, -V W^T) come out
-of a single J J^T, and every later solve with H is two batched matmuls over
-all stages.  The constant panel [A B; I 0]^T is built once at workspace
-allocation.  On the diagonal variant no n_xu x n_xu block is formed: the
-diagonal of each H_j comes elementwise from the problem's
-:class:`~ocpqp.model.DiagonalStructure` (:func:`assemble_H_diagonal`), its
-square root scales the rows of the panel, and a solve with H is one
-elementwise division.
+(in place of L).  The panel J_j = [V_j; W_j] is L^{-1} [A B; I 0]^T, formed
+from the problem's dynamics stack: one batched matmul L^{-1} [A B]^T, and
+the first n_x columns of L^{-1}, which are L^{-1} [I; 0].  All three Psi
+products (V V^T, W W^T, -V W^T) come out of a single J J^T, and every later
+solve with H is two batched matmuls over all stages.  On the diagonal
+variant no n_xu x n_xu block is formed: the diagonal of each H_j comes
+elementwise from the problem's :class:`~ocpqp.model.DiagonalStructure`
+(:func:`assemble_H_diagonal`), its inverse square root scales the rows of
+[A B]^T and of [I; 0], and a solve with H is one elementwise division.
 
 H_j depends on the iterate only through the active penalties of stage j
 and the proximal weight, so only the stages whose penalties changed since
@@ -119,10 +119,10 @@ def _index(stages):
     return slice(lo, hi) if hi - lo == len(stages) else stages
 
 
-def _slots(stack, s):
+def _slots(stack, s, fresh=np.empty):
     """Where results for the stages ``s`` are computed: the stack's view
-    for a slice, fresh scratch for an index array (see :func:`_scatter`)."""
-    return stack[s] if isinstance(s, slice) else np.empty((len(s),) + stack.shape[1:])
+    for a slice, ``fresh`` scratch for an index array (see :func:`_scatter`)."""
+    return stack[s] if isinstance(s, slice) else fresh((len(s),) + stack.shape[1:])
 
 
 def _scatter(stack, s, values):
@@ -144,8 +144,9 @@ class StageFactorization:
 
     ``linv_lm``, ``vwt_lm`` and ``p_lm`` are stage stacks (nstages, ...):
     the inverses L_j^{-1} of the per-stage Cholesky factors of H, the panels
-    (V_j; W_j)^T = L_j^{-1} [A B; I 0]^T, and the products J_j J_j^T that
-    :func:`factor_psi` reads the Psi blocks from.  The diagonal variant
+    (V_j; W_j)^T = L_j^{-1} [A B; I 0]^T, formed from ``problem.dyn``, and
+    the products J_j J_j^T that :func:`factor_psi` reads the Psi blocks
+    from; no stack holds a copy of the problem's data.  The diagonal variant
     keeps the diagonal of each H_j in ``h_diag`` instead, and has no
     ``linv_lm``, ``scaled_lm`` or ``linv_rhs`` (None); the dense variant
     has no ``h_diag``.  ``linv_rhs`` is the one-column stage stack that
@@ -171,7 +172,6 @@ class StageFactorization:
     linv_lm: np.ndarray | None
     vwt_lm: np.ndarray
     p_lm: np.ndarray
-    ewt_lm: np.ndarray  # constant [A B; I 0]^T panels
     scaled_lm: np.ndarray | None  # scratch for the weighted constraint panel
     linv_rhs: np.ndarray | None
     psi_band: np.ndarray
@@ -189,9 +189,6 @@ class StageFactorization:
             )
         d = problem.dims
         ns, n_xu, n_x = d.N + 1, d.n_xu, d.n_x
-        ew = np.zeros((ns, n_xu, 2 * n_x))
-        ew[:, :, :n_x] = problem.dyn.stack.transpose(0, 2, 1)
-        ew[:, :n_x, n_x:] = np.eye(n_x)
         band = np.zeros((2 * n_x, ns * n_x), order="F")
         dense = variant != "diagonal"
         return cls(
@@ -201,7 +198,6 @@ class StageFactorization:
             linv_lm=np.zeros((ns, n_xu, n_xu)) if dense else None,
             vwt_lm=np.zeros((ns, n_xu, 2 * n_x)),
             p_lm=np.zeros((ns, 2 * n_x, 2 * n_x)),
-            ewt_lm=ew,
             scaled_lm=np.zeros((ns, d.n_y_pad, n_xu)) if dense else None,
             linv_rhs=np.zeros((ns, n_xu, 1)) if dense else None,
             psi_band=band,
@@ -290,7 +286,7 @@ def assemble_H_diagonal(f, weights, sigma_x_inv, stages, out):
 def factor_chunk_dense(f, weights, sigma_x_inv, stages):
     """Dense per-stage pipeline over a sorted stage index array: the H_j
     assembled into their ``linv_lm`` slots, one potrf and one trtri per
-    slot, one batched matmul for the combined (V; W)^T panels, and one
+    slot, the (V; W)^T panels L^{-1} [A B]^T beside L^{-1} [I; 0], and one
     J J^T product holding every Psi contribution of those stages; no other
     stage is written.  A C-ordered slot's transpose is Fortran-ordered with
     the slot's lower triangle as its upper one, so LAPACK writes U^{-1} =
@@ -305,8 +301,10 @@ def factor_chunk_dense(f, weights, sigma_x_inv, stages):
         if info > 0:
             failures.append((int(stages[t]), info - 1))
         _trtri(c, lower=0, overwrite_c=1)
+    n_x = f.problem.dims.n_x
     vwt, p = _slots(f.vwt_lm, s), _slots(f.p_lm, s)
-    np.matmul(linv, f.ewt_lm[s], out=vwt)
+    np.matmul(linv, f.problem.dyn.stack[s].transpose(0, 2, 1), out=vwt[:, :, :n_x])
+    np.copyto(vwt[:, :, n_x:], linv[:, :, :n_x])  # L^{-1} [I; 0]
     np.matmul(vwt.transpose(0, 2, 1), vwt, out=p)
     for stack, values in ((f.linv_lm, linv), (f.vwt_lm, vwt), (f.p_lm, p)):
         _scatter(stack, s, values)
@@ -316,9 +314,9 @@ def factor_chunk_dense(f, weights, sigma_x_inv, stages):
 def factor_chunk_diagonal(f, weights, sigma_x_inv, stages):
     """Diagonal fast path: H_j is diagonal (:func:`assemble_H_diagonal`),
     so the Cholesky factor is a square root and the panel solve collapses
-    to a row scaling of the constant [A B; I 0]^T panels.  Returns the
-    (stage, row) of each stage's first non-positive entry, found before any
-    square root is taken; a chunk with one writes nothing."""
+    to a row scaling of [A B; I 0]^T, whose zeros stay from allocation.
+    Returns the (stage, row) of each stage's first non-positive entry, found
+    before any square root is taken; a chunk with one writes nothing."""
     s = _index(stages)
     h_diag = f.h_diag.stack[:, :, 0]
     diag = assemble_H_diagonal(f, weights, sigma_x_inv, stages, _slots(h_diag, s))
@@ -327,8 +325,12 @@ def factor_chunk_diagonal(f, weights, sigma_x_inv, stages):
         rows = bad.argmax(axis=1)
         return [(int(stages[t]), int(rows[t])) for t in np.flatnonzero(bad.any(axis=1))]
     _scatter(h_diag, s, diag)
-    vwt, p = _slots(f.vwt_lm, s), _slots(f.p_lm, s)
-    np.multiply(f.ewt_lm[s], 1.0 / np.sqrt(diag)[:, :, None], out=vwt)
+    n_x = f.problem.dims.n_x
+    vwt, p = _slots(f.vwt_lm, s, np.zeros), _slots(f.p_lm, s)
+    scale = 1.0 / np.sqrt(diag)
+    np.multiply(f.problem.dyn.stack[s].transpose(0, 2, 1), scale[:, :, None], out=vwt[:, :, :n_x])
+    idx = np.arange(n_x)
+    vwt[:, idx, n_x + idx] = scale[:, :n_x]
     np.matmul(vwt.transpose(0, 2, 1), vwt, out=p)
     _scatter(f.vwt_lm, s, vwt)
     _scatter(f.p_lm, s, p)
@@ -376,13 +378,14 @@ def factor_psi(f, stages):
         Psi_{j+1,j} = -P_j[:n, n:]
 
     with n = n_x; the diagonal blocks give their lower triangles (P_j is
-    symmetric) and the coupling blocks enter transposed.  For k0 > 0 the kept block L(k0, k0 - 1), stored at
-    ``band_sub[top]``, is subtracted as L L^T from diagonal block k0, and
-    dpbtrf factors the trailing band in place.  A full factorization is the
-    restart at k0 = 0.  A failed leading minor names the stage whose block
-    it falls in.  dpbtrf need not stop at a NaN pivot, but a NaN anywhere in
-    the factor reaches the diagonal of its row, so the first non-finite
-    diagonal entry names a stage the same way."""
+    symmetric) and the coupling blocks enter transposed.  For k0 > 0 the
+    kept block L(k0, k0 - 1), stored at ``band_sub[top]``, is subtracted as
+    L L^T from diagonal block k0, and dpbtrf factors the trailing band in
+    place.  A full factorization is the restart at k0 = 0.  A failed leading
+    minor names the stage whose block it falls in.  dpbtrf need not stop at
+    a NaN pivot, but a NaN anywhere in the factor reaches the diagonal of
+    its row, so the first non-finite diagonal entry names a stage the same
+    way."""
     N, n_x = f.problem.dims.N, f.problem.dims.n_x
     top = psi_top(f, stages)
     c0 = (N - top) * n_x

@@ -445,14 +445,10 @@ def pad_horizon(problem):
 # structured matrix-vector products (no assembled sparse matrices anywhere)
 
 
-def _result(problem, out, rows):
-    return problem._vec(rows) if out is None else out
-
-
-def mul_Q(problem, x, out=None):
+def mul_Q(problem, x, out):
     """Structured product with the block-diagonal cost matrix."""
     _check_vec(problem, x, problem.dims.n_xu)
-    out = _result(problem, out, problem.dims.n_xu)
+    _check_vec(problem, out, problem.dims.n_xu)
     diag = problem.diagonal
     if diag is None:
         np.matmul(problem.cost.stack, x.stack, out=out.stack)
@@ -462,14 +458,14 @@ def mul_Q(problem, x, out=None):
     return out
 
 
-def mul_M(problem, x, out=None):
+def mul_M(problem, x, out):
     """Structured product with the dynamics stencil M.
 
     Block 0 is x^0; block j+1 is x^{j+1} - A_j x^j - B_j u^j.
     """
     d = problem.dims
     _check_vec(problem, x, d.n_xu)
-    out = _result(problem, out, d.n_x)
+    _check_vec(problem, out, d.n_x)
     nxt = out.stack[1:]
     np.matmul(problem.dyn.stack[: d.N], x.stack[: d.N], out=nxt)  # E_j (x_j; u_j)
     np.subtract(x.stack[1:, : d.n_x], nxt, out=nxt)
@@ -477,11 +473,11 @@ def mul_M(problem, x, out=None):
     return out
 
 
-def mul_MT(problem, lam, out=None):
+def mul_MT(problem, lam, out):
     """Structured product with M^T (adjoint of the dynamics stencil)."""
     d = problem.dims
     _check_vec(problem, lam, d.n_x)
-    out = _result(problem, out, d.n_xu)
+    _check_vec(problem, out, d.n_xu)
     head = out.stack[: d.N]
     np.matmul(problem.dyn.stack[: d.N].transpose(0, 2, 1), lam.stack[1:], out=head)
     np.negative(head, out=head)  # -E_j^T lam_{j+1}
@@ -490,11 +486,11 @@ def mul_MT(problem, lam, out=None):
     return out
 
 
-def mul_G(problem, x, out=None):
+def mul_G(problem, x, out):
     """Structured product with the block-diagonal constraint matrix G."""
     d = problem.dims
     _check_vec(problem, x, d.n_xu)
-    out = _result(problem, out, d.n_y_pad)
+    _check_vec(problem, out, d.n_y_pad)
     diag = problem.diagonal
     if diag is None:
         np.matmul(problem.con.stack, x.stack, out=out.stack)
@@ -506,12 +502,12 @@ def mul_G(problem, x, out=None):
     return out
 
 
-def mul_GT(problem, z, out=None):
+def mul_GT(problem, z, out):
     """Structured product with G^T; on a diagonal problem a scatter-add, as
     several rows may touch one variable."""
     d = problem.dims
     _check_vec(problem, z, d.n_y_pad)
-    out = _result(problem, out, d.n_xu)
+    _check_vec(problem, out, d.n_xu)
     diag = problem.diagonal
     if diag is None:
         np.matmul(problem.con.stack.transpose(0, 2, 1), z.stack, out=out.stack)

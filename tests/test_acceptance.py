@@ -28,7 +28,7 @@ INLINE = kkt.WorkerPool(1)
 
 def _active_weights(problem, sigma_y, y, x):
     """Active weights at z = Gx + y / sigma_y, as the inner loop forms them."""
-    z = model.mul_G(problem, x)
+    z = model.mul_G(problem, x, out=problem.dualineq_zeros())
     z.data += y.data / sigma_y.data
     return kkt.weights_from_shifted(problem, sigma_y, z)
 
@@ -226,11 +226,11 @@ class TestCriterion4:
             z = rng.standard_normal(dm.m)
             xb, lb, zb = p.primal_from_flat(x), p.dualeq_from_flat(lam), p.dualineq_from_flat(z)
             for got, A, v in (
-                (p.primal_to_flat(model.mul_Q(p, xb)), dq.Q, x),
-                (p.dualeq_to_flat(model.mul_M(p, xb)), dq.M, x),
-                (p.primal_to_flat(model.mul_MT(p, lb)), dq.M.T, lam),
-                (p.dualineq_to_flat(model.mul_G(p, xb)), dq.G, x),
-                (p.primal_to_flat(model.mul_GT(p, zb)), dq.G.T, z),
+                (p.primal_to_flat(model.mul_Q(p, xb, out=p.primal_zeros())), dq.Q, x),
+                (p.dualeq_to_flat(model.mul_M(p, xb, out=p.dualeq_zeros())), dq.M, x),
+                (p.primal_to_flat(model.mul_MT(p, lb, out=p.primal_zeros())), dq.M.T, lam),
+                (p.dualineq_to_flat(model.mul_G(p, xb, out=p.dualineq_zeros())), dq.G, x),
+                (p.primal_to_flat(model.mul_GT(p, zb, out=p.primal_zeros())), dq.G.T, z),
             ):
                 worst_product = max(worst_product, _product_err(got, A, v))
 
@@ -362,8 +362,14 @@ def _stage_factor_times(problem, repeats=7):
     """Median times of the dense assembly and factorization of every
     stage: one batched ``factor_stages`` call over the stage axis, and a
     per-stage Python loop of the same assembly, cholesky, trtri and matmul
-    calls.  Also returns the largest difference between the two results,
-    relative to the largest entry."""
+    calls.  The loop forms each panel L^{-1} [A B; I 0]^T from the stage
+    families, apart from the code it times.  Also returns the largest
+    difference between the two results, relative to the largest entry."""
+    d, fam = problem.dims, problem.families()
+    ewt = np.zeros((d.N + 1, d.n_xu, 2 * d.n_x))  # the terminal stage has no dynamics
+    ewt[: d.N, : d.n_x, : d.n_x] = fam["A"].transpose(0, 2, 1)
+    ewt[: d.N, d.n_x :, : d.n_x] = fam["B"].transpose(0, 2, 1)
+    ewt[:, : d.n_x, d.n_x :] = np.eye(d.n_x)
     sy = problem.dualineq_zeros()
     sy.data[:] = 2.0
     weights = _active_weights(problem, sy, problem.dualineq_zeros(), problem.primal_zeros())
@@ -378,7 +384,7 @@ def _stage_factor_times(problem, repeats=7):
         for j in every_stage(work):
             kkt.assemble_H(work, weights, sxinv, np.array([j]), H)
             linv = kkt._trtri(np.linalg.cholesky(H[0]), lower=1)[0]
-            vwt = linv @ work.ewt_lm[j]
+            vwt = linv @ ewt[j]
             work.linv_lm[j], work.vwt_lm[j], work.p_lm[j] = linv, vwt, vwt.T @ vwt
 
     times = {batched: [], looped: []}

@@ -55,7 +55,8 @@ def line_search(problem, state, dx):
     state.x, with the step's products formed here."""
     return exact_line_search(
         problem, state, evaluate(problem, state), dx,
-        model.mul_Q(problem, dx), model.mul_G(problem, dx),
+        model.mul_Q(problem, dx, out=problem.primal_zeros()),
+        model.mul_G(problem, dx, out=problem.dualineq_zeros()),
     )
 
 
@@ -252,8 +253,9 @@ def full_sort_line_search(problem, state, ev, dx):
     breakpoint sorted and scanned, the reference of the pruned search."""
     dxd = dx.data
     c0 = float(dxd @ ev.grad.data)
-    eta = float(dxd @ model.mul_Q(problem, dx).data + dxd @ (state.sigma_x_inv * dxd))
-    delta = model.mul_G(problem, dx).data
+    qdx = model.mul_Q(problem, dx, out=problem.primal_zeros()).data
+    eta = float(dxd @ qdx + dxd @ (state.sigma_x_inv * dxd))
+    delta = model.mul_G(problem, dx, out=problem.dualineq_zeros()).data
     z0, blf, buf, sig = ev.z.data, problem.bl.data, problem.bu.data, state.sigma_y.data
     above = (z0 > buf) | ((z0 == buf) & (delta > 0.0))
     below = (z0 < blf) | ((z0 == blf) & (delta < 0.0))
@@ -446,8 +448,9 @@ class TestCarriedProducts:
         for scale, violated in ((0.1, False), (10.0, True)):
             state = make_state(p, x_flat=scale * rng.standard_normal(p.dims.n))
             x = state.x
-            cost = abs(0.5 * float(x.data @ model.mul_Q(p, x).data) + float(x.data @ p.lin.data))
-            gx = model.mul_G(p, x).data
+            qx = model.mul_Q(p, x, out=p.primal_zeros()).data
+            cost = abs(0.5 * float(x.data @ qx) + float(x.data @ p.lin.data))
+            gx = model.mul_G(p, x, out=p.dualineq_zeros()).data
             viol = gx - np.clip(gx, p.bl.data, p.bu.data)
             assert (0.5 * float(viol @ viol) > 1.0) == violated
             want = float(np.clip(20.0 * max(1.0, cost) / max(1.0, 0.5 * float(viol @ viol)),
@@ -639,11 +642,11 @@ def from_scratch_residuals(problem, x, y, lam):
     products, summed in the order the solver sums them."""
     p = problem
     xs, ys, ls = p.primal_from_flat(x), p.dualineq_from_flat(y), p.dualeq_from_flat(lam)
-    dual = model.mul_Q(p, xs).data + p.lin.data
-    dual += model.mul_MT(p, ls).data
-    dual += model.mul_GT(p, ys).data
-    eq = model.mul_M(p, xs).data - p.b_dualeq().data
-    gx = model.mul_G(p, xs).data
+    dual = model.mul_Q(p, xs, out=p.primal_zeros()).data + p.lin.data
+    dual += model.mul_MT(p, ls, out=p.primal_zeros()).data
+    dual += model.mul_GT(p, ys, out=p.primal_zeros()).data
+    eq = model.mul_M(p, xs, out=p.dualeq_zeros()).data - p.b_dualeq().data
+    gx = model.mul_G(p, xs, out=p.dualineq_zeros()).data
     viol = np.maximum(np.maximum(p.bl.data - gx, gx - p.bu.data), 0.0)
     return float(np.max(np.abs(dual))), float(np.max(np.abs(eq))), float(np.max(viol))
 

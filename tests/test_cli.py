@@ -59,6 +59,50 @@ class TestParsing:
         assert err.startswith("usage:") and flag in err and repr(spec) in err
 
 
+    @pytest.mark.parametrize("command, flag, value", (
+        (["spring-mass", "--masses", "2", "--horizon", "2"], "--workers", "0"),
+        (["scaling", "--masses", "2", "--horizons", "2"], "--workers", "0"),
+        (["scaling", "--masses", "2", "--horizons", "2"], "--workers", "1,0"),
+        (["spring-mass", "--masses", "2"], "--horizon", "0"),
+        (["scaling", "--masses", "2"], "--horizons", "0,2"),
+        (["spring-mass", "--horizon", "2"], "--masses", "1"),
+        (["spring-mass", "--horizon", "2"], "--masses", "1,2"),
+        (["scaling", "--horizons", "2"], "--masses", "1"),
+        (["spring-mass", "--masses", "2", "--horizon", "2"], "--eps-abs", "0"),
+        (["scaling", "--masses", "2", "--horizons", "2"], "--eps-abs", "nan"),
+    ))
+    def test_rejected_value_is_a_usage_error(self, command, flag, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", *command, flag, value, "--runs", "1"])
+        assert exc.value.code == 2
+        assert_usage_error(capsys.readouterr(), flag)
+
+
+def assert_usage_error(captured, flag):
+    """The output of one usage error that names ``flag``, and nothing else."""
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert lines[0].startswith("usage:")
+    errors = [line for line in lines if ": error: " in line]
+    assert len(errors) == 1 and f"error: argument {flag}: " in errors[0]
+
+
+@pytest.fixture
+def bad_problem_files(tmp_path, spring_file):
+    """Problem files that load_problem or the solver rejects, by kind."""
+    body = open(spring_file, "rb").read()
+    files = {"missing": tmp_path / "missing.ocpq", "directory": tmp_path}
+    files["malformed"] = tmp_path / "malformed.json"
+    files["malformed"].write_text("not a problem")
+    files["truncated"] = tmp_path / "truncated.ocpq"
+    files["truncated"].write_bytes(body[:-8])
+    p = gen_spring_mass(SpringMassConfig(masses=3, horizon=6, seed=0))
+    p.lin.stack[1, 0, 0] = np.nan
+    files["non_finite"] = tmp_path / "non_finite.ocpq"
+    save_problem(p, files["non_finite"])
+    return {kind: str(path) for kind, path in files.items()}
+
+
 REPORT_KEYS = {f.name for f in dataclasses.fields(SolveReport)}
 
 
@@ -96,7 +140,34 @@ class TestSolveCommand:
         assert rc == 0
 
 
+    @pytest.mark.parametrize("argv, flag", (
+        (["--eps-abs", "0", "--eps-rel", "0"], "--eps-abs/--eps-rel"),
+        (["--eps-abs", "-1"], "--eps-abs/--eps-rel"),
+        (["--workers", "0"], "--workers"),
+    ))
+    def test_rejected_value_is_a_usage_error(self, spring_file, argv, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--problem", spring_file, *argv])
+        assert exc.value.code == 2
+        assert_usage_error(capsys.readouterr(), flag)
+
+
+@pytest.mark.parametrize("command", ("solve", "verify"))
+@pytest.mark.parametrize("kind", ("missing", "directory", "malformed", "truncated", "non_finite"))
+def test_bad_problem_file_is_a_usage_error(command, kind, bad_problem_files, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--problem", bad_problem_files[kind]])
+    assert exc.value.code == 2
+    assert_usage_error(capsys.readouterr(), "--problem")
+
+
 class TestVerifyCommand:
+    def test_rejected_eps_is_a_usage_error(self, spring_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--problem", spring_file, "--eps-abs", "0"])
+        assert exc.value.code == 2
+        assert_usage_error(capsys.readouterr(), "--eps-abs")
+
     def test_residual_oracle(self, spring_file):
         assert main(["verify", "--problem", spring_file, "--oracle", "residual"]) == 0
 

@@ -1,3 +1,5 @@
+import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
@@ -6,7 +8,7 @@ import pytest
 from ocpqp import kkt, model, oracles
 from ocpqp.alm import SIGMA_MAX, Solver, SolverSettings
 from ocpqp.bench import SpringMassConfig, gen_spring_mass
-from ocpqp.compact import NonPositivePivot
+from ocpqp.compact import CompactBatch, NonPositivePivot
 from ocpqp.kkt import (
     StructureMismatch,
     WorkerPool,
@@ -37,7 +39,7 @@ def make_weights(problem, x_flat, sigma=1.0, y_flat=None):
     y = problem.dualineq_zeros()
     if y_flat is not None:
         y = problem.dualineq_from_flat(y_flat)
-    z = model.mul_G(problem, problem.primal_from_flat(x_flat))
+    z = model.mul_G(problem, problem.primal_from_flat(x_flat), out=problem.dualineq_zeros())
     z.data += y.data / sy.data
     return weights_from_shifted(problem, sy, z)
 
@@ -704,7 +706,7 @@ class TestSolveNewton:
         assert all(a is b for a, b in zip(got, out))
         for a, b in zip(want, got):
             assert np.array_equal(a.data, b.data)
-        assert np.array_equal(got[2].data, model.mul_MT(p, got[1]).data)
+        assert np.array_equal(got[2].data, model.mul_MT(p, got[1], out=p.primal_zeros()).data)
 
     @pytest.mark.parametrize("seed", (70, 71))
     def test_kkt_residual_random(self, seed):
@@ -871,3 +873,42 @@ class TestDiagonalVariant:
         z1 = solve_H(wd, rhs, out=p.primal_zeros())
         z2 = solve_H(wdg, rhs, out=p.primal_zeros())
         assert np.max(np.abs(z1.data - z2.data)) < 1e-12 * (1 + np.max(np.abs(z1.data)))
+
+
+class TestWorkspace:
+    @pytest.mark.parametrize("variant", ("dense", "diagonal"))
+    def test_holds_only_the_named_stacks(self, variant):
+        # every array the workspace owns is one that the StageFactorization
+        # docstring names, of the size it implies: no copy of the problem's
+        # data, nor a stack derived from it, is kept
+        rng = np.random.default_rng(90)
+        p = diagonal_problem(rng, N=4, n_x=3, n_u=2)
+        d = p.dims
+        ns, n_xu, n_x2 = d.N + 1, d.n_xu, 2 * d.n_x
+        named = {
+            "vwt_lm": (ns, n_xu, n_x2),
+            "p_lm": (ns, n_x2, n_x2),
+            "psi_band": (n_x2, ns * d.n_x),
+            "psi_rhs": (ns * d.n_x, 1),
+            "factored_sigma": (ns, d.n_y_pad, 1),
+        }
+        if variant == "dense":
+            named.update(
+                linv_lm=(ns, n_xu, n_xu), scaled_lm=(ns, d.n_y_pad, n_xu), linv_rhs=(ns, n_xu, 1)
+            )
+        else:
+            named.update(h_diag=(ns * n_xu,))
+        work = kkt.StageFactorization.allocate(p, variant)
+        arrays = {}
+        for field in dataclasses.fields(work):
+            value = getattr(work, field.name)
+            if isinstance(value, CompactBatch):
+                value = value.data
+            if isinstance(value, np.ndarray):
+                arrays[field.name] = value
+        # band_diag and band_sub are views of psi_band's blocks
+        for name in ("band_diag", "band_sub"):
+            assert np.shares_memory(arrays.pop(name), work.psi_band)
+        assert set(arrays) == set(named)
+        total = sum(a.nbytes for a in arrays.values())
+        assert total == 8 * sum(math.prod(shape) for shape in named.values())

@@ -326,7 +326,7 @@ class TestProducts:
             x = f["A"][j] @ x + f["B"][j] @ u + f["c"][j]
         flat.append(x)
         xb = p.primal_from_flat(np.concatenate(flat))
-        mx = p.dualeq_to_flat(model.mul_M(p, xb))
+        mx = p.dualeq_to_flat(model.mul_M(p, xb, out=p.dualeq_zeros()))
         b = p.dualeq_to_flat(p.b_dualeq())
         assert np.max(np.abs(mx - b)) < 1e-13 * (1 + np.max(np.abs(b)))
 
@@ -343,7 +343,7 @@ class TestProducts:
             bu_N=np.zeros(0), x_init=np.ones(n_x),
         )
         xb = p.primal_from_flat(np.ones(p.dims.n))
-        mx = p.dualeq_to_flat(model.mul_M(p, xb)).reshape(N + 1, n_x)
+        mx = p.dualeq_to_flat(model.mul_M(p, xb, out=p.dualeq_zeros())).reshape(N + 1, n_x)
         assert np.array_equal(mx[0], np.ones(n_x))
         assert np.array_equal(mx[1:], np.zeros((N, n_x)))
 
@@ -367,11 +367,11 @@ class TestProducts:
                     return a.size == 0
                 return np.max(np.abs(a - b)) <= 1e-13 * (1 + np.max(np.abs(b)))
 
-            assert close(p.primal_to_flat(model.mul_Q(p, xb)), dq.Q @ x)
-            assert close(p.dualeq_to_flat(model.mul_M(p, xb)), dq.M @ x)
-            assert close(p.primal_to_flat(model.mul_MT(p, lb)), dq.M.T @ lam)
-            assert close(p.dualineq_to_flat(model.mul_G(p, xb)), dq.G @ x)
-            assert close(p.primal_to_flat(model.mul_GT(p, zb)), dq.G.T @ z)
+            assert close(p.primal_to_flat(model.mul_Q(p, xb, out=p.primal_zeros())), dq.Q @ x)
+            assert close(p.dualeq_to_flat(model.mul_M(p, xb, out=p.dualeq_zeros())), dq.M @ x)
+            assert close(p.primal_to_flat(model.mul_MT(p, lb, out=p.primal_zeros())), dq.M.T @ lam)
+            assert close(p.dualineq_to_flat(model.mul_G(p, xb, out=p.dualineq_zeros())), dq.G @ x)
+            assert close(p.primal_to_flat(model.mul_GT(p, zb, out=p.primal_zeros())), dq.G.T @ z)
 
     @pytest.mark.parametrize(
         "N, n_y, n_yN",
@@ -386,13 +386,13 @@ class TestProducts:
         x = rng.standard_normal(p.dims.n)
         lam = rng.standard_normal(p.dims.p)
         z = rng.standard_normal(p.dims.m)
-        xb = p.primal_from_flat(x)
+        xb, lb, zb = p.primal_from_flat(x), p.dualeq_from_flat(lam), p.dualineq_from_flat(z)
         for got, want in (
-            (p.primal_to_flat(model.mul_Q(p, xb)), dq.Q @ x),
-            (p.dualeq_to_flat(model.mul_M(p, xb)), dq.M @ x),
-            (p.primal_to_flat(model.mul_MT(p, p.dualeq_from_flat(lam))), dq.M.T @ lam),
-            (p.dualineq_to_flat(model.mul_G(p, xb)), dq.G @ x),
-            (p.primal_to_flat(model.mul_GT(p, p.dualineq_from_flat(z))), dq.G.T @ z),
+            (p.primal_to_flat(model.mul_Q(p, xb, out=p.primal_zeros())), dq.Q @ x),
+            (p.dualeq_to_flat(model.mul_M(p, xb, out=p.dualeq_zeros())), dq.M @ x),
+            (p.primal_to_flat(model.mul_MT(p, lb, out=p.primal_zeros())), dq.M.T @ lam),
+            (p.dualineq_to_flat(model.mul_G(p, xb, out=p.dualineq_zeros())), dq.G @ x),
+            (p.primal_to_flat(model.mul_GT(p, zb, out=p.primal_zeros())), dq.G.T @ z),
         ):
             assert got.shape == want.shape
             if want.size:
@@ -406,12 +406,12 @@ class TestProducts:
             lam = rng.standard_normal(p.dims.p)
             z = rng.standard_normal(p.dims.m)
             xb = p.primal_from_flat(x)
-            mx = p.dualeq_to_flat(model.mul_M(p, xb))
-            mtl = p.primal_to_flat(model.mul_MT(p, p.dualeq_from_flat(lam)))
+            mx = p.dualeq_to_flat(model.mul_M(p, xb, out=p.dualeq_zeros()))
+            mtl = p.primal_to_flat(model.mul_MT(p, p.dualeq_from_flat(lam), out=p.primal_zeros()))
             lhs, rhs = mx @ lam, x @ mtl
             assert abs(lhs - rhs) <= 1e-13 * (1 + abs(lhs))
-            gx = p.dualineq_to_flat(model.mul_G(p, xb))
-            gtz = p.primal_to_flat(model.mul_GT(p, p.dualineq_from_flat(z)))
+            gx = p.dualineq_to_flat(model.mul_G(p, xb, out=p.dualineq_zeros()))
+            gtz = p.primal_to_flat(model.mul_GT(p, p.dualineq_from_flat(z), out=p.primal_zeros()))
             lhs, rhs = gx @ z, x @ gtz
             assert abs(lhs - rhs) <= 1e-13 * (1 + abs(lhs))
 
@@ -419,7 +419,7 @@ class TestProducts:
         rng = np.random.default_rng(31)
         p = random_problem(rng, N=3)
         z = p.dualineq_zeros()
-        out = model.mul_GT(p, z)
+        out = model.mul_GT(p, z, out=p.primal_zeros())
         assert np.all(out.data == 0.0)
 
     def test_out_argument_is_overwritten(self):
@@ -430,12 +430,13 @@ class TestProducts:
         xb = p.primal_from_flat(rng.standard_normal(p.dims.n))
         lb = p.dualeq_from_flat(rng.standard_normal(p.dims.p))
         zb = p.dualineq_from_flat(rng.standard_normal(p.dims.m))
-        for fn, arg in (
-            (model.mul_Q, xb), (model.mul_M, xb), (model.mul_MT, lb),
-            (model.mul_G, xb), (model.mul_GT, zb),
+        for fn, arg, zeros in (
+            (model.mul_Q, xb, p.primal_zeros), (model.mul_M, xb, p.dualeq_zeros),
+            (model.mul_MT, lb, p.primal_zeros), (model.mul_G, xb, p.dualineq_zeros),
+            (model.mul_GT, zb, p.primal_zeros),
         ):
-            fresh = fn(p, arg)
-            out = CompactBatch(fresh.rows, fresh.cols, fresh.nstages)
+            fresh = fn(p, arg, out=zeros())
+            out = zeros()
             out.data[:] = np.nan
             assert fn(p, arg, out=out) is out
             assert np.array_equal(out.data, fresh.data)
@@ -445,7 +446,7 @@ class TestProducts:
         p = random_problem(rng, N=3)
         bad = p.dualeq_zeros()
         with pytest.raises(ValueError):
-            model.mul_Q(p, bad)
+            model.mul_Q(p, bad, out=p.primal_zeros())
 
 
 def box_problem(rng, N, n_x, n_u, rows, rows_N):
@@ -483,9 +484,9 @@ def matmul_products(p, xb, zb):
 
 def structured_products(p, xb, zb):
     return (
-        model.mul_Q(p, xb).stack,
-        model.mul_G(p, xb).stack,
-        model.mul_GT(p, zb).stack,
+        model.mul_Q(p, xb, out=p.primal_zeros()).stack,
+        model.mul_G(p, xb, out=p.dualineq_zeros()).stack,
+        model.mul_GT(p, zb, out=p.primal_zeros()).stack,
     )
 
 
@@ -569,6 +570,52 @@ class TestDiagonalProducts:
             xb, zb = random_vectors(rng, p)
             for got, want in zip(structured_products(p, xb, zb), matmul_products(p, xb, zb)):
                 assert got.tobytes() == want.tobytes()
+
+
+def doubled_rows_spring_mass():
+    """Spring-mass M=3, N=5 with every constraint row stated twice: a
+    diagonal problem with n_xu = 8 and n_y_pad = 16, so that a dual
+    inequality batch has twice the rows of a primal one."""
+    from ocpqp.bench import SpringMassConfig, gen_spring_mass
+
+    fam = gen_spring_mass(SpringMassConfig(masses=3, horizon=5)).families()
+    fam = {k: np.array(v) for k, v in fam.items()}
+    for name in ("C", "D", "bl", "bu"):
+        fam[name] = np.concatenate([fam[name], fam[name]], axis=1)
+    for name in ("C_N", "bl_N", "bu_N"):
+        fam[name] = np.concatenate([fam[name], fam[name]], axis=0)
+    return OcpProblem.from_stages(**fam)
+
+
+class TestProductBuffers:
+    # the operand, a right ``out`` and an ``out`` of the wrong row count,
+    # by the OcpProblem method that makes each
+    PRODUCTS = {
+        "mul_Q": ("primal_zeros", "primal_zeros", "dualineq_zeros"),
+        "mul_M": ("primal_zeros", "dualeq_zeros", "primal_zeros"),
+        "mul_MT": ("dualeq_zeros", "primal_zeros", "dualineq_zeros"),
+        "mul_G": ("primal_zeros", "dualineq_zeros", "primal_zeros"),
+        "mul_GT": ("dualineq_zeros", "primal_zeros", "dualineq_zeros"),
+    }
+
+    @pytest.mark.parametrize("diagonal", (True, False), ids=("diagonal", "dense"))
+    @pytest.mark.parametrize("flaw", ("rows", "stages"))
+    @pytest.mark.parametrize("name", sorted(PRODUCTS))
+    def test_bad_out_raises(self, name, flaw, diagonal):
+        p = doubled_rows_spring_mass()
+        assert (p.dims.n_xu, p.dims.n_y_pad) == (8, 16)
+        if not diagonal:
+            fam = {k: np.array(v) for k, v in p.families().items()}
+            fam["S"][:, 0, 0] = 0.1
+            p = OcpProblem.from_stages(**fam)
+        assert p.is_diagonal() == diagonal
+        operand, right, wrong = (getattr(p, k)() for k in self.PRODUCTS[name])
+        if flaw == "stages":
+            wrong = CompactBatch(right.rows, 1, right.nstages + 1)
+        product = getattr(model, name)
+        with pytest.raises(ValueError, match="vector batch"):
+            product(p, operand, out=wrong)
+        assert product(p, operand, out=right) is right
 
 
 class TestFiles:
