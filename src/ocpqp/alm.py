@@ -54,6 +54,17 @@ from .kkt import WorkerPool
 SIGMA_MIN = 1e-9
 SIGMA_MAX = 1e9
 COLD_PENALTY = 20.0  # the initial penalty of a cold start (see initial_penalty)
+# the outer loop's fixed numbers: after an outer iteration that does not
+# end the solve, a row's penalty is multiplied by PENALTY_GROWTH when its
+# |Gx - proj(z)| exceeds both PENALTY_TRIGGER times its value one outer
+# iteration earlier and the primal tolerance of the stopping test
+PENALTY_GROWTH = 10.0
+PENALTY_TRIGGER = 0.25
+# sigma_x_inv at the start of each inner solve; each pivot failure multiplies
+# it by 10 for the rest of that solve and retries, MAX_PIVOT_ESCALATIONS times
+# at most
+PROXIMAL_WEIGHT = 1e-7
+MAX_PIVOT_ESCALATIONS = 3
 
 SOLVED = "solved"
 MAX_ITER = "max_iter"
@@ -72,40 +83,34 @@ class _PivotEscalationFailed(Exception):
 
 @dataclass
 class SolverSettings:
-    """Tolerances and algorithm knobs.
+    """Tolerances, iteration limits and the parallel set-up.
 
+    ``eps_abs`` and ``eps_rel`` are the tolerances of the stopping test.
     ``variant`` picks the stage-factorization path: 'dense', 'diagonal', or
     'auto' (diagonal when the problem structure allows it).  ``worker_count``
     workers (an integer >= 1) share the stage-parallel phases.  The
-    iteration limits ``max_outer`` and ``max_inner`` (>= 1) and
-    ``max_pivot_escalations`` (>= 0) are integers as well, and no count may
-    be a bool.
+    iteration limits ``max_outer`` and ``max_inner`` (>= 1) are integers as
+    well, and no count may be a bool.
     ``lane_width`` is read by nothing: the benchmark still passes it, and it
     goes with the benchmark change of ROADMAP item 5.
-    ``proximal_weight`` is sigma_x_inv at the start of each inner solve;
-    each pivot failure multiplies it by 10 for the rest of that solve.
     ``initial_sigma`` is the starting penalty of every row; None takes
     ``COLD_PENALTY`` (20) on a cold start and :func:`initial_penalty`, the
     cost over the squared bound violation of the warm start, on a warm one.
-    After an outer iteration that does not end the solve, a row's penalty is
-    multiplied by ``penalty_update_factor`` when its |Gx - proj(z)| exceeds
-    both ``penalty_trigger`` times its value one outer iteration earlier and
-    the primal tolerance eps_abs + eps_rel * scale of the stopping test.
+    ``log_inner`` records one :class:`InnerRecord` per inner step.  The
+    penalty growth, the proximal weight and the pivot escalations are the
+    module constants ``PENALTY_GROWTH``, ``PENALTY_TRIGGER``,
+    ``PROXIMAL_WEIGHT`` and ``MAX_PIVOT_ESCALATIONS``.
     """
 
     eps_abs: float = 1e-8
     eps_rel: float = 0.0
     max_outer: int = 50
     max_inner: int = 100
-    penalty_update_factor: float = 10.0
-    penalty_trigger: float = 0.25
     initial_sigma: float | None = None
-    proximal_weight: float = 1e-7
     worker_count: int = 1
     lane_width: int = 4
     variant: str = "auto"
     log_inner: bool = False
-    max_pivot_escalations: int = 3
 
     def __post_init__(self):
         # every test is written so that NaN fails it
@@ -113,20 +118,13 @@ class SolverSettings:
             raise ValueError("eps_abs and eps_rel must be finite and nonnegative")
         if not (self.eps_abs > 0.0 or self.eps_rel > 0.0):
             raise ValueError("at least one of eps_abs, eps_rel must be positive")
-        for name, least in (("max_outer", 1), ("max_inner", 1),
-                            ("max_pivot_escalations", 0), ("worker_count", 1)):
+        for name in ("max_outer", "max_inner", "worker_count"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-                raise ValueError(f"{name} must be an integer >= {least}")
-        if not 1.0 < self.penalty_update_factor < np.inf:
-            raise ValueError("penalty_update_factor must be finite and exceed 1")
-        if not 0.0 < self.penalty_trigger < 1.0:
-            raise ValueError("penalty_trigger must lie in (0, 1)")
-        # both are clipped to [SIGMA_MIN, SIGMA_MAX] by Solver
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1")
+        # clipped to [SIGMA_MIN, SIGMA_MAX] by Solver
         if self.initial_sigma is not None and not 0.0 <= self.initial_sigma < np.inf:
             raise ValueError("initial_sigma must be None or finite and nonnegative")
-        if not 0.0 <= self.proximal_weight < np.inf:
-            raise ValueError("proximal_weight must be finite and nonnegative")
         if self.lane_width not in (1, 2, 4, 8):
             raise ValueError("lane_width must be one of 1, 2, 4, 8")
         if self.variant not in ("dense", "diagonal", "auto"):
@@ -504,7 +502,6 @@ class Solver:
             self.variant = "diagonal" if problem.is_diagonal() else "dense"
         # raises StructureMismatch for the diagonal variant of a non-diagonal problem
         self.work = kkt.StageFactorization.allocate(problem, self.variant)
-        self.proximal_weight = float(np.clip(self.settings.proximal_weight, SIGMA_MIN, SIGMA_MAX))
         self.pool = WorkerPool(self.settings.worker_count)
         self._b = problem.b_dualeq()
 
@@ -573,7 +570,7 @@ class Solver:
                     raise ValueError(f"non-finite entries in warm start {name}")
         else:
             x, y, lam = p.primal_zeros(), p.dualineq_zeros(), p.dualeq_zeros()
-        state = AlmState(x, y, lam, p.dualineq_zeros(), self.proximal_weight, x.copy())
+        state = AlmState(x, y, lam, p.dualineq_zeros(), PROXIMAL_WEIGHT, x.copy())
         eval_products(p, state, self._b, ev)
         sigma0 = self.settings.initial_sigma
         if sigma0 is None:
@@ -588,11 +585,11 @@ class Solver:
         factorization are reassembled and refactored, and the band factor of
         Psi restarts at the last of them; when none did, the factorization
         is reused as it stands.  Pivot failures multiply the proximal weight
-        ``state.sigma_x_inv`` by 10 (at most the configured count), and every
-        stage is refactored after one.  The work and its time are tallied
-        in ``report``."""
+        ``state.sigma_x_inv`` by 10 (``MAX_PIVOT_ESCALATIONS`` retries at
+        most), and every stage is refactored after one.  The work and its
+        time are tallied in ``report``."""
         w = self.work
-        for attempt in range(self.settings.max_pivot_escalations + 1):
+        for attempt in range(MAX_PIVOT_ESCALATIONS + 1):
             stages = w.changed_stages(weights, state.sigma_x_inv)
             if not stages.size:
                 return
@@ -635,7 +632,7 @@ class Solver:
         go into ``report``.
         """
         p, settings, timings = self.problem, self.settings, report.timings
-        state.sigma_x_inv = self.proximal_weight  # until a pivot failure raises it
+        state.sigma_x_inv = PROXIMAL_WEIGHT  # until a pivot failure raises it
         for it in range(settings.max_inner + 1):
             eval_grad_phi(p, state, ev)
             eq_norm = float(np.max(np.abs(ev.r.data)))
@@ -768,11 +765,10 @@ class Solver:
             if prev_viol is not None:
                 # a row within the primal tolerance needs no larger penalty,
                 # however its violation compares with the last
-                grow = (comp > settings.penalty_trigger * prev_viol) & (comp > primal_tol)
+                grow = (comp > PENALTY_TRIGGER * prev_viol) & (comp > primal_tol)
                 if grow.any():
                     state.sigma_y.data[grow] = np.minimum(
-                        state.sigma_y.data[grow] * settings.penalty_update_factor,
-                        SIGMA_MAX,
+                        state.sigma_y.data[grow] * PENALTY_GROWTH, SIGMA_MAX
                     )
             prev_viol = comp
             inner_tol = max(0.1 * inner_tol, 0.1 * settings.eps_abs)

@@ -144,7 +144,9 @@ def cmd_solve(args):
         args, "--eps-abs/--eps-rel", SolverSettings, eps_abs=args.eps_abs,
         eps_rel=args.eps_rel, worker_count=args.workers, variant=args.variant,
     )
-    with _checked(args, "--problem", Solver, problem, settings) as solver:
+    # only the diagonal variant can be refused for the problem it is given
+    flags = "--problem/--variant" if args.variant == "diagonal" else "--problem"
+    with _checked(args, flags, Solver, problem, settings) as solver:
         x, y, lam, report = solver.solve()
     doc = dataclasses.asdict(report)
     if args.solution:

@@ -75,7 +75,7 @@ _trtri, _potrf, _pbtrf, _pbtrs = scipy.linalg.get_lapack_funcs(
 )
 
 
-class StructureMismatch(Exception):
+class StructureMismatch(ValueError):
     """The diagonal fast path was requested for a non-diagonal problem."""
 
 

@@ -151,6 +151,14 @@ class TestSolveCommand:
         assert exc.value.code == 2
         assert_usage_error(capsys.readouterr(), flag)
 
+    def test_diagonal_variant_of_a_dense_problem_is_a_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "dense.ocpq"
+        save_problem(gen_random_ocp(OcpDims(3, 2, 1, 1, 1), seed=0), path)
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--problem", str(path), "--variant", "diagonal"])
+        assert exc.value.code == 2
+        assert_usage_error(capsys.readouterr(), "--problem/--variant")
+
 
 @pytest.mark.parametrize("command", ("solve", "verify"))
 @pytest.mark.parametrize("kind", ("missing", "directory", "malformed", "truncated", "non_finite"))

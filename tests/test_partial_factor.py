@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ocpqp import kkt
-from ocpqp.alm import Solver, SolverSettings
+from ocpqp.alm import PROXIMAL_WEIGHT, Solver, SolverSettings
 from ocpqp.bench import SpringMassConfig, gen_random_ocp, gen_spring_mass
 from ocpqp.compact import NonPositivePivot
 from ocpqp.model import OcpDims
@@ -245,14 +245,13 @@ class TestEscalationAfterFailedAttempt:
 
         def planted(f, stages):
             original(f, stages)
-            if live and live[-1].sigma_x_inv == base:
+            if live and live[-1].sigma_x_inv == PROXIMAL_WEIGHT:
                 failures.append(live[-1].outer_iter)
                 raise NonPositivePivot([(int(stages[-1]), -1)])
             return f
 
         monkeypatch.setattr(kkt, "factor_psi", planted)
         with Solver(p, SolverSettings(variant="dense", worker_count=workers)) as solver:
-            base = solver.proximal_weight
             factor = solver._factor
 
             def hooked(state, weights, report):
@@ -274,9 +273,9 @@ class TestEscalationAfterFailedAttempt:
         # every inner solve that factors starts at the base weight and
         # escalates once
         assert len(started) > 1
-        assert all(weight == base for weight in started.values())
+        assert all(weight == PROXIMAL_WEIGHT for weight in started.values())
         assert failures == sorted(started)
-        assert checked and all(weight == 10.0 * base for weight in checked)
+        assert checked and all(weight == 10.0 * PROXIMAL_WEIGHT for weight in checked)
 
 
 class TestStagesOutsideTheSet:
