@@ -497,11 +497,11 @@ class Solver:
             problem.x_init,
         )
         self.problem = problem
-        self.variant = self.settings.variant
-        if self.variant == "auto":
-            self.variant = "diagonal" if problem.is_diagonal() else "dense"
+        variant = self.settings.variant
+        if variant == "auto":
+            variant = "diagonal" if problem.is_diagonal() else "dense"
         # raises StructureMismatch for the diagonal variant of a non-diagonal problem
-        self.work = kkt.StageFactorization.allocate(problem, self.variant)
+        self.work = kkt.StageFactorization.allocate(problem, variant)
         self.pool = WorkerPool(self.settings.worker_count)
         self._b = problem.b_dualeq()
 

@@ -1,16 +1,18 @@
-"""Benchmark problems, timed solver runs, and verification plumbing.
+"""Benchmark problems and the spring-mass benchmark harness.
 
 Two problem families are generated here: a chain of spring-coupled masses
 with box constraints (diagonal costs, so both factorization variants apply),
 and random stage-wise problems that are feasible by construction.  The
-harness times configured solver variants, refuses to report any timing whose
-solution does not pass an independent KKT check, and writes CSV summaries.
+harness times the solver on spring-mass cases, one per mass count, horizon
+and worker count of a sweep; it refuses to report any timing whose solution
+does not pass an independent KKT check, and writes CSV summaries.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,7 +33,8 @@ class SpringMassConfig:
     ``init_fraction`` scales the initial-state box relative to x_max; at
     0.5 a few percent of draws are infeasible (initial velocities carry
     weakly controllable modes past the state bounds within the horizon),
-    so the default is 0.25, where draws stay feasible.
+    so the default is 0.25, where draws stay feasible.  ``seed`` is a
+    non-negative integer, and not a bool.
     """
 
     masses: int
@@ -54,6 +57,9 @@ class SpringMassConfig:
             raise ValueError("physical parameters must be positive")
         if not 0.0 < self.init_fraction <= 1.0:
             raise ValueError("init_fraction must lie in (0, 1]")
+        seed = self.seed
+        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
 
     @property
     def n_x(self):
@@ -198,59 +204,42 @@ def gen_random_ocp(dims, seed=0, feasibility_margin=1.0):
 
 @dataclass
 class BenchCase:
-    """One solver configuration over a set of seeded instances."""
+    """One spring-mass size and solver configuration over seeded instances."""
 
-    family: str  # 'spring-mass' or 'random'
-    params: dict
+    masses: int
+    horizon: int
     seeds: list
     variant: str = "dense"
     workers: int = 1
     eps_abs: float = 1e-8
-    label: str = ""
-
-    def describe(self):
-        if self.family == "spring-mass":
-            size = f"M={self.params['masses']},N={self.params['horizon']}"
-        else:
-            dims = self.params["dims"]
-            size = f"N={dims.N},n_x={dims.n_x},n_u={dims.n_u}"
-        return size
 
 
 @dataclass
 class BenchResult:
+    """The verified reports of one case's solves, the largest recomputed KKT
+    residual among them, and a (seed, status, residual) per failed run;
+    every aggregate is derived from the reports."""
+
     case: BenchCase
-    times: list = field(default_factory=list)
-    phase_means: dict = field(default_factory=dict)
-    outer_iters: list = field(default_factory=list)
-    inner_iters: list = field(default_factory=list)
+    reports: list = field(default_factory=list)
     max_residual: float = 0.0
     failures: list = field(default_factory=list)
 
     @property
     def gmean(self):
-        return float(np.exp(np.mean(np.log(self.times)))) if self.times else float("nan")
+        return math.exp(self.mean(lambda r: math.log(r.solve_time)))
 
     @property
     def tmin(self):
-        return min(self.times) if self.times else float("nan")
+        return min((r.solve_time for r in self.reports), default=float("nan"))
 
     @property
     def tmax(self):
-        return max(self.times) if self.times else float("nan")
+        return max((r.solve_time for r in self.reports), default=float("nan"))
 
-
-def _make_problem(case, seed):
-    if case.family == "spring-mass":
-        cfg_kwargs = dict(case.params)
-        cfg_kwargs["seed"] = seed
-        return gen_spring_mass(SpringMassConfig(**cfg_kwargs))
-    if case.family == "random":
-        return gen_random_ocp(
-            case.params["dims"], seed=seed,
-            feasibility_margin=case.params.get("margin", 1.0),
-        )
-    raise ValueError(f"unknown benchmark family {case.family!r}")
+    def mean(self, of):
+        """Mean of ``of(report)`` over the verified reports; NaN if none."""
+        return float(np.mean([of(r) for r in self.reports])) if self.reports else float("nan")
 
 
 def run_case(case):
@@ -266,37 +255,23 @@ def run_case(case):
         variant=case.variant,
     )
     result = BenchResult(case=case)
-    phase_sums = {}
-    warmed = False
-    for seed in case.seeds:
-        problem = _make_problem(case, seed)
+    for i, seed in enumerate(case.seeds):
+        problem = gen_spring_mass(SpringMassConfig(case.masses, case.horizon, seed=seed))
         with Solver(problem, settings) as solver:
-            if not warmed:
+            if i == 0:
                 solver.solve()  # warm-up run, discarded
-                warmed = True
             x, y, lam, report = solver.solve()
         resid = max(oracles.kkt_residuals(problem, x, y, lam))
         if not report.solved or resid > case.eps_abs:
             result.failures.append((seed, report.status, resid))
             continue
-        result.times.append(report.solve_time)
-        result.outer_iters.append(report.outer_iters)
-        result.inner_iters.append(report.inner_iters)
+        result.reports.append(report)
         result.max_residual = max(result.max_residual, resid)
-        for phase, val in report.timings.items():
-            phase_sums[phase] = phase_sums.get(phase, 0.0) + val
-    n_ok = max(1, len(result.times))
-    result.phase_means = {k: v / n_ok for k, v in phase_sums.items()}
     return result
 
 
-def run_benchmark(cases):
-    """Run the configurations sequentially (timings stay uncontaminated)."""
-    return [run_case(case) for case in cases]
-
-
 CSV_COLUMNS = (
-    "family", "label", "size", "variant", "workers", "seeds",
+    "masses", "horizon", "variant", "workers", "seeds",
     "solved", "failed", "gmean_us", "min_us", "max_us",
     *(f"{phase}_us" for phase in PHASES),
     "outer_iters_mean", "inner_iters_mean", "max_kkt_residual",
@@ -312,13 +287,12 @@ def write_csv(results, path):
             case = res.case
             us = 1e6
             writer.writerow([
-                case.family, case.label, case.describe(), case.variant,
-                case.workers, len(case.seeds),
-                len(res.times), len(res.failures),
+                case.masses, case.horizon, case.variant, case.workers, len(case.seeds),
+                len(res.reports), len(res.failures),
                 f"{res.gmean * us:.1f}", f"{res.tmin * us:.1f}", f"{res.tmax * us:.1f}",
-                *(f"{res.phase_means.get(k, 0.0) * us:.1f}" for k in PHASES),
-                f"{np.mean(res.outer_iters):.2f}" if res.outer_iters else "nan",
-                f"{np.mean(res.inner_iters):.2f}" if res.inner_iters else "nan",
+                *(f"{res.mean(lambda r: r.timings[k]) * us:.1f}" for k in PHASES),
+                f"{res.mean(lambda r: r.outer_iters):.2f}",
+                f"{res.mean(lambda r: r.inner_iters):.2f}",
                 f"{res.max_residual:.3e}",
             ])
 

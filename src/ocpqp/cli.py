@@ -1,7 +1,7 @@
 """Command-line entry points.
 
-    ocpqp bench spring-mass --masses 10..70:10 --horizon 15 --runs 100 ...
-    ocpqp bench scaling --masses 30 --horizons 15..240:x2 --workers 1,8 ...
+    ocpqp bench --masses 10..70:10 --horizons 15 --workers 1 --runs 100 ...
+    ocpqp bench --masses 30 --horizons 15..240:x2 --workers 1,8 --runs 10
     ocpqp solve --problem file.ocpq --eps-abs 1e-8 --report report.json
     ocpqp verify --problem file.ocpq --oracle riccati|enumerate|residual
 
@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import sys
 
@@ -71,53 +72,41 @@ def _checked(args, flags, make, *values, **kw):
         args.parser.error(f"argument {flags}: {exc}")
 
 
-def _runs(text):
-    """The --runs count: an integer >= 1."""
-    runs = int(text)
-    if runs < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {text!r}")
-    return runs
+def _check_writable(args, flag, path):
+    """Open ``path`` to append, so that an output path that cannot be
+    written is a usage error before anything runs; what the file holds
+    stays until the result is written over it."""
+    if path:
+        _checked(args, flag, open, path, "a").close()
 
 
-def _print_results(results):
-    header = f"{'size':>16} {'variant':>9} {'w':>2} {'ok':>4} {'fail':>4} {'gmean':>12} {'min':>12} {'max':>12}"
-    print(header)
-    for res in results:
-        c = res.case
-        print(
-            f"{c.describe():>16} {c.variant:>9} {c.workers:>2} "
-            f"{len(res.times):>4} {len(res.failures):>4} "
-            f"{res.gmean * 1e3:>10.3f}ms {res.tmin * 1e3:>10.3f}ms {res.tmax * 1e3:>10.3f}ms"
-        )
-
-
-def _run_sweep(args, masses, horizons, workers, horizon_flag, label):
+def cmd_bench(args):
     """Check the sweep's values (each size against the least valid other),
     run one case per worker count, mass count and horizon, print the table
     and write the CSV and gnuplot script if asked; 2 when any run failed."""
-    for m in masses:
+    if args.runs < 1:
+        args.parser.error(f"argument --runs: must be at least 1, got {args.runs}")
+    for m in args.masses:
         _checked(args, "--masses", SpringMassConfig, masses=m, horizon=1)
-    for N in horizons:
-        _checked(args, horizon_flag, SpringMassConfig, masses=2, horizon=N)
-    for w in workers:
+    for N in args.horizons:
+        _checked(args, "--horizons", SpringMassConfig, masses=2, horizon=N)
+    _checked(args, "--seed0", SpringMassConfig, masses=2, horizon=1, seed=args.seed0)
+    for w in args.workers:
         _checked(args, "--workers", SolverSettings, worker_count=w)
     _checked(args, "--eps-abs", SolverSettings, eps_abs=args.eps_abs)
-    cases = [
-        bench.BenchCase(
-            family="spring-mass",
-            params={"masses": m, "horizon": N},
-            seeds=list(range(args.seed0, args.seed0 + args.runs)),
-            variant=args.variant,
-            workers=w,
-            eps_abs=args.eps_abs,
-            label=label(w),
+    _check_writable(args, "--out", args.out)
+    seeds = list(range(args.seed0, args.seed0 + args.runs))
+    print(f"{'size':>16} {'variant':>9} {'w':>2} {'ok':>4} {'fail':>4} "
+          f"{'gmean':>12} {'min':>12} {'max':>12}")
+    results = []
+    for w, m, N in itertools.product(args.workers, args.masses, args.horizons):
+        res = bench.run_case(bench.BenchCase(m, N, seeds, args.variant, w, args.eps_abs))
+        results.append(res)
+        print(
+            f"{f'M={m},N={N}':>16} {args.variant:>9} {w:>2} "
+            f"{len(res.reports):>4} {len(res.failures):>4} "
+            f"{res.gmean * 1e3:>10.3f}ms {res.tmin * 1e3:>10.3f}ms {res.tmax * 1e3:>10.3f}ms"
         )
-        for w in workers
-        for m in masses
-        for N in horizons
-    ]
-    results = bench.run_benchmark(cases)
-    _print_results(results)
     if args.out:
         bench.write_csv(results, args.out)
         print(f"wrote {args.out}")
@@ -127,16 +116,6 @@ def _run_sweep(args, masses, horizons, workers, horizon_flag, label):
     return 2 if any(r.failures for r in results) else 0
 
 
-def cmd_bench_spring_mass(args):
-    sweep = (args.masses, [args.horizon], [args.workers], "--horizon")
-    return _run_sweep(args, *sweep, lambda w: args.label)
-
-
-def cmd_bench_scaling(args):
-    sweep = ([args.masses], args.horizons, args.workers, "--horizons")
-    return _run_sweep(args, *sweep, lambda w: f"w{w}")
-
-
 def cmd_solve(args):
     problem = _checked(args, "--problem", load_problem, args.problem)
     _checked(args, "--workers", SolverSettings, worker_count=args.workers)
@@ -144,6 +123,7 @@ def cmd_solve(args):
         args, "--eps-abs/--eps-rel", SolverSettings, eps_abs=args.eps_abs,
         eps_rel=args.eps_rel, worker_count=args.workers, variant=args.variant,
     )
+    _check_writable(args, "--report", args.report)
     # only the diagonal variant can be refused for the problem it is given
     flags = "--problem/--variant" if args.variant == "diagonal" else "--problem"
     with _checked(args, flags, Solver, problem, settings) as solver:
@@ -188,30 +168,17 @@ def main(argv=None):
     parser = argparse.ArgumentParser(prog="ocpqp", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_bench = sub.add_parser("bench", help="benchmark harness")
-    bench_sub = p_bench.add_subparsers(dest="bench_command", required=True)
-
-    p_sm = bench_sub.add_parser("spring-mass", help="mass sweep at fixed horizon")
-    p_sm.add_argument("--masses", type=parse_range, default="10..70:10")
-    p_sm.add_argument("--horizon", type=int, default=15)
-    p_sm.add_argument("--runs", type=_runs, default=100, help="seeded instances per size")
-    p_sm.add_argument("--workers", type=int, default=1)
-    p_sm.add_argument("--label", default="")
-    p_sm.set_defaults(func=cmd_bench_spring_mass, parser=p_sm)
-
-    p_sc = bench_sub.add_parser("scaling", help="horizon sweep across worker counts")
-    p_sc.add_argument("--masses", type=int, default=30)
-    p_sc.add_argument("--horizons", type=parse_range, default="15..240:x2")
-    p_sc.add_argument("--runs", type=_runs, default=10)
-    p_sc.add_argument("--workers", type=parse_range, default="1,8")
-    p_sc.set_defaults(func=cmd_bench_scaling, parser=p_sc)
-
-    for p_sweep in (p_sm, p_sc):  # what both sweeps take
-        p_sweep.add_argument("--variant", choices=("dense", "diagonal", "auto"), default="dense")
-        p_sweep.add_argument("--eps-abs", type=float, default=1e-8)
-        p_sweep.add_argument("--seed0", type=int, default=0)
-        p_sweep.add_argument("--out", default="")
-        p_sweep.add_argument("--gnuplot", action="store_true")
+    p_bench = sub.add_parser("bench", help="spring-mass sweep over masses, horizons and workers")
+    p_bench.add_argument("--masses", type=parse_range, default="10..70:10")
+    p_bench.add_argument("--horizons", type=parse_range, default="15")
+    p_bench.add_argument("--workers", type=parse_range, default="1")
+    p_bench.add_argument("--runs", type=int, default=100, help="seeded instances per case")
+    p_bench.add_argument("--variant", choices=("dense", "diagonal", "auto"), default="dense")
+    p_bench.add_argument("--eps-abs", type=float, default=1e-8)
+    p_bench.add_argument("--seed0", type=int, default=0)
+    p_bench.add_argument("--out", default="")
+    p_bench.add_argument("--gnuplot", action="store_true")
+    p_bench.set_defaults(func=cmd_bench, parser=p_bench)
 
     p_solve = sub.add_parser("solve", help="solve a problem file")
     p_solve.add_argument("--problem", required=True)

@@ -9,7 +9,7 @@ from ocpqp.bench import (
     discretize_exact,
     gen_random_ocp,
     gen_spring_mass,
-    run_benchmark,
+    run_case,
     spring_mass_continuous,
     write_csv,
 )
@@ -29,6 +29,14 @@ class TestSpringMass:
     def test_single_mass_rejected(self):
         with pytest.raises(ValueError):
             SpringMassConfig(masses=1, horizon=15)
+
+    @pytest.mark.parametrize("seed", (-1, 1.5, True, "0"))
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            SpringMassConfig(masses=2, horizon=3, seed=seed)
+
+    def test_numpy_integer_seed_accepted(self):
+        assert SpringMassConfig(masses=2, horizon=3, seed=np.int64(4)).seed == 4
 
     def test_double_integrator_limit(self):
         # no springs, no damping: two decoupled double integrators
@@ -128,36 +136,32 @@ class TestVerify:
 
 class TestHarness:
     def test_single_config_csv(self, tmp_path):
-        case = BenchCase(
-            family="spring-mass",
-            params={"masses": 3, "horizon": 6},
-            seeds=[0, 1, 2],
-            variant="dense",
-            workers=1,
-        )
-        results = run_benchmark([case])
-        res = results[0]
-        assert len(res.times) == 3
+        case = BenchCase(masses=3, horizon=6, seeds=[0, 1, 2], variant="dense", workers=1)
+        res = run_case(case)
+        assert len(res.reports) == 3
         assert not res.failures
         assert res.gmean > 0 and res.tmin <= res.gmean <= res.tmax
         assert res.max_residual <= 1e-8
         out = tmp_path / "bench.csv"
-        write_csv(results, out)
+        write_csv([res], out)
         text = out.read_text().splitlines()
-        assert text[0].startswith("family,")
+        assert text[0].startswith("masses,horizon,")
         assert len(text) == 2
-        assert "spring-mass" in text[1]
+        assert text[1].startswith("3,6,dense,1,3,3,0,")
 
-    def test_random_family_and_determinism(self):
-        case = BenchCase(
-            family="random",
-            params={"dims": OcpDims(3, 2, 1, 2, 1), "margin": 1.0},
-            seeds=[0, 1],
-        )
-        r1 = run_benchmark([case])[0]
-        r2 = run_benchmark([case])[0]
-        assert r1.outer_iters == r2.outer_iters
-        assert r1.inner_iters == r2.inner_iters
+    def test_aggregates_derive_from_the_reports(self):
+        res = run_case(BenchCase(masses=2, horizon=4, seeds=[0, 1]))
+        times = [r.solve_time for r in res.reports]
+        assert res.tmin == min(times) and res.tmax == max(times)
+        assert res.gmean == pytest.approx(np.sqrt(times[0] * times[1]), rel=1e-12)
+        outer = res.mean(lambda r: r.outer_iters)
+        assert outer == np.mean([r.outer_iters for r in res.reports])
+
+    def test_determinism(self):
+        case = BenchCase(masses=3, horizon=5, seeds=[0, 1])
+        r1, r2 = run_case(case), run_case(case)
+        for name in ("outer_iters", "inner_iters"):
+            assert [getattr(r, name) for r in r1.reports] == [getattr(r, name) for r in r2.reports]
 
     def test_loglog_slope(self):
         ns = np.array([10, 20, 40, 80])

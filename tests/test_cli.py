@@ -36,44 +36,38 @@ class TestParsing:
         with pytest.raises(ValueError, match=re.escape(repr(spec))):
             parse_range(spec)
 
-    @pytest.mark.parametrize("command", (
-        ["spring-mass", "--masses", "2"],
-        ["scaling", "--masses", "2", "--horizons", "4"],
-    ))
-    def test_bench_needs_a_run(self, command, capsys):
+    def test_bench_needs_a_run(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["bench", *command, "--runs", "0"])
+            main(["bench", "--masses", "2", "--horizons", "4", "--runs", "0"])
         assert exc.value.code == 2
         assert "--runs" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command, flag, spec", (
-        (["spring-mass"], "--masses", "70..10"),
-        (["scaling", "--masses", "2"], "--horizons", "15..240:x1"),
-        (["scaling", "--masses", "2"], "--workers", "2..1"),
+    @pytest.mark.parametrize("flag, spec", (
+        ("--masses", "70..10"),
+        ("--horizons", "15..240:x1"),
+        ("--workers", "2..1"),
     ))
-    def test_empty_sweep_is_a_usage_error(self, command, flag, spec, capsys):
+    def test_empty_sweep_is_a_usage_error(self, flag, spec, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["bench", *command, flag, spec, "--runs", "1"])
+            main(["bench", "--masses", "2", flag, spec, "--runs", "1"])
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert err.startswith("usage:") and flag in err and repr(spec) in err
 
-
-    @pytest.mark.parametrize("command, flag, value", (
-        (["spring-mass", "--masses", "2", "--horizon", "2"], "--workers", "0"),
-        (["scaling", "--masses", "2", "--horizons", "2"], "--workers", "0"),
-        (["scaling", "--masses", "2", "--horizons", "2"], "--workers", "1,0"),
-        (["spring-mass", "--masses", "2"], "--horizon", "0"),
-        (["scaling", "--masses", "2"], "--horizons", "0,2"),
-        (["spring-mass", "--horizon", "2"], "--masses", "1"),
-        (["spring-mass", "--horizon", "2"], "--masses", "1,2"),
-        (["scaling", "--horizons", "2"], "--masses", "1"),
-        (["spring-mass", "--masses", "2", "--horizon", "2"], "--eps-abs", "0"),
-        (["scaling", "--masses", "2", "--horizons", "2"], "--eps-abs", "nan"),
+    @pytest.mark.parametrize("flag, value", (
+        ("--workers", "0"),
+        ("--workers", "1,0"),
+        ("--horizons", "0"),
+        ("--horizons", "0,2"),
+        ("--masses", "1"),
+        ("--masses", "1,2"),
+        ("--eps-abs", "0"),
+        ("--eps-abs", "nan"),
+        ("--seed0", "-1"),
     ))
-    def test_rejected_value_is_a_usage_error(self, command, flag, value, capsys):
+    def test_rejected_value_is_a_usage_error(self, flag, value, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["bench", *command, flag, value, "--runs", "1"])
+            main(["bench", "--masses", "2", "--horizons", "2", flag, value, "--runs", "1"])
         assert exc.value.code == 2
         assert_usage_error(capsys.readouterr(), flag)
 
@@ -131,6 +125,15 @@ class TestSolveCommand:
         report = tmp_path / "report.json"
         assert main(["solve", "--problem", spring_file, "--report", str(report)]) == 0
         assert set(json.loads(report.read_text())) == REPORT_KEYS
+
+    def test_report_in_a_missing_directory_is_a_usage_error(self, spring_file, tmp_path,
+                                                              capsys, monkeypatch):
+        monkeypatch.setattr("ocpqp.cli.Solver", None)  # no solve may run
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--problem", spring_file,
+                  "--report", str(tmp_path / "missing" / "report.json")])
+        assert exc.value.code == 2
+        assert_usage_error(capsys.readouterr(), "--report")
 
     def test_json_problem_is_accepted(self, tmp_path):
         p = gen_random_ocp(OcpDims(2, 2, 1, 1, 1), seed=0, feasibility_margin=1.0)
@@ -199,19 +202,38 @@ class TestBenchCommands:
     def test_spring_mass_csv(self, tmp_path):
         out = tmp_path / "res.csv"
         rc = main([
-            "bench", "spring-mass", "--masses", "2,3", "--horizon", "4",
+            "bench", "--masses", "2,3", "--horizons", "4",
             "--runs", "2", "--out", str(out), "--gnuplot",
         ])
         assert rc == 0
         lines = out.read_text().splitlines()
-        assert len(lines) == 3
+        assert lines[0].startswith("masses,horizon,")
+        assert [line.split(",")[:2] for line in lines[1:]] == [["2", "4"], ["3", "4"]]
         assert (tmp_path / "res.csv.gp").exists()
 
-    def test_scaling(self, tmp_path, capsys):
+    def test_scaling(self, capsys):
         rc = main([
-            "bench", "scaling", "--masses", "2", "--horizons", "4..8:x2",
+            "bench", "--masses", "2", "--horizons", "4..8:x2",
             "--runs", "1", "--workers", "1",
         ])
         assert rc == 0
         lines = capsys.readouterr().out.splitlines()
-        assert len([l for l in lines if "spring" not in l and "M=2" in l]) == 2
+        assert [line.split()[0] for line in lines[1:]] == ["M=2,N=4", "M=2,N=8"]
+
+    def test_sweeps_every_worker_count_mass_count_and_horizon(self, capsys):
+        rc = main([
+            "bench", "--masses", "2,3", "--horizons", "4,8", "--workers", "1,2", "--runs", "1",
+        ])
+        assert rc == 0
+        rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
+        assert [(row[0], row[2]) for row in rows] == [
+            (f"M={m},N={N}", w) for w in "12" for m in (2, 3) for N in (4, 8)
+        ]
+
+    def test_out_in_a_missing_directory_is_a_usage_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("ocpqp.bench.run_case", None)  # no case may run
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--masses", "2", "--horizons", "2", "--runs", "1",
+                  "--out", str(tmp_path / "missing" / "res.csv")])
+        assert exc.value.code == 2
+        assert_usage_error(capsys.readouterr(), "--out")

@@ -42,7 +42,7 @@ def field(work, name):
 def fresh_factorization(solver, state, weights):
     """Every stage assembled and factored from scratch in a new workspace,
     at the state's proximal weight."""
-    return factored(solver.problem, weights, state.sigma_x_inv, solver.variant)
+    return factored(solver.problem, weights, state.sigma_x_inv, solver.work.variant)
 
 
 def factored(problem, weights, sxinv, variant="dense"):
