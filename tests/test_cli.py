@@ -36,38 +36,44 @@ class TestParsing:
         with pytest.raises(ValueError, match=re.escape(repr(spec))):
             parse_range(spec)
 
-    def test_bench_needs_a_run(self, capsys):
+    @pytest.mark.parametrize("command", (
+        ["--masses", "2"],
+        ["--masses", "2", "--horizons", "4"],
+    ))
+    def test_bench_needs_a_run(self, command, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["bench", "--masses", "2", "--horizons", "4", "--runs", "0"])
+            main(["bench", *command, "--runs", "0"])
         assert exc.value.code == 2
         assert "--runs" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag, spec", (
-        ("--masses", "70..10"),
-        ("--horizons", "15..240:x1"),
-        ("--workers", "2..1"),
+    @pytest.mark.parametrize("command, flag, spec", (
+        ([], "--masses", "70..10"),
+        (["--masses", "2"], "--horizons", "15..240:x1"),
+        (["--masses", "2"], "--workers", "2..1"),
     ))
-    def test_empty_sweep_is_a_usage_error(self, flag, spec, capsys):
+    def test_empty_sweep_is_a_usage_error(self, command, flag, spec, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["bench", "--masses", "2", flag, spec, "--runs", "1"])
+            main(["bench", *command, flag, spec, "--runs", "1"])
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert err.startswith("usage:") and flag in err and repr(spec) in err
 
-    @pytest.mark.parametrize("flag, value", (
-        ("--workers", "0"),
-        ("--workers", "1,0"),
-        ("--horizons", "0"),
-        ("--horizons", "0,2"),
-        ("--masses", "1"),
-        ("--masses", "1,2"),
-        ("--eps-abs", "0"),
-        ("--eps-abs", "nan"),
-        ("--seed0", "-1"),
+    @pytest.mark.parametrize("command, flag, value", (
+        (["--masses", "2", "--horizons", "2"], "--workers", "0"),
+        (["--masses", "2,3", "--horizons", "2,4"], "--workers", "0"),
+        (["--masses", "2", "--horizons", "2"], "--workers", "1,0"),
+        (["--masses", "2"], "--horizons", "0"),
+        (["--masses", "2"], "--horizons", "0,2"),
+        (["--horizons", "2"], "--masses", "1"),
+        (["--horizons", "2"], "--masses", "1,2"),
+        (["--horizons", "2,4"], "--masses", "1"),
+        (["--masses", "2", "--horizons", "2"], "--eps-abs", "0"),
+        (["--masses", "2", "--horizons", "2"], "--eps-abs", "nan"),
+        (["--masses", "2", "--horizons", "2"], "--seed0", "-1"),
     ))
-    def test_rejected_value_is_a_usage_error(self, flag, value, capsys):
+    def test_rejected_value_is_a_usage_error(self, command, flag, value, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["bench", "--masses", "2", "--horizons", "2", flag, value, "--runs", "1"])
+            main(["bench", *command, flag, value, "--runs", "1"])
         assert exc.value.code == 2
         assert_usage_error(capsys.readouterr(), flag)
 
