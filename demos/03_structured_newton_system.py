@@ -43,7 +43,8 @@ psi_dense = dense.M @ np.linalg.solve(H_dense, dense.M.T)
 
 # Psi from its band factor, read blockwise in stage order: band_diag[j] is
 # the diagonal block D_j of stage j and band_sub[j] the block S_j that
-# couples it to stage j + 1, so Psi_jj = D_j D_j^T + S_j S_j^T (the last
+# couples it to stage j + 1.  A new workspace keeps the band in reversed
+# block order (stage N first), so Psi_jj = D_j D_j^T + S_j S_j^T (the last
 # term for j < N) and Psi_{j,j+1} = S_j D_{j+1}^T
 D, S = np.tril(work.band_diag), work.band_sub
 psi_diag = D @ D.transpose(0, 2, 1)

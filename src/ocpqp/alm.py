@@ -186,6 +186,9 @@ class SolveReport:
     full_factorizations: int = 0
     stages_factored: int = 0
     psi_blocks_factored: int = 0
+    # the block order of the Psi band over the solve: "reversed" (stage N
+    # first) or "natural" (stage 0 first), see kkt.StageFactorization.reorient
+    psi_order: str = "reversed"
     # inner solves that stopped short of their tolerance: on a direction that
     # does not descend, or after max_inner steps; and the largest row penalty
     # when the solve stopped (0 for a problem with no inequality row)
@@ -583,11 +586,13 @@ class Solver:
 
         Only the stages whose H_j changed since the last completed
         factorization are reassembled and refactored, and the band factor of
-        Psi restarts at the last of them; when none did, the factorization
-        is reused as it stands.  Pivot failures multiply the proximal weight
-        ``state.sigma_x_inv`` by 10 (``MAX_PIVOT_ESCALATIONS`` retries at
-        most), and every stage is refactored after one.  The work and its
-        time are tallied in ``report``."""
+        Psi restarts at the last of them, or at the first in natural block
+        order; when none did, the factorization is reused as it stands.
+        Pivot failures multiply the proximal weight ``state.sigma_x_inv`` by
+        10 (``MAX_PIVOT_ESCALATIONS`` retries at most), and every stage is
+        refactored after one.  The work and its time are tallied in
+        ``report``, and the Psi blocks each band order would refactor in
+        the workspace (see :meth:`kkt.StageFactorization.tally`)."""
         w = self.work
         for attempt in range(MAX_PIVOT_ESCALATIONS + 1):
             stages = w.changed_stages(weights, state.sigma_x_inv)
@@ -598,7 +603,8 @@ class Solver:
             report.factorizations += 1
             report.full_factorizations += stages.size == len(w.p_lm)
             report.stages_factored += stages.size
-            report.psi_blocks_factored += kkt.psi_top(w, stages) + 1
+            report.psi_blocks_factored += len(w.p_lm) - kkt.psi_restart(w, stages)
+            w.tally(stages)
             t0 = time.perf_counter()
             try:
                 kkt.factor_stages(w, self.pool, weights, state.sigma_x_inv, stages)
@@ -734,7 +740,10 @@ class Solver:
         ev, step = Evaluation.zeros(p), Step.zeros(p)
         state = self._init_state(warm_start, ev)
         report = SolveReport()
-        self.work.invalidate()  # the first factorization of a solve is full
+        # the first factorization of a solve is full, so the band's block
+        # order can change here: the one the last solve's changes favoured
+        self.work.reorient()
+        report.psi_order = "natural" if self.work.natural else "reversed"
         inner_tol = 1.0
         prev_viol = None
         t_start = time.perf_counter()

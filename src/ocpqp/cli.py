@@ -86,6 +86,8 @@ def cmd_bench(args):
     and write the CSV and gnuplot script if asked; 2 when any run failed."""
     if args.runs < 1:
         args.parser.error(f"argument --runs: must be at least 1, got {args.runs}")
+    if args.gnuplot and not args.out:
+        args.parser.error("argument --gnuplot: needs --out, the CSV file the script plots")
     for m in args.masses:
         _checked(args, "--masses", SpringMassConfig, masses=m, horizon=1)
     for N in args.horizons:

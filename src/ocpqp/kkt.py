@@ -18,9 +18,11 @@ across stages and runs as batched calls over the stage axis of the
 stage-major stacks (see :mod:`ocpqp.compact`), split over a :class:`WorkerPool`
 in disjoint parts of a stage index set (inline at one worker); the
 sequential part is one banded LAPACK call that factors Psi and one per solve
-with it.  The band holds Psi in reversed block order (stage N first, as a
-Riccati recursion runs), so the factor of the blocks of stages above a
-change stays valid.
+with it.  The band holds Psi in one of two block orders, which the
+workspace picks for each solve: reversed (stage N first, as a Riccati
+recursion runs), so the factor of the blocks of the stages above the last
+change stays valid, or natural (stage 0 first), so that of the stages
+before the first change does.
 
 Every step takes the workspace, a :class:`StageFactorization` ``f``, first
 and works in place on it: ``factor_stages(f, pool, weights, sigma_x_inv,
@@ -51,18 +53,19 @@ H_j depends on the iterate only through the active penalties of stage j
 and the proximal weight, so only the stages whose penalties changed since
 the last successful factorization are reassembled and refactored (every
 stage when the weight changed); the others keep their factor bits.  The
-band Cholesky of Psi restarts at the block of the last changed stage and
-reads its blocks straight from the per-stage J J^T products: the leading
-band columns, which hold the factor of the later stages, are kept, and a
-full factorization is the restart at the first column.  When no stage
-changed, the whole factorization is reused as it stands.
+band Cholesky of Psi restarts at the block of the last changed stage
+(reversed order) or of the first (natural order), and reads its blocks
+straight from the per-stage J J^T products: the leading band columns,
+which hold the factor of the blocks the change does not reach, are kept,
+and a full factorization is the restart at the first column.  When no
+stage changed, the whole factorization is reused as it stands.
 """
 
 from __future__ import annotations
 
 import numbers
 from concurrent.futures import ThreadPoolExecutor, wait
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -151,19 +154,25 @@ class StageFactorization:
     ``linv_lm``, ``scaled_lm`` or ``linv_rhs`` (None); the dense variant
     has no ``h_diag``.  ``linv_rhs`` is the one-column stage stack that
     :func:`solve_H` forms L^{-1} rhs in.
-    ``psi_band`` holds the Cholesky factor of P Psi P^T, where P reverses
-    the block order (stage j at block position N - j), in LAPACK band
-    storage; ``band_diag[j]`` and ``band_sub[j]`` are reversed views of its
-    blocks, indexed by stage: the diagonal block of stage j and the block
-    L(N - j, N - j - 1) that couples stage j to stage j + 1.  ``psi_rhs``
-    is the one-column scratch that :func:`psi_solve` solves in, in the
-    band's block order.
+    ``psi_band`` holds the Cholesky factor L of P Psi P^T in LAPACK band
+    storage, where P puts stage j at block position N - j when the block
+    order is reversed (``natural`` False) and leaves it at j when it is
+    natural.  ``band_diag[j]`` and ``band_sub[j]`` are views of its blocks,
+    indexed by stage in either order: the diagonal block of stage j, and
+    the block that couples stage j to stage j + 1, L(N - j, N - j - 1)
+    reversed and L(j + 1, j) natural.  ``band_views`` holds those two views
+    for each order (index ``natural``), built once.  ``psi_rhs`` is the
+    one-column scratch that :func:`psi_solve` solves in, in the band's
+    block order.
 
     ``factored_sigma`` and ``factored_prox`` record the active penalties
     (a copy of the weights' stack) and the proximal weight of the last
     factorization that completed through :func:`factor_psi`, or None when
     there is none; see :meth:`changed_stages`.  The cache assumes the cost
     and constraint matrices stay fixed between :meth:`invalidate` calls.
+    ``psi_tally`` counts the Psi blocks that the factorizations since the
+    last :meth:`reorient` would have refactored in each order (index
+    ``natural``); see :meth:`tally`.
     """
 
     problem: object
@@ -177,9 +186,12 @@ class StageFactorization:
     psi_band: np.ndarray
     band_diag: np.ndarray
     band_sub: np.ndarray
+    band_views: tuple
     psi_rhs: np.ndarray
     factored_sigma: np.ndarray
     factored_prox: float | None = None
+    natural: bool = False
+    psi_tally: list = field(default_factory=lambda: [0, 0])
 
     @classmethod
     def allocate(cls, problem, variant="dense"):
@@ -190,6 +202,8 @@ class StageFactorization:
         d = problem.dims
         ns, n_xu, n_x = d.N + 1, d.n_xu, d.n_x
         band = np.zeros((2 * n_x, ns * n_x), order="F")
+        diag, sub = _band_blocks(band, 0, ns), _band_blocks(band, n_x, d.N)
+        views = ((diag[::-1], sub[::-1]), (diag, sub))
         dense = variant != "diagonal"
         return cls(
             problem=problem,
@@ -201,8 +215,9 @@ class StageFactorization:
             scaled_lm=np.zeros((ns, d.n_y_pad, n_xu)) if dense else None,
             linv_rhs=np.zeros((ns, n_xu, 1)) if dense else None,
             psi_band=band,
-            band_diag=_band_blocks(band, 0, ns)[::-1],
-            band_sub=_band_blocks(band, n_x, d.N)[::-1],
+            band_diag=views[0][0],
+            band_sub=views[0][1],
+            band_views=views,
             psi_rhs=np.zeros((ns * n_x, 1)),
             factored_sigma=np.zeros((ns, d.n_y_pad, 1)),
         )
@@ -226,6 +241,28 @@ class StageFactorization:
         and proximal weight ``sigma_x_inv``."""
         np.copyto(self.factored_sigma, weights.stack)
         self.factored_prox = sigma_x_inv
+
+    def orient(self, natural):
+        """Forget the last factorization and keep the band in natural block
+        order from the next one on, or in reversed order."""
+        self.invalidate()
+        self.natural = bool(natural)
+        self.band_diag, self.band_sub = self.band_views[self.natural]
+
+    def tally(self, stages):
+        """Count the Psi blocks that a factorization over the sorted stage
+        index array ``stages`` refactors in each block order."""
+        for natural in (False, True):
+            self.psi_tally[natural] += len(self.p_lm) - psi_restart(self, stages, natural)
+
+    def reorient(self):
+        """:meth:`orient` for the factorizations to come: natural order if
+        it would have refactored strictly fewer Psi blocks than the reversed
+        one over those tallied since the last call, reversed otherwise (and
+        at the first call); the tallies start again from zero."""
+        reversed_blocks, natural_blocks = self.psi_tally
+        self.orient(natural_blocks < reversed_blocks)
+        self.psi_tally = [0, 0]
 
 
 def _band_blocks(band, row0, nblocks):
@@ -357,56 +394,73 @@ def factor_stages(f, pool, weights, sigma_x_inv, stages):
     return f
 
 
-def psi_top(f, stages):
-    """Last stage whose Psi blocks a change at the sorted, non-empty stage
-    index array ``stages`` reaches: :func:`factor_psi` refactors the band
-    positions N - top to N, top + 1 blocks."""
-    return min(int(stages[-1]) + 1, f.problem.dims.N)
+def psi_restart(f, stages, natural=None):
+    """First band block position that :func:`factor_psi` refactors after a
+    change at the sorted, non-empty stage index array ``stages``, in the
+    block order ``natural`` (the workspace's order by default).  A change
+    at stage k reaches Psi_kk, Psi_{k+1,k+1} and Psi_{k+1,k}, so the
+    restart is at the first changed stage in natural order and at the
+    position N - j of the last stage j it reaches in reversed order; the
+    positions from there to N are refactored."""
+    if natural is None:
+        natural = f.natural
+    N = f.problem.dims.N
+    return int(stages[0]) if natural else N - min(int(stages[-1]) + 1, N)
 
 
 def factor_psi(f, stages):
     """Cholesky factor of P Psi P^T, block-bidiagonal, by one banded LAPACK
     call on the band positions that the sorted stage index array ``stages``
-    reaches.
+    reaches, in the workspace's block order (see :class:`StageFactorization`).
 
-    Position k holds stage N - k, so the stages above ``top`` (see
-    :func:`psi_top`) fill the leading k0 = N - top positions, whose columns
-    keep the factor of the last factorization.  The trailing columns are
-    refilled straight from the J J^T products ``f.p_lm`` (P_j):
+    The leading positions before the restart r (see :func:`psi_restart`)
+    keep the factor of the last factorization in their columns.  The
+    trailing ones, those of the stages lo..hi (r..N natural, 0..N - r
+    reversed), are refilled straight from the J J^T products ``f.p_lm``
+    (P_j):
 
         Psi_00 = P_0[n:, n:],  Psi_jj = P_j[n:, n:] + P_{j-1}[:n, :n],
         Psi_{j+1,j} = -P_j[:n, n:]
 
     with n = n_x; the diagonal blocks give their lower triangles (P_j is
-    symmetric) and the coupling blocks enter transposed.  For k0 > 0 the
-    kept block L(k0, k0 - 1), stored at ``band_sub[top]``, is subtracted as
-    L L^T from diagonal block k0, and dpbtrf factors the trailing band in
-    place.  A full factorization is the restart at k0 = 0.  A failed leading
-    minor names the stage whose block it falls in.  dpbtrf need not stop at
-    a NaN pivot, but a NaN anywhere in the factor reaches the diagonal of
-    its row, so the first non-finite diagonal entry names a stage the same
-    way."""
+    symmetric), and the coupling blocks enter as they are in natural order
+    and transposed in reversed order.  For r > 0 the kept block L that
+    couples position r to position r - 1 (``band_sub[lo - 1]`` natural,
+    ``band_sub[hi]`` reversed) is subtracted as L L^T from diagonal block r,
+    and dpbtrf factors the trailing band in place.  A full factorization is
+    the restart at r = 0.  A failed leading minor names the stage whose
+    block it falls in.  dpbtrf need not stop at a NaN pivot, but a NaN
+    anywhere in the factor reaches the diagonal of its row, so the first
+    non-finite diagonal entry names a stage the same way."""
     N, n_x = f.problem.dims.N, f.problem.dims.n_x
-    top = psi_top(f, stages)
-    c0 = (N - top) * n_x
-    trail = f.psi_band[:, c0:]  # F-contiguous, factored in place
+    restart = psi_restart(f, stages)
+    trail = f.psi_band[:, restart * n_x:]  # F-contiguous, factored in place
     trail.fill(0.0)  # a NaN in Psi spreads into slots outside the blocks
-    P, diag = f.p_lm, f.band_diag
+    P, diag, sub = f.p_lm, f.band_diag, f.band_sub
+    lo, hi = (restart, N) if f.natural else (0, N - restart)
+    k = max(lo, 1)  # the first refilled block that has a stage before it
     tri = np.tri(n_x, dtype=bool)
     # one masked copy per block: a masked add into the strided band views
     # costs about twice as much as the contiguous sum
-    np.copyto(diag[0], P[0, n_x:, n_x:], where=tri)
-    np.copyto(diag[1 : top + 1], P[1 : top + 1, n_x:, n_x:] + P[:top, :n_x, :n_x], where=tri)
-    np.negative(P[:top, :n_x, n_x:].transpose(0, 2, 1), out=f.band_sub[:top])
-    if top < N:
-        L = f.band_sub[top]
-        np.subtract(diag[top], L @ L.T, out=diag[top], where=tri)
+    if lo == 0:
+        np.copyto(diag[0], P[0, n_x:, n_x:], where=tri)
+    np.copyto(diag[k : hi + 1], P[k : hi + 1, n_x:, n_x:] + P[k - 1 : hi, :n_x, :n_x], where=tri)
+    coupling = P[lo:hi, :n_x, n_x:]
+    np.negative(coupling if f.natural else coupling.transpose(0, 2, 1), out=sub[lo:hi])
+    if restart:
+        j, L = (lo, sub[lo - 1]) if f.natural else (hi, sub[hi])
+        np.subtract(diag[j], L @ L.T, out=diag[j], where=tri)
+
+    def stage(col):  # the stage of the band column restart * n_x + col
+        pos = restart + col // n_x
+        return pos if f.natural else N - pos
+
     _, info = _pbtrf(trail, lower=1, overwrite_ab=1)
     if info > 0:
-        raise NonPositivePivot([(top - (info - 1) // n_x, -1)])
+        raise NonPositivePivot([(stage(info - 1), -1)])
     bad = ~np.isfinite(trail[0])
     if bad.any():
-        raise NonPositivePivot([(top - int(np.argmax(bad)) // n_x, -1)])
+        raise NonPositivePivot([(stage(int(np.argmax(bad))), -1)])
     return f
 
 
@@ -426,12 +480,14 @@ def solve_H(f, rhs, out):
 def psi_solve(f, rhs_stack, out):
     """Solve Psi x = rhs for the (N + 1, n_x) stack with the banded factor:
     forward and back substitution in one dpbtrs call, in place on the
-    scratch ``f.psi_rhs``, which holds the blocks in the band's reversed
-    order.  The result goes into ``out``, which may be ``rhs_stack``
-    itself.  Returns ``out``."""
-    np.copyto(f.psi_rhs.reshape(rhs_stack.shape), rhs_stack[::-1])
+    scratch ``f.psi_rhs``, which holds the blocks in the band's block order
+    (the stack's blocks reversed, or as they are in natural order).  The
+    result goes into ``out``, which may be ``rhs_stack`` itself.  Returns
+    ``out``."""
+    src, dst = (rhs_stack, out) if f.natural else (rhs_stack[::-1], out[::-1])
+    np.copyto(f.psi_rhs.reshape(rhs_stack.shape), src)
     x, _ = _pbtrs(f.psi_band, f.psi_rhs, lower=1, overwrite_b=1)
-    np.copyto(out, x.reshape(rhs_stack.shape)[::-1])
+    np.copyto(dst, x.reshape(rhs_stack.shape))
     return out
 
 

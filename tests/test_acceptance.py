@@ -5,6 +5,7 @@ lines.  Criteria 6 and the speed half of 7 are hardware-dependent trends:
 they print WARN instead of failing.
 """
 
+import itertools
 import os
 import time
 
@@ -287,7 +288,7 @@ class TestCriterion5:
         # bit-identical factorization across worker counts, for a full
         # factorization and then a partial one over the stages whose
         # penalties changed (the Psi factor is sequential, so its band must
-        # match too)
+        # match too), with the band in either block order
         p = problem
         sy = p.dualineq_zeros()
         sy.data[:] = 2.0
@@ -295,10 +296,11 @@ class TestCriterion5:
         changed = weights.copy()
         changed.stack[[1, 6, 7, 12], 0, 0] = 5.0
         sxinv = 1e-7
-        outs = []
-        for workers in worker_counts:
+        outs = {False: [], True: []}
+        for natural, workers in itertools.product(outs, worker_counts):
             pool = kkt.WorkerPool(workers)
             work = kkt.StageFactorization.allocate(p)
+            work.orient(natural)
             kkt.factor_stages(work, pool, weights, sxinv, every_stage(work))
             kkt.factor_psi(work, every_stage(work))
             work.record(weights, sxinv)
@@ -307,10 +309,11 @@ class TestCriterion5:
             kkt.factor_stages(work, pool, changed, sxinv, stages)
             kkt.factor_psi(work, stages)
             pool.shutdown()
-            outs.append(work)
+            outs[natural].append(work)
         bit_identical = all(
-            np.array_equal(getattr(outs[0], name), getattr(other, name))
-            for other in outs[1:]
+            np.array_equal(getattr(works[0], name), getattr(other, name))
+            for works in outs.values()
+            for other in works[1:]
             for name in ("linv_lm", "vwt_lm", "p_lm", "psi_band")
         ) and all(
             np.array_equal(a, b)
@@ -322,8 +325,8 @@ class TestCriterion5:
             5, ok,
             f"{', '.join(f'{w}w' for w in worker_counts)} all meet 1e-8 "
             f"(KKT residuals with complementarity {', '.join(f'{v:.1e}' for v in resids.values())}); "
-            f"factorization (full, then partial) and solution bit-identical across "
-            f"worker counts: {bit_identical}",
+            f"factorization (full, then partial, in both block orders) and solution "
+            f"bit-identical across worker counts: {bit_identical}",
         )
 
 

@@ -121,6 +121,7 @@ class TestSolveCommand:
         assert doc["dual_res"] <= 1e-8
         for key in ("factorizations", "full_factorizations", "stages_factored", "psi_blocks_factored"):
             assert isinstance(doc[key], int)
+        assert doc["psi_order"] == "reversed"  # a new solver's first solve
         assert 0 < doc["full_factorizations"] <= doc["factorizations"]
         # no inner solve stalled, and every penalty is at least the cold start's
         assert doc["nondescent_breaks"] == doc["max_inner_hits"] == 0
@@ -243,3 +244,10 @@ class TestBenchCommands:
                   "--out", str(tmp_path / "missing" / "res.csv")])
         assert exc.value.code == 2
         assert_usage_error(capsys.readouterr(), "--out")
+
+    def test_gnuplot_without_out_is_a_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setattr("ocpqp.bench.run_case", None)  # no case may run
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--masses", "2", "--horizons", "2", "--runs", "1", "--gnuplot"])
+        assert exc.value.code == 2
+        assert_usage_error(capsys.readouterr(), "--gnuplot")

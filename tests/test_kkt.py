@@ -504,6 +504,12 @@ def reverse_blocks(D, n_x):
     return D[np.ix_(perm, perm)]
 
 
+def band_order(work, D):
+    """The stage-ordered dense matrix D in the block order of the
+    workspace's band: reversed (see :func:`reverse_blocks`) or as it is."""
+    return D if work.natural else reverse_blocks(D, work.problem.dims.n_x)
+
+
 def band_factor(work):
     """The dense lower factor held in ``psi_band``, read straight from LAPACK
     lower band storage (entry (i, k) at band[i - k, k]), in band order."""
@@ -560,6 +566,28 @@ class TestFactorPsi:
                 assert np.max(np.abs(work.band_sub[j] - Ld[blk, up])) < 1e-11 * scale
         assert np.max(np.abs(got - Ld)) < 1e-11 * scale
 
+    def test_matches_dense_cholesky_natural_order(self):
+        # stage j sits at block position j of a band in natural order, so
+        # the band factor is the Cholesky factor of Psi itself
+        rng = np.random.default_rng(52)
+        p = random_problem(rng, N=4, n_x=3, n_u=2, n_y=2, n_yN=1)
+        x = rng.standard_normal(p.dims.n)
+        w = make_weights(p, x, sigma=1.2)
+        work = factor_all(p, w, 1e-2)
+        work.orient(True)
+        factor_psi(work, every_stage(work))
+        Hd, dq = dense_H(p, w, 1e-2)
+        dm = p.dims
+        Ld = np.linalg.cholesky(dense_psi(p, Hd, dq))
+        scale = np.max(np.abs(Ld))
+        for j in range(dm.N + 1):
+            blk = slice(j * dm.n_x, (j + 1) * dm.n_x)
+            assert np.max(np.abs(np.tril(work.band_diag[j]) - Ld[blk, blk])) < 1e-11 * scale
+            if j < dm.N:
+                down = slice((j + 1) * dm.n_x, (j + 2) * dm.n_x)
+                assert np.max(np.abs(work.band_sub[j] - Ld[down, blk])) < 1e-11 * scale
+        assert np.max(np.abs(band_factor(work) - Ld)) < 1e-11 * scale
+
     def test_nonpd_raises(self):
         rng = np.random.default_rng(53)
         p = random_problem(rng, N=1, n_x=2, n_u=1)
@@ -567,6 +595,21 @@ class TestFactorPsi:
         write_psi(work, [-np.eye(2), np.eye(2)], 0.0)
         with pytest.raises(NonPositivePivot):
             factor_psi(work, every_stage(work))
+
+    @pytest.mark.parametrize("stage", (0, 1, 5))
+    def test_nonpd_raises_natural_order(self, stage):
+        # the failing block position is the stage itself; a reversed
+        # mapping would name stage 5 - stage
+        rng = np.random.default_rng(53)
+        p = random_problem(rng, N=5, n_x=2, n_u=1)
+        work = kkt.StageFactorization.allocate(p)
+        work.orient(True)
+        diag = np.broadcast_to(4 * np.eye(2), (6, 2, 2)).copy()
+        diag[stage] = np.diag([1.0, -1.0])
+        write_psi(work, diag, -np.eye(2))
+        with pytest.raises(NonPositivePivot) as exc:
+            factor_psi(work, every_stage(work))
+        assert exc.value.failures == [(stage, -1)]
 
 
 class TestBandedPsi:
