@@ -18,11 +18,13 @@ dims = problem.dims
 print(f"problem: N={dims.N}, n_x={dims.n_x}, n_u={dims.n_u} "
       f"({dims.n} variables in {problem.cost.nstages} stage slots)")
 
-# active weights at a random point, then assemble and factor
-sigma_y = problem.dualineq_zeros()
+# vectors are stage-major batches of one kind ("primal", "dualeq" or
+# "dualineq"); from_flat and to_flat convert flat arrays at the boundary.
+# Active weights at a random point, then assemble and factor
+sigma_y = problem.zeros("dualineq")
 sigma_y.data[:] = 2.0
-x = problem.primal_from_flat(rng.standard_normal(dims.n))
-z = model.mul_G(problem, x, out=problem.dualineq_zeros())  # z = Gx + y / sigma_y with y = 0
+x = problem.from_flat("primal", rng.standard_normal(dims.n))
+z = model.mul_G(problem, x, out=problem.zeros("dualineq"))  # z = Gx + y / sigma_y with y = 0
 weights = kkt.weights_from_shifted(problem, sigma_y, z)
 sigma_x_inv = 1e-6  # the proximal term is sigma_x_inv times the identity
 
@@ -37,7 +39,7 @@ kkt.factor_psi(work, stages)
 
 # dense mirror of the same quantities (weights is a one-column CompactBatch)
 dense = oracles.assemble_dense(problem)
-sig = problem.dualineq_to_flat(weights)
+sig = problem.to_flat("dualineq", weights)
 H_dense = dense.Q + dense.G.T @ np.diag(sig) @ dense.G + sigma_x_inv * np.eye(dims.n)
 psi_dense = dense.M @ np.linalg.solve(H_dense, dense.M.T)
 
@@ -64,12 +66,12 @@ print(f"band factor L L^T vs dense M H^-1 M^T: max relative error {psi_err:.2e}"
 g = rng.standard_normal(dims.n)
 r_eq = rng.standard_normal(dims.p)
 dx, dlam, _ = kkt.solve_newton(
-    work, problem.primal_from_flat(g), problem.dualeq_from_flat(r_eq),
-    out=(problem.primal_zeros(), problem.dualeq_zeros(), problem.primal_zeros()),
+    work, problem.from_flat("primal", g), problem.from_flat("dualeq", r_eq),
+    out=(problem.zeros("primal"), problem.zeros("dualeq"), problem.zeros("primal")),
 )
 dx_dense, dlam_dense = oracles.dense_newton_solve(H_dense, dense.M, g, r_eq)
-dx_err = np.max(np.abs(problem.primal_to_flat(dx) - dx_dense)) / np.max(np.abs(dx_dense))
-dlam_err = np.max(np.abs(problem.dualeq_to_flat(dlam) - dlam_dense)) / np.max(np.abs(dlam_dense))
+dx_err = np.max(np.abs(problem.to_flat("primal", dx) - dx_dense)) / np.max(np.abs(dx_dense))
+dlam_err = np.max(np.abs(problem.to_flat("dualeq", dlam) - dlam_dense)) / np.max(np.abs(dlam_dense))
 print(f"three-step vs dense saddle solve: relative |dx diff| {dx_err:.2e}, "
       f"|dlam diff| {dlam_err:.2e}")
 assert psi_err <= 1e-12 and dx_err <= 1e-10 and dlam_err <= 1e-10

@@ -181,7 +181,8 @@ class SolveReport:
     blas_threads: int | None = None  # None: no bundled OpenBLAS was found
     # stage factorizations that refactored at least one stage, those of them
     # that refactored every stage, the stage slots refactored in all, and the
-    # Psi block positions refactored in all (N + 1 for a full factorization)
+    # Psi block positions refactored in all (N + 1 for a full factorization;
+    # none for an attempt whose stage factorization failed)
     factorizations: int = 0
     full_factorizations: int = 0
     stages_factored: int = 0
@@ -230,10 +231,10 @@ class Evaluation:
     def zeros(cls, problem):
         p = problem
         return cls(
-            gx=p.dualineq_zeros(), qx=p.primal_zeros(), mtl=p.primal_zeros(),
-            r=p.dualeq_zeros(), z=p.dualineq_zeros(), proj=np.zeros_like(p.bl.data),
-            y_plus=p.dualineq_zeros(), gty=p.primal_zeros(), grad=p.primal_zeros(),
-            g=p.primal_zeros(),
+            gx=p.zeros("dualineq"), qx=p.zeros("primal"), mtl=p.zeros("primal"),
+            r=p.zeros("dualeq"), z=p.zeros("dualineq"), proj=np.zeros_like(p.bl.data),
+            y_plus=p.zeros("dualineq"), gty=p.zeros("primal"), grad=p.zeros("primal"),
+            g=p.zeros("primal"),
         )
 
 
@@ -255,8 +256,8 @@ class Step:
     def zeros(cls, problem):
         p = problem
         return cls(
-            dx=p.primal_zeros(), dlam=p.dualeq_zeros(), mtdl=p.primal_zeros(),
-            qdx=p.primal_zeros(), gdx=p.dualineq_zeros(), mdx=p.dualeq_zeros(),
+            dx=p.zeros("primal"), dlam=p.zeros("dualeq"), mtdl=p.zeros("primal"),
+            qdx=p.zeros("primal"), gdx=p.zeros("dualineq"), mdx=p.zeros("dualeq"),
         )
 
 
@@ -565,15 +566,15 @@ class Solver:
         p = self.problem
         if warm_start is not None:
             x0, y0, lam0 = warm_start
-            x = p.primal_from_flat(x0)
-            y = p.dualineq_from_flat(y0)
-            lam = p.dualeq_from_flat(lam0)
+            x = p.from_flat("primal", x0)
+            y = p.from_flat("dualineq", y0)
+            lam = p.from_flat("dualeq", lam0)
             for name, v in (("x", x), ("y", y), ("lam", lam)):
                 if not np.isfinite(v.data).all():
                     raise ValueError(f"non-finite entries in warm start {name}")
         else:
-            x, y, lam = p.primal_zeros(), p.dualineq_zeros(), p.dualeq_zeros()
-        state = AlmState(x, y, lam, p.dualineq_zeros(), PROXIMAL_WEIGHT, x.copy())
+            x, y, lam = p.zeros("primal"), p.zeros("dualineq"), p.zeros("dualeq")
+        state = AlmState(x, y, lam, p.zeros("dualineq"), PROXIMAL_WEIGHT, x.copy())
         eval_products(p, state, self._b, ev)
         sigma0 = self.settings.initial_sigma
         if sigma0 is None:
@@ -603,11 +604,12 @@ class Solver:
             report.factorizations += 1
             report.full_factorizations += stages.size == len(w.p_lm)
             report.stages_factored += stages.size
-            report.psi_blocks_factored += len(w.p_lm) - kkt.psi_restart(w, stages)
             w.tally(stages)
             t0 = time.perf_counter()
             try:
                 kkt.factor_stages(w, self.pool, weights, state.sigma_x_inv, stages)
+                # blocks a failed stage factorization never reached are not counted
+                report.psi_blocks_factored += len(w.p_lm) - kkt.psi_restart(w, stages)
                 t1 = time.perf_counter()
                 kkt.factor_psi(w, stages)
             except NonPositivePivot:
@@ -786,9 +788,9 @@ class Solver:
         report.outer_iters, report.inner_iters = state.outer_iter, state.inner_iter
         report.max_penalty = float(np.max(state.sigma_y.data, initial=0.0))
         return (
-            p.primal_to_flat(state.x),
-            p.dualineq_to_flat(state.y),
-            p.dualeq_to_flat(state.lam),
+            p.to_flat("primal", state.x),
+            p.to_flat("dualineq", state.y),
+            p.to_flat("dualeq", state.lam),
             report,
         )
 

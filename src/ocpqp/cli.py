@@ -15,6 +15,7 @@ import argparse
 import dataclasses
 import itertools
 import json
+import os
 import sys
 
 from . import bench, oracles
@@ -75,9 +76,14 @@ def _checked(args, flags, make, *values, **kw):
 def _check_writable(args, flag, path):
     """Open ``path`` to append, so that an output path that cannot be
     written is a usage error before anything runs; what the file holds
-    stays until the result is written over it."""
+    stays until the result is written over it, and a file that the check
+    creates is removed again, so that a run stopped before its result
+    leaves none behind."""
     if path:
+        existed = os.path.lexists(path)
         _checked(args, flag, open, path, "a").close()
+        if not existed:
+            os.remove(path)
 
 
 def cmd_bench(args):

@@ -24,7 +24,10 @@ inequalities) are not affected by the embedding.
 
 One table, ``_views``, places each family of :meth:`OcpProblem.from_stages`
 in the stage stacks.  ``from_stages`` writes through it; ``families()``,
-``validate``, the problem files and the oracles read through it.
+``validate``, the problem files and the oracles read through it.  A second
+table, ``OcpProblem._layout``, places each kind of vector ('primal',
+'dualeq', 'dualineq') in its stage slots; ``zeros``, ``to_flat``,
+``from_flat`` and the products' shape checks read it.
 """
 
 from __future__ import annotations
@@ -218,9 +221,12 @@ class OcpProblem:
     Stage N holds the terminal data padded with S = 0, R = I, D = 0.
 
     Vectors are single-column CompactBatch values over the same N + 1 stage
-    slots: primal vectors have n_x + n_u rows per stage (the terminal u slot
-    is a zero dummy), equality duals n_x (one block row per stage 0..N) and
-    inequality duals n_y_pad = max(n_y, n_yN).
+    slots, of three kinds: 'primal' vectors have n_x + n_u rows per stage
+    (the terminal u slot is a zero dummy), 'dualeq' (equality duals) n_x,
+    one block row per stage 0..N, and 'dualineq' (inequality duals)
+    n_y_pad = max(n_y, n_yN), of which n_y are kept at stages 0..N-1 and
+    n_yN at stage N.  :meth:`zeros`, :meth:`to_flat` and :meth:`from_flat`
+    take the kind; flat vectors meet the solver only through the last two.
 
     ``diagonal`` is derived from ``cost`` and ``con`` at its first use, so
     these two must not change afterwards.
@@ -310,71 +316,53 @@ class OcpProblem:
 
     # -- vectors -----------------------------------------------------------
 
-    def _vec(self, rows):
-        return CompactBatch(rows, 1, self.cost.nstages)
-
-    def primal_zeros(self):
-        return self._vec(self.dims.n_xu)
-
-    def dualeq_zeros(self):
-        return self._vec(self.dims.n_x)
-
-    def dualineq_zeros(self):
-        return self._vec(self.dims.n_y_pad)
-
-    def primal_to_flat(self, v):
-        """Interleaved (x^0, u^0, ..., x^N) of logical length n."""
+    @functools.cached_property
+    def _layout(self):
+        """The vector layout, built once: for each kind, the rows of a stage
+        slot, the rows kept for stages 0..N-1 and for stage N, the flat
+        length and the vector's name in errors."""
         d = self.dims
+        return {
+            "primal": (d.n_xu, d.n_xu, d.n_x, d.n, "primal vector"),
+            "dualeq": (d.n_x, d.n_x, d.n_x, d.p, "equality dual"),
+            "dualineq": (d.n_y_pad, d.n_y, d.n_yN, d.m, "inequality dual"),
+        }
+
+    def zeros(self, kind):
+        """A zero vector of ``kind`` ('primal', 'dualeq' or 'dualineq')."""
+        return CompactBatch(self._layout[kind][0], 1, self.cost.nstages)
+
+    def to_flat(self, kind, v):
+        """A new flat array of the kept rows of ``v``, stage by stage; a
+        primal one is the interleaved (x^0, u^0, ..., x^N) of length n."""
+        _, rows, rows_N, _, _ = self._layout[kind]
+        N = self.dims.N
         st = v.stack[:, :, 0]
-        return np.concatenate([st[: d.N].ravel(), st[d.N, : d.n_x]])
+        return np.concatenate([st[:N, :rows].ravel(), st[N, :rows_N]])
 
-    def primal_from_flat(self, flat):
-        d = self.dims
+    def from_flat(self, kind, flat):
+        """The vector of ``kind`` whose :meth:`to_flat` is ``flat``; padded
+        rows and the terminal input slot are 0."""
+        _, rows, rows_N, length, name = self._layout[kind]
+        N = self.dims.N
         flat = np.asarray(flat, dtype=np.float64).ravel()
-        if flat.size != d.n:
-            raise ValueError(f"primal vector must have length {d.n}, got {flat.size}")
-        v = self.primal_zeros()
-        v.stack[: d.N, :, 0] = flat[: d.N * d.n_xu].reshape(d.N, d.n_xu)
-        v.stack[d.N, : d.n_x, 0] = flat[d.N * d.n_xu :]
-        return v
-
-    def dualeq_to_flat(self, v):
-        return v.stack[:, :, 0].ravel()
-
-    def dualeq_from_flat(self, flat):
-        d = self.dims
-        flat = np.asarray(flat, dtype=np.float64).ravel()
-        if flat.size != d.p:
-            raise ValueError(f"equality dual must have length {d.p}, got {flat.size}")
-        v = self.dualeq_zeros()
-        v.stack[:, :, 0] = flat.reshape(d.N + 1, d.n_x)
-        return v
-
-    def dualineq_to_flat(self, v):
-        d = self.dims
-        st = v.stack[:, :, 0]
-        return np.concatenate([st[: d.N, : d.n_y].ravel(), st[d.N, : d.n_yN]])
-
-    def dualineq_from_flat(self, flat):
-        d = self.dims
-        flat = np.asarray(flat, dtype=np.float64).ravel()
-        if flat.size != d.m:
-            raise ValueError(f"inequality dual must have length {d.m}, got {flat.size}")
-        v = self.dualineq_zeros()
-        v.stack[: d.N, : d.n_y, 0] = flat[: d.N * d.n_y].reshape(d.N, d.n_y)
-        v.stack[d.N, : d.n_yN, 0] = flat[d.N * d.n_y :]
+        if flat.size != length:
+            raise ValueError(f"{name} must have length {length}, got {flat.size}")
+        v = self.zeros(kind)
+        v.stack[:N, :rows, 0] = flat[: N * rows].reshape(N, rows)
+        v.stack[N, :rows_N, 0] = flat[N * rows :]
         return v
 
     def b_dualeq(self):
         """Equality right-hand side (x_init; c^0; ...; c^{N-1}) as a vector batch."""
-        b = self.dualeq_zeros()
+        b = self.zeros("dualeq")
         b.stack[0, :, 0] = self.x_init
         b.stack[1:] = self.affine.stack[:-1]
         return b
 
     def flat_bounds(self):
         """Flat (bl, bu) of logical length m."""
-        return self.dualineq_to_flat(self.bl), self.dualineq_to_flat(self.bu)
+        return self.to_flat("dualineq", self.bl), self.to_flat("dualineq", self.bu)
 
     # -- structure flags ----------------------------------------------------
 
@@ -447,8 +435,8 @@ def pad_horizon(problem):
 
 def mul_Q(problem, x, out):
     """Structured product with the block-diagonal cost matrix."""
-    _check_vec(problem, x, problem.dims.n_xu)
-    _check_vec(problem, out, problem.dims.n_xu)
+    _check_vec(problem, x, "primal")
+    _check_vec(problem, out, "primal")
     diag = problem.diagonal
     if diag is None:
         np.matmul(problem.cost.stack, x.stack, out=out.stack)
@@ -464,8 +452,8 @@ def mul_M(problem, x, out):
     Block 0 is x^0; block j+1 is x^{j+1} - A_j x^j - B_j u^j.
     """
     d = problem.dims
-    _check_vec(problem, x, d.n_xu)
-    _check_vec(problem, out, d.n_x)
+    _check_vec(problem, x, "primal")
+    _check_vec(problem, out, "dualeq")
     nxt = out.stack[1:]
     np.matmul(problem.dyn.stack[: d.N], x.stack[: d.N], out=nxt)  # E_j (x_j; u_j)
     np.subtract(x.stack[1:, : d.n_x], nxt, out=nxt)
@@ -476,8 +464,8 @@ def mul_M(problem, x, out):
 def mul_MT(problem, lam, out):
     """Structured product with M^T (adjoint of the dynamics stencil)."""
     d = problem.dims
-    _check_vec(problem, lam, d.n_x)
-    _check_vec(problem, out, d.n_xu)
+    _check_vec(problem, lam, "dualeq")
+    _check_vec(problem, out, "primal")
     head = out.stack[: d.N]
     np.matmul(problem.dyn.stack[: d.N].transpose(0, 2, 1), lam.stack[1:], out=head)
     np.negative(head, out=head)  # -E_j^T lam_{j+1}
@@ -488,9 +476,8 @@ def mul_MT(problem, lam, out):
 
 def mul_G(problem, x, out):
     """Structured product with the block-diagonal constraint matrix G."""
-    d = problem.dims
-    _check_vec(problem, x, d.n_xu)
-    _check_vec(problem, out, d.n_y_pad)
+    _check_vec(problem, x, "primal")
+    _check_vec(problem, out, "dualineq")
     diag = problem.diagonal
     if diag is None:
         np.matmul(problem.con.stack, x.stack, out=out.stack)
@@ -505,9 +492,8 @@ def mul_G(problem, x, out):
 def mul_GT(problem, z, out):
     """Structured product with G^T; on a diagonal problem a scatter-add, as
     several rows may touch one variable."""
-    d = problem.dims
-    _check_vec(problem, z, d.n_y_pad)
-    _check_vec(problem, out, d.n_xu)
+    _check_vec(problem, z, "dualineq")
+    _check_vec(problem, out, "primal")
     diag = problem.diagonal
     if diag is None:
         np.matmul(problem.con.stack.transpose(0, 2, 1), z.stack, out=out.stack)
@@ -517,7 +503,8 @@ def mul_GT(problem, z, out):
     return out
 
 
-def _check_vec(problem, v, rows):
+def _check_vec(problem, v, kind):
+    rows = problem._layout[kind][0]
     if v.rows != rows or v.cols != 1:
         raise ValueError(f"vector batch must be {rows}x1 per stage, got {v.rows}x{v.cols}")
     if v.nstages != problem.cost.nstages:

@@ -29,7 +29,7 @@ INLINE = kkt.WorkerPool(1)
 
 def _active_weights(problem, sigma_y, y, x):
     """Active weights at z = Gx + y / sigma_y, as the inner loop forms them."""
-    z = model.mul_G(problem, x, out=problem.dualineq_zeros())
+    z = model.mul_G(problem, x, out=problem.zeros("dualineq"))
     z.data += y.data / sigma_y.data
     return kkt.weights_from_shifted(problem, sigma_y, z)
 
@@ -141,10 +141,10 @@ class TestCriterion3:
                 OcpDims(N, n_x, n_u, 2, 1), seed=300 + trial, feasibility_margin=1.0
             )
             x = rng.standard_normal(problem.dims.n)
-            sy = problem.dualineq_zeros()
+            sy = problem.zeros("dualineq")
             sy.data[:] = 1.7
             weights = _active_weights(
-                problem, sy, problem.dualineq_zeros(), problem.primal_from_flat(x)
+                problem, sy, problem.zeros("dualineq"), problem.from_flat("primal", x)
             )
             delta = 1e-3
             work = kkt.StageFactorization.allocate(problem)
@@ -152,7 +152,7 @@ class TestCriterion3:
             kkt.factor_psi(work, every_stage(work))
 
             dq = oracles.assemble_dense(problem)
-            sig = problem.dualineq_to_flat(weights)
+            sig = problem.to_flat("dualineq", weights)
             Hd = dq.Q + dq.G.T @ np.diag(sig) @ dq.G + delta * np.eye(problem.dims.n)
             psi_dense = dq.M @ np.linalg.solve(Hd, dq.M.T)
             # the band factor L of P Psi P^T (P reverses the block order)
@@ -165,11 +165,11 @@ class TestCriterion3:
             r_eq = rng.standard_normal(problem.dims.p)
             dx, dlam, _ = newton_step(
                 work,
-                problem.primal_from_flat(g + dq.M.T @ lam),
-                problem.dualeq_from_flat(r_eq),
+                problem.from_flat("primal", g + dq.M.T @ lam),
+                problem.from_flat("dualeq", r_eq),
             )
-            dxf = problem.primal_to_flat(dx)
-            dlf = problem.dualeq_to_flat(dlam)
+            dxf = problem.to_flat("primal", dx)
+            dlf = problem.to_flat("dualeq", dlam)
             res1 = Hd @ dxf + dq.M.T @ dlf + (g + dq.M.T @ lam)
             res2 = dq.M @ dxf + r_eq
             rhs_norm = max(np.max(np.abs(g + dq.M.T @ lam)), np.max(np.abs(r_eq)), 1.0)
@@ -225,13 +225,14 @@ class TestCriterion4:
             x = rng.standard_normal(dm.n)
             lam = rng.standard_normal(dm.p)
             z = rng.standard_normal(dm.m)
-            xb, lb, zb = p.primal_from_flat(x), p.dualeq_from_flat(lam), p.dualineq_from_flat(z)
+            xb, lb = p.from_flat("primal", x), p.from_flat("dualeq", lam)
+            zb = p.from_flat("dualineq", z)
             for got, A, v in (
-                (p.primal_to_flat(model.mul_Q(p, xb, out=p.primal_zeros())), dq.Q, x),
-                (p.dualeq_to_flat(model.mul_M(p, xb, out=p.dualeq_zeros())), dq.M, x),
-                (p.primal_to_flat(model.mul_MT(p, lb, out=p.primal_zeros())), dq.M.T, lam),
-                (p.dualineq_to_flat(model.mul_G(p, xb, out=p.dualineq_zeros())), dq.G, x),
-                (p.primal_to_flat(model.mul_GT(p, zb, out=p.primal_zeros())), dq.G.T, z),
+                (p.to_flat("primal", model.mul_Q(p, xb, out=p.zeros("primal"))), dq.Q, x),
+                (p.to_flat("dualeq", model.mul_M(p, xb, out=p.zeros("dualeq"))), dq.M, x),
+                (p.to_flat("primal", model.mul_MT(p, lb, out=p.zeros("primal"))), dq.M.T, lam),
+                (p.to_flat("dualineq", model.mul_G(p, xb, out=p.zeros("dualineq"))), dq.G, x),
+                (p.to_flat("primal", model.mul_GT(p, zb, out=p.zeros("primal"))), dq.G.T, z),
             ):
                 worst_product = max(worst_product, _product_err(got, A, v))
 
@@ -240,12 +241,13 @@ class TestCriterion4:
             sig = np.where(
                 rng.random(dm.m) < 0.5, 10.0 ** rng.uniform(-4, 9, dm.m), 0.0
             )
-            weights = p.dualineq_from_flat(sig)
+            weights = p.from_flat("dualineq", sig)
             delta = 1e-7
             work = kkt.StageFactorization.allocate(p)
             kkt.factor_stages(work, INLINE, weights, delta, every_stage(work))
             b = rng.standard_normal(dm.n)
-            zf = p.primal_to_flat(kkt.solve_H(work, p.primal_from_flat(b), out=p.primal_zeros()))
+            hb = kkt.solve_H(work, p.from_flat("primal", b), out=p.zeros("primal"))
+            zf = p.to_flat("primal", hb)
             Hd = dq.Q + dq.G.T @ np.diag(sig) @ dq.G + delta * np.eye(dm.n)
             res = np.max(np.abs(Hd @ zf - b))
             scale = np.linalg.norm(Hd, np.inf) * np.max(np.abs(zf)) + np.max(np.abs(b))
@@ -290,9 +292,9 @@ class TestCriterion5:
         # penalties changed (the Psi factor is sequential, so its band must
         # match too), with the band in either block order
         p = problem
-        sy = p.dualineq_zeros()
+        sy = p.zeros("dualineq")
         sy.data[:] = 2.0
-        weights = _active_weights(p, sy, p.dualineq_zeros(), p.primal_zeros())
+        weights = _active_weights(p, sy, p.zeros("dualineq"), p.zeros("primal"))
         changed = weights.copy()
         changed.stack[[1, 6, 7, 12], 0, 0] = 5.0
         sxinv = 1e-7
@@ -373,9 +375,9 @@ def _stage_factor_times(problem, repeats=7):
     ewt[: d.N, : d.n_x, : d.n_x] = fam["A"].transpose(0, 2, 1)
     ewt[: d.N, d.n_x :, : d.n_x] = fam["B"].transpose(0, 2, 1)
     ewt[:, : d.n_x, d.n_x :] = np.eye(d.n_x)
-    sy = problem.dualineq_zeros()
+    sy = problem.zeros("dualineq")
     sy.data[:] = 2.0
-    weights = _active_weights(problem, sy, problem.dualineq_zeros(), problem.primal_zeros())
+    weights = _active_weights(problem, sy, problem.zeros("dualineq"), problem.zeros("primal"))
     sxinv = 1e-7
     work = kkt.StageFactorization.allocate(problem)
     H = np.empty((1,) + work.linv_lm.shape[1:])
@@ -443,11 +445,11 @@ class TestCriterion6:
 class TestCriterion7:
     def test_diagonal_variant(self):
         p = gen_spring_mass(SpringMassConfig(masses=10, horizon=15, seed=7))
-        sy = p.dualineq_zeros()
+        sy = p.zeros("dualineq")
         sy.data[:] = 3.0
         rng = np.random.default_rng(7)
-        x = p.primal_from_flat(0.5 * rng.standard_normal(p.dims.n))
-        weights = _active_weights(p, sy, p.dualineq_zeros(), x)
+        x = p.from_flat("primal", 0.5 * rng.standard_normal(p.dims.n))
+        weights = _active_weights(p, sy, p.zeros("dualineq"), x)
         sxinv = 1e-7
         works = {}
         for variant in ("dense", "diagonal"):
@@ -455,13 +457,13 @@ class TestCriterion7:
             kkt.factor_stages(w, INLINE, weights, sxinv, every_stage(w))
             kkt.factor_psi(w, every_stage(w))
             works[variant] = w
-        g = p.primal_from_flat(rng.standard_normal(p.dims.n))
-        r = p.dualeq_from_flat(rng.standard_normal(p.dims.p))
+        g = p.from_flat("primal", rng.standard_normal(p.dims.n))
+        r = p.from_flat("dualeq", rng.standard_normal(p.dims.p))
         dxs = {}
         for variant, w in works.items():
             dx, dlam, _ = newton_step(w, g, r)
             dxs[variant] = np.concatenate(
-                [p.primal_to_flat(dx), p.dualeq_to_flat(dlam)]
+                [p.to_flat("primal", dx), p.to_flat("dualeq", dlam)]
             )
         scale = 1.0 + np.max(np.abs(dxs["dense"]))
         err = float(np.max(np.abs(dxs["dense"] - dxs["diagonal"]))) / scale

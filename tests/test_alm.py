@@ -1,4 +1,5 @@
 import collections
+import re
 from dataclasses import fields, replace
 
 import numpy as np
@@ -34,11 +35,11 @@ def make_state(problem, x_flat=None, y_flat=None, sigma=1.0, prox=0.0):
     padded rows included, holds the penalty ``sigma``, and the proximal
     weight is the float ``prox``."""
     p = problem
-    x = p.primal_from_flat(x_flat) if x_flat is not None else p.primal_zeros()
-    y = p.dualineq_from_flat(y_flat) if y_flat is not None else p.dualineq_zeros()
-    sigma_y = p.dualineq_zeros()
+    x = p.from_flat("primal", x_flat) if x_flat is not None else p.zeros("primal")
+    y = p.from_flat("dualineq", y_flat) if y_flat is not None else p.zeros("dualineq")
+    sigma_y = p.zeros("dualineq")
     sigma_y.data[:] = sigma
-    return alm.AlmState(x, y, p.dualeq_zeros(), sigma_y, prox, x.copy())
+    return alm.AlmState(x, y, p.zeros("dualeq"), sigma_y, prox, x.copy())
 
 
 def evaluate(problem, state, x=None):
@@ -55,8 +56,8 @@ def line_search(problem, state, dx):
     state.x, with the step's products formed here."""
     return exact_line_search(
         problem, state, evaluate(problem, state), dx,
-        model.mul_Q(problem, dx, out=problem.primal_zeros()),
-        model.mul_G(problem, dx, out=problem.dualineq_zeros()),
+        model.mul_Q(problem, dx, out=problem.zeros("primal")),
+        model.mul_G(problem, dx, out=problem.zeros("dualineq")),
     )
 
 
@@ -76,11 +77,11 @@ def scalar_instance():
 
 def dense_phi(problem, state, x_flat):
     dq = oracles.assemble_dense(problem)
-    sig = problem.dualineq_to_flat(state.sigma_y)
-    y = problem.dualineq_to_flat(state.y)
+    sig = problem.to_flat("dualineq", state.sigma_y)
+    y = problem.to_flat("dualineq", state.y)
     z = dq.G @ x_flat + y / sig
     dist = z - np.clip(z, dq.bl, dq.bu)
-    xc = problem.primal_to_flat(state.x_center)
+    xc = problem.to_flat("primal", state.x_center)
     return (
         0.5 * x_flat @ dq.Q @ x_flat
         + dq.q @ x_flat
@@ -114,7 +115,7 @@ class TestEvalPhi:
             p, x_flat=rng.standard_normal(p.dims.n),
             y_flat=rng.standard_normal(p.dims.m), sigma=2.2, prox=1e-3,
         )
-        state.x = p.primal_from_flat(xf)
+        state.x = p.from_flat("primal", xf)
         want = dense_phi(p, state, xf)
         assert np.isclose(eval_phi(p, state, evaluate(p, state)), want, rtol=1e-12)
 
@@ -125,14 +126,14 @@ class TestEvalGradPhi:
         p = random_problem(rng, N=3, infinite=True)
         xf = rng.standard_normal(p.dims.n)
         state = make_state(p, x_flat=xf, prox=0.25)
-        g = p.primal_to_flat(evaluate(p, state).grad)
+        g = p.to_flat("primal", evaluate(p, state).grad)
         dq = oracles.assemble_dense(p)
         assert np.allclose(g, dq.Q @ xf + dq.q, atol=1e-13)
 
     def test_hand_value(self):
         p = scalar_instance()
         state = make_state(p, x_flat=np.array([0.0, 2.0, 0.0]))
-        g = p.primal_to_flat(evaluate(p, state).grad)
+        g = p.to_flat("primal", evaluate(p, state).grad)
         assert np.isclose(g[1], 4.0, atol=1e-14)
 
     @pytest.mark.parametrize("n_y,n_yN", ((2, 1),) + PADDED_EVERY_STAGE)
@@ -144,7 +145,7 @@ class TestEvalGradPhi:
             p, x_flat=rng.standard_normal(p.dims.n),
             y_flat=rng.standard_normal(p.dims.m), sigma=1.5, prox=1e-2,
         )
-        g = p.primal_to_flat(evaluate(p, state, p.primal_from_flat(xf)).grad)
+        g = p.to_flat("primal", evaluate(p, state, p.from_flat("primal", xf)).grad)
         h = 1e-6 * max(1.0, np.max(np.abs(xf)))
         fd = np.empty_like(g)
         for i in range(p.dims.n):
@@ -162,7 +163,7 @@ class TestExactLineSearch:
         # phi(tau) = 1/2 (2 - 2 tau)^2 + 1/2 max(2 - 2 tau, 0)^2: minimum at 1
         p = scalar_instance()
         state = make_state(p, x_flat=np.array([0.0, 2.0, 0.0]))
-        dx = p.primal_from_flat(np.array([0.0, -2.0, 0.0]))
+        dx = p.from_flat("primal", np.array([0.0, -2.0, 0.0]))
         tau = line_search(p, state, dx)
         assert tau == pytest.approx(1.0, abs=1e-14)
 
@@ -173,16 +174,16 @@ class TestExactLineSearch:
         # interior: phi is a smooth quadratic, whose Newton step is exact
         dq = oracles.assemble_dense(p)
         H = dq.Q + state.sigma_x_inv * np.eye(p.dims.n)
-        xf = p.primal_to_flat(state.x)
-        g = p.primal_to_flat(evaluate(p, state).grad)
+        xf = p.to_flat("primal", state.x)
+        g = p.to_flat("primal", evaluate(p, state).grad)
         dxf, _ = oracles.dense_newton_solve(H, dq.M, g, np.zeros(p.dims.p))
-        tau = line_search(p, state, p.primal_from_flat(dxf))
+        tau = line_search(p, state, p.from_flat("primal", dxf))
         assert tau == pytest.approx(1.0, rel=1e-10)
 
     def test_nondescent_raises(self):
         p = scalar_instance()
         state = make_state(p, x_flat=np.array([0.0, 2.0, 0.0]))
-        dx = p.primal_from_flat(np.array([0.0, +2.0, 0.0]))  # uphill
+        dx = p.from_flat("primal", np.array([0.0, +2.0, 0.0]))  # uphill
         with pytest.raises(NonDescentDirection):
             line_search(p, state, dx)
 
@@ -201,17 +202,17 @@ class TestExactLineSearch:
             # project onto null(M) so the direction is equality-feasible
             ns = np.linalg.svd(dq.M)[2][p.dims.p :]
             dxf = ns.T @ (ns @ dxf)
-            dx = p.primal_from_flat(dxf)
-            g0 = p.primal_to_flat(evaluate(p, state).grad)
+            dx = p.from_flat("primal", dxf)
+            g0 = p.to_flat("primal", evaluate(p, state).grad)
             if g0 @ dxf >= 0:
                 dxf = -dxf
-                dx = p.primal_from_flat(dxf)
+                dx = p.from_flat("primal", dxf)
             tau = line_search(p, state, dx)
-            xf = p.primal_to_flat(state.x)
+            xf = p.to_flat("primal", state.x)
 
             def dphi(t):
-                pt = p.primal_from_flat(xf + t * dxf)
-                return p.primal_to_flat(evaluate(p, state, pt).grad) @ dxf
+                pt = p.from_flat("primal", xf + t * dxf)
+                return p.to_flat("primal", evaluate(p, state, pt).grad) @ dxf
 
             scale = abs(dphi(0.0)) + 1.0
             assert dphi(max(tau - 1e-9 * (1 + tau), 0.0)) <= 1e-7 * scale
@@ -237,9 +238,9 @@ class TestExactLineSearch:
             y_flat=rng.standard_normal(p.dims.m), sigma=float(rng.uniform(0.5, 5.0)),
             prox=1e-4,
         )
-        state.x_center = p.primal_from_flat(rng.standard_normal(p.dims.n))
+        state.x_center = p.from_flat("primal", rng.standard_normal(p.dims.n))
         ev = evaluate(p, state)
-        dx = p.primal_from_flat(rng.standard_normal(p.dims.n))
+        dx = p.from_flat("primal", rng.standard_normal(p.dims.n))
         if dx.data @ ev.grad.data >= 0.0:
             dx.data *= -1.0
         dx.data *= full_sort_line_search(p, state, ev, dx) / target
@@ -253,9 +254,9 @@ def full_sort_line_search(problem, state, ev, dx):
     breakpoint sorted and scanned, the reference of the pruned search."""
     dxd = dx.data
     c0 = float(dxd @ ev.grad.data)
-    qdx = model.mul_Q(problem, dx, out=problem.primal_zeros()).data
+    qdx = model.mul_Q(problem, dx, out=problem.zeros("primal")).data
     eta = float(dxd @ qdx + dxd @ (state.sigma_x_inv * dxd))
-    delta = model.mul_G(problem, dx, out=problem.dualineq_zeros()).data
+    delta = model.mul_G(problem, dx, out=problem.zeros("dualineq")).data
     z0, blf, buf, sig = ev.z.data, problem.bl.data, problem.bu.data, state.sigma_y.data
     above = (z0 > buf) | ((z0 == buf) & (delta > 0.0))
     below = (z0 < blf) | ((z0 == blf) & (delta < 0.0))
@@ -448,9 +449,9 @@ class TestCarriedProducts:
         for scale, violated in ((0.1, False), (10.0, True)):
             state = make_state(p, x_flat=scale * rng.standard_normal(p.dims.n))
             x = state.x
-            qx = model.mul_Q(p, x, out=p.primal_zeros()).data
+            qx = model.mul_Q(p, x, out=p.zeros("primal")).data
             cost = abs(0.5 * float(x.data @ qx) + float(x.data @ p.lin.data))
-            gx = model.mul_G(p, x, out=p.dualineq_zeros()).data
+            gx = model.mul_G(p, x, out=p.zeros("dualineq")).data
             viol = gx - np.clip(gx, p.bl.data, p.bu.data)
             assert (0.5 * float(viol @ viol) > 1.0) == violated
             want = float(np.clip(20.0 * max(1.0, cost) / max(1.0, 0.5 * float(viol @ viol)),
@@ -641,12 +642,12 @@ def from_scratch_residuals(problem, x, y, lam):
     """Dual, equality and primal residuals at flat (x, y, lam) from fresh
     products, summed in the order the solver sums them."""
     p = problem
-    xs, ys, ls = p.primal_from_flat(x), p.dualineq_from_flat(y), p.dualeq_from_flat(lam)
-    dual = model.mul_Q(p, xs, out=p.primal_zeros()).data + p.lin.data
-    dual += model.mul_MT(p, ls, out=p.primal_zeros()).data
-    dual += model.mul_GT(p, ys, out=p.primal_zeros()).data
-    eq = model.mul_M(p, xs, out=p.dualeq_zeros()).data - p.b_dualeq().data
-    gx = model.mul_G(p, xs, out=p.dualineq_zeros()).data
+    xs, ys, ls = p.from_flat("primal", x), p.from_flat("dualineq", y), p.from_flat("dualeq", lam)
+    dual = model.mul_Q(p, xs, out=p.zeros("primal")).data + p.lin.data
+    dual += model.mul_MT(p, ls, out=p.zeros("primal")).data
+    dual += model.mul_GT(p, ys, out=p.zeros("primal")).data
+    eq = model.mul_M(p, xs, out=p.zeros("dualeq")).data - p.b_dualeq().data
+    gx = model.mul_G(p, xs, out=p.zeros("dualineq")).data
     viol = np.maximum(np.maximum(p.bl.data - gx, gx - p.bu.data), 0.0)
     return float(np.max(np.abs(dual))), float(np.max(np.abs(eq))), float(np.max(viol))
 
@@ -661,6 +662,22 @@ class TestSolve:
             x_ref, lam_ref = oracles.riccati_solve(p)
             assert np.max(np.abs(x - x_ref)) < 1e-7
             assert np.max(np.abs(lam - lam_ref)) < 1e-6 * (1 + np.max(np.abs(lam_ref)))
+
+    @pytest.mark.parametrize("flaw, message", (
+        ("lower_plus_inf", "lower bound +inf at stage 1"),
+        ("upper_minus_inf", "upper bound -inf at stage 3"),
+        ("x_init", "non-finite x_init"),
+    ))
+    def test_solver_refuses_an_invalid_problem(self, flaw, message):
+        p = random_problem(np.random.default_rng(12), N=3)
+        if flaw == "lower_plus_inf":
+            p.bl.stack[1, 0, 0] = np.inf
+        elif flaw == "upper_minus_inf":
+            p.bu.stack[3, 0, 0] = -np.inf  # a terminal row
+        else:
+            p.x_init[1] = np.nan
+        with pytest.raises(ValueError, match="^invalid problem: .*" + re.escape(message)):
+            Solver(p, SolverSettings())
 
     def test_random_feasible_matches_enumeration(self):
         for seed in range(8):
@@ -702,6 +719,29 @@ class TestSolve:
         )
         x, y, lam, report = solve(p, SolverSettings(max_outer=3))
         assert report.status == alm.NUMERICAL_ERROR
+
+    def test_failed_stage_factorization_counts_no_psi_block(self, monkeypatch):
+        # the problem above, N = 2 with Q = -0.5: every attempt fails in
+        # factor_stages, so factor_psi never runs and no Psi block is
+        # counted, while every attempted stage is
+        p = OcpProblem.from_stages(
+            Q=-0.5 * np.ones((1, 1)), S=np.zeros((1, 1)), R=np.ones((1, 1)),
+            q=np.zeros((2, 1)), r=np.zeros(1), A=np.ones((1, 1)), B=np.ones((1, 1)),
+            c=np.zeros(1), C=np.zeros((0, 1)), D=np.zeros((0, 1)), bl=np.zeros(0),
+            bu=np.zeros(0), Q_N=np.zeros((1, 1)), q_N=np.zeros(1), C_N=np.zeros((0, 1)),
+            bl_N=np.zeros(0), bu_N=np.zeros(0), x_init=np.ones(1),
+        )
+        psi_calls = []
+        original = kkt.factor_psi
+        monkeypatch.setattr(
+            kkt, "factor_psi", lambda *args: psi_calls.append(1) or original(*args)
+        )
+        x, y, lam, report = solve(p, SolverSettings(max_outer=3))
+        assert report.status == alm.NUMERICAL_ERROR
+        assert psi_calls == []
+        assert report.psi_blocks_factored == 0
+        assert report.factorizations == alm.MAX_PIVOT_ESCALATIONS + 1
+        assert report.stages_factored == report.factorizations * 3
 
     def test_nan_in_psi_ends_as_numerical_error(self, monkeypatch):
         # a Psi that holds a NaN is a failed pivot: the solve escalates,
@@ -761,15 +801,13 @@ class TestSolve:
         # returns its three results as flat arrays, and a warm-started one
         # also reads the three warm-start arrays
         calls = []
-        for kind in ("primal", "dualeq", "dualineq"):
-            for way in ("to_flat", "from_flat"):
-                name = f"{kind}_{way}"
+        for way in ("to_flat", "from_flat"):
 
-                def counted(self, v, _name=name, _original=getattr(OcpProblem, name)):
-                    calls.append(_name)
-                    return _original(self, v)
+            def counted(self, kind, v, _way=way, _original=getattr(OcpProblem, way)):
+                calls.append(f"{kind}_{_way}")
+                return _original(self, kind, v)
 
-                monkeypatch.setattr(OcpProblem, name, counted)
+            monkeypatch.setattr(OcpProblem, way, counted)
         returned = ["dualeq_to_flat", "dualineq_to_flat", "primal_to_flat"]
         read = ["dualeq_from_flat", "dualineq_from_flat", "primal_from_flat"]
         p = gen_spring_mass(SpringMassConfig(masses=3, horizon=9, seed=11))

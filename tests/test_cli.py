@@ -169,6 +169,19 @@ class TestSolveCommand:
         assert exc.value.code == 2
         assert_usage_error(capsys.readouterr(), "--problem/--variant")
 
+    def test_refused_problem_leaves_no_report_file(self, tmp_path, capsys):
+        # the report path is checked before the solver refuses the problem,
+        # and that check leaves no empty file behind
+        path = tmp_path / "dense.ocpq"
+        save_problem(gen_random_ocp(OcpDims(3, 2, 1, 1, 1), seed=0), path)
+        report = tmp_path / "report.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--problem", str(path), "--variant", "diagonal",
+                  "--report", str(report)])
+        assert exc.value.code == 2
+        assert_usage_error(capsys.readouterr(), "--problem/--variant")
+        assert not report.exists()
+
 
 @pytest.mark.parametrize("command", ("solve", "verify"))
 @pytest.mark.parametrize("kind", ("missing", "directory", "malformed", "truncated", "non_finite"))
@@ -200,6 +213,18 @@ class TestVerifyCommand:
         path = tmp_path / "tiny.ocpq"
         save_problem(p, path)
         assert main(["verify", "--problem", str(path), "--oracle", "enumerate"]) == 0
+
+    @pytest.mark.parametrize("dims, margin, method", (
+        (OcpDims(3, 2, 1, 0, 0), np.inf, "riccati"),  # no finite bound
+        (OcpDims(2, 2, 1, 1, 1), 0.8, "enumerate"),  # n = 8 <= 60, m = 3 <= 14
+        (OcpDims(2, 20, 1, 2, 2), 0.8, "residual"),  # n = 62 > 60
+        (OcpDims(5, 2, 1, 3, 0), 0.8, "residual"),  # m = 15 > 14
+    ), ids=("riccati", "enumerate", "residual_n", "residual_m"))
+    def test_default_oracle(self, tmp_path, capsys, dims, margin, method):
+        path = tmp_path / "prob.ocpq"
+        save_problem(gen_random_ocp(dims, seed=2, feasibility_margin=margin), path)
+        assert main(["verify", "--problem", str(path)]) == 0
+        assert f"verification PASS ({method})" in capsys.readouterr().out
 
     def test_intractable_returns_3(self, spring_file):
         assert main(["verify", "--problem", spring_file, "--oracle", "enumerate"]) == 3

@@ -29,24 +29,24 @@ def every_stage(work):
 
 
 def uniform_vec(problem, rows_kind, value):
-    v = getattr(problem, f"{rows_kind}_zeros")()
+    v = problem.zeros(rows_kind)
     v.data[:] = value
     return v
 
 
 def make_weights(problem, x_flat, sigma=1.0, y_flat=None):
     sy = uniform_vec(problem, "dualineq", sigma)
-    y = problem.dualineq_zeros()
+    y = problem.zeros("dualineq")
     if y_flat is not None:
-        y = problem.dualineq_from_flat(y_flat)
-    z = model.mul_G(problem, problem.primal_from_flat(x_flat), out=problem.dualineq_zeros())
+        y = problem.from_flat("dualineq", y_flat)
+    z = model.mul_G(problem, problem.from_flat("primal", x_flat), out=problem.zeros("dualineq"))
     z.data += y.data / sy.data
     return weights_from_shifted(problem, sy, z)
 
 
 def dense_H(problem, weights, delta):
     dq = oracles.assemble_dense(problem)
-    sig = problem.dualineq_to_flat(weights)
+    sig = problem.to_flat("dualineq", weights)
     return dq.Q + dq.G.T @ np.diag(sig) @ dq.G + delta * np.eye(problem.dims.n), dq
 
 
@@ -100,7 +100,7 @@ def factor_all(problem, weights, delta, variant="dense", workers=1):
 def newton_step(work, g, r):
     """kkt.solve_newton into freshly allocated (dx, dlam, M' dlam)."""
     p = work.problem
-    return solve_newton(work, g, r, out=(p.primal_zeros(), p.dualeq_zeros(), p.primal_zeros()))
+    return solve_newton(work, g, r, out=(p.zeros("primal"), p.zeros("dualeq"), p.zeros("primal")))
 
 
 @pytest.mark.parametrize("workers", (0, -3, 2.5, np.nan, "2", True))
@@ -125,7 +125,7 @@ class TestActiveWeights:
         gx = np.zeros(p.dims.m)
         blf, buf = p.flat_bounds()
         inside = (gx >= blf) & (gx <= buf)
-        sig = p.dualineq_to_flat(w)
+        sig = p.to_flat("dualineq", w)
         assert np.array_equal(sig == 0.0, inside)
 
     def test_matches_elementwise_oracle(self):
@@ -138,7 +138,7 @@ class TestActiveWeights:
         dq = oracles.assemble_dense(p)
         z = dq.G @ x + y / sigma
         expect = np.where((z >= dq.bl) & (z <= dq.bu), 0.0, sigma)
-        assert np.array_equal(p.dualineq_to_flat(w), expect)
+        assert np.array_equal(p.to_flat("dualineq", w), expect)
 
     def test_boundary_counts_as_inactive(self):
         rng = np.random.default_rng(3)
@@ -148,7 +148,7 @@ class TestActiveWeights:
         y = np.zeros(p.dims.m)
         y[0] = dq.bu[0]
         w = make_weights(p, np.zeros(p.dims.n), sigma=1.0, y_flat=y)
-        assert p.dualineq_to_flat(w)[0] == 0.0
+        assert p.to_flat("dualineq", w)[0] == 0.0
 
     def test_idempotent_mask(self):
         rng = np.random.default_rng(4)
@@ -411,8 +411,8 @@ class TestSolveH:
         p = random_problem(rng, N=5, n_x=3, n_u=2, n_y=2, n_yN=1)
         w = make_weights(p, rng.standard_normal(p.dims.n), sigma=5.0)
         work = factor_all(p, w, 1e-3)
-        rhs = p.primal_from_flat(rng.standard_normal(p.dims.n))
-        z = solve_H(work, rhs, out=p.primal_zeros())
+        rhs = p.from_flat("primal", rng.standard_normal(p.dims.n))
+        z = solve_H(work, rhs, out=p.zeros("primal"))
         H = assembled(p, w, 1e-3)
         for j in range(p.dims.N + 1):
             want = np.linalg.solve(H[j], rhs.stack[j].copy())
@@ -426,14 +426,14 @@ class TestSolveH:
         # backward stable, ||H z - b|| <= 1e-13 (||H|| ||z|| + ||b||)
         rng = np.random.default_rng(55)
         p = random_problem(rng, N=7, n_x=3, n_u=2, n_y=4, n_yN=2)
-        sy = p.dualineq_zeros()
+        sy = p.zeros("dualineq")
         sy.data[:] = 10.0 ** rng.uniform(-4.0, 9.0, sy.data.size)
-        z = p.dualineq_zeros()
+        z = p.zeros("dualineq")
         z.data[:] = np.inf  # every row active
         w = weights_from_shifted(p, sy, z)
         work = factor_all(p, w, 1e-3)
-        b = p.primal_from_flat(rng.standard_normal(p.dims.n))
-        x = solve_H(work, b, out=p.primal_zeros())
+        b = p.from_flat("primal", rng.standard_normal(p.dims.n))
+        x = solve_H(work, b, out=p.zeros("primal"))
         H = assembled(p, w, 1e-3)
         for j in range(p.dims.N + 1):
             Hj, xj, bj = H[j], x.stack[j].copy(), b.stack[j].copy()
@@ -447,10 +447,10 @@ class TestSolveH:
         rng = np.random.default_rng(56)
         p = random_problem(rng, N=6, n_x=3, n_u=2)
         work = factor_all(p, make_weights(p, rng.standard_normal(p.dims.n)), 1e-3)
-        rhs = p.primal_from_flat(rng.standard_normal(p.dims.n))
-        z0 = solve_H(work, rhs, out=p.primal_zeros())
+        rhs = p.from_flat("primal", rng.standard_normal(p.dims.n))
+        z0 = solve_H(work, rhs, out=p.zeros("primal"))
         rhs.stack[3] += 1.0
-        z1 = solve_H(work, rhs, out=p.primal_zeros())
+        z1 = solve_H(work, rhs, out=p.zeros("primal"))
         changed = [j for j in range(z0.nstages) if not np.array_equal(z0.stack[j], z1.stack[j])]
         assert changed == [3]
 
@@ -458,9 +458,9 @@ class TestSolveH:
         rng = np.random.default_rng(57)
         p = random_problem(rng, N=5, n_x=3, n_u=2)
         work = factor_all(p, make_weights(p, rng.standard_normal(p.dims.n)), 1e-3)
-        rhs = p.primal_from_flat(rng.standard_normal(p.dims.n))
-        z0 = solve_H(work, rhs, out=p.primal_zeros())
-        assert np.array_equal(solve_H(work, rhs, out=p.primal_zeros()).data, z0.data)
+        rhs = p.from_flat("primal", rng.standard_normal(p.dims.n))
+        z0 = solve_H(work, rhs, out=p.zeros("primal"))
+        assert np.array_equal(solve_H(work, rhs, out=p.zeros("primal")).data, z0.data)
 
 
 def dense_from_blocks(diag, sub):
@@ -709,7 +709,7 @@ class TestSolveNewton:
         w = make_weights(p, np.zeros(p.dims.n))
         work = factor_all(p, w, 1e-3)
         factor_psi(work, every_stage(work))
-        dx, dlam, _ = newton_step(work, p.primal_zeros(), p.dualeq_zeros())
+        dx, dlam, _ = newton_step(work, p.zeros("primal"), p.zeros("dualeq"))
         assert np.all(dx.data == 0.0)
         assert np.all(dlam.data == 0.0)
 
@@ -726,9 +726,9 @@ class TestSolveNewton:
         g = rng.standard_normal(3)
         r = rng.standard_normal(2)
         dx_d, dl_d = oracles.dense_newton_solve(Hd, dq.M, g, r)
-        dx, dlam, _ = newton_step(work, p.primal_from_flat(g), p.dualeq_from_flat(r))
-        assert np.allclose(p.primal_to_flat(dx), dx_d, atol=1e-12)
-        assert np.allclose(p.dualeq_to_flat(dlam), dl_d, atol=1e-12)
+        dx, dlam, _ = newton_step(work, p.from_flat("primal", g), p.from_flat("dualeq", r))
+        assert np.allclose(p.to_flat("primal", dx), dx_d, atol=1e-12)
+        assert np.allclose(p.to_flat("dualeq", dlam), dl_d, atol=1e-12)
 
     @pytest.mark.parametrize("variant", ("dense", "diagonal"))
     def test_out_buffers_and_mtdl(self, variant):
@@ -739,17 +739,17 @@ class TestSolveNewton:
         w = make_weights(p, rng.standard_normal(p.dims.n), sigma=1.5)
         work = factor_all(p, w, 1e-3, variant=variant)
         factor_psi(work, every_stage(work))
-        g = p.primal_from_flat(rng.standard_normal(p.dims.n))
-        r = p.dualeq_from_flat(rng.standard_normal(p.dims.p))
+        g = p.from_flat("primal", rng.standard_normal(p.dims.n))
+        r = p.from_flat("dualeq", rng.standard_normal(p.dims.p))
         want = newton_step(work, g, r)
-        out = (p.primal_zeros(), p.dualeq_zeros(), p.primal_zeros())
+        out = (p.zeros("primal"), p.zeros("dualeq"), p.zeros("primal"))
         for v in out:
             v.data[:] = np.nan
         got = solve_newton(work, g, r, out=out)
         assert all(a is b for a, b in zip(got, out))
         for a, b in zip(want, got):
             assert np.array_equal(a.data, b.data)
-        assert np.array_equal(got[2].data, model.mul_MT(p, got[1], out=p.primal_zeros()).data)
+        assert np.array_equal(got[2].data, model.mul_MT(p, got[1], out=p.zeros("primal")).data)
 
     @pytest.mark.parametrize("seed", (70, 71))
     def test_kkt_residual_random(self, seed):
@@ -767,9 +767,9 @@ class TestSolveNewton:
             lam = rng.standard_normal(p.dims.p)
             r = rng.standard_normal(p.dims.p)
             dx, dlam, _ = newton_step(
-                work, p.primal_from_flat(g + dq.M.T @ lam), p.dualeq_from_flat(r)
+                work, p.from_flat("primal", g + dq.M.T @ lam), p.from_flat("dualeq", r)
             )
-            dxf, dlf = p.primal_to_flat(dx), p.dualeq_to_flat(dlam)
+            dxf, dlf = p.to_flat("primal", dx), p.to_flat("dualeq", dlam)
             res1 = Hd @ dxf + dq.M.T @ dlf + (g + dq.M.T @ lam)
             res2 = dq.M @ dxf + r
             rhs_norm = max(np.max(np.abs(g + dq.M.T @ lam)), np.max(np.abs(r)))
@@ -800,7 +800,7 @@ class TestExplicitInverse:
             m = p.dims.m
             active = rng.random(m) < 0.5
             sig = np.where(active, 10.0 ** rng.uniform(-4, np.log10(SIGMA_MAX), m), 0.0)
-            weights = p.dualineq_from_flat(sig)
+            weights = p.from_flat("dualineq", sig)
             delta = 1e-7
             work = factor_all(p, weights, delta, variant="dense")
             factor_psi(work, every_stage(work))
@@ -810,9 +810,9 @@ class TestExplicitInverse:
             lam = rng.standard_normal(p.dims.p)
             r = rng.standard_normal(p.dims.p)
             dx, dlam, _ = newton_step(
-                work, p.primal_from_flat(g + dq.M.T @ lam), p.dualeq_from_flat(r)
+                work, p.from_flat("primal", g + dq.M.T @ lam), p.from_flat("dualeq", r)
             )
-            step = np.concatenate([p.primal_to_flat(dx), p.dualeq_to_flat(dlam)])
+            step = np.concatenate([p.to_flat("primal", dx), p.to_flat("dualeq", dlam)])
             K = np.block([[Hd, dq.M.T], [dq.M, np.zeros((p.dims.p, p.dims.p))]])
             rhs = -np.concatenate([g + dq.M.T @ lam, r])
             res = K @ step - rhs
@@ -863,7 +863,7 @@ class TestDiagonalVariant:
         # dense blocks bit for bit, for every stage, a run and a scattered set
         rng = np.random.default_rng(84)
         p = diagonal_problem(rng, N=5, n_x=3, n_u=2)
-        w = p.dualineq_zeros()
+        w = p.zeros("dualineq")
         # penalty, cost and proximal terms of one size, so that the order
         # of their sum shows in the last bits
         w.data[:] = rng.uniform(0.0, 4.0, w.data.size) * (rng.random(w.data.size) < 0.7)
@@ -888,11 +888,11 @@ class TestDiagonalVariant:
         factor_psi(wdg, every_stage(wdg))
         g = rng.standard_normal(p.dims.n)
         r = rng.standard_normal(p.dims.p)
-        dx1, dl1, _ = newton_step(wd, p.primal_from_flat(g), p.dualeq_from_flat(r))
-        dx2, dl2, _ = newton_step(wdg, p.primal_from_flat(g), p.dualeq_from_flat(r))
-        f1, f2 = p.primal_to_flat(dx1), p.primal_to_flat(dx2)
+        dx1, dl1, _ = newton_step(wd, p.from_flat("primal", g), p.from_flat("dualeq", r))
+        dx2, dl2, _ = newton_step(wdg, p.from_flat("primal", g), p.from_flat("dualeq", r))
+        f1, f2 = p.to_flat("primal", dx1), p.to_flat("primal", dx2)
         assert np.max(np.abs(f1 - f2)) < 1e-12 * (1 + np.max(np.abs(f1)))
-        l1, l2 = p.dualeq_to_flat(dl1), p.dualeq_to_flat(dl2)
+        l1, l2 = p.to_flat("dualeq", dl1), p.to_flat("dualeq", dl2)
         assert np.max(np.abs(l1 - l2)) < 1e-12 * (1 + np.max(np.abs(l1)))
 
     def test_structure_mismatch(self):
@@ -912,9 +912,9 @@ class TestDiagonalVariant:
         w = make_weights(p, x)
         wd = factor_all(p, w, 1e-3, variant="dense")
         wdg = factor_all(p, w, 1e-3, variant="diagonal")
-        rhs = p.primal_from_flat(rng.standard_normal(p.dims.n))
-        z1 = solve_H(wd, rhs, out=p.primal_zeros())
-        z2 = solve_H(wdg, rhs, out=p.primal_zeros())
+        rhs = p.from_flat("primal", rng.standard_normal(p.dims.n))
+        z1 = solve_H(wd, rhs, out=p.zeros("primal"))
+        z2 = solve_H(wdg, rhs, out=p.zeros("primal"))
         assert np.max(np.abs(z1.data - z2.data)) < 1e-12 * (1 + np.max(np.abs(z1.data)))
 
 

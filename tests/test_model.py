@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ocpqp import model, oracles
+from ocpqp.alm import Solver, SolverSettings
 from ocpqp.compact import CompactBatch
 from ocpqp.model import OcpDims, OcpProblem, load_problem, pad_horizon, save_problem, validate
 
@@ -70,7 +71,7 @@ class TestDims:
             p = random_problem(rng, N=N)
             for name in ("cost", "lin", "dyn", "affine", "con", "bl", "bu"):
                 assert getattr(p, name).stack.shape[0] == N + 1
-            for vec in (p.primal_zeros(), p.dualeq_zeros(), p.dualineq_zeros()):
+            for vec in (p.zeros("primal"), p.zeros("dualeq"), p.zeros("dualineq")):
                 assert vec.nstages == N + 1
 
 
@@ -312,6 +313,68 @@ class TestLayout:
         assert p.x_init.flags.writeable
 
 
+EDGE_SHAPES = pytest.mark.parametrize(
+    "N, n_y, n_yN",
+    ((4, 0, 2), (4, 2, 0), (1, 2, 1), (4, 3, 1), (4, 1, 3)),
+    ids=("no_stage_rows", "no_terminal_rows", "single_stage", "stage_wider", "terminal_wider"),
+)
+
+
+class TestVectorLayout:
+    """The flat vectors against their stage slots, with the kept rows of
+    stages 0..N-1 and of stage N written out here by hand, so a wrong entry
+    in the layout table cannot pass unseen through both conversions."""
+
+    @staticmethod
+    def layouts(d):
+        # kind: (rows kept for stages 0..N-1, for stage N, flat length, name)
+        return {
+            "primal": (d.n_x + d.n_u, d.n_x, d.n, "primal vector"),
+            "dualeq": (d.n_x, d.n_x, d.p, "equality dual"),
+            "dualineq": (d.n_y, d.n_yN, d.m, "inequality dual"),
+        }
+
+    @EDGE_SHAPES
+    def test_round_trip_keeps_padding_zero(self, N, n_y, n_yN):
+        rng = np.random.default_rng(N + 10 * n_y + 100 * n_yN)
+        p = random_problem(rng, N=N, n_y=n_y, n_yN=n_yN)
+        for kind, (rows, rows_N, length, _) in self.layouts(p.dims).items():
+            flat = rng.uniform(1.0, 2.0, length)  # no zero among the values
+            v = p.from_flat(kind, flat)
+            st = v.stack[:, :, 0]
+            assert np.array_equal(st[:N, :rows].ravel(), flat[: N * rows])
+            assert np.array_equal(st[N, :rows_N], flat[N * rows :])
+            # padded rows and the terminal input slot hold exact zeros
+            assert not st[:N, rows:].any() and not st[N, rows_N:].any()
+            back = p.to_flat(kind, v)
+            assert np.array_equal(back, flat)
+            assert not np.shares_memory(back, v.data)  # a new array for every kind
+            assert p.zeros(kind).rows == v.rows and not p.zeros(kind).data.any()
+
+    @EDGE_SHAPES
+    def test_wrong_length_names_the_vector(self, N, n_y, n_yN):
+        rng = np.random.default_rng(3)
+        p = random_problem(rng, N=N, n_y=n_y, n_yN=n_yN)
+        for kind, (_, _, length, name) in self.layouts(p.dims).items():
+            for size in (length - 1, length + 1):
+                with pytest.raises(ValueError, match=f"^{name} must have length {length}, got"):
+                    p.from_flat(kind, np.zeros(size))
+
+    @EDGE_SHAPES
+    def test_wrong_warm_start_length_names_the_vector(self, N, n_y, n_yN):
+        rng = np.random.default_rng(4)
+        p = random_problem(rng, N=N, n_y=n_y, n_yN=n_yN)
+        d = p.dims
+        right = [np.zeros(d.n), np.zeros(d.m), np.zeros(d.p)]  # (x, y, lam)
+        names = ("primal vector", "inequality dual", "equality dual")
+        with Solver(p, SolverSettings()) as solver:
+            for i, (name, length) in enumerate(zip(names, (d.n, d.m, d.p))):
+                warm = list(right)
+                warm[i] = np.zeros(length + 1)
+                with pytest.raises(ValueError, match=f"^{name} must have length {length}, got"):
+                    solver.solve(warm_start=tuple(warm))
+
+
 class TestProducts:
     def test_rollout_satisfies_dynamics(self):
         rng = np.random.default_rng(6)
@@ -325,9 +388,9 @@ class TestProducts:
             flat.extend([x, u])
             x = f["A"][j] @ x + f["B"][j] @ u + f["c"][j]
         flat.append(x)
-        xb = p.primal_from_flat(np.concatenate(flat))
-        mx = p.dualeq_to_flat(model.mul_M(p, xb, out=p.dualeq_zeros()))
-        b = p.dualeq_to_flat(p.b_dualeq())
+        xb = p.from_flat("primal", np.concatenate(flat))
+        mx = p.to_flat("dualeq", model.mul_M(p, xb, out=p.zeros("dualeq")))
+        b = p.to_flat("dualeq", p.b_dualeq())
         assert np.max(np.abs(mx - b)) < 1e-13 * (1 + np.max(np.abs(b)))
 
     def test_identity_dynamics_ones(self):
@@ -342,8 +405,8 @@ class TestProducts:
             q_N=np.zeros(n_x), C_N=np.zeros((0, n_x)), bl_N=np.zeros(0),
             bu_N=np.zeros(0), x_init=np.ones(n_x),
         )
-        xb = p.primal_from_flat(np.ones(p.dims.n))
-        mx = p.dualeq_to_flat(model.mul_M(p, xb, out=p.dualeq_zeros())).reshape(N + 1, n_x)
+        xb = p.from_flat("primal", np.ones(p.dims.n))
+        mx = p.to_flat("dualeq", model.mul_M(p, xb, out=p.zeros("dualeq"))).reshape(N + 1, n_x)
         assert np.array_equal(mx[0], np.ones(n_x))
         assert np.array_equal(mx[1:], np.zeros((N, n_x)))
 
@@ -358,20 +421,26 @@ class TestProducts:
             x = rng.standard_normal(p.dims.n)
             lam = rng.standard_normal(p.dims.p)
             z = rng.standard_normal(p.dims.m)
-            xb = p.primal_from_flat(x)
-            lb = p.dualeq_from_flat(lam)
-            zb = p.dualineq_from_flat(z)
+            xb = p.from_flat("primal", x)
+            lb = p.from_flat("dualeq", lam)
+            zb = p.from_flat("dualineq", z)
 
             def close(a, b):
                 if b.size == 0:
                     return a.size == 0
                 return np.max(np.abs(a - b)) <= 1e-13 * (1 + np.max(np.abs(b)))
 
-            assert close(p.primal_to_flat(model.mul_Q(p, xb, out=p.primal_zeros())), dq.Q @ x)
-            assert close(p.dualeq_to_flat(model.mul_M(p, xb, out=p.dualeq_zeros())), dq.M @ x)
-            assert close(p.primal_to_flat(model.mul_MT(p, lb, out=p.primal_zeros())), dq.M.T @ lam)
-            assert close(p.dualineq_to_flat(model.mul_G(p, xb, out=p.dualineq_zeros())), dq.G @ x)
-            assert close(p.primal_to_flat(model.mul_GT(p, zb, out=p.primal_zeros())), dq.G.T @ z)
+            assert close(p.to_flat("primal", model.mul_Q(p, xb, out=p.zeros("primal"))), dq.Q @ x)
+            assert close(p.to_flat("dualeq", model.mul_M(p, xb, out=p.zeros("dualeq"))), dq.M @ x)
+            assert close(
+                p.to_flat("primal", model.mul_MT(p, lb, out=p.zeros("primal"))), dq.M.T @ lam
+            )
+            assert close(
+                p.to_flat("dualineq", model.mul_G(p, xb, out=p.zeros("dualineq"))), dq.G @ x
+            )
+            assert close(
+                p.to_flat("primal", model.mul_GT(p, zb, out=p.zeros("primal"))), dq.G.T @ z
+            )
 
     @pytest.mark.parametrize(
         "N, n_y, n_yN",
@@ -386,13 +455,14 @@ class TestProducts:
         x = rng.standard_normal(p.dims.n)
         lam = rng.standard_normal(p.dims.p)
         z = rng.standard_normal(p.dims.m)
-        xb, lb, zb = p.primal_from_flat(x), p.dualeq_from_flat(lam), p.dualineq_from_flat(z)
+        xb, lb = p.from_flat("primal", x), p.from_flat("dualeq", lam)
+        zb = p.from_flat("dualineq", z)
         for got, want in (
-            (p.primal_to_flat(model.mul_Q(p, xb, out=p.primal_zeros())), dq.Q @ x),
-            (p.dualeq_to_flat(model.mul_M(p, xb, out=p.dualeq_zeros())), dq.M @ x),
-            (p.primal_to_flat(model.mul_MT(p, lb, out=p.primal_zeros())), dq.M.T @ lam),
-            (p.dualineq_to_flat(model.mul_G(p, xb, out=p.dualineq_zeros())), dq.G @ x),
-            (p.primal_to_flat(model.mul_GT(p, zb, out=p.primal_zeros())), dq.G.T @ z),
+            (p.to_flat("primal", model.mul_Q(p, xb, out=p.zeros("primal"))), dq.Q @ x),
+            (p.to_flat("dualeq", model.mul_M(p, xb, out=p.zeros("dualeq"))), dq.M @ x),
+            (p.to_flat("primal", model.mul_MT(p, lb, out=p.zeros("primal"))), dq.M.T @ lam),
+            (p.to_flat("dualineq", model.mul_G(p, xb, out=p.zeros("dualineq"))), dq.G @ x),
+            (p.to_flat("primal", model.mul_GT(p, zb, out=p.zeros("primal"))), dq.G.T @ z),
         ):
             assert got.shape == want.shape
             if want.size:
@@ -405,21 +475,23 @@ class TestProducts:
             x = rng.standard_normal(p.dims.n)
             lam = rng.standard_normal(p.dims.p)
             z = rng.standard_normal(p.dims.m)
-            xb = p.primal_from_flat(x)
-            mx = p.dualeq_to_flat(model.mul_M(p, xb, out=p.dualeq_zeros()))
-            mtl = p.primal_to_flat(model.mul_MT(p, p.dualeq_from_flat(lam), out=p.primal_zeros()))
+            xb = p.from_flat("primal", x)
+            mx = p.to_flat("dualeq", model.mul_M(p, xb, out=p.zeros("dualeq")))
+            lb = p.from_flat("dualeq", lam)
+            mtl = p.to_flat("primal", model.mul_MT(p, lb, out=p.zeros("primal")))
             lhs, rhs = mx @ lam, x @ mtl
             assert abs(lhs - rhs) <= 1e-13 * (1 + abs(lhs))
-            gx = p.dualineq_to_flat(model.mul_G(p, xb, out=p.dualineq_zeros()))
-            gtz = p.primal_to_flat(model.mul_GT(p, p.dualineq_from_flat(z), out=p.primal_zeros()))
+            gx = p.to_flat("dualineq", model.mul_G(p, xb, out=p.zeros("dualineq")))
+            zb = p.from_flat("dualineq", z)
+            gtz = p.to_flat("primal", model.mul_GT(p, zb, out=p.zeros("primal")))
             lhs, rhs = gx @ z, x @ gtz
             assert abs(lhs - rhs) <= 1e-13 * (1 + abs(lhs))
 
     def test_zero_dual_maps_to_zero(self):
         rng = np.random.default_rng(31)
         p = random_problem(rng, N=3)
-        z = p.dualineq_zeros()
-        out = model.mul_GT(p, z, out=p.primal_zeros())
+        z = p.zeros("dualineq")
+        out = model.mul_GT(p, z, out=p.zeros("primal"))
         assert np.all(out.data == 0.0)
 
     def test_out_argument_is_overwritten(self):
@@ -427,16 +499,16 @@ class TestProducts:
         # fresh one
         rng = np.random.default_rng(34)
         p = random_problem(rng, N=5, n_x=3, n_u=2, n_y=2, n_yN=1)
-        xb = p.primal_from_flat(rng.standard_normal(p.dims.n))
-        lb = p.dualeq_from_flat(rng.standard_normal(p.dims.p))
-        zb = p.dualineq_from_flat(rng.standard_normal(p.dims.m))
-        for fn, arg, zeros in (
-            (model.mul_Q, xb, p.primal_zeros), (model.mul_M, xb, p.dualeq_zeros),
-            (model.mul_MT, lb, p.primal_zeros), (model.mul_G, xb, p.dualineq_zeros),
-            (model.mul_GT, zb, p.primal_zeros),
+        xb = p.from_flat("primal", rng.standard_normal(p.dims.n))
+        lb = p.from_flat("dualeq", rng.standard_normal(p.dims.p))
+        zb = p.from_flat("dualineq", rng.standard_normal(p.dims.m))
+        for fn, arg, kind in (
+            (model.mul_Q, xb, "primal"), (model.mul_M, xb, "dualeq"),
+            (model.mul_MT, lb, "primal"), (model.mul_G, xb, "dualineq"),
+            (model.mul_GT, zb, "primal"),
         ):
-            fresh = fn(p, arg, out=zeros())
-            out = zeros()
+            fresh = fn(p, arg, out=p.zeros(kind))
+            out = p.zeros(kind)
             out.data[:] = np.nan
             assert fn(p, arg, out=out) is out
             assert np.array_equal(out.data, fresh.data)
@@ -444,9 +516,9 @@ class TestProducts:
     def test_dimension_mismatch_raises(self):
         rng = np.random.default_rng(33)
         p = random_problem(rng, N=3)
-        bad = p.dualeq_zeros()
+        bad = p.zeros("dualeq")
         with pytest.raises(ValueError):
-            model.mul_Q(p, bad, out=p.primal_zeros())
+            model.mul_Q(p, bad, out=p.zeros("primal"))
 
 
 def box_problem(rng, N, n_x, n_u, rows, rows_N):
@@ -484,15 +556,15 @@ def matmul_products(p, xb, zb):
 
 def structured_products(p, xb, zb):
     return (
-        model.mul_Q(p, xb, out=p.primal_zeros()).stack,
-        model.mul_G(p, xb, out=p.dualineq_zeros()).stack,
-        model.mul_GT(p, zb, out=p.primal_zeros()).stack,
+        model.mul_Q(p, xb, out=p.zeros("primal")).stack,
+        model.mul_G(p, xb, out=p.zeros("dualineq")).stack,
+        model.mul_GT(p, zb, out=p.zeros("primal")).stack,
     )
 
 
 def random_vectors(rng, p):
     """Random x and z, some entries -0 and +0."""
-    xb, zb = p.primal_zeros(), p.dualineq_zeros()
+    xb, zb = p.zeros("primal"), p.zeros("dualineq")
     for v in (xb, zb):
         v.data[:] = rng.standard_normal(v.data.size)
         v.data[::5] = -0.0
@@ -589,13 +661,13 @@ def doubled_rows_spring_mass():
 
 class TestProductBuffers:
     # the operand, a right ``out`` and an ``out`` of the wrong row count,
-    # by the OcpProblem method that makes each
+    # by the kind of vector that each is
     PRODUCTS = {
-        "mul_Q": ("primal_zeros", "primal_zeros", "dualineq_zeros"),
-        "mul_M": ("primal_zeros", "dualeq_zeros", "primal_zeros"),
-        "mul_MT": ("dualeq_zeros", "primal_zeros", "dualineq_zeros"),
-        "mul_G": ("primal_zeros", "dualineq_zeros", "primal_zeros"),
-        "mul_GT": ("dualineq_zeros", "primal_zeros", "dualineq_zeros"),
+        "mul_Q": ("primal", "primal", "dualineq"),
+        "mul_M": ("primal", "dualeq", "primal"),
+        "mul_MT": ("dualeq", "primal", "dualineq"),
+        "mul_G": ("primal", "dualineq", "primal"),
+        "mul_GT": ("dualineq", "primal", "dualineq"),
     }
 
     @pytest.mark.parametrize("diagonal", (True, False), ids=("diagonal", "dense"))
@@ -609,7 +681,7 @@ class TestProductBuffers:
             fam["S"][:, 0, 0] = 0.1
             p = OcpProblem.from_stages(**fam)
         assert p.is_diagonal() == diagonal
-        operand, right, wrong = (getattr(p, k)() for k in self.PRODUCTS[name])
+        operand, right, wrong = (p.zeros(k) for k in self.PRODUCTS[name])
         if flaw == "stages":
             wrong = CompactBatch(right.rows, 1, right.nstages + 1)
         product = getattr(model, name)
@@ -633,6 +705,11 @@ class TestFiles:
         for lo, hi in (("bl", "bu"), ("bl_N", "bu_N")):
             assert np.array_equal(fp[lo], fq[lo]) and np.array_equal(fp[hi], fq[hi])
         assert np.array_equal(p.x_init, q.x_init)
+
+    def test_unknown_format_raises(self, tmp_path):
+        p = random_problem(np.random.default_rng(43), N=2)
+        with pytest.raises(ValueError, match="unknown format 'xml'"):
+            save_problem(p, tmp_path / "prob.xml", fmt="xml")
 
     def test_infinite_bounds_survive(self, tmp_path):
         rng = np.random.default_rng(41)
